@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htd_core::bucket::{bucket_elimination, vertex_elimination};
 use htd_core::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator, TwEvaluator};
 use htd_csp::{builders, Relation};
-use htd_heuristics::{combined_lower_bound, upper::min_fill};
+use htd_heuristics::{combined_lower_bound, minor_min_width_alive, upper::min_fill, MinorScratch};
 use htd_hypergraph::{gen, EliminationGraph, VertexSet};
 use htd_search::astar_tw::astar_tw;
 use htd_search::bb_ghw::bb_ghw;
@@ -139,11 +139,31 @@ fn bench_bounds(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| black_box(combined_lower_bound(black_box(&g), &mut rng)))
     });
+    // the per-node bound of the tw searches: a 6x6 grid with three
+    // vertices eliminated, bounded from a warm scratch
+    c.bench_function("mmw_alive_grid6", |b| {
+        let mut eg = EliminationGraph::new(&gen::grid_graph(6, 6));
+        for v in [0, 7, 14] {
+            eg.eliminate(v);
+        }
+        let (mut scratch, mut rng) = (MinorScratch::default(), StdRng::seed_from_u64(1));
+        b.iter(|| {
+            black_box(minor_min_width_alive(
+                black_box(&eg),
+                &mut scratch,
+                &mut rng,
+            ))
+        })
+    });
 }
 
 fn bench_search(c: &mut Criterion) {
     c.bench_function("astar_tw_queen5", |b| {
         let g = gen::queen_graph(5);
+        b.iter(|| black_box(astar_tw(&g, &SearchConfig::default())))
+    });
+    c.bench_function("astar_tw_grid6", |b| {
+        let g = gen::grid_graph(6, 6);
         b.iter(|| black_box(astar_tw(&g, &SearchConfig::default())))
     });
     c.bench_function("bb_tw_myciel4", |b| {
@@ -193,6 +213,11 @@ fn bench_extensions(c: &mut Criterion) {
     c.bench_function("det_k_decomp_adder8", |b| {
         let h = gen::adder(8);
         b.iter(|| black_box(htd_search::det_k_decomp(&h, 2).is_some()))
+    });
+    // a failing decision: hw(bridge_10) = 3, so k = 2 searches exhaustively
+    c.bench_function("det_k_bridge10_k2", |b| {
+        let h = gen::bridge(10);
+        b.iter(|| black_box(htd_search::det_k_decomp(&h, 2).is_none()))
     });
     c.bench_function("fractional_cover_grid2d8_bag", |b| {
         let h = gen::grid2d(8);

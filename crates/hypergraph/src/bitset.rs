@@ -128,6 +128,15 @@ impl VertexSet {
         }
     }
 
+    /// Makes `self` a copy of `other`, reusing `self`'s block buffer (no
+    /// allocation once the buffer has grown to `other`'s size).
+    #[inline]
+    pub fn copy_from(&mut self, other: &VertexSet) {
+        self.blocks.clear();
+        self.blocks.extend_from_slice(&other.blocks);
+        self.capacity = other.capacity;
+    }
+
     /// In-place union: `self |= other`.
     #[inline]
     pub fn union_with(&mut self, other: &VertexSet) {
@@ -257,6 +266,13 @@ impl VertexSet {
     /// Raw block view (for hashing / canonical keys).
     pub fn blocks(&self) -> &[u64] {
         &self.blocks
+    }
+
+    /// Mutable block view for word-level kernels. Callers keep the
+    /// invariant: bits at positions `>= capacity` stay zero.
+    #[inline]
+    pub(crate) fn blocks_mut(&mut self) -> &mut [u64] {
+        &mut self.blocks
     }
 }
 

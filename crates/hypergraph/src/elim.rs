@@ -5,10 +5,15 @@
 //! §2.5.3). The thesis implementation (§5.2.1) keeps matrices `A`, `E`, `T`
 //! to restore eliminated vertices; [`EliminationGraph`] achieves the same
 //! with an explicit undo log: each [`eliminate`](EliminationGraph::eliminate)
-//! records the fill edges it added and the neighborhood it destroyed, and
-//! [`undo`](EliminationGraph::undo) pops the log. Depth-first searches over
-//! orderings (branch and bound) pay O(fill) per backtrack instead of
-//! rebuilding the graph.
+//! records the neighborhood it destroyed and, per neighbor, the fill bits it
+//! added, and [`undo`](EliminationGraph::undo) pops the log. Depth-first
+//! searches over orderings (branch and bound) pay O(fill) per backtrack
+//! instead of rebuilding the graph.
+//!
+//! The kernels work on the rows' `u64` words: fill is added word by word
+//! (`adj[u] |= nb & !adj[u]`), and the log's words live in one buffer that
+//! undo truncates, so once a search has reached its deepest level nothing
+//! here allocates.
 //!
 //! Invariant: the adjacency row of every **alive** vertex contains only
 //! alive vertices, so degrees and neighborhoods are direct bitset reads.
@@ -17,14 +22,12 @@ use crate::bitset::VertexSet;
 use crate::graph::Graph;
 use crate::Vertex;
 
-/// One entry of the undo log.
-#[derive(Clone, Debug)]
+/// One entry of the undo log: the eliminated vertex and where its saved
+/// words start in [`EliminationGraph::saved`].
+#[derive(Clone, Copy, Debug)]
 struct ElimRecord {
     vertex: Vertex,
-    /// Alive neighborhood of `vertex` at elimination time.
-    neighbors: VertexSet,
-    /// Fill edges added by this elimination.
-    fill: Vec<(Vertex, Vertex)>,
+    start: usize,
 }
 
 /// A graph under vertex elimination, supporting LIFO undo.
@@ -43,7 +46,29 @@ struct ElimRecord {
 pub struct EliminationGraph {
     adj: Vec<VertexSet>,
     alive: VertexSet,
+    /// `u64` words per adjacency row.
+    words: usize,
     log: Vec<ElimRecord>,
+    /// The words of every logged elimination, in log order: the eliminated
+    /// vertex's row, then for each of its neighbors, in increasing order,
+    /// the fill bits added to that neighbor's row.
+    saved: Vec<u64>,
+}
+
+/// Calls `f` on the members in `bits`, block `i` of a set, in increasing
+/// order. `bits` is a copy, so `f` may change the set it was read from.
+#[inline]
+fn for_each_bit(i: usize, mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(i * 64 + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// Block index and mask of vertex `v`.
+#[inline]
+fn bit(v: usize) -> (usize, u64) {
+    (v / 64, 1u64 << (v % 64))
 }
 
 impl EliminationGraph {
@@ -53,7 +78,9 @@ impl EliminationGraph {
         EliminationGraph {
             adj: (0..n).map(|v| g.neighbors(v).clone()).collect(),
             alive: VertexSet::full(n),
+            words: (n as usize).div_ceil(64),
             log: Vec::new(),
+            saved: Vec::new(),
         }
     }
 
@@ -128,16 +155,36 @@ impl EliminationGraph {
     /// `true` iff all but one neighbor of `v` induce a clique
     /// (Definition 23 of the thesis). Simplicial vertices qualify too;
     /// callers that need strictness should test [`is_simplicial`] first.
+    ///
+    /// [`is_simplicial`]: Self::is_simplicial
     pub fn is_almost_simplicial(&self, v: Vertex) -> bool {
         let nb = &self.adj[v as usize];
-        if nb.len() <= 1 {
+        // a neighbor with a non-neighbor inside N(v); none: simplicial
+        let Some(u) = nb
+            .iter()
+            .find(|&u| nb.difference_len(&self.adj[u as usize]) > 1)
+        else {
+            return true;
+        };
+        // the skipped neighbor is an endpoint of every missing edge, so it
+        // is u, or u's only non-neighbor when u has just one
+        if self.clique_skipping(nb, u) {
             return true;
         }
-        nb.iter().any(|skip| {
-            let mut rest = nb.clone();
-            rest.remove(skip);
-            rest.iter()
-                .all(|u| rest.difference_len(&self.adj[u as usize]) == 1)
+        let row = &self.adj[u as usize];
+        let mut others = nb.iter().filter(|&w| w != u && !row.contains(w));
+        match (others.next(), others.next()) {
+            (Some(w), None) => self.clique_skipping(nb, w),
+            _ => false,
+        }
+    }
+
+    /// `true` iff `nb \ {skip}` is a clique.
+    fn clique_skipping(&self, nb: &VertexSet, skip: Vertex) -> bool {
+        nb.iter().filter(|&x| x != skip).all(|x| {
+            let row = &self.adj[x as usize];
+            // nb \ N(x) holds x itself, and skip when x misses it
+            nb.difference_len(row) - u32::from(!row.contains(skip)) == 1
         })
     }
 
@@ -146,47 +193,58 @@ impl EliminationGraph {
     /// elimination time (the bag size minus one).
     pub fn eliminate(&mut self, v: Vertex) -> u32 {
         debug_assert!(self.is_alive(v), "eliminate of dead vertex {v}");
-        let nb = self.adj[v as usize].clone();
-        let mut fill = Vec::new();
-        for u in nb.iter() {
-            self.adj[u as usize].remove(v);
-        }
-        for u in nb.iter() {
-            // missing = neighbors of v not adjacent to u, above u
-            let mut missing = nb.difference(&self.adj[u as usize]);
-            missing.remove(u);
-            for w in missing.iter() {
-                if w > u {
-                    self.adj[u as usize].insert(w);
-                    self.adj[w as usize].insert(u);
-                    fill.push((u, w));
+        let words = self.words;
+        let start = self.saved.len();
+        let deg = self.adj[v as usize].len();
+        self.saved.reserve(words * (deg as usize + 1));
+        self.saved.extend_from_slice(self.adj[v as usize].blocks());
+        let (vb, vm) = bit(v as usize);
+        let (adj, saved) = (&mut self.adj, &mut self.saved);
+        for i in 0..words {
+            for_each_bit(i, saved[start + i], |u| {
+                let (ub, um) = bit(u);
+                let row = adj[u].blocks_mut();
+                row[vb] &= !vm;
+                for (j, w) in row.iter_mut().enumerate() {
+                    // neighbors of v missing from u's row, u excluded
+                    let mut fill = saved[start + j] & !*w;
+                    if j == ub {
+                        fill &= !um;
+                    }
+                    *w |= fill;
+                    saved.push(fill);
                 }
-            }
+            });
         }
         self.alive.remove(v);
-        let deg = nb.len();
-        self.log.push(ElimRecord {
-            vertex: v,
-            neighbors: nb,
-            fill,
-        });
+        self.log.push(ElimRecord { vertex: v, start });
         deg
     }
 
     /// Undoes the most recent elimination. Returns the restored vertex,
     /// or `None` if the log is empty.
     pub fn undo(&mut self) -> Option<Vertex> {
-        let rec = self.log.pop()?;
-        for &(u, w) in &rec.fill {
-            self.adj[u as usize].remove(w);
-            self.adj[w as usize].remove(u);
+        let ElimRecord { vertex: v, start } = self.log.pop()?;
+        let words = self.words;
+        let (vb, vm) = bit(v as usize);
+        let (adj, saved) = (&mut self.adj, &self.saved);
+        let mut fill = start + words;
+        for i in 0..words {
+            for_each_bit(i, saved[start + i], |u| {
+                let row = adj[u].blocks_mut();
+                for (w, added) in row.iter_mut().zip(&saved[fill..fill + words]) {
+                    *w &= !added;
+                }
+                row[vb] |= vm;
+                fill += words;
+            });
         }
-        for u in rec.neighbors.iter() {
-            self.adj[u as usize].insert(rec.vertex);
-        }
-        self.adj[rec.vertex as usize] = rec.neighbors;
-        self.alive.insert(rec.vertex);
-        Some(rec.vertex)
+        adj[v as usize]
+            .blocks_mut()
+            .copy_from_slice(&saved[start..start + words]);
+        self.saved.truncate(start);
+        self.alive.insert(v);
+        Some(v)
     }
 
     /// Undoes eliminations until only `target_len` remain on the log.
@@ -196,32 +254,29 @@ impl EliminationGraph {
         }
     }
 
-    /// The bag `{v} ∪ N(v)` that eliminating `v` would produce, as a bitset.
-    pub fn bag(&self, v: Vertex) -> VertexSet {
-        let mut b = self.adj[v as usize].clone();
-        b.insert(v);
-        b
-    }
-
     /// Contracts alive vertex `remove` into alive neighbor `keep`
     /// (minor operation): `keep`'s neighborhood becomes
     /// `(N(keep) ∪ N(remove)) \ {keep, remove}` and `remove` disappears.
     ///
     /// Contractions are **not** undoable; they are meant for scratch copies
-    /// inside lower-bound heuristics (minor-min-width, minor-γR).
+    /// inside lower-bound heuristics (minor-γR, degeneracy).
     pub fn contract_into(&mut self, keep: Vertex, remove: Vertex) {
         debug_assert!(self.is_alive(keep) && self.is_alive(remove));
         debug_assert!(self.log.is_empty(), "contract on a graph with undo log");
-        let nb = self.adj[remove as usize].clone();
-        for u in nb.iter() {
-            self.adj[u as usize].remove(remove);
-            if u != keep {
-                self.adj[u as usize].insert(keep);
-                self.adj[keep as usize].insert(u);
-            }
+        let (kb, km) = bit(keep as usize);
+        let (rb, rm) = bit(remove as usize);
+        for i in 0..self.words {
+            let bits = self.adj[remove as usize].blocks()[i];
+            for_each_bit(i, bits, |u| {
+                let row = self.adj[u].blocks_mut();
+                row[rb] &= !rm;
+                row[kb] |= km;
+            });
+            self.adj[keep as usize].blocks_mut()[i] |= bits;
         }
-        self.adj[keep as usize].remove(keep);
-        self.adj[keep as usize].remove(remove);
+        let row = self.adj[keep as usize].blocks_mut();
+        row[kb] &= !km;
+        row[rb] &= !rm;
         self.adj[remove as usize].clear();
         self.alive.remove(remove);
     }
@@ -232,9 +287,11 @@ impl EliminationGraph {
     pub fn delete_vertex(&mut self, v: Vertex) {
         debug_assert!(self.is_alive(v));
         debug_assert!(self.log.is_empty(), "delete on a graph with undo log");
-        let nb = self.adj[v as usize].clone();
-        for u in nb.iter() {
-            self.adj[u as usize].remove(v);
+        for i in 0..self.words {
+            let bits = self.adj[v as usize].blocks()[i];
+            for_each_bit(i, bits, |u| {
+                self.adj[u].remove(v);
+            });
         }
         self.adj[v as usize].clear();
         self.alive.remove(v);
@@ -292,11 +349,9 @@ mod tests {
         for v in 0..5 {
             let predicted = eg.fill_count(v);
             let log_before = eg.log_len();
-            eg.eliminate(v);
-            let added = match eg.log.last() {
-                Some(r) => r.fill.len(),
-                None => 0,
-            };
+            let edges_before = eg.to_graph().num_edges();
+            let deg = eg.eliminate(v) as usize;
+            let added = eg.to_graph().num_edges() + deg - edges_before;
             assert_eq!(predicted, added, "vertex {v}");
             eg.undo_to(log_before);
         }
@@ -361,12 +416,6 @@ mod tests {
         assert!(!eg.has_edge(1, 3)); // no fill, unlike eliminate
         assert_eq!(eg.degree(1), 1);
         assert_eq!(eg.num_alive(), 3);
-    }
-
-    #[test]
-    fn bag_contains_vertex_and_neighbors() {
-        let eg = EliminationGraph::new(&cycle(4));
-        assert_eq!(eg.bag(0).to_vec(), vec![0, 1, 3]);
     }
 
     #[test]

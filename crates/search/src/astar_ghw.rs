@@ -7,7 +7,7 @@
 //! lower bound — the thesis's Tables 9.1–9.2 obtain several improved ghw
 //! lower bounds exactly this way.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use htd_core::ordering::EliminationOrdering;
@@ -17,62 +17,13 @@ use htd_hypergraph::{EliminationGraph, Hypergraph, Vertex, VertexSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::astar_tw::{path_into, ClosedSet, PathNode, State};
 use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
 use crate::ghw_common::GhwContext;
 use crate::incumbent::{offer_traced, raise_traced};
 use crate::pruning::keep_child;
 
 const WHO: &str = "astar";
-
-struct PathNode {
-    v: Vertex,
-    parent: Option<Rc<PathNode>>,
-}
-
-fn path_to_vec(p: &Option<Rc<PathNode>>) -> Vec<Vertex> {
-    let mut out = Vec::new();
-    let mut cur = p.clone();
-    while let Some(n) = cur {
-        out.push(n.v);
-        cur = n.parent.clone();
-    }
-    out.reverse();
-    out
-}
-
-struct State {
-    f: u32,
-    g: u32,
-    depth: u32,
-    seq: u64,
-    path: Option<Rc<PathNode>>,
-    eliminated: VertexSet,
-    prev: Option<Vertex>,
-    swap_with_prev: VertexSet,
-    forced: bool,
-}
-
-impl State {
-    fn cmp_key(&self) -> (u32, std::cmp::Reverse<u32>, u64) {
-        (self.f, std::cmp::Reverse(self.depth), self.seq)
-    }
-}
-impl PartialEq for State {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp_key() == other.cmp_key()
-    }
-}
-impl Eq for State {}
-impl PartialOrd for State {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for State {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.cmp_key().cmp(&self.cmp_key())
-    }
-}
 
 /// Computes `ghw(h)` with A*. Returns `None` when some vertex lies in no
 /// hyperedge. Within budget the result is exact; otherwise `lower` is the
@@ -139,7 +90,7 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
     let mut ctx = GhwContext::with_cache(h, cache);
     let mut budget = Budget::new(cfg, "astar");
     let mut queue: BinaryHeap<State> = BinaryHeap::new();
-    let mut seen: HashMap<Vec<u64>, u32> = HashMap::new();
+    let mut seen = ClosedSet::default();
     let mut seq = 0u64;
     queue.push(State {
         f: lb0,
@@ -156,6 +107,11 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
     let mut eg = EliminationGraph::new(&g);
     let mut current_path: Vec<Vertex> = Vec::new();
     let mut global_lb = lb0;
+    // per-expansion scratch, as in A*-tw
+    let mut target: Vec<Vertex> = Vec::with_capacity(n as usize);
+    let mut children: Vec<Vertex> = Vec::with_capacity(n as usize);
+    let mut swap = VertexSet::new(n);
+    let mut child_elim = VertexSet::new(n);
 
     while let Some(s) = queue.pop() {
         // aggregate-only hot-path span (see astar_tw)
@@ -182,7 +138,7 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
         global_lb = global_lb.max(s.f);
         // min over open f is a valid lower bound on min(ghw, ub) (§5.3)
         raise_traced(&inc, &cfg.tracer, WHO, global_lb.min(ub));
-        let target = path_to_vec(&s.path);
+        path_into(&s.path, &mut target);
         let common = current_path
             .iter()
             .zip(&target)
@@ -201,7 +157,7 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
             None => false,
         };
         if goal {
-            let mut order = target;
+            let mut order = target.clone();
             order.extend(eg.alive().iter());
             stats.expanded = budget.expanded;
             stats.elapsed = budget.elapsed();
@@ -211,15 +167,18 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
             return finish(s.g, s.g, true, Some(order), stats);
         }
         let _sp_eval = htd_trace::span!("astar.evaluate");
-        let (children, forced_child) = if cfg.use_reductions {
-            match ctx.find_ghw_reducible(&eg) {
-                Some(v) => (vec![v], true),
-                None => (eg.alive().to_vec(), false),
-            }
+        children.clear();
+        let forced = if cfg.use_reductions {
+            ctx.find_ghw_reducible(&eg)
         } else {
-            (eg.alive().to_vec(), false)
+            None
         };
-        for v in children {
+        let forced_child = forced.is_some();
+        match forced {
+            Some(v) => children.push(v),
+            None => children.extend(eg.alive().iter()),
+        }
+        for &v in &children {
             if cfg.use_pr2 && !s.forced && !forced_child {
                 if let Some(prev) = s.prev {
                     if !keep_child(prev, v, s.swap_with_prev.contains(v)) {
@@ -228,19 +187,15 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
                     }
                 }
             }
-            let swap_set = if cfg.use_pr2 {
-                let mut set = VertexSet::new(n);
+            swap.clear();
+            if cfg.use_pr2 {
                 for u in eg.alive().iter() {
                     if u != v && GhwContext::swappable_ghw(&eg, v, u) {
-                        set.insert(u);
+                        swap.insert(u);
                     }
                 }
-                set
-            } else {
-                VertexSet::new(n)
-            };
-            let bag = eg.bag(v);
-            let Some(bag_cover) = ctx.cover_exact(&bag) else {
+            }
+            let Some(bag_cover) = ctx.cover_bag(&eg, v) else {
                 continue;
             };
             let mark = eg.log_len();
@@ -249,10 +204,11 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
             let t_h = ctx.node_lower_bound(&eg, &mut rng).max(lb0);
             let t_f = t_g.max(t_h).max(s.f);
             if t_f < ub {
-                let mut eliminated = s.eliminated.clone();
-                eliminated.insert(v);
+                child_elim.copy_from(&s.eliminated);
+                child_elim.insert(v);
+                let key = child_elim.blocks();
                 let dominated = if cfg.use_duplicate_detection {
-                    match seen.get_mut(eliminated.blocks()) {
+                    match seen.get_mut(key) {
                         Some(best) if *best <= t_g => true,
                         Some(best) => {
                             *best = t_g;
@@ -261,8 +217,8 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
                         None => {
                             // account the closed-set entry; a failed charge
                             // latches the budget and the next tick degrades
-                            budget.charge((eliminated.blocks().len() * 8 + 48) as u64);
-                            seen.insert(eliminated.blocks().to_vec(), t_g);
+                            budget.charge((key.len() * 8 + 48) as u64);
+                            seen.insert(key.into(), t_g);
                             false
                         }
                     }
@@ -272,7 +228,7 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
                 if !dominated {
                     // account the open-list node; never drop a push — the
                     // drained-queue exactness proof needs every child queued
-                    budget.charge((eliminated.blocks().len() * 16 + 80) as u64);
+                    budget.charge((key.len() * 16 + 80) as u64);
                     seq += 1;
                     stats.generated += 1;
                     queue.push(State {
@@ -284,9 +240,9 @@ pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
                             v,
                             parent: s.path.clone(),
                         })),
-                        eliminated,
+                        eliminated: child_elim.clone(),
                         prev: Some(v),
-                        swap_with_prev: swap_set,
+                        swap_with_prev: swap.clone(),
                         forced: forced_child,
                     });
                 } else {

@@ -10,15 +10,17 @@
 //! (§5.2.1).
 
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use htd_core::ordering::EliminationOrdering;
-use htd_heuristics::{lower::minor_min_width, reduce, upper::min_fill};
+use htd_heuristics::lower::{minor_min_width_alive, MinorScratch};
+use htd_heuristics::{reduce, upper::min_fill};
 use htd_hypergraph::{EliminationGraph, Graph, Vertex, VertexSet};
+use htd_setcover::cache::FxHasher;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bb_tw::alive_graph;
 use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
 use crate::incumbent::{offer_traced, raise_traced};
 use crate::pruning::{keep_child, swappable};
@@ -26,35 +28,40 @@ use crate::pruning::{keep_child, swappable};
 const WHO: &str = "astar";
 
 /// Reverse-linked elimination path.
-struct PathNode {
-    v: Vertex,
-    parent: Option<Rc<PathNode>>,
+pub(crate) struct PathNode {
+    pub(crate) v: Vertex,
+    pub(crate) parent: Option<Rc<PathNode>>,
 }
 
-fn path_to_vec(p: &Option<Rc<PathNode>>) -> Vec<Vertex> {
-    let mut out = Vec::new();
-    let mut cur = p.clone();
+/// Writes the elimination path ending at `p` into `out`, root first.
+pub(crate) fn path_into(p: &Option<Rc<PathNode>>, out: &mut Vec<Vertex>) {
+    out.clear();
+    let mut cur = p.as_deref();
     while let Some(n) = cur {
         out.push(n.v);
-        cur = n.parent.clone();
+        cur = n.parent.as_deref();
     }
     out.reverse();
-    out
 }
 
-struct State {
-    f: u32,
-    g: u32,
-    depth: u32,
-    seq: u64,
-    path: Option<Rc<PathNode>>,
-    eliminated: VertexSet,
+/// A* closed set: eliminated-set blocks → best `g` seen, looked up by the
+/// borrowed blocks of a scratch set.
+pub(crate) type ClosedSet = HashMap<Box<[u64]>, u32, BuildHasherDefault<FxHasher>>;
+
+/// An open state of A*-tw and A*-ghw.
+pub(crate) struct State {
+    pub(crate) f: u32,
+    pub(crate) g: u32,
+    pub(crate) depth: u32,
+    pub(crate) seq: u64,
+    pub(crate) path: Option<Rc<PathNode>>,
+    pub(crate) eliminated: VertexSet,
     /// vertex eliminated to create this state (root: none)
-    prev: Option<Vertex>,
+    pub(crate) prev: Option<Vertex>,
     /// vertices that were swappable with `prev` in the parent's graph
-    swap_with_prev: VertexSet,
+    pub(crate) swap_with_prev: VertexSet,
     /// this state was generated as a reduction-forced only child
-    forced: bool,
+    pub(crate) forced: bool,
 }
 
 impl State {
@@ -129,7 +136,7 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
     let mut queue: BinaryHeap<State> = BinaryHeap::new();
     let mut seq = 0u64;
     // duplicate detection: eliminated-set → best g seen
-    let mut seen: HashMap<Vec<u64>, u32> = HashMap::new();
+    let mut seen = ClosedSet::default();
 
     queue.push(State {
         f: lb0,
@@ -146,6 +153,13 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
     let mut eg = EliminationGraph::new(graph);
     let mut current_path: Vec<Vertex> = Vec::new();
     let mut global_lb = lb0;
+    // per-expansion scratch: the state's path, its children, and each
+    // child's swap set and eliminated set before they are queued
+    let mut target: Vec<Vertex> = Vec::with_capacity(n as usize);
+    let mut children: Vec<Vertex> = Vec::with_capacity(n as usize);
+    let mut swap = VertexSet::new(n);
+    let mut child_elim = VertexSet::new(n);
+    let mut mmw = MinorScratch::default();
 
     while let Some(s) = queue.pop() {
         // hot-path span: aggregate-only (no tracer), so the cost stays
@@ -174,7 +188,7 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
         // min over open f is a valid lower bound on min(tw, ub) (§5.3)
         raise_traced(&inc, &cfg.tracer, WHO, global_lb.min(ub));
         // rebuild graph: undo to common prefix, then eliminate the rest
-        let target = path_to_vec(&s.path);
+        path_into(&s.path, &mut target);
         let common = current_path
             .iter()
             .zip(&target)
@@ -189,7 +203,7 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
         let remaining = eg.num_alive();
         // goal test: every completion stays within width g
         if remaining == 0 || s.g >= remaining - 1 {
-            let mut order = target;
+            let mut order = target.clone();
             order.extend(eg.alive().iter());
             stats.expanded = budget.expanded;
             stats.elapsed = budget.elapsed();
@@ -202,16 +216,19 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
         // *alive subgraph*'s treewidth — s.f also carries g and lb0, which
         // bound the completion, not the subgraph, so recompute locally.
         let _sp_eval = htd_trace::span!("astar.evaluate");
-        let (children, forced_child) = if cfg.use_reductions {
-            let h_sub = minor_min_width(&alive_graph(&eg), &mut rng);
-            match reduce::find_reducible(&eg, h_sub) {
-                Some(v) => (vec![v], true),
-                None => (eg.alive().to_vec(), false),
-            }
+        children.clear();
+        let forced = if cfg.use_reductions {
+            let h_sub = minor_min_width_alive(&eg, &mut mmw, &mut rng);
+            reduce::find_reducible(&eg, h_sub)
         } else {
-            (eg.alive().to_vec(), false)
+            None
         };
-        for v in children {
+        let forced_child = forced.is_some();
+        match forced {
+            Some(v) => children.push(v),
+            None => children.extend(eg.alive().iter()),
+        }
+        for &v in &children {
             if cfg.use_pr2 && !s.forced && !forced_child {
                 if let Some(prev) = s.prev {
                     if !keep_child(prev, v, s.swap_with_prev.contains(v)) {
@@ -220,28 +237,26 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
                     }
                 }
             }
-            let swap_set = if cfg.use_pr2 {
-                let mut set = VertexSet::new(n);
+            swap.clear();
+            if cfg.use_pr2 {
                 for u in eg.alive().iter() {
                     if u != v && swappable(&eg, v, u) {
-                        set.insert(u);
+                        swap.insert(u);
                     }
                 }
-                set
-            } else {
-                VertexSet::new(n)
-            };
+            }
             let d = eg.degree(v);
             let mark = eg.log_len();
             eg.eliminate(v);
             let t_g = s.g.max(d);
-            let t_h = minor_min_width(&alive_graph(&eg), &mut rng).max(lb0);
+            let t_h = minor_min_width_alive(&eg, &mut mmw, &mut rng).max(lb0);
             let t_f = t_g.max(t_h).max(s.f);
             if t_f < ub {
-                let mut eliminated = s.eliminated.clone();
-                eliminated.insert(v);
+                child_elim.copy_from(&s.eliminated);
+                child_elim.insert(v);
+                let key = child_elim.blocks();
                 let dominated = if cfg.use_duplicate_detection {
-                    match seen.get_mut(eliminated.blocks()) {
+                    match seen.get_mut(key) {
                         Some(best) if *best <= t_g => true,
                         Some(best) => {
                             *best = t_g;
@@ -250,8 +265,8 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
                         None => {
                             // account the closed-set entry; a failed charge
                             // latches the budget and the next tick degrades
-                            budget.charge((eliminated.blocks().len() * 8 + 48) as u64);
-                            seen.insert(eliminated.blocks().to_vec(), t_g);
+                            budget.charge((key.len() * 8 + 48) as u64);
+                            seen.insert(key.into(), t_g);
                             false
                         }
                     }
@@ -263,7 +278,7 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
                     // Never *drop* a push on failure — the drained-queue
                     // exactness proof needs every child queued; degradation
                     // happens at the next tick instead.
-                    budget.charge((eliminated.blocks().len() * 16 + 80) as u64);
+                    budget.charge((key.len() * 16 + 80) as u64);
                     seq += 1;
                     stats.generated += 1;
                     queue.push(State {
@@ -275,9 +290,9 @@ pub fn astar_tw(graph: &Graph, cfg: &SearchConfig) -> SearchOutcome {
                             v,
                             parent: s.path.clone(),
                         })),
-                        eliminated,
+                        eliminated: child_elim.clone(),
                         prev: Some(v),
-                        swap_with_prev: swap_set,
+                        swap_with_prev: swap.clone(),
                         forced: forced_child,
                     });
                 } else {

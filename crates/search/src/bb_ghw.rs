@@ -14,6 +14,7 @@ use htd_hypergraph::{EliminationGraph, Hypergraph, Vertex, VertexSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::bb_tw::push_sorted_children;
 use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
 use crate::ghw_common::GhwContext;
 use crate::incumbent::{offer_traced, raise_traced, Incumbent};
@@ -88,6 +89,8 @@ pub fn bb_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
         stats: &mut stats,
         lb0,
         inc: &inc,
+        children: Vec::with_capacity(n as usize),
+        swap_sets: Vec::new(),
     };
     let _sp = htd_trace::span!("bb.search", &cfg.tracer);
     let completed =
@@ -117,6 +120,11 @@ struct GhwSearcher<'a> {
     stats: &'a mut SearchStats,
     lb0: u32,
     inc: &'a Incumbent,
+    /// The children of every open node, deepest last.
+    children: Vec<Vertex>,
+    /// `swap_sets[d]`: at depth `d`, the vertices that were swappable with
+    /// the one just eliminated (read when the node's `swap_prev` is set).
+    swap_sets: Vec<VertexSet>,
 }
 
 impl GhwSearcher<'_> {
@@ -126,7 +134,7 @@ impl GhwSearcher<'_> {
         eg: &mut EliminationGraph,
         g_width: u32,
         order: &mut Vec<Vertex>,
-        swap_with_prev: Option<(Vertex, VertexSet)>,
+        swap_prev: Option<Vertex>,
         budget: &mut Budget,
     ) -> bool {
         if !budget.tick() {
@@ -160,19 +168,29 @@ impl GhwSearcher<'_> {
             return true;
         }
         // children
-        let (children, reduced) = if self.cfg.use_reductions {
-            match ctx.find_ghw_reducible(eg) {
-                Some(v) => (vec![v], true),
-                None => (sorted_children(eg), false),
-            }
+        let start = self.children.len();
+        let forced = if self.cfg.use_reductions {
+            ctx.find_ghw_reducible(eg)
         } else {
-            (sorted_children(eg), false)
+            None
         };
+        let reduced = forced.is_some();
+        match forced {
+            Some(v) => self.children.push(v),
+            None => push_sorted_children(eg, &mut self.children),
+        }
+        let end = self.children.len();
+        let depth = order.len();
+        if self.swap_sets.len() < depth + 2 {
+            self.swap_sets
+                .resize(depth + 2, VertexSet::new(eg.capacity()));
+        }
         let mut completed = true;
-        for v in children {
+        for i in start..end {
+            let v = self.children[i];
             if self.cfg.use_pr2 && !reduced {
-                if let Some((prev, ref set)) = swap_with_prev {
-                    if !keep_child(prev, v, set.contains(v)) {
+                if let Some(prev) = swap_prev {
+                    if !keep_child(prev, v, self.swap_sets[depth].contains(v)) {
                         self.stats.pruned += 1;
                         continue;
                     }
@@ -181,19 +199,19 @@ impl GhwSearcher<'_> {
             // a forced (reduction) child must not seed the PR2 filter:
             // its siblings were never branched on, so the canonical-order
             // argument has no other branch to defer to
-            let swap_set = if self.cfg.use_pr2 && !reduced {
-                let mut s = VertexSet::new(eg.capacity());
+            let child_prev = if self.cfg.use_pr2 && !reduced {
+                let s = &mut self.swap_sets[depth + 1];
+                s.clear();
                 for u in eg.alive().iter() {
                     if u != v && GhwContext::swappable_ghw(eg, v, u) {
                         s.insert(u);
                     }
                 }
-                Some((v, s))
+                Some(v)
             } else {
                 None
             };
-            let bag = eg.bag(v);
-            let Some(bag_cover) = ctx.cover_exact(&bag) else {
+            let Some(bag_cover) = ctx.cover_bag(eg, v) else {
                 // uncoverable bag cannot happen when all vertices covered
                 continue;
             };
@@ -206,21 +224,16 @@ impl GhwSearcher<'_> {
             eg.eliminate(v);
             order.push(v);
             self.stats.generated += 1;
-            completed &= self.dfs(ctx, eg, child_g, order, swap_set, budget);
+            completed &= self.dfs(ctx, eg, child_g, order, child_prev, budget);
             order.pop();
             eg.undo_to(mark);
             if !completed && (budget.expanded > self.cfg.max_nodes || self.inc.is_cancelled()) {
                 break;
             }
         }
+        self.children.truncate(start);
         completed
     }
-}
-
-fn sorted_children(eg: &EliminationGraph) -> Vec<Vertex> {
-    let mut vs: Vec<Vertex> = eg.alive().to_vec();
-    vs.sort_by_key(|&v| eg.degree(v));
-    vs
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! QuickBB [24] and BB-tw [5]).
 
 use htd_core::ordering::EliminationOrdering;
-use htd_heuristics::{lower::minor_min_width, reduce, upper::min_fill};
+use htd_heuristics::lower::{minor_min_width_alive, MinorScratch};
+use htd_heuristics::{reduce, upper::min_fill};
 use htd_hypergraph::{EliminationGraph, Graph, Vertex, VertexSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,6 +68,9 @@ pub fn bb_tw(g: &Graph, cfg: &SearchConfig) -> SearchOutcome {
         rng,
         stats: &mut stats,
         inc: &inc,
+        mmw: MinorScratch::default(),
+        children: Vec::with_capacity(n as usize),
+        swap_sets: Vec::new(),
     };
     // a cancelled run is still exact when cancellation *was* the exact
     // proof (this search or a sibling closed the gap)
@@ -96,6 +100,12 @@ struct Searcher<'a> {
     rng: StdRng,
     stats: &'a mut SearchStats,
     inc: &'a Incumbent,
+    mmw: MinorScratch,
+    /// The children of every open node, deepest last.
+    children: Vec<Vertex>,
+    /// `swap_sets[d]`: at depth `d`, the vertices that were swappable with
+    /// the one just eliminated (read when the node's `swap_prev` is set).
+    swap_sets: Vec<VertexSet>,
 }
 
 impl Searcher<'_> {
@@ -108,8 +118,9 @@ impl Searcher<'_> {
         eg: &mut EliminationGraph,
         g_width: u32,
         order: &mut Vec<Vertex>,
-        // vertices swappable with the vertex eliminated to reach this node
-        swap_with_prev: Option<(Vertex, VertexSet)>,
+        // the vertex eliminated to reach this node, when its swap set
+        // (`swap_sets[order.len()]`) filters the children
+        swap_prev: Option<Vertex>,
         budget: &mut Budget,
         lb0: u32,
     ) -> bool {
@@ -135,8 +146,7 @@ impl Searcher<'_> {
         }
         // node lower bound: h_sub bounds the *alive subgraph*'s treewidth;
         // any completion additionally costs at least g_width and lb0
-        let sub = alive_graph(eg);
-        let h_sub = minor_min_width(&sub, &mut self.rng);
+        let h_sub = minor_min_width_alive(eg, &mut self.mmw, &mut self.rng);
         let f = g_width.max(h_sub).max(lb0);
         if f >= self.inc.upper() {
             self.stats.pruned += 1;
@@ -146,20 +156,30 @@ impl Searcher<'_> {
         // The almost-simplicial rule is only safe below a lower bound on
         // the alive subgraph's treewidth — not below f, whose g_width/lb0
         // parts say nothing about the subgraph.
-        let (children, reduced) = if self.cfg.use_reductions {
-            match reduce::find_reducible(eg, h_sub) {
-                Some(v) => (vec![v], true),
-                None => (sorted_children(eg), false),
-            }
+        let start = self.children.len();
+        let forced = if self.cfg.use_reductions {
+            reduce::find_reducible(eg, h_sub)
         } else {
-            (sorted_children(eg), false)
+            None
         };
+        let reduced = forced.is_some();
+        match forced {
+            Some(v) => self.children.push(v),
+            None => push_sorted_children(eg, &mut self.children),
+        }
+        let end = self.children.len();
+        let depth = order.len();
+        if self.swap_sets.len() < depth + 2 {
+            self.swap_sets
+                .resize(depth + 2, VertexSet::new(eg.capacity()));
+        }
         let mut completed = true;
-        for v in children {
+        for i in start..end {
+            let v = self.children[i];
             // PR2: skip children that are canonical-order duplicates
             if self.cfg.use_pr2 && !reduced {
-                if let Some((prev, ref swap_set)) = swap_with_prev {
-                    if !keep_child(prev, v, swap_set.contains(v)) {
+                if let Some(prev) = swap_prev {
+                    if !keep_child(prev, v, self.swap_sets[depth].contains(v)) {
                         self.stats.pruned += 1;
                         continue;
                     }
@@ -170,14 +190,15 @@ impl Searcher<'_> {
             // (reduction) child must NOT seed the filter: its siblings
             // were never branched on, so the canonical-order argument
             // has no other branch to defer to.
-            let swap_set = if self.cfg.use_pr2 && !reduced {
-                let mut s = VertexSet::new(eg.capacity());
+            let child_prev = if self.cfg.use_pr2 && !reduced {
+                let s = &mut self.swap_sets[depth + 1];
+                s.clear();
                 for u in eg.alive().iter() {
                     if u != v && swappable(eg, v, u) {
                         s.insert(u);
                     }
                 }
-                Some((v, s))
+                Some(v)
             } else {
                 None
             };
@@ -188,7 +209,7 @@ impl Searcher<'_> {
             self.stats.generated += 1;
             let child_g = g_width.max(d);
             if child_g < self.inc.upper() {
-                completed &= self.dfs(eg, child_g, order, swap_set, budget, lb0);
+                completed &= self.dfs(eg, child_g, order, child_prev, budget, lb0);
             } else {
                 self.stats.pruned += 1;
             }
@@ -198,22 +219,18 @@ impl Searcher<'_> {
                 break; // hard stop
             }
         }
+        self.children.truncate(start);
         completed
     }
 }
 
-/// Alive vertices sorted by ascending degree (cheap value ordering:
-/// low-degree vertices rarely hurt and find good incumbents early).
-fn sorted_children(eg: &EliminationGraph) -> Vec<Vertex> {
-    let mut vs: Vec<Vertex> = eg.alive().to_vec();
-    vs.sort_by_key(|&v| eg.degree(v));
-    vs
-}
-
-/// The subgraph induced by the alive vertices, renumbered.
-pub(crate) fn alive_graph(eg: &EliminationGraph) -> Graph {
-    let snap = eg.to_graph();
-    snap.induced_subgraph(eg.alive()).0
+/// Appends the alive vertices sorted by ascending degree, ties by id (cheap
+/// value ordering: low-degree vertices rarely hurt and find good
+/// incumbents early).
+pub(crate) fn push_sorted_children(eg: &EliminationGraph, out: &mut Vec<Vertex>) {
+    let start = out.len();
+    out.extend(eg.alive().iter());
+    out[start..].sort_unstable_by_key(|&v| (eg.degree(v), v));
 }
 
 #[cfg(test)]

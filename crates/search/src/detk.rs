@@ -14,11 +14,13 @@
 //! enforces the descendant condition (condition 4) of hypertree
 //! decompositions. Failed `(comp, conn)` pairs are memoized.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use htd_core::tree_decomposition::{NodeId, TreeDecomposition};
 use htd_core::GeneralizedHypertreeDecomposition;
 use htd_hypergraph::{EdgeId, Hypergraph, VertexSet};
+use htd_setcover::cache::FxHasher;
 
 /// Decides `hw(h) ≤ k` and constructs a witness hypertree decomposition.
 ///
@@ -53,7 +55,8 @@ pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomp
     let mut ctx = Ctx {
         h,
         k,
-        failed: HashMap::new(),
+        failed: HashSet::default(),
+        key: Vec::new(),
         nodes: Vec::new(),
         subproblems: 0,
         memo_hits: 0,
@@ -118,8 +121,10 @@ struct BuiltNode {
 struct Ctx<'a> {
     h: &'a Hypergraph,
     k: u32,
-    /// memoized failures: (component blocks, conn blocks)
-    failed: HashMap<(Vec<u64>, Vec<u64>), ()>,
+    /// memoized failures: component blocks followed by conn blocks
+    failed: HashSet<Box<[u64]>, BuildHasherDefault<FxHasher>>,
+    /// scratch for building a memo key
+    key: Vec<u64>,
     nodes: Vec<BuiltNode>,
     /// `decompose` calls — the paper's primary cost measure for DetKDecomp.
     subproblems: u64,
@@ -137,6 +142,13 @@ impl Ctx<'_> {
             v.union_with(self.h.edge(e));
         }
         v
+    }
+
+    /// Writes the failure-memo key of `(comp, conn)` into `self.key`.
+    fn fill_key(&mut self, comp: &VertexSet, conn: &VertexSet) {
+        self.key.clear();
+        self.key.extend_from_slice(comp.blocks());
+        self.key.extend_from_slice(conn.blocks());
     }
 
     /// Decomposes `comp` whose interface to the parent separator is
@@ -165,8 +177,8 @@ impl Ctx<'_> {
             });
             return Some(id);
         }
-        let key = (comp.blocks().to_vec(), conn.blocks().to_vec());
-        if self.failed.contains_key(&key) {
+        self.fill_key(comp, conn);
+        if self.failed.contains(self.key.as_slice()) {
             self.memo_hits += 1;
             return None;
         }
@@ -180,44 +192,60 @@ impl Ctx<'_> {
             }
         }
         // enumerate λ ⊆ cands, |λ| ≤ k, conn ⊆ var(λ), with at least one
-        // component edge (guarantees progress into comp)
-        let mut chosen: Vec<EdgeId> = Vec::new();
-        let node = self.enumerate_separators(comp, conn, &cands, 0, &mut chosen);
+        // component edge (guarantees progress into comp). `lam[d]` holds
+        // var(λ) of the first d chosen edges.
+        let mut scope = self.vars_of(comp);
+        scope.union_with(conn);
+        let sub = Subproblem {
+            comp,
+            conn,
+            scope: &scope,
+            cands: &cands,
+        };
+        let mut chosen: Vec<EdgeId> = Vec::with_capacity(self.k as usize);
+        let mut lam = vec![VertexSet::new(self.h.num_vertices()); self.k as usize + 1];
+        let node = self.enumerate_separators(&sub, 0, &mut chosen, &mut lam, false);
         if node.is_none() {
-            self.failed.insert(key, ());
+            self.fill_key(comp, conn);
+            self.failed.insert(self.key.as_slice().into());
         }
         node
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Extends the separator `chosen` (whose vertices are
+    /// `lam[chosen.len()]`) by candidates from `start` on, depth first.
     fn enumerate_separators(
         &mut self,
-        comp: &VertexSet,
-        conn: &VertexSet,
-        cands: &[EdgeId],
+        sub: &Subproblem<'_>,
         start: usize,
         chosen: &mut Vec<EdgeId>,
+        lam: &mut [VertexSet],
+        touches_comp: bool,
     ) -> Option<NodeId> {
+        let depth = chosen.len();
         // try the current choice if it covers conn and touches the component
-        if !chosen.is_empty() {
-            let mut lam_vars = VertexSet::new(self.h.num_vertices());
-            let mut touches_comp = false;
-            for &e in chosen.iter() {
-                lam_vars.union_with(self.h.edge(e));
-                touches_comp |= comp.contains(e);
-            }
-            if conn.is_subset(&lam_vars) && touches_comp {
-                if let Some(id) = self.try_separator(comp, conn, chosen, &lam_vars) {
-                    return Some(id);
-                }
+        if depth > 0 && touches_comp && sub.conn.is_subset(&lam[depth]) {
+            if let Some(id) = self.try_separator(sub, chosen, &lam[depth]) {
+                return Some(id);
             }
         }
-        if chosen.len() as u32 >= self.k {
+        if depth as u32 >= self.k {
             return None;
         }
-        for i in start..cands.len() {
-            chosen.push(cands[i]);
-            let r = self.enumerate_separators(comp, conn, cands, i + 1, chosen);
+        for (i, &e) in sub.cands.iter().enumerate().skip(start) {
+            let touches = touches_comp || sub.comp.contains(e);
+            let (done, next) = lam.split_at_mut(depth + 1);
+            // a full-size choice is only tried, so one that cannot be tried
+            // is skipped before its vertex set is built
+            if depth + 1 == self.k as usize
+                && !(touches && covered_by_union(sub.conn, &done[depth], self.h.edge(e)))
+            {
+                continue;
+            }
+            next[0].copy_from(&done[depth]);
+            next[0].union_with(self.h.edge(e));
+            chosen.push(e);
+            let r = self.enumerate_separators(sub, i + 1, chosen, lam, touches);
             chosen.pop();
             if r.is_some() {
                 return r;
@@ -229,38 +257,30 @@ impl Ctx<'_> {
     /// Splits the component at the separator and recurses.
     fn try_separator(
         &mut self,
-        comp: &VertexSet,
-        conn: &VertexSet,
+        sub: &Subproblem<'_>,
         lambda: &[EdgeId],
         lam_vars: &VertexSet,
     ) -> Option<NodeId> {
         self.separators_tried += 1;
-        let comp_vars = self.vars_of(comp);
+        let (comp, conn) = (sub.comp, sub.conn);
         // χ = var(λ) ∩ (var(comp) ∪ conn)
         let mut chi = lam_vars.clone();
-        let mut scope = comp_vars.clone();
-        scope.union_with(conn);
-        chi.intersect_with(&scope);
-        // remaining edges: those not fully inside χ
-        let remaining: Vec<EdgeId> = comp
-            .iter()
-            .filter(|&e| !self.h.edge(e).is_subset(&chi))
-            .collect();
-        // split into connected components via vertices outside χ
-        let subcomps = split_components(self.h, &remaining, &chi);
+        chi.intersect_with(sub.scope);
+        // split the edges not fully inside χ into connected components
+        // via vertices outside χ
+        let subcomps = split_components(self.h, comp, &chi);
         // progress check: every sub-component must shrink, or keep size
         // with a strictly larger connection (bounded, hence terminating)
         let lambda_set =
             VertexSet::from_iter_with_capacity(self.h.num_edges(), lambda.iter().copied());
         let mut children = Vec::new();
-        for sub in &subcomps {
-            let sub_vars = self.vars_of(sub);
-            let mut sub_conn = sub_vars.clone();
-            sub_conn.intersect_with(&chi);
-            if sub.len() >= comp.len() && sub_conn.is_subset(conn) && conn.is_subset(&sub_conn) {
+        for part in &subcomps {
+            let mut part_conn = self.vars_of(part);
+            part_conn.intersect_with(&chi);
+            if part.len() >= comp.len() && part_conn.is_subset(conn) && conn.is_subset(&part_conn) {
                 return None; // no progress: same component, same interface
             }
-            let child = self.decompose(sub, &sub_conn, &lambda_set)?;
+            let child = self.decompose(part, &part_conn, &lambda_set)?;
             children.push(child);
         }
         let id = self.nodes.len();
@@ -273,37 +293,54 @@ impl Ctx<'_> {
     }
 }
 
-/// Partitions `edges` into components: two edges are connected when they
-/// share a vertex not in `chi`.
-fn split_components(h: &Hypergraph, edges: &[EdgeId], chi: &VertexSet) -> Vec<VertexSet> {
+/// One `(comp, conn)` subproblem, with what its separator search reuses.
+struct Subproblem<'s> {
+    comp: &'s VertexSet,
+    conn: &'s VertexSet,
+    /// `var(comp) ∪ conn`, which every χ is cut from
+    scope: &'s VertexSet,
+    /// candidate separator edges
+    cands: &'s [EdgeId],
+}
+
+/// `conn ⊆ a ∪ b`, without building the union.
+fn covered_by_union(conn: &VertexSet, a: &VertexSet, b: &VertexSet) -> bool {
+    let words = a.blocks().iter().zip(b.blocks());
+    conn.blocks()
+        .iter()
+        .zip(words)
+        .all(|(c, (a, b))| c & !(a | b) == 0)
+}
+
+/// Partitions the edges of `comp` not inside `chi` into components: two
+/// edges are connected when they share a vertex not in `chi`. Components
+/// come out in the order of their smallest edge id.
+fn split_components(h: &Hypergraph, comp: &VertexSet, chi: &VertexSet) -> Vec<VertexSet> {
     let m = h.num_edges();
-    let mut comps = Vec::new();
-    let mut assigned = vec![false; edges.len()];
-    for i in 0..edges.len() {
-        if assigned[i] {
-            continue;
+    let mut left = VertexSet::new(m);
+    for e in comp.iter() {
+        if !h.edge(e).is_subset(chi) {
+            left.insert(e);
         }
-        let mut comp = VertexSet::new(m);
-        let mut frontier_vars = h.edge(edges[i]).difference(chi);
-        comp.insert(edges[i]);
-        assigned[i] = true;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (j, &e) in edges.iter().enumerate() {
-                if assigned[j] {
-                    continue;
-                }
-                let outside = h.edge(e).difference(chi);
-                if !outside.is_disjoint(&frontier_vars) {
-                    comp.insert(e);
-                    assigned[j] = true;
-                    frontier_vars.union_with(&outside);
-                    changed = true;
+    }
+    let mut comps = Vec::new();
+    let mut stack = Vec::new();
+    while let Some(seed) = left.first() {
+        left.remove(seed);
+        let mut part = VertexSet::new(m);
+        part.insert(seed);
+        stack.push(seed);
+        while let Some(e) = stack.pop() {
+            for x in h.edge(e).iter().filter(|&x| !chi.contains(x)) {
+                for &f in h.incident_edges(x) {
+                    if left.remove(f) {
+                        part.insert(f);
+                        stack.push(f);
+                    }
                 }
             }
         }
-        comps.push(comp);
+        comps.push(part);
     }
     comps
 }

@@ -25,6 +25,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod alloc_tests;
 pub mod astar_ghw;
 pub mod astar_tw;
 pub mod balsep;
@@ -35,7 +37,6 @@ pub mod detk;
 pub mod dp_tw;
 pub(crate) mod ghw_common;
 pub mod incumbent;
-pub mod parallel;
 pub mod portfolio;
 pub mod pruning;
 pub mod registry;
@@ -44,7 +45,6 @@ pub use config::{Engine, SearchConfig, SearchOutcome, SearchStats};
 pub use detk::{det_k_decomp, hypertree_width};
 pub use dp_tw::{dp_treewidth, dp_treewidth_budgeted};
 pub use incumbent::Incumbent;
-pub use parallel::bb_tw_parallel;
 pub use portfolio::{solve, EngineReport, Objective, Outcome, Problem};
 pub use registry::{
     engine_specs, engines_from_names, register_engine, registered_engine_names, EngineContext,

@@ -14,19 +14,11 @@ pub fn swappable(eg: &EliminationGraph, v: Vertex, w: Vertex) -> bool {
     if !eg.has_edge(v, w) {
         return true;
     }
-    // v needs a private neighbor (≠ w, not adjacent to w) and vice versa
+    // v needs a private neighbor (≠ w, not adjacent to w) and vice versa;
+    // N(v) \ N(w) always holds w itself, and N(w) \ N(v) holds v
     let nv = eg.neighbors(v);
     let nw = eg.neighbors(w);
-    let mut v_private = nv.difference(nw);
-    v_private.remove(w);
-    v_private.remove(v);
-    if v_private.is_empty() {
-        return false;
-    }
-    let mut w_private = nw.difference(nv);
-    w_private.remove(v);
-    w_private.remove(w);
-    !w_private.is_empty()
+    nv.difference_len(nw) > 1 && nw.difference_len(nv) > 1
 }
 
 /// Filters the candidate children after eliminating `prev`: child `c` is
@@ -79,6 +71,51 @@ mod tests {
         assert!(keep_child(1, 2, true)); // larger child always kept
         assert!(!keep_child(2, 1, true)); // smaller child pruned when swappable
         assert!(keep_child(2, 1, false)); // not swappable: kept
+    }
+
+    /// `swappable` spelled out with set differences, as first written.
+    fn naive_swappable(eg: &EliminationGraph, v: Vertex, w: Vertex) -> bool {
+        if !eg.has_edge(v, w) {
+            return true;
+        }
+        let private = |a: Vertex, b: Vertex| {
+            let mut p = eg.neighbors(a).difference(eg.neighbors(b));
+            p.remove(a);
+            p.remove(b);
+            !p.is_empty()
+        };
+        private(v, w) && private(w, v)
+    }
+
+    #[test]
+    fn swappable_matches_naive_across_word_boundaries() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut adjacent, mut swaps) = (0, 0);
+        for n in [10u32, 64, 65, 130] {
+            for seed in 0..4u64 {
+                let p = [0.1, 0.3, 0.6][seed as usize % 3];
+                let g = htd_hypergraph::gen::random_gnp(n, p, seed * 17 + n as u64);
+                let mut eg = EliminationGraph::new(&g);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..rng.gen_range(0..n) {
+                    let alive = eg.alive().to_vec();
+                    eg.eliminate(alive[rng.gen_range(0..alive.len())]);
+                }
+                for v in eg.alive().iter() {
+                    for w in eg.alive().iter().filter(|&w| w != v) {
+                        let got = swappable(&eg, v, w);
+                        assert_eq!(got, naive_swappable(&eg, v, w), "n={n} ({v},{w})");
+                        if eg.has_edge(v, w) {
+                            adjacent += 1;
+                            swaps += usize::from(got);
+                        }
+                    }
+                }
+            }
+        }
+        // both outcomes of the adjacent case were exercised
+        assert!(swaps > 0 && swaps < adjacent);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the extension subsystems: subset-DP treewidth,
-//! parallel branch and bound, det-k-decomp, nice decompositions + MIS,
+//! det-k-decomp, nice decompositions + MIS,
 //! solution counting, local search, and the PACE interchange formats.
 
 use htd::core::bucket::vertex_elimination;
@@ -11,7 +11,8 @@ use htd::csp::{builders, count_solutions_td};
 use htd::heuristics::{improve_ordering, IlsParams};
 use htd::hypergraph::{gen, io};
 use htd::search::astar_tw::astar_tw;
-use htd::search::{bb_tw_parallel, dp_treewidth, hypertree_width, SearchConfig};
+use htd::search::bb_tw::bb_tw;
+use htd::search::{dp_treewidth, hypertree_width, SearchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,11 +24,11 @@ fn three_exact_treewidth_algorithms_agree() {
         let g = gen::random_gnp(13, 0.3, seed);
         let cfg = SearchConfig::default();
         let a = astar_tw(&g, &cfg);
-        let b = bb_tw_parallel(&g, &cfg, 4);
+        let b = bb_tw(&g, &cfg);
         let c = dp_treewidth(&g);
         assert!(a.exact && b.exact);
         assert_eq!(a.upper, c, "seed {seed}: A* vs DP");
-        assert_eq!(b.upper, c, "seed {seed}: parallel BB vs DP");
+        assert_eq!(b.upper, c, "seed {seed}: BB vs DP");
     }
 }
 
