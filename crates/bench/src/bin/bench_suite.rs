@@ -425,7 +425,6 @@ fn pipeline_workload(smoke: bool, metrics: &mut Vec<Metric>) {
         default_deadline_ms: 10_000,
         log: false,
         verify_responses: false,
-        event_loop: true,
         ..ServeOptions::default()
     })
     .expect("bind loopback");
@@ -673,7 +672,6 @@ fn cluster_workload(smoke: bool, metrics: &mut Vec<Metric>) {
                     default_deadline_ms: deadline,
                     log: false,
                     verify_responses: false,
-                    event_loop: true,
                     reuse_addr: true,
                     cluster: Some(cfg),
                     ..ServeOptions::default()

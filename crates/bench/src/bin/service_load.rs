@@ -447,7 +447,6 @@ fn pipeline_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
         queue_capacity: 1024,
         default_deadline_ms: args.deadline_ms.max(2_000),
         log: false,
-        event_loop: true,
         ..ServeOptions::default()
     })
     .expect("bind loopback");
@@ -793,7 +792,6 @@ fn cluster_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
         default_deadline_ms: deadline,
         log: false,
         verify_responses: false,
-        event_loop: true,
         ..ServeOptions::default()
     })
     .expect("bind loopback");
@@ -845,7 +843,6 @@ fn cluster_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
                 default_deadline_ms: deadline,
                 log: false,
                 verify_responses: false,
-                event_loop: true,
                 reuse_addr: true,
                 cluster: Some(ClusterConfig::new(ids[me].as_str(), peers)),
                 ..ServeOptions::default()

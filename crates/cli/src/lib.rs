@@ -22,7 +22,7 @@
 //! * `htd gen <name>` — print a named benchmark instance;
 //! * `htd serve [--addr A] [--threads N] [--cache-mb N] [--queue N]` —
 //!   run the decomposition server of `htd_service` (newline-JSON over
-//!   TCP plus `/healthz` and `/metrics` HTTP probes);
+//!   TCP plus `/healthz` and `/metrics` HTTP probes; unix only);
 //! * `htd query <file> --addr A [--objective tw|ghw|hw] [--time MS]` —
 //!   solve an instance against a running server.
 //!
@@ -176,10 +176,6 @@ pub struct Options {
     /// `serve`: directory of the persistent verified certificate store;
     /// loaded entries are oracle-re-verified before warming the cache.
     pub store: Option<String>,
-    /// `serve`: use the non-blocking event-loop front end (pipelined
-    /// batches, one thread for all connections) instead of
-    /// thread-per-connection.
-    pub event_loop: bool,
     /// `serve`: this node's stable cluster id (required with `--peers`).
     pub node_id: Option<String>,
     /// `serve`: the other cluster members as `id=host:port,..`.
@@ -214,7 +210,6 @@ impl Default for Options {
             mode: None,
             limit: None,
             store: None,
-            event_loop: false,
             node_id: None,
             peers: None,
             replication: None,
@@ -326,7 +321,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, HtdError> {
                         .clone(),
                 )
             }
-            "--event-loop" => o.event_loop = true,
             "--node-id" => {
                 o.node_id = Some(
                     it.next()
@@ -831,7 +825,6 @@ pub fn cmd_serve(o: &Options) -> Result<String, HtdError> {
         memory_mb: o.memory_mb,
         chaos: o.chaos_seed.map(htd_service::FaultPlan::chaos),
         store_dir: o.store.as_ref().map(std::path::PathBuf::from),
-        event_loop: o.event_loop,
         cluster,
         ..ServeOptions::default()
     };
@@ -956,7 +949,6 @@ serve/query:  --addr HOST:PORT  --cache-mb N  --queue N  --objective tw|ghw|hw
               --verify (serve: oracle-check responses before caching)
               --chaos SEED (serve: deterministic fault injection, testing)
               --store DIR (serve: persistent verified certificate store)
-              --event-loop (serve: non-blocking front end, pipelined batches)
               --node-id ID --peers ID=HOST:PORT,.. (serve: join a cluster)
               --replication N (serve: owners per key on the ring, default 2)
 `htd <command> --help` prints command-specific usage.";
@@ -1028,12 +1020,15 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             decomposition; --format json prints the Answer object."),
         "gen" => Some("usage: htd gen <name>\n\
             Prints a named benchmark instance (e.g. queen5_5, adder_3, grid2d_4)."),
-        "serve" => Some("usage: htd serve [--addr HOST:PORT] [--threads N] [--cache-mb N] [--queue N] [--time MS] [--memory-mb N] [--chaos SEED] [--store DIR] [--event-loop] [--node-id ID --peers ID=HOST:PORT,..] [--replication N] [--verify] [--quiet]\n\
+        "serve" => Some("usage: htd serve [--addr HOST:PORT] [--threads N] [--cache-mb N] [--queue N] [--time MS] [--memory-mb N] [--chaos SEED] [--store DIR] [--node-id ID --peers ID=HOST:PORT,..] [--replication N] [--verify] [--quiet]\n\
             Runs the decomposition server (htd-service): newline-delimited JSON\n\
             requests over TCP, canonical-form result caching, per-request\n\
             deadlines, bounded-queue backpressure, and HTTP GET /healthz and\n\
-            /metrics (Prometheus text) on the same port. --time sets the\n\
-            default deadline for requests that carry none (default 10000);\n\
+            /metrics (Prometheus text) on the same port. One non-blocking\n\
+            poll(2) loop serves every connection, with pipelined batches\n\
+            (responses matched by request id; see docs/service.md), so the\n\
+            server runs on unix only. --time sets the default deadline for\n\
+            requests that carry none (default 10000);\n\
             --verify runs the htd-check oracle on every response before\n\
             caching it (violations are served but not cached, and tick\n\
             htd_oracle_failures_total); --memory-mb caps each solve's\n\
@@ -1044,9 +1039,7 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             --store DIR backs the cache with an append-only certificate\n\
             store so restarts serve warm (every loaded entry is re-verified\n\
             by the htd-check oracle; tampered entries are dropped and tick\n\
-            htd_store_rejects_total); --event-loop serves all connections\n\
-            from one non-blocking poll(2) loop with pipelined batches\n\
-            (responses matched by request id; see docs/service.md);\n\
+            htd_store_rejects_total);\n\
             --node-id/--peers join an N-node cluster: a consistent-hash\n\
             ring shards the fingerprint keyspace, owners replicate\n\
             verified certificates (--replication, default 2), a failure\n\

@@ -31,11 +31,19 @@ fn success_is_exit_zero() {
 
 #[test]
 fn parse_error_is_exit_two() {
-    let file = write_temp("bad.gr", "p tw not-a-number\n");
-    let out = htd(&["tw", file.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("parse"));
-    let _ = std::fs::remove_file(file);
+    // an .hg file without atoms (what `htd gen nosuchname > x.hg` leaves
+    // behind) is no instance, not one of width 0
+    for (name, text, cmd) in [
+        ("bad.gr", "p tw not-a-number\n", "tw"),
+        ("empty.hg", "", "ghw"),
+        ("comments.hg", "% only a comment\n\n", "ghw"),
+    ] {
+        let file = write_temp(name, text);
+        let out = htd(&[cmd, file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("parse"));
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 #[test]
@@ -56,9 +64,13 @@ fn unsupported_request_is_exit_four() {
     // bad output format
     let out = htd(&["tw", file.to_str().unwrap(), "--format", "xml"]);
     assert_eq!(out.status.code(), Some(4), "{out:?}");
-    // unknown flag
+    // unknown flags, including the removed `serve --event-loop` (the
+    // event loop is the only front end): refused before a server starts
     let out = htd(&["tw", file.to_str().unwrap(), "--frobnicate"]);
     assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let out = htd(&["serve", "--event-loop"]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --event-loop"));
     // unknown subcommand
     let out = htd(&["widthify", file.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(4), "{out:?}");

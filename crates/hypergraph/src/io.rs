@@ -26,6 +26,8 @@ pub enum ParseError {
     BadLine(String),
     /// A vertex index was out of the declared range.
     VertexOutOfRange(String),
+    /// The input holds no atoms at all (empty or comment-only).
+    NoAtoms,
 }
 
 impl std::fmt::Display for ParseError {
@@ -34,6 +36,7 @@ impl std::fmt::Display for ParseError {
             ParseError::MissingHeader => write!(f, "missing or malformed 'p edge n m' header"),
             ParseError::BadLine(l) => write!(f, "unparseable line: {l:?}"),
             ParseError::VertexOutOfRange(v) => write!(f, "vertex out of range: {v}"),
+            ParseError::NoAtoms => write!(f, "no atoms: the input is empty or only comments"),
         }
     }
 }
@@ -213,9 +216,15 @@ pub fn parse_hyperedges(text: &str) -> Result<Hypergraph, ParseError> {
 ///   attributes has no place in a hypergraph);
 /// * **edge names must be unique** — duplicates almost always mean two
 ///   instance files were concatenated, and silently merging them would
-///   corrupt every downstream width.
+///   corrupt every downstream width;
+/// * there must be **at least one atom** — an empty or comment-only file
+///   (say, what a failed `htd gen` redirect leaves behind) is not an
+///   instance, and solving it would report a width of 0.
 pub fn parse_hg(text: &str) -> Result<Hypergraph, ParseError> {
     let h = parse_hyperedges(text)?;
+    if h.num_edges() == 0 {
+        return Err(ParseError::NoAtoms);
+    }
     let mut seen = std::collections::HashSet::new();
     for e in 0..h.num_edges() {
         if h.edge(e).is_empty() {
@@ -378,5 +387,12 @@ mod tests {
         ));
         // still propagates generic syntax errors
         assert!(parse_hg("no parens").is_err());
+        // no atoms at all: empty or comment-only input is no instance
+        for text in ["", "\n \n", "% only a comment\n", "%% a\n  % b\n", "."] {
+            assert_eq!(parse_hg(text).err(), Some(ParseError::NoAtoms), "{text:?}");
+        }
+        // ... while the generic hyperedge parser stays tolerant
+        let h = parse_hyperedges("% only a comment\n").unwrap();
+        assert_eq!(h.num_edges(), 0);
     }
 }

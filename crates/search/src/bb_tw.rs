@@ -22,7 +22,7 @@ const WHO: &str = "branch_bound";
 /// shared [`Incumbent`], and stops early when it is cancelled.
 ///
 /// ```
-/// use htd_search::{bb_tw, SearchConfig};
+/// use htd_search::{bb_tw::bb_tw, SearchConfig};
 /// use htd_hypergraph::gen;
 /// let out = bb_tw(&gen::grid_graph(4, 4), &SearchConfig::default());
 /// assert_eq!(out.exact_width(), Some(4));

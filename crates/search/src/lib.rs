@@ -21,7 +21,7 @@
 //! [`Problem`], pick a [`SearchConfig`], call [`solve`], read an
 //! [`Outcome`]. With `num_threads > 1` it runs all engines concurrently
 //! against a shared [`Incumbent`]. The per-engine functions above remain
-//! available as modules; their old crate-root re-exports are deprecated.
+//! available in their modules.
 
 #![warn(missing_docs)]
 
@@ -50,38 +50,3 @@ pub use registry::{
     engine_specs, engines_from_names, register_engine, registered_engine_names, EngineContext,
     EngineSpec,
 };
-
-use htd_hypergraph::{Graph, Hypergraph};
-
-// Deprecated per-engine entry points. These shadow the module names in the
-// value namespace only, so `crate::bb_tw::bb_tw` paths keep working.
-
-/// Deprecated alias for [`bb_tw::bb_tw`]; prefer [`solve`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use htd_search::solve with Problem::treewidth"
-)]
-pub fn bb_tw(g: &Graph, cfg: &SearchConfig) -> SearchOutcome {
-    bb_tw::bb_tw(g, cfg)
-}
-
-/// Deprecated alias for [`astar_tw::astar_tw`]; prefer [`solve`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use htd_search::solve with Problem::treewidth"
-)]
-pub fn astar_tw(g: &Graph, cfg: &SearchConfig) -> SearchOutcome {
-    astar_tw::astar_tw(g, cfg)
-}
-
-/// Deprecated alias for [`bb_ghw::bb_ghw`]; prefer [`solve`].
-#[deprecated(since = "0.2.0", note = "use htd_search::solve with Problem::ghw")]
-pub fn bb_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
-    bb_ghw::bb_ghw(h, cfg)
-}
-
-/// Deprecated alias for [`astar_ghw::astar_ghw`]; prefer [`solve`].
-#[deprecated(since = "0.2.0", note = "use htd_search::solve with Problem::ghw")]
-pub fn astar_ghw(h: &Hypergraph, cfg: &SearchConfig) -> Option<SearchOutcome> {
-    astar_ghw::astar_ghw(h, cfg)
-}

@@ -2,10 +2,9 @@
 //! `htd query`, the `service_load` bench and the integration tests.
 //!
 //! Beyond the one-request-one-response helpers, [`Client::send`] /
-//! [`Client::recv`] split the cycle for *pipelined* use against the
-//! event-loop front end: write a batch of requests without waiting,
-//! then collect the responses (possibly out of order — match them by
-//! the request id each send returned).
+//! [`Client::recv`] split the cycle for *pipelined* use: write a batch
+//! of requests without waiting, then collect the responses (possibly
+//! out of order — match them by the request id each send returned).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -100,8 +99,8 @@ impl Client {
 
     /// Writes one request frame without waiting for the response
     /// (pipelining). Responses arrive via [`Client::recv`], matched by
-    /// the request's id — the event-loop server may complete them out
-    /// of send order.
+    /// the request's id — the server may complete them out of send
+    /// order.
     pub fn send(&mut self, req: &Request) -> Result<(), HtdError> {
         self.heal()?;
         let line = req.to_json().to_string();

@@ -1,23 +1,21 @@
-//! Readiness-based non-blocking front end: one loop, many connections,
-//! pipelined batches.
+//! The server's front end: one readiness-based, non-blocking loop for
+//! every connection, with pipelined batches.
 //!
-//! The thread-per-connection path caps throughput at "threads the OS
-//! will give us"; this module replaces it (behind `--event-loop`) with a
-//! single acceptor/reader/writer loop over `poll(2)` — raw FFI on the
-//! same pattern as the server's `signal()` handler, **no runtime
+//! A single acceptor/reader/writer loop runs over `poll(2)` — raw FFI on
+//! the same pattern as the server's `signal()` handler, **no runtime
 //! dependency** — multiplexing every client socket plus a self-pipe
-//! waker:
+//! waker. It needs `poll(2)`, so the server runs on unix targets only:
 //!
 //! * **Per-connection state machines** hold a read buffer (partial
 //!   frames survive across readiness events; a slow-loris byte-at-a-time
 //!   writer costs one buffer, not one thread), a write buffer (responses
 //!   flush as `POLLOUT` allows), and the in-flight request count.
 //! * **Pipelined batch mode**: a client may write many newline-JSON
-//!   requests without waiting; each is admitted independently into the
-//!   same worker-pool/queue/watchdog/backpressure machinery as the
-//!   blocking path ([`crate::server::admit_request`] is shared code),
-//!   and responses are written back *as they complete* — possibly out
-//!   of request order, matched by the request `id` the client chose.
+//!   requests without waiting; each is admitted independently
+//!   ([`crate::server::admit_request`]) into the worker pool, queue,
+//!   watchdog and backpressure machinery, and responses are written back
+//!   *as they complete* — possibly out of request order, matched by the
+//!   request `id` the client chose.
 //! * **Completions** flow from workers through a [`Completions`] queue
 //!   plus a socketpair waker: a worker pushes the finished response and
 //!   writes one byte; the loop wakes, matches the `(connection, token)`
@@ -25,12 +23,12 @@
 //!   entry that outlives `deadline + REPLY_GRACE` is answered with a
 //!   synthesized `timeout` (and the late completion, should it still
 //!   arrive, is dropped — never a duplicate response).
-//! * **HTTP probes** (`GET /healthz`, `GET /metrics`, …) work on the
-//!   same port exactly as in the blocking path.
+//! * **HTTP probes** (`GET /healthz`, `GET /metrics`, …) are answered on
+//!   the same port as the JSON protocol.
 //!
-//! Graceful drain is unchanged: a draining server keeps the loop (and
-//! its probes) alive, refuses new solves at admission, and the loop
-//! delivers every in-flight response before exiting on shutdown.
+//! On graceful drain the loop (and its probes) stays alive, admission
+//! refuses new solves, and the loop delivers every in-flight response
+//! before exiting on shutdown.
 
 #[cfg(unix)]
 pub(crate) use imp::run;
@@ -48,7 +46,8 @@ mod stub {
     use std::sync::Arc;
 
     /// Completion queue stub: the event loop needs `poll(2)`, so on
-    /// non-unix targets nothing routes through here.
+    /// non-unix targets `Server::start` refuses to run and nothing
+    /// routes through here.
     pub(crate) struct Completions;
 
     impl Completions {
@@ -58,7 +57,7 @@ mod stub {
     pub(crate) fn run(_inner: &Arc<Inner>, _listener: TcpListener) -> std::io::Result<()> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "--event-loop requires poll(2); use the threaded front end on this platform",
+            "the event loop needs poll(2), which this target lacks",
         ))
     }
 }
@@ -257,6 +256,10 @@ mod imp {
                 timeout_ms = timeout_ms.min(left.saturating_add(1));
             }
 
+            // SAFETY: `fds` is a live Vec of `repr(C)` `PollFd`s (the
+            // layout of `struct pollfd`) and `nfds` is its length, so the
+            // kernel reads and writes only inside it. Every fd in it
+            // belongs to a socket this loop owns and keeps open.
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms.max(0)) };
             if n < 0 {
                 let err = std::io::Error::last_os_error();
@@ -435,7 +438,7 @@ mod imp {
                 Ok(req) => {
                     let token = c.next_token;
                     c.next_token += 1;
-                    let sink = ReplySink::Loop {
+                    let sink = ReplySink {
                         conn: c.id,
                         token,
                         completions: Arc::clone(completions),
@@ -511,7 +514,7 @@ mod imp {
     }
 
     /// Synthesizes `timeout` responses for pending requests whose reply
-    /// grace has passed (mirrors the blocking path's `recv_timeout`).
+    /// grace has passed.
     fn expire_pending(
         inner: &Arc<Inner>,
         conns: &mut HashMap<u64, Conn>,

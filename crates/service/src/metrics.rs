@@ -2,13 +2,17 @@
 //! and the Prometheus text rendering behind `GET /metrics`.
 //!
 //! Everything is plain atomics so the hot path (one solve) costs a handful
-//! of relaxed increments. Quantiles (p50/p95) are interpolated from the
-//! fixed-bucket latency histogram at scrape time, never maintained online.
+//! of relaxed increments. The latency histograms are
+//! [`htd_trace::HistogramMetric`]s owned by this server instance (not the
+//! process-global registry, so in-process cluster nodes keep their own);
+//! quantiles (p50/p95) are interpolated from their buckets at scrape time,
+//! never maintained online.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use htd_core::Json;
+use htd_trace::HistogramMetric;
 
 /// Upper bounds (ms) of the solve-latency histogram buckets; the last
 /// bucket is +Inf.
@@ -25,87 +29,6 @@ pub const SECONDS_BUCKETS: [f64; 12] = [
 /// Widths `0..=MAX_TRACKED_WIDTH-1` get their own counter; anything wider
 /// lands in the overflow bucket.
 pub const MAX_TRACKED_WIDTH: usize = 32;
-
-/// A fixed-bucket histogram (counts + sum), Prometheus-compatible. The
-/// bucket bounds — and therefore the observation unit — are chosen at
-/// construction (`LATENCY_BUCKETS_MS` for the ms histograms,
-/// `SECONDS_BUCKETS` for the queue/solve split).
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [f64],
-    /// counts[i] = observations ≤ bounds[i]; the final slot is the +Inf
-    /// bucket. Cumulative form is produced at render time.
-    counts: Vec<AtomicU64>,
-    /// Sum in millionths of the observation unit (µs for ms histograms).
-    sum_micro: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &'static [f64]) -> Histogram {
-        Histogram {
-            bounds,
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_micro: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation (in the unit of the bucket bounds).
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_micro
-            .fetch_add((v * 1e6).max(0.0) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The bucket bounds this histogram was built with.
-    pub fn bounds(&self) -> &'static [f64] {
-        self.bounds
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations, in the observation unit.
-    pub fn sum(&self) -> f64 {
-        self.sum_micro.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Interpolated quantile (`0.0..=1.0`) from the buckets; 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        let mut lo = 0.0;
-        for (i, c) in self.counts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            let hi = self
-                .bounds
-                .get(i)
-                .copied()
-                .unwrap_or(2.0 * self.bounds[self.bounds.len() - 1]);
-            if seen + n >= target {
-                // linear interpolation inside the bucket
-                let into = (target - seen) as f64 / n.max(1) as f64;
-                return lo + (hi - lo) * into;
-            }
-            seen += n;
-            lo = hi;
-        }
-        lo
-    }
-}
 
 /// All counters and gauges of one server instance.
 #[derive(Debug)]
@@ -142,15 +65,15 @@ pub struct Metrics {
     /// Solves currently running on workers.
     pub inflight: AtomicI64,
     /// Wall-clock latency of cold solves (worker time), ms.
-    pub solve_latency: Histogram,
+    pub solve_latency: HistogramMetric,
     /// End-to-end service latency of `ok` responses (incl. cache hits), ms.
-    pub request_latency: Histogram,
+    pub request_latency: HistogramMetric,
     /// Time a job spent waiting in the work queue, seconds.
-    pub queue_wait: Histogram,
+    pub queue_wait: HistogramMetric,
     /// Time a job spent actually solving on a worker, seconds. Together
     /// with [`Metrics::queue_wait`] this splits end-to-end latency into
     /// its queueing and compute parts.
-    pub solve_time: Histogram,
+    pub solve_time: HistogramMetric,
     /// In-flight solves cancelled by the deadline watchdog.
     pub deadline_cancellations: AtomicU64,
     /// Upper widths served, by value (capped at [`MAX_TRACKED_WIDTH`]).
@@ -215,10 +138,10 @@ impl Metrics {
             cache_misses: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
             inflight: AtomicI64::new(0),
-            solve_latency: Histogram::new(&LATENCY_BUCKETS_MS),
-            request_latency: Histogram::new(&LATENCY_BUCKETS_MS),
-            queue_wait: Histogram::new(&SECONDS_BUCKETS),
-            solve_time: Histogram::new(&SECONDS_BUCKETS),
+            solve_latency: HistogramMetric::new(&LATENCY_BUCKETS_MS),
+            request_latency: HistogramMetric::new(&LATENCY_BUCKETS_MS),
+            queue_wait: HistogramMetric::new(&SECONDS_BUCKETS),
+            solve_time: HistogramMetric::new(&SECONDS_BUCKETS),
             deadline_cancellations: AtomicU64::new(0),
             widths: (0..=MAX_TRACKED_WIDTH).map(|_| AtomicU64::new(0)).collect(),
             exact_served: AtomicU64::new(0),
@@ -465,15 +388,7 @@ impl Metrics {
         ] {
             let _ = writeln!(o, "# HELP {name} {help}");
             let _ = writeln!(o, "# TYPE {name} histogram");
-            let mut cum = 0u64;
-            for (i, b) in hist.bounds().iter().enumerate() {
-                cum += hist.counts[i].load(Ordering::Relaxed);
-                let _ = writeln!(o, "{name}_bucket{{le=\"{b}\"}} {cum}");
-            }
-            cum += hist.counts[hist.bounds().len()].load(Ordering::Relaxed);
-            let _ = writeln!(o, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-            let _ = writeln!(o, "{name}_sum {}", hist.sum());
-            let _ = writeln!(o, "{name}_count {}", hist.count());
+            hist.render_prometheus(name, &mut o);
             let _ = writeln!(o, "{name}_p50 {}", hist.quantile(0.5));
             let _ = writeln!(o, "{name}_p95 {}", hist.quantile(0.95));
         }
@@ -552,7 +467,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles() {
-        let h = Histogram::new(&LATENCY_BUCKETS_MS);
+        let h = HistogramMetric::new(&LATENCY_BUCKETS_MS);
         for _ in 0..90 {
             h.observe(1.5); // bucket (1, 2]
         }
@@ -564,7 +479,7 @@ mod tests {
         assert!(p50 > 1.0 && p50 <= 2.0, "{p50}");
         let p95 = h.quantile(0.95);
         assert!(p95 > 250.0 && p95 <= 500.0, "{p95}");
-        assert_eq!(Histogram::new(&LATENCY_BUCKETS_MS).quantile(0.5), 0.0);
+        assert_eq!(HistogramMetric::new(&LATENCY_BUCKETS_MS).quantile(0.5), 0.0);
     }
 
     #[test]

@@ -72,15 +72,12 @@
 //! ## Pipelined batches
 //!
 //! A client may write several request lines without waiting for
-//! responses. Against the event-loop front end (`htd serve
-//! --event-loop`) the requests are admitted independently and each
-//! response is written **as soon as it completes — possibly out of
-//! request order**. The `id` field is therefore the correlation key:
-//! clients that pipeline must send a distinct `id` per request and match
-//! responses by it (the blocking thread-per-connection front end happens
-//! to preserve order, but that is an implementation detail, not a
-//! protocol guarantee). Responses to protocol-level failures that could
-//! not be parsed far enough to recover an `id` carry `"id":null`.
+//! responses. The server admits them independently and writes each
+//! response **as soon as it completes — possibly out of request
+//! order**. The `id` field is therefore the correlation key: clients
+//! that pipeline must send a distinct `id` per request and match
+//! responses by it. Responses to protocol-level failures that could not
+//! be parsed far enough to recover an `id` carry `"id":null`.
 
 use htd_core::{HtdError, Json};
 use htd_hypergraph::{io, Hypergraph};

@@ -1,10 +1,14 @@
 //! The decomposition server: request lifecycle, worker pool, deadlines,
 //! backpressure and graceful shutdown.
 //!
+//! Connections are served by one front end, the `poll(2)` event loop of
+//! [`crate::event_loop`], so the server runs on unix targets only:
+//! elsewhere [`Server::start`] fails with [`std::io::ErrorKind::Unsupported`].
+//!
 //! ## Lifecycle of a solve request
 //!
-//! 1. A connection thread parses the line, builds the [`Problem`] and the
-//!    canonical form of the (normalized) instance.
+//! 1. The event loop frames the line; admission builds the [`Problem`]
+//!    and the canonical form of the (normalized) instance.
 //! 2. Cache lookup — a hit answers immediately without queueing.
 //! 3. The job enters the bounded work queue; a full queue means an
 //!    immediate `rejected` response with `retry_after_ms` (backpressure)
@@ -17,11 +21,11 @@
 //!    cancels it the moment the deadline passes — so a cold solve never
 //!    overshoots its deadline by more than the engines' cancellation
 //!    granularity (a few milliseconds).
-//! 5. The result is admitted to the cache and the response sent back on
-//!    the requesting connection.
+//! 5. The result is admitted to the cache and the response handed back
+//!    to the event loop, which writes it on the requesting connection.
 //!
 //! `answer` (conjunctive-query) requests ride the same queue, deadline
-//! watchdog and backpressure: the connection thread parses the query,
+//! watchdog and backpressure: admission parses the query,
 //! a worker runs the `htd-query` pipeline, and a per-server
 //! [`ShapeCache`] lets repeated query *shapes* skip decomposition while
 //! every answer is still evaluated against its own relations.
@@ -33,14 +37,12 @@
 //! `shutting_down`, queued and in-flight work runs to completion, probes
 //! (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and once the
 //! queue is empty and no solve is in flight the workers, watchdog and
-//! acceptor exit and a final metrics summary is flushed to the log.
+//! event loop exit and a final metrics summary is flushed to the log.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -69,7 +71,8 @@ use crate::store::{CertStore, StoreRecord};
 const DEADLINE_SLACK: Duration = Duration::from_millis(10);
 /// How often the watchdog scans for expired deadlines.
 const WATCHDOG_PERIOD: Duration = Duration::from_millis(2);
-/// Extra time a connection waits for its worker beyond the deadline.
+/// Extra time the event loop waits for a worker's reply beyond the
+/// request's deadline before it answers `timeout` itself.
 pub(crate) const REPLY_GRACE: Duration = Duration::from_secs(2);
 /// Largest accepted request frame. A line still unfinished at this many
 /// bytes gets a structured protocol error instead of buffering without
@@ -128,10 +131,9 @@ pub struct ServeOptions {
     /// the survivors, and appends every new cacheable solve — so a
     /// restarted node serves warm without ever trusting disk.
     pub store_dir: Option<PathBuf>,
-    /// Serve connections from the readiness-based non-blocking event
-    /// loop ([`crate::event_loop`]) instead of a thread per connection.
-    /// The event loop additionally supports pipelined batches: many
-    /// requests in flight per connection, responses matched by id.
+    /// Ignored: the event loop ([`crate::event_loop`]) is the only front
+    /// end. Kept so that code which still sets it keeps compiling.
+    #[deprecated(note = "the event loop is the only front end; this field is ignored")]
     pub event_loop: bool,
     /// Cluster membership: `Some` makes this node one of N peers sharding
     /// the keyspace over a consistent-hash ring (see [`crate::cluster`]).
@@ -144,6 +146,7 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
+    #[allow(deprecated)]
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:7878".into(),
@@ -165,36 +168,20 @@ impl Default for ServeOptions {
     }
 }
 
-/// Where a worker's finished [`Response`] goes: back to a blocking
-/// connection thread over a channel, or into the event loop's completion
-/// queue to be written when the connection is next writable.
-pub(crate) enum ReplySink {
-    /// Thread-per-connection path: the connection thread blocks on the
-    /// receiving end with `recv_timeout(deadline + REPLY_GRACE)`.
-    Channel(mpsc::Sender<Response>),
-    /// Event-loop path: push the response, tagged with the connection id
-    /// and per-connection token, and wake the loop.
-    Loop {
-        conn: u64,
-        token: u64,
-        completions: Arc<crate::event_loop::Completions>,
-    },
+/// Where a worker's finished [`Response`] goes: the event loop's
+/// completion queue, tagged with the connection id and per-connection
+/// token, to be written when the connection is next writable.
+pub(crate) struct ReplySink {
+    pub(crate) conn: u64,
+    pub(crate) token: u64,
+    pub(crate) completions: Arc<crate::event_loop::Completions>,
 }
 
 impl ReplySink {
+    /// Pushes the response and wakes the loop. A connection that went
+    /// away meanwhile drops it there; the result is already cached.
     pub(crate) fn send(&self, response: Response) {
-        match self {
-            // a dropped receiver means the connection went away; the
-            // result is already cached, so losing the reply is harmless
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplySink::Loop {
-                conn,
-                token,
-                completions,
-            } => completions.push(*conn, *token, response),
-        }
+        self.completions.push(self.conn, self.token, response);
     }
 }
 
@@ -278,7 +265,7 @@ struct AnswerWork {
     mode: AnswerMode,
     limit: Option<u64>,
     use_shape_cache: bool,
-    /// Microseconds the connection thread spent parsing the query,
+    /// Microseconds admission spent parsing the query,
     /// forwarded into the pipeline's `parse` stage event.
     parse_us: u64,
 }
@@ -374,7 +361,7 @@ pub(crate) struct Inner {
     queue: WorkQueue,
     /// Draining: refuse new solves, finish queued + in-flight work.
     draining: AtomicBool,
-    /// Final stop: workers/watchdog/acceptor exit.
+    /// Final stop: workers, watchdog and event loop exit.
     pub(crate) shutdown: AtomicBool,
     /// Abrupt stop ([`Server::kill`]): exit without draining, dropping
     /// queued work and open connections — the in-process analog of
@@ -495,13 +482,21 @@ pub struct Server {
     addr: std::net::SocketAddr,
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     agent: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and starts acceptor, watchdog and workers.
+    /// Binds the listener and starts the event loop, watchdog and
+    /// workers. On non-unix targets, which have no `poll(2)`, it fails
+    /// with [`std::io::ErrorKind::Unsupported`] before binding.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
+        if cfg!(not(unix)) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "htd-service needs poll(2) and runs on unix targets only",
+            ));
+        }
         let listener = if opts.reuse_addr {
             bind_reusable(&opts.addr)?
         } else {
@@ -567,7 +562,7 @@ impl Server {
         });
         inner.log(format_args!(
             "listening on {addr} workers={threads} cache_mb={} queue={} chaos={} memory_mb={} \
-             event_loop={} store={}",
+             store={}",
             inner.opts.cache_mb,
             inner.opts.queue_capacity,
             inner
@@ -578,7 +573,6 @@ impl Server {
                 .opts
                 .memory_mb
                 .map_or("-".to_string(), |m| m.to_string()),
-            inner.opts.event_loop,
             inner
                 .opts
                 .store_dir
@@ -651,21 +645,16 @@ impl Server {
                 .spawn(move || watchdog_loop(&inner))
                 .expect("spawn watchdog")
         };
-        let acceptor = {
+        let event_loop = {
             let inner = Arc::clone(&inner);
-            let event_loop = inner.opts.event_loop;
             thread::Builder::new()
-                .name("htd-acceptor".into())
+                .name("htd-event-loop".into())
                 .spawn(move || {
-                    if event_loop {
-                        if let Err(e) = crate::event_loop::run(&inner, listener) {
-                            inner.log(format_args!("event loop exited with error: {e}"));
-                        }
-                    } else {
-                        acceptor_loop(&inner, listener)
+                    if let Err(e) = crate::event_loop::run(&inner, listener) {
+                        inner.log(format_args!("event loop exited with error: {e}"));
                     }
                 })
-                .expect("spawn acceptor")
+                .expect("spawn event loop")
         };
         let agent = inner.cluster.as_ref().map(|cluster| {
             inner.log(format_args!(
@@ -695,7 +684,7 @@ impl Server {
             addr,
             workers,
             watchdog: Some(watchdog),
-            acceptor: Some(acceptor),
+            event_loop: Some(event_loop),
             agent,
         })
     }
@@ -727,8 +716,9 @@ impl Server {
         self.inner.draining()
     }
 
-    /// Blocks until the drain completes, then stops and joins every
-    /// thread and flushes a final metrics summary to the log.
+    /// Blocks until the drain completes: the event loop delivers every
+    /// in-flight response, then every thread is stopped and joined and a
+    /// final metrics summary is flushed to the log.
     pub fn wait(mut self) {
         loop {
             if self.inner.draining()
@@ -740,26 +730,7 @@ impl Server {
             thread::sleep(Duration::from_millis(10));
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue.wake_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(a) = self.agent.take() {
-            let _ = a.join();
-        }
-        // Workers (the only appenders) are joined; release the store's
-        // single-writer lock now rather than when the last Arc<Inner>
-        // drops, so a same-process reopen of the same --store directory
-        // succeeds even while detached connection threads linger.
-        if let Some(store) = self.inner.store.as_ref() {
-            store.unlock();
-        }
+        self.join_all();
         let m = &self.inner.metrics;
         self.inner.log(format_args!(
             "drained; served={} hits={} misses={} timeouts={} rejected={} p50={:.1}ms p95={:.1}ms",
@@ -776,11 +747,10 @@ impl Server {
     /// Stops the node *abruptly*: no drain, queued work dropped,
     /// in-flight solves cancelled, connections severed mid-request — the
     /// in-process analog of `kill -9`, for crash and failover testing.
-    /// With the event-loop front end every open connection dies with the
-    /// loop (clients see a reset); the blocking front end can only sever
-    /// future connections, since its per-connection threads are detached.
-    /// The certificate store's exclusive lock is released on return, so
-    /// a replacement node can reopen the same `--store` directory.
+    /// Every open connection dies with the event loop, so clients see a
+    /// reset. The certificate store's exclusive lock is released on
+    /// return, so a replacement node can reopen the same `--store`
+    /// directory.
     pub fn kill(mut self) {
         self.inner
             .log(format_args!("killed (abrupt stop, no drain)"));
@@ -790,18 +760,23 @@ impl Server {
         for (_, incumbent) in self.inner.registry.lock().iter() {
             incumbent.cancel();
         }
+        self.join_all();
+    }
+
+    /// Wakes and joins every thread once `shutdown` is set, then releases
+    /// the store's single-writer lock: the workers, its only appenders,
+    /// are gone, and a same-process reopen of the same `--store`
+    /// directory must not wait for the last `Arc<Inner>` to drop.
+    fn join_all(&mut self) {
         self.inner.queue.wake_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(a) = self.agent.take() {
-            let _ = a.join();
+        let threads = self
+            .workers
+            .drain(..)
+            .chain(self.watchdog.take())
+            .chain(self.event_loop.take())
+            .chain(self.agent.take());
+        for t in threads {
+            let _ = t.join();
         }
         if let Some(store) = self.inner.store.as_ref() {
             store.unlock();
@@ -821,6 +796,9 @@ fn widen_accept_backlog(listener: &TcpListener) {
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
     }
+    // SAFETY: `listen(2)` takes two integers and touches no memory of
+    // ours. The fd comes from `listener`, which the borrow keeps open
+    // for the duration of the call; a bad fd only yields an error return.
     unsafe {
         listen(listener.as_raw_fd(), 4096);
     }
@@ -859,6 +837,11 @@ fn bind_reusable(addr: &str) -> std::io::Result<TcpListener> {
     const SOCK_STREAM: i32 = 1;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEADDR: i32 = 2;
+    // SAFETY: every pointer handed to the kernel points to a live local
+    // (`one`, `sin`), and each length argument is that local's size;
+    // `SockaddrIn` is `repr(C)` with the layout of `struct sockaddr_in`.
+    // The fd is checked after `socket`, closed on every error path, and
+    // on success owned by exactly one `TcpListener`.
     unsafe {
         let fd = socket(AF_INET, SOCK_STREAM, 0);
         if fd < 0 {
@@ -896,6 +879,9 @@ fn install_signal_drain() -> &'static AtomicBool {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     // SIGINT = 2, SIGTERM = 15 on every unix the workspace targets
+    // SAFETY: `on_signal` is an `extern "C" fn(i32)`, the handler type
+    // `signal(2)` expects, and lives for the whole program. It only
+    // stores to an atomic, which is async-signal-safe.
     unsafe {
         signal(2, on_signal as *const () as usize);
         signal(15, on_signal as *const () as usize);
@@ -1479,73 +1465,10 @@ fn run_put_cert(inner: &Inner, job: &Job, p: &CertPush) -> Response {
     r
 }
 
-fn acceptor_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    // keeps accepting while draining so probes stay reachable; only the
-    // final shutdown flag stops it
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let conn = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let _ = thread::Builder::new()
-                    .name(format!("htd-conn-{conn}"))
-                    .spawn(move || {
-                        let _ = serve_connection(&inner, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> std::io::Result<()> {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // bound the frame: a line still unterminated at MAX_FRAME bytes is
-        // a protocol violation, answered structurally and disconnected —
-        // never buffered to completion
-        let n = std::io::Read::take(&mut reader, MAX_FRAME).read_line(&mut line)?;
-        if n == 0 {
-            return Ok(()); // client closed
-        }
-        if n as u64 >= MAX_FRAME && !line.ends_with('\n') {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let e = HtdError::Parse(format!(
-                "request frame exceeds {} bytes without a newline",
-                MAX_FRAME
-            ));
-            write_response(&mut writer, &Response::from_error(None, &e))?;
-            return Ok(());
-        }
-        if line.starts_with("GET ") || line.starts_with("HEAD ") {
-            return serve_http(inner, &line, &mut reader, &mut writer);
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = match Json::parse(trimmed).and_then(|doc| Request::from_json(&doc)) {
-            Err(e) => Response::from_error(None, &e),
-            Ok(req) => dispatch(inner, req),
-        };
-        write_response(&mut writer, &response)?;
-    }
-}
-
 /// Serializes one response line (newline included), enforcing
 /// [`MAX_RESPONSE`]: an oversized body is replaced by a structured
 /// internal error so a single pathological result cannot monopolize the
-/// connection. Shared by the blocking writer and the event loop.
+/// connection.
 pub(crate) fn response_line(response: &Response) -> Vec<u8> {
     let mut body = response.to_json().to_string();
     if body.len() > MAX_RESPONSE {
@@ -1562,47 +1485,11 @@ pub(crate) fn response_line(response: &Response) -> Vec<u8> {
     body.into_bytes()
 }
 
-fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    writer.write_all(&response_line(response))?;
-    writer.flush()
-}
-
-/// Blocking dispatch for the thread-per-connection path: admit, then
-/// wait on the reply channel when the request was queued.
-fn dispatch(inner: &Arc<Inner>, req: Request) -> Response {
-    let (tx, rx) = mpsc::channel();
-    match admit_request(inner, req, ReplySink::Channel(tx)) {
-        Admission::Ready(r) => r,
-        Admission::Queued {
-            id,
-            fingerprint,
-            deadline,
-            received,
-        } => {
-            let timeout = (deadline + REPLY_GRACE).saturating_duration_since(Instant::now());
-            match rx.recv_timeout(timeout) {
-                Ok(r) => r,
-                Err(_) => {
-                    // worker lost (should not happen); report as timeout
-                    inner
-                        .metrics
-                        .timeout_responses
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut r = Response::new(id, Status::Timeout);
-                    r.error = Some("no worker response before deadline".into());
-                    r.fingerprint = fingerprint;
-                    r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-                    r
-                }
-            }
-        }
-    }
-}
-
-/// Non-blocking admission shared by both front ends: probes answer on
-/// the spot, solves/answers either answer immediately (cache hit, parse
-/// error, drain refusal, backpressure rejection) or enter the bounded
-/// work queue with their reply routed to `sink`.
+/// Non-blocking admission, called by the event loop for every request
+/// frame: probes answer on the spot, solves/answers either answer
+/// immediately (cache hit, parse error, drain refusal, backpressure
+/// rejection) or enter the bounded work queue with their reply routed
+/// to `sink`.
 pub(crate) fn admit_request(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Admission {
     match admit_request_inner(inner, req, sink) {
         Admission::Ready(mut r) => {
@@ -1648,7 +1535,7 @@ fn admit_request_inner(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Adm
 /// Admission path of a peer's `put_cert` push: the oracle re-proof is
 /// real work (a full `htd check` of the claimed decomposition), so it
 /// rides the bounded queue like any other job instead of stalling the
-/// connection thread or event loop.
+/// event loop.
 fn admit_put_cert(
     inner: &Arc<Inner>,
     id: Option<String>,
@@ -1857,10 +1744,10 @@ fn admit_solve(
 }
 
 /// Admission path of an `answer` request: parse the query on the
-/// connection thread (cheap, and a parse error must not occupy a
-/// worker), then queue the evaluation under the same backpressure and
-/// deadline rules as a solve. Unlike the solve result cache, the shape
-/// cache cannot answer from the connection thread — a shape hit only
+/// event loop (cheap, and a parse error must not occupy a worker), then
+/// queue the evaluation under the same backpressure and deadline rules
+/// as a solve. Unlike the solve result cache, the shape cache cannot
+/// answer from the event loop — a shape hit only
 /// skips the decomposition, the semijoin passes still run against this
 /// request's own relations — so the lookup happens inside the pipeline
 /// on the worker.
@@ -1976,30 +1863,8 @@ fn admit_answer(
     }
 }
 
-fn serve_http(
-    inner: &Arc<Inner>,
-    request_line: &str,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    // drain the header block (per-line bounded: probe headers are tiny,
-    // and an adversarial endless header must not buffer unboundedly)
-    let mut hdr = String::new();
-    loop {
-        hdr.clear();
-        if std::io::Read::take(&mut *reader, 64 << 10).read_line(&mut hdr)? == 0
-            || hdr.trim().is_empty()
-        {
-            break;
-        }
-    }
-    writer.write_all(&http_response_bytes(inner, request_line))?;
-    writer.flush()
-}
-
 /// Renders a full HTTP probe response (status line + headers + body) for
-/// `/healthz`, `/metrics` and friends. Shared by the blocking path and
-/// the event loop.
+/// `/healthz`, `/metrics` and friends.
 pub(crate) fn http_response_bytes(inner: &Inner, request_line: &str) -> Vec<u8> {
     inner.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");

@@ -306,10 +306,9 @@ impl CertStore {
     /// Releases the advisory single-writer lock without closing the
     /// store. Called by server teardown (`wait`/`kill`) after the
     /// worker pool — the only appender — has been joined, so a reopen
-    /// in the same process succeeds even while detached connection
-    /// threads still hold a reference to the old store for a moment.
-    /// The kernel would release the lock on drop anyway; this just
-    /// makes the release deterministic.
+    /// in the same process succeeds at once. The kernel would release
+    /// the lock on drop anyway; this just makes the release
+    /// deterministic.
     pub(crate) fn unlock(&self) {
         unlock_file(&self.file.lock());
     }
@@ -322,6 +321,8 @@ fn unlock_file(file: &File) {
         fn flock(fd: i32, operation: i32) -> i32;
     }
     const LOCK_UN: i32 = 8;
+    // SAFETY: `flock(2)` takes two integers and touches no memory of
+    // ours; the borrow keeps `file`, and so its fd, open for the call.
     unsafe { flock(file.as_raw_fd(), LOCK_UN) };
 }
 
@@ -341,6 +342,8 @@ fn lock_exclusive(file: &File, path: &Path) -> std::io::Result<()> {
     }
     const LOCK_EX: i32 = 2;
     const LOCK_NB: i32 = 4;
+    // SAFETY: as in `unlock_file`: integer arguments only, and the
+    // borrow keeps the fd open for the call.
     if unsafe { flock(file.as_raw_fd(), LOCK_EX | LOCK_NB) } != 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::WouldBlock,

@@ -1,9 +1,9 @@
-//! Concurrency integration tests for the event-loop front end: one
-//! poll-driven thread owning accept/read/write for every connection,
-//! with per-connection state machines and pipelined batches.
+//! Concurrency integration tests for the event loop, the server's front
+//! end: one poll-driven thread owning accept/read/write for every
+//! connection, with per-connection state machines and pipelined batches.
 //!
-//! Unix-only by construction — the readiness loop is built on poll(2);
-//! on other platforms the server falls back to the blocking front end.
+//! Unix-only by construction — the readiness loop is built on poll(2),
+//! and on other platforms the server refuses to start.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -32,7 +32,6 @@ fn loop_opts() -> ServeOptions {
         default_deadline_ms: 10_000,
         log: false,
         verify_responses: false,
-        event_loop: true,
         ..ServeOptions::default()
     }
 }

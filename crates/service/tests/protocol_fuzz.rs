@@ -1,6 +1,5 @@
-//! Loop-driven protocol fuzzing against both front ends (blocking and
-//! event loop): seeded garbage, frames split at every byte boundary,
-//! and oversize floods. The server must answer every terminated frame
+//! Loop-driven protocol fuzzing against the server's event loop: seeded
+//! garbage, frames split at every byte boundary, and oversize floods. The server must answer every terminated frame
 //! with a structured response (or hang up after a structured protocol
 //! error) and must **never panic or hang** — every socket here carries
 //! a read timeout, and each phase ends by proving the server still
@@ -15,7 +14,7 @@ use htd_hypergraph::{gen, io};
 use htd_search::Objective;
 use htd_service::{Client, InstanceFormat, ServeOptions, Server, Status};
 
-fn start(event_loop: bool) -> (Server, String) {
+fn start() -> (Server, String) {
     let server = Server::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         threads: 2,
@@ -24,20 +23,11 @@ fn start(event_loop: bool) -> (Server, String) {
         default_deadline_ms: 5_000,
         log: false,
         verify_responses: false,
-        event_loop,
         ..ServeOptions::default()
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
     (server, addr)
-}
-
-fn front_ends() -> Vec<bool> {
-    if cfg!(unix) {
-        vec![false, true]
-    } else {
-        vec![false]
-    }
 }
 
 fn connect(addr: &str) -> TcpStream {
@@ -72,132 +62,124 @@ fn read_structured(reader: &mut BufReader<TcpStream>) -> Option<Json> {
 /// truncate, duplicate, or merge frames.
 #[test]
 fn split_at_every_byte_preserves_framing() {
-    for event_loop in front_ends() {
-        let (server, addr) = start(event_loop);
-        // warm the solve used below so split requests answer instantly
-        let grid = io::write_pace_gr(&gen::grid_graph(3, 3));
-        let mut warm = Client::connect(&addr).unwrap();
-        assert_eq!(
-            warm.solve(Objective::Treewidth, InstanceFormat::Auto, &grid, None)
-                .unwrap()
-                .status,
-            Status::Ok
-        );
+    let (server, addr) = start();
+    // warm the solve used below so split requests answer instantly
+    let grid = io::write_pace_gr(&gen::grid_graph(3, 3));
+    let mut warm = Client::connect(&addr).unwrap();
+    assert_eq!(
+        warm.solve(Objective::Treewidth, InstanceFormat::Auto, &grid, None)
+            .unwrap()
+            .status,
+        Status::Ok
+    );
 
-        let ping = "{\"cmd\":\"ping\",\"id\":\"p\"}\n".to_string();
-        let solve = {
-            let (req, _) =
-                warm.solve_request(Objective::Treewidth, InstanceFormat::Auto, &grid, None);
-            format!("{}\n", req.to_json())
-        };
-        for (frame, want) in [(&ping, "pong"), (&solve, "ok")] {
-            for cut in 0..frame.len() {
-                let mut s = connect(&addr);
-                s.write_all(&frame.as_bytes()[..cut]).unwrap();
-                s.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-                s.write_all(&frame.as_bytes()[cut..]).unwrap();
-                let mut reader = BufReader::new(s);
-                let doc = read_structured(&mut reader).expect("a terminated frame gets a reply");
-                assert_eq!(
-                    doc.get("status").and_then(|v| v.as_str()),
-                    Some(want),
-                    "front_end={event_loop} frame split at byte {cut}"
-                );
-            }
+    let ping = "{\"cmd\":\"ping\",\"id\":\"p\"}\n".to_string();
+    let solve = {
+        let (req, _) = warm.solve_request(Objective::Treewidth, InstanceFormat::Auto, &grid, None);
+        format!("{}\n", req.to_json())
+    };
+    for (frame, want) in [(&ping, "pong"), (&solve, "ok")] {
+        for cut in 0..frame.len() {
+            let mut s = connect(&addr);
+            s.write_all(&frame.as_bytes()[..cut]).unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+            s.write_all(&frame.as_bytes()[cut..]).unwrap();
+            let mut reader = BufReader::new(s);
+            let doc = read_structured(&mut reader).expect("a terminated frame gets a reply");
+            assert_eq!(
+                doc.get("status").and_then(|v| v.as_str()),
+                Some(want),
+                "frame split at byte {cut}"
+            );
         }
-        Client::connect(&addr).unwrap().shutdown().unwrap();
-        server.wait();
     }
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.wait();
 }
 
 /// Seeded garbage — random bytes, random lengths, always terminated by
 /// a newline or EOF — must only ever produce structured errors or a
-/// clean hangup. 150 shapes per front end.
+/// clean hangup. 150 shapes.
 #[test]
 fn seeded_garbage_never_panics_or_hangs() {
-    for event_loop in front_ends() {
-        let (server, addr) = start(event_loop);
-        let mut x = 0x0dd_b1a5ed_u64 ^ u64::from(event_loop);
-        for i in 0..150 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let len = (x >> 33) as usize % 4096;
-            let mut bytes: Vec<u8> = (0..len)
-                .map(|j| {
-                    let z = x.wrapping_add(j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    (z >> 56) as u8
-                })
-                // newline bytes inside would just split the garbage into
-                // more garbage frames; strip them so each shape is one frame
-                .filter(|&b| b != b'\n')
-                .collect();
-            bytes.push(b'\n');
-            let mut s = connect(&addr);
-            s.write_all(&bytes).unwrap();
-            let _ = s.shutdown(std::net::Shutdown::Write);
-            let mut reader = BufReader::new(s);
-            if let Some(doc) = read_structured(&mut reader) {
-                assert_eq!(
-                    doc.get("status").and_then(|v| v.as_str()),
-                    Some("error"),
-                    "garbage shape {i} must answer a structured error"
-                );
-                assert_eq!(doc.get("code").and_then(|v| v.as_u64()), Some(2));
-            }
+    let (server, addr) = start();
+    let mut x = 0x0dd_b1a5ed_u64 ^ 1;
+    for i in 0..150 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let len = (x >> 33) as usize % 4096;
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|j| {
+                let z = x.wrapping_add(j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (z >> 56) as u8
+            })
+            // newline bytes inside would just split the garbage into
+            // more garbage frames; strip them so each shape is one frame
+            .filter(|&b| b != b'\n')
+            .collect();
+        bytes.push(b'\n');
+        let mut s = connect(&addr);
+        s.write_all(&bytes).unwrap();
+        let _ = s.shutdown(std::net::Shutdown::Write);
+        let mut reader = BufReader::new(s);
+        if let Some(doc) = read_structured(&mut reader) {
+            assert_eq!(
+                doc.get("status").and_then(|v| v.as_str()),
+                Some("error"),
+                "garbage shape {i} must answer a structured error"
+            );
+            assert_eq!(doc.get("code").and_then(|v| v.as_u64()), Some(2));
         }
-        // after 150 garbage shapes the server is still healthy
-        let mut client = Client::connect(&addr).unwrap();
-        client.ping().unwrap();
-        client.shutdown().unwrap();
-        server.wait();
     }
+    // after 150 garbage shapes the server is still healthy
+    let mut client = Client::connect(&addr).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    server.wait();
 }
 
 /// Frames beyond `MAX_FRAME` with no newline in sight: the server must
 /// cut the flood off with a structured protocol error after a bounded
-/// number of bytes and hang up — on both front ends, for JSON-looking
-/// and binary-looking floods alike.
+/// number of bytes and hang up, for JSON-looking and binary-looking
+/// floods alike.
 #[test]
 fn oversize_floods_get_bounded_structured_errors() {
-    for event_loop in front_ends() {
-        let (server, addr) = start(event_loop);
-        for fill in [b'x', b'{'] {
-            let mut s = connect(&addr);
-            s.set_write_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            let chunk = vec![fill; 1 << 20];
-            for _ in 0..12 {
-                // once the server errors out and closes, writes fail —
-                // that is the bounded cutoff working
-                if s.write_all(&chunk).is_err() {
-                    break;
-                }
-            }
-            let mut reader = BufReader::new(s);
-            let doc =
-                read_structured(&mut reader).expect("flood must be answered before the hangup");
-            assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("error"));
-            assert_eq!(doc.get("code").and_then(|v| v.as_u64()), Some(2));
-            let msg = doc
-                .get("error")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string();
-            assert!(msg.contains("frame exceeds"), "{msg}");
-            // and then the connection is gone
-            let mut rest = String::new();
-            let mut inner = reader.into_inner();
-            let _ = inner.set_read_timeout(Some(Duration::from_secs(10)));
-            // an Err means reset by the server: equally closed
-            if let Ok(n) = inner.read_to_string(&mut rest) {
-                assert_eq!(n, 0, "data after the protocol error: {rest:?}");
+    let (server, addr) = start();
+    for fill in [b'x', b'{'] {
+        let mut s = connect(&addr);
+        s.set_write_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let chunk = vec![fill; 1 << 20];
+        for _ in 0..12 {
+            // once the server errors out and closes, writes fail —
+            // that is the bounded cutoff working
+            if s.write_all(&chunk).is_err() {
+                break;
             }
         }
-        let mut client = Client::connect(&addr).unwrap();
-        client.ping().unwrap();
-        client.shutdown().unwrap();
-        server.wait();
+        let mut reader = BufReader::new(s);
+        let doc = read_structured(&mut reader).expect("flood must be answered before the hangup");
+        assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("error"));
+        assert_eq!(doc.get("code").and_then(|v| v.as_u64()), Some(2));
+        let msg = doc
+            .get("error")
+            .and_then(|v| v.as_str())
+            .unwrap_or_default()
+            .to_string();
+        assert!(msg.contains("frame exceeds"), "{msg}");
+        // and then the connection is gone
+        let mut rest = String::new();
+        let mut inner = reader.into_inner();
+        let _ = inner.set_read_timeout(Some(Duration::from_secs(10)));
+        // an Err means reset by the server: equally closed
+        if let Ok(n) = inner.read_to_string(&mut rest) {
+            assert_eq!(n, 0, "data after the protocol error: {rest:?}");
+        }
     }
+    let mut client = Client::connect(&addr).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    server.wait();
 }

@@ -205,7 +205,9 @@ fn backpressure_rejects_and_queued_requests_time_out() {
         queue_capacity: 1,
         ..quiet_opts()
     });
-    let hard = io::write_pace_gr(&gen::random_gnp(40, 0.5, 7));
+    // dense 60-vertex random graph: exact treewidth cannot be proved
+    // within the blocker's deadline, so the worker stays busy until then
+    let hard = io::write_pace_gr(&gen::random_gnp(60, 0.5, 7));
 
     // occupy the single worker with a long-deadline solve
     let addr_a = addr.clone();
@@ -266,6 +268,13 @@ fn backpressure_rejects_and_queued_requests_time_out() {
     );
     let blocker_response = blocker.join().unwrap();
     assert_eq!(blocker_response.status, Status::Ok);
+    // the premise of everything above: the blocker held the worker for
+    // its whole deadline. A solver fast enough to prove it exactly
+    // fails here, not on the backpressure assertions.
+    assert!(
+        !blocker_response.outcome.unwrap().exact,
+        "the blocker must not be solved exactly within its deadline"
+    );
 
     c.shutdown().unwrap();
     server.wait();

@@ -28,6 +28,8 @@
 //! stand-ins): every solver crate links it, so it must stay
 //! feather-weight and can never create a dependency cycle.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod event;
 pub mod metrics;
 pub mod sink;

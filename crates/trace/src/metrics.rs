@@ -154,6 +154,33 @@ impl HistogramMetric {
         }
         lo
     }
+
+    /// Writes the `_bucket` (cumulative), `_sum` and `_count` series of
+    /// this histogram in Prometheus text format. A labeled `name` like
+    /// `m{span="x"}` renders as `m_bucket{span="x",le="..."}`: the series
+    /// suffix goes on the metric name, extra labels merge with `le`.
+    pub fn render_prometheus(&self, name: &str, out: &mut String) {
+        let (base, labels) = match name.split_once('{') {
+            Some((base, labels)) => (base, labels.trim_end_matches('}')),
+            None => (name, ""),
+        };
+        // extra labels precede `le` on buckets and stand alone elsewhere
+        let (prefix, braced) = if labels.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{labels},"), format!("{{{labels}}}"))
+        };
+        for i in 0..=self.bounds.len() {
+            let le = self
+                .bounds
+                .get(i)
+                .map_or_else(|| "+Inf".into(), f64::to_string);
+            let cum = self.cumulative(i);
+            let _ = writeln!(out, "{base}_bucket{{{prefix}le=\"{le}\"}} {cum}");
+        }
+        let _ = writeln!(out, "{base}_sum{braced} {}", self.sum());
+        let _ = writeln!(out, "{base}_count{braced} {}", self.count());
+    }
 }
 
 enum Slot {
@@ -253,36 +280,7 @@ impl Registry {
                 Slot::Gauge(g) => {
                     let _ = writeln!(out, "{name} {}", g.get());
                 }
-                Slot::Histogram(h) => {
-                    // a labeled name like `m{span="x"}` must render as
-                    // `m_bucket{span="x",le="..."}`: the series suffix goes
-                    // on the metric name, extra labels merge with `le`
-                    let (bucket, sum, count) = match name.split_once('{') {
-                        Some((base, labels)) => {
-                            let labels = labels.trim_end_matches('}');
-                            (
-                                format!("{base}_bucket{{{labels},"),
-                                format!("{base}_sum{{{labels}}}"),
-                                format!("{base}_count{{{labels}}}"),
-                            )
-                        }
-                        None => (
-                            format!("{name}_bucket{{"),
-                            format!("{name}_sum"),
-                            format!("{name}_count"),
-                        ),
-                    };
-                    for (i, b) in h.bounds().iter().enumerate() {
-                        let _ = writeln!(out, "{bucket}le=\"{b}\"}} {}", h.cumulative(i));
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{bucket}le=\"+Inf\"}} {}",
-                        h.cumulative(h.bounds().len())
-                    );
-                    let _ = writeln!(out, "{sum} {}", h.sum());
-                    let _ = writeln!(out, "{count} {}", h.count());
-                }
+                Slot::Histogram(h) => h.render_prometheus(name, out),
             }
         }
     }

@@ -228,6 +228,9 @@ fn thread_cpu_us() -> u64 {
         tv_sec: 0,
         tv_nsec: 0,
     };
+    // SAFETY: `ts` is a live, writable local. `Timespec` is `repr(C)`
+    // with two `i64`s: the 64-bit `struct timespec`, and no smaller than
+    // the 32-bit one, so the kernel writes only inside it.
     if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0 {
         ts.tv_sec as u64 * 1_000_000 + ts.tv_nsec as u64 / 1000
     } else {
