@@ -409,6 +409,11 @@ fn render_outcome(outcome: &Outcome, o: &Options) -> Result<String, HtdError> {
             }
             let mut out = if outcome.exact {
                 format!("{name} {}\n", outcome.upper)
+            } else if outcome.upper == u32::MAX {
+                format!(
+                    "{name} ≥ {} (budget exhausted, no decomposition found)\n",
+                    outcome.lower
+                )
             } else {
                 format!(
                     "{name} in [{}, {}] ({})\n",
@@ -977,8 +982,9 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             Generalized hypertree width over elimination orderings (exact covers,\n\
             shared across engines through a concurrent set-cover cache). Flags as\n\
             for `htd tw`."),
-        "hw" => Some("usage: htd hw <file|-> [--seed N] [--format human|json] [--quiet]\n\
-            Hypertree width via det-k-decomp, primed with the ghw lower bound."),
+        "hw" => Some("usage: htd hw <file|-> [--time MS] [--seed N] [--format human|json] [--quiet]\n\
+            Hypertree width via det-k-decomp, primed with the ghw lower bound;\n\
+            a search stopped by --time reports only the lower bound it reached."),
         "decompose" => Some("usage: htd decompose <file|-> [--format td|dot|cert] [--engines NAME[,NAME...]] [--threads N] [--seed N]\n\
             Emits a tree decomposition of the instance from a min-fill ordering.\n\
             --engines runs the named registry engines (e.g. balsep,branch_bound;\n\
@@ -1316,6 +1322,19 @@ mod tests {
         assert!(cmd_hw(&inst, &o)
             .unwrap()
             .starts_with("hypertree width 2\n"));
+    }
+
+    #[test]
+    fn hw_stopped_by_its_time_limit_reports_a_lower_bound() {
+        // an exact hw of grid2d_10 takes seconds
+        let h = htd_hypergraph::gen::named_hypergraph("grid2d_10").unwrap();
+        let o = Options {
+            time_limit: Some(Duration::from_millis(50)),
+            ..Options::default()
+        };
+        let out = cmd_hw(&Instance::Hypergraph(h), &o).unwrap();
+        assert!(out.starts_with("hypertree width ≥ "), "{out}");
+        assert!(out.contains("no decomposition found"), "{out}");
     }
 
     #[test]

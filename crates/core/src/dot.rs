@@ -30,8 +30,8 @@ pub fn ghd_to_dot(ghd: &GeneralizedHypertreeDecomposition, h: &Hypergraph) -> St
     let td = ghd.tree();
     let mut out = String::from("digraph ghd {\n  node [shape=record];\n");
     for p in 0..td.num_nodes() {
-        let chi: Vec<&str> = td.bag(p).iter().map(|v| h.vertex_name(v)).collect();
-        let lambda: Vec<&str> = ghd.lambda(p).iter().map(|&e| h.edge_name(e)).collect();
+        let chi: Vec<_> = td.bag(p).iter().map(|v| h.vertex_name(v)).collect();
+        let lambda: Vec<_> = ghd.lambda(p).iter().map(|&e| h.edge_name(e)).collect();
         let _ = writeln!(
             out,
             "  n{p} [label=\"{{χ: {}|λ: {}}}\"];",

@@ -215,20 +215,23 @@ pub fn minor_gamma_r<R: Rng>(g: &Graph, rng: &mut R) -> u32 {
     let mut lb = 0u32;
     while eg.num_alive() > 0 {
         let alive = eg.num_alive();
-        // sort alive vertices by degree ascending
-        let mut vs: Vec<Vertex> = eg.alive().to_vec();
-        vs.sort_by_key(|&v| eg.degree(v));
-        // first vertex not adjacent to all other alive vertices
-        let candidate = vs.iter().copied().find(|&v| eg.degree(v) + 1 < alive);
+        // the least-degree vertex (ties: least id) not adjacent to all
+        // other alive vertices
+        let candidate = eg
+            .alive()
+            .iter()
+            .map(|v| (eg.degree(v), v))
+            .filter(|&(d, _)| d + 1 < alive)
+            .min();
         match candidate {
             None => {
                 // complete graph: γR degenerates to n-1 and we are done
                 lb = lb.max(alive - 1);
                 break;
             }
-            Some(v) => {
-                lb = lb.max(eg.degree(v));
-                if eg.degree(v) == 0 {
+            Some((d, v)) => {
+                lb = lb.max(d);
+                if d == 0 {
                     remove_vertex(&mut eg, v);
                 } else {
                     let u = least_degree_neighbor(&eg, v, &mut |k| rng.gen_range(0..k));

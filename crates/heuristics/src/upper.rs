@@ -1,7 +1,7 @@
 //! Greedy ordering heuristics — treewidth upper bounds.
 
 use htd_core::ordering::EliminationOrdering;
-use htd_hypergraph::{EliminationGraph, Graph, Vertex};
+use htd_hypergraph::{EliminationGraph, Graph, Vertex, VertexSet};
 use rand::Rng;
 
 /// Result of an ordering heuristic: the ordering and the width it achieves.
@@ -33,6 +33,12 @@ pub fn min_fill_degree<R: Rng>(g: &Graph, rng: &mut R) -> HeuristicOrdering {
     })
 }
 
+/// Eliminates a best-scoring vertex until none is left, ties broken by
+/// `rng` among the best in increasing vertex order.
+///
+/// `score(eg, v)` may depend only on `v`'s neighborhood and the edges
+/// inside it. Eliminating `v` changes those only for `v`'s neighbors and
+/// their neighbors, so only they are rescored.
 fn greedy_ordering<R: Rng>(
     g: &Graph,
     rng: &mut R,
@@ -43,11 +49,14 @@ fn greedy_ordering<R: Rng>(
     let mut order = Vec::with_capacity(n as usize);
     let mut width = 0u32;
     let mut ties: Vec<Vertex> = Vec::new();
+    let mut scores: Vec<u64> = (0..n).map(|v| score(&eg, v)).collect();
+    let mut nb = VertexSet::new(n);
+    let mut stale = VertexSet::new(n);
     for _ in 0..n {
         let mut best = u64::MAX;
         ties.clear();
         for v in eg.alive().iter() {
-            let s = score(&eg, v);
+            let s = scores[v as usize];
             if s < best {
                 best = s;
                 ties.clear();
@@ -58,8 +67,16 @@ fn greedy_ordering<R: Rng>(
         }
         let v = ties[rng.gen_range(0..ties.len())];
         width = width.max(eg.degree(v));
+        nb.copy_from(eg.neighbors(v));
         eg.eliminate(v);
         order.push(v);
+        stale.copy_from(&nb);
+        for u in nb.iter() {
+            stale.union_with(eg.neighbors(u));
+        }
+        for w in stale.iter() {
+            scores[w as usize] = score(&eg, w);
+        }
     }
     HeuristicOrdering {
         ordering: EliminationOrdering::new_unchecked(order),
@@ -120,6 +137,55 @@ mod tests {
     use htd_hypergraph::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The greedy rule spelled out: every alive vertex is rescored at
+    /// every step.
+    fn rescoring_every_step<R: Rng>(
+        g: &Graph,
+        rng: &mut R,
+        score: impl Fn(&EliminationGraph, Vertex) -> u64,
+    ) -> Vec<Vertex> {
+        let mut eg = EliminationGraph::new(g);
+        let mut order = Vec::new();
+        while eg.num_alive() > 0 {
+            let best = eg.alive().iter().map(|v| score(&eg, v)).min().unwrap();
+            let ties: Vec<Vertex> = eg
+                .alive()
+                .iter()
+                .filter(|&v| score(&eg, v) == best)
+                .collect();
+            let v = ties[rng.gen_range(0..ties.len())];
+            eg.eliminate(v);
+            order.push(v);
+        }
+        order
+    }
+
+    #[test]
+    fn kept_scores_pick_what_rescoring_every_step_picks() {
+        let fill = |eg: &EliminationGraph, v| eg.fill_count(v) as u64;
+        let degree = |eg: &EliminationGraph, v| eg.degree(v) as u64;
+        for seed in 0..40u64 {
+            let g = match seed % 4 {
+                0 => gen::random_gnp(30, 0.15, seed),
+                1 => gen::random_gnp(24, 0.5, seed),
+                2 => gen::random_partial_ktree(40, 5, 0.7, seed),
+                _ => gen::grid_graph(5, 6),
+            };
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            assert_eq!(
+                min_fill(&g, &mut a).ordering.into_vec(),
+                rescoring_every_step(&g, &mut b, fill),
+                "min-fill, seed {seed}"
+            );
+            assert_eq!(
+                min_degree(&g, &mut a).ordering.into_vec(),
+                rescoring_every_step(&g, &mut b, degree),
+                "min-degree, seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn min_fill_is_optimal_on_trees_and_cycles() {

@@ -1,5 +1,6 @@
 //! Hypergraphs and their derived structures (primal graph, dual graph).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::bitset::VertexSet;
@@ -27,8 +28,11 @@ pub struct Hypergraph {
     edges: Vec<VertexSet>,
     /// For each vertex, the ids of edges containing it.
     incident: Vec<Vec<EdgeId>>,
-    vertex_names: Vec<String>,
-    edge_names: Vec<String>,
+    /// Vertex labels; `None` means the default names `v0, v1, …`, which
+    /// are formatted only when asked for.
+    vertex_names: Option<Vec<String>>,
+    /// Edge labels; `None` means the default names `e0, e1, …`.
+    edge_names: Option<Vec<String>>,
 }
 
 impl Hypergraph {
@@ -37,24 +41,27 @@ impl Hypergraph {
     /// Empty hyperedges are permitted but pointless; duplicate vertices
     /// inside an edge collapse.
     pub fn new(num_vertices: u32, edge_lists: Vec<Vec<Vertex>>) -> Self {
-        let edges: Vec<VertexSet> = edge_lists
+        let edges = edge_lists
             .iter()
             .map(|l| VertexSet::from_iter_with_capacity(num_vertices, l.iter().copied()))
             .collect();
+        Hypergraph::from_edge_sets(num_vertices, edges)
+    }
+
+    /// Creates an unnamed hypergraph from its edge scopes.
+    fn from_edge_sets(num_vertices: u32, edges: Vec<VertexSet>) -> Self {
         let mut incident = vec![Vec::new(); num_vertices as usize];
         for (i, e) in edges.iter().enumerate() {
             for v in e.iter() {
                 incident[v as usize].push(i as EdgeId);
             }
         }
-        let vertex_names = (0..num_vertices).map(|v| format!("v{v}")).collect();
-        let edge_names = (0..edges.len()).map(|e| format!("e{e}")).collect();
         Hypergraph {
             num_vertices,
             edges,
             incident,
-            vertex_names,
-            edge_names,
+            vertex_names: None,
+            edge_names: None,
         }
     }
 
@@ -76,15 +83,19 @@ impl Hypergraph {
             lists.push(l);
         }
         let mut h = Hypergraph::new(names.len() as u32, lists);
-        h.vertex_names = names;
-        h.edge_names = edges.iter().map(|(n, _)| n.clone()).collect();
+        h.vertex_names = Some(names);
+        h.edge_names = Some(edges.iter().map(|(n, _)| n.clone()).collect());
         h
     }
 
     /// Views a simple graph as the hypergraph whose hyperedges are its edges.
     pub fn from_graph(g: &Graph) -> Self {
-        let lists = g.edges().map(|(u, v)| vec![u, v]).collect();
-        Hypergraph::new(g.num_vertices(), lists)
+        let n = g.num_vertices();
+        let edges = g
+            .edges()
+            .map(|(u, v)| VertexSet::from_iter_with_capacity(n, [u, v]))
+            .collect();
+        Hypergraph::from_edge_sets(n, edges)
     }
 
     /// Number of vertices.
@@ -123,25 +134,33 @@ impl Hypergraph {
     }
 
     /// Name of vertex `v`.
-    pub fn vertex_name(&self, v: Vertex) -> &str {
-        &self.vertex_names[v as usize]
+    pub fn vertex_name(&self, v: Vertex) -> Cow<'_, str> {
+        assert!(v < self.num_vertices, "vertex {v} out of range");
+        match &self.vertex_names {
+            Some(names) => Cow::Borrowed(&names[v as usize]),
+            None => Cow::Owned(format!("v{v}")),
+        }
     }
 
     /// Name of edge `e`.
-    pub fn edge_name(&self, e: EdgeId) -> &str {
-        &self.edge_names[e as usize]
+    pub fn edge_name(&self, e: EdgeId) -> Cow<'_, str> {
+        assert!(e < self.num_edges(), "edge {e} out of range");
+        match &self.edge_names {
+            Some(names) => Cow::Borrowed(&names[e as usize]),
+            None => Cow::Owned(format!("e{e}")),
+        }
     }
 
     /// Replaces the vertex name table (length must match).
     pub fn set_vertex_names(&mut self, names: Vec<String>) {
         assert_eq!(names.len() as u32, self.num_vertices);
-        self.vertex_names = names;
+        self.vertex_names = Some(names);
     }
 
     /// Replaces the edge name table (length must match).
     pub fn set_edge_names(&mut self, names: Vec<String>) {
         assert_eq!(names.len(), self.edges.len());
-        self.edge_names = names;
+        self.edge_names = Some(names);
     }
 
     /// The primal (Gaifman) graph `G*(H)`: same vertices, an edge between
@@ -263,14 +282,16 @@ impl Hypergraph {
                 continue;
             }
             lists.push(restricted);
-            names.push(self.edge_names[e].clone());
+            names.push(self.edge_name(e as EdgeId).into_owned());
         }
         let mut h = Hypergraph::new(old_ids.len() as u32, lists);
-        h.vertex_names = old_ids
-            .iter()
-            .map(|&v| self.vertex_names[v as usize].clone())
-            .collect();
-        h.edge_names = names;
+        h.vertex_names = Some(
+            old_ids
+                .iter()
+                .map(|&v| self.vertex_name(v).into_owned())
+                .collect(),
+        );
+        h.edge_names = Some(names);
         (h, old_ids)
     }
 }

@@ -254,7 +254,7 @@ pub fn write_hyperedges(h: &Hypergraph) -> String {
     let mut out = String::new();
     let m = h.num_edges();
     for e in 0..m {
-        let scope: Vec<&str> = h.edge(e).iter().map(|v| h.vertex_name(v)).collect();
+        let scope: Vec<_> = h.edge(e).iter().map(|v| h.vertex_name(v)).collect();
         let sep = if e + 1 == m { "." } else { "," };
         let _ = writeln!(out, "{}({}){}", h.edge_name(e), scope.join(","), sep);
     }

@@ -40,16 +40,41 @@ use htd_setcover::cache::FxHasher;
 /// assert!(det_k_decomp(&c, 2).is_some());
 /// ```
 pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomposition> {
+    match det_k_decomp_until(h, k, &|| false) {
+        DetK::Found(hd) => Some(hd),
+        DetK::Refuted | DetK::Stopped => None,
+    }
+}
+
+/// Partial separators det-k extends between two calls of its stop
+/// condition: often enough to stop within a millisecond or so, rarely
+/// enough that the check costs nothing.
+const STOP_CHECK_PERIOD: u32 = 4096;
+
+/// How a det-k run that may be stopped ended.
+pub(crate) enum DetK {
+    /// A hypertree decomposition of width at most `k`.
+    Found(GeneralizedHypertreeDecomposition),
+    /// No hypertree decomposition of width at most `k` exists.
+    Refuted,
+    /// `stop` returned `true` before the search finished.
+    Stopped,
+}
+
+/// [`det_k_decomp`] that calls `stop` every [`STOP_CHECK_PERIOD`]
+/// partial separators and gives up once it returns `true`.
+pub(crate) fn det_k_decomp_until(h: &Hypergraph, k: u32, stop: &dyn Fn() -> bool) -> DetK {
     if h.num_vertices() == 0 || h.num_edges() == 0 {
         // degenerate: a single empty node decomposes the empty hypergraph
         if h.num_vertices() == 0 && h.num_edges() == 0 {
-            let tree = TreeDecomposition::new(vec![VertexSet::new(0)], vec![None]).ok()?;
-            return Some(GeneralizedHypertreeDecomposition::new(tree, vec![vec![]]));
+            let tree = TreeDecomposition::new(vec![VertexSet::new(0)], vec![None])
+                .expect("one root node is a tree");
+            return DetK::Found(GeneralizedHypertreeDecomposition::new(tree, vec![vec![]]));
         }
-        return None;
+        return DetK::Refuted;
     }
     if !h.covers_all_vertices() || k == 0 {
-        return None;
+        return DetK::Refuted;
     }
     let m = h.num_edges();
     let mut ctx = Ctx {
@@ -61,6 +86,9 @@ pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomp
         subproblems: 0,
         memo_hits: 0,
         separators_tried: 0,
+        stop,
+        until_check: STOP_CHECK_PERIOD,
+        stopped: false,
     };
     let all = VertexSet::full(m);
     let root = ctx.decompose(&all, &VertexSet::new(h.num_vertices()), &VertexSet::new(m));
@@ -71,7 +99,11 @@ pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomp
     reg.counter("htd_detk_memo_hits_total").add(ctx.memo_hits);
     reg.counter("htd_detk_separators_tried_total")
         .add(ctx.separators_tried);
-    let root = root?;
+    let root = match root {
+        _ if ctx.stopped => return DetK::Stopped,
+        None => return DetK::Refuted,
+        Some(root) => root,
+    };
     // assemble the tree
     let bags: Vec<VertexSet> = ctx.nodes.iter().map(|n| n.chi.clone()).collect();
     let mut parent: Vec<Option<NodeId>> = vec![None; ctx.nodes.len()];
@@ -83,7 +115,7 @@ pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomp
     debug_assert_eq!(root, find_root(&parent));
     let tree = TreeDecomposition::new(bags, parent).expect("det-k builds a tree");
     let lambda = ctx.nodes.into_iter().map(|n| n.lambda).collect();
-    Some(GeneralizedHypertreeDecomposition::new(tree, lambda))
+    DetK::Found(GeneralizedHypertreeDecomposition::new(tree, lambda))
 }
 
 fn find_root(parent: &[Option<NodeId>]) -> NodeId {
@@ -100,13 +132,39 @@ pub fn hypertree_width(
     h: &Hypergraph,
     lb: u32,
 ) -> Option<(u32, GeneralizedHypertreeDecomposition)> {
+    match hypertree_width_until(h, lb, &|| false) {
+        Width::Exact(k, hd) => Some((k, hd)),
+        Width::Stopped { .. } | Width::Undecomposable => None,
+    }
+}
+
+/// How a hypertree-width search that may be stopped ended.
+pub(crate) enum Width {
+    /// The hypertree width, with a decomposition of that width.
+    Exact(u32, GeneralizedHypertreeDecomposition),
+    /// `stop` returned `true` first; every width below `lower` is refuted.
+    Stopped { lower: u32 },
+    /// No hypertree decomposition exists.
+    Undecomposable,
+}
+
+/// [`hypertree_width`] that gives up once `stop` returns `true`, checked
+/// before each width and every [`STOP_CHECK_PERIOD`] partial separators
+/// within one.
+pub(crate) fn hypertree_width_until(h: &Hypergraph, lb: u32, stop: &dyn Fn() -> bool) -> Width {
     let mut k = lb.max(1);
     loop {
-        if let Some(hd) = det_k_decomp(h, k) {
-            return Some((k, hd));
+        if stop() {
+            return Width::Stopped { lower: k };
+        }
+        match det_k_decomp_until(h, k, stop) {
+            DetK::Found(hd) => return Width::Exact(k, hd),
+            DetK::Stopped => return Width::Stopped { lower: k },
+            DetK::Refuted => {}
         }
         if k > h.num_edges() {
-            return None; // uncoverable (defensive; covers_all would have caught it)
+            // uncoverable (defensive; covers_all would have caught it)
+            return Width::Undecomposable;
         }
         k += 1;
     }
@@ -132,9 +190,27 @@ struct Ctx<'a> {
     memo_hits: u64,
     /// separators split and recursed on (`try_separator` calls).
     separators_tried: u64,
+    /// asked every [`STOP_CHECK_PERIOD`] partial separators
+    stop: &'a dyn Fn() -> bool,
+    /// partial separators left until `stop` is asked again
+    until_check: u32,
+    /// set once `stop` returned `true`; every search loop then unwinds
+    stopped: bool,
 }
 
 impl Ctx<'_> {
+    /// Counts one partial separator; `true` once the run must stop.
+    fn should_stop(&mut self) -> bool {
+        if !self.stopped {
+            self.until_check -= 1;
+            if self.until_check == 0 {
+                self.until_check = STOP_CHECK_PERIOD;
+                self.stopped = (self.stop)();
+            }
+        }
+        self.stopped
+    }
+
     /// Union of edge scopes of a component.
     fn vars_of(&self, comp: &VertexSet) -> VertexSet {
         let mut v = VertexSet::new(self.h.num_vertices());
@@ -205,7 +281,8 @@ impl Ctx<'_> {
         let mut chosen: Vec<EdgeId> = Vec::with_capacity(self.k as usize);
         let mut lam = vec![VertexSet::new(self.h.num_vertices()); self.k as usize + 1];
         let node = self.enumerate_separators(&sub, 0, &mut chosen, &mut lam, false);
-        if node.is_none() {
+        // a stopped search refuted nothing
+        if node.is_none() && !self.stopped {
             self.fill_key(comp, conn);
             self.failed.insert(self.key.as_slice().into());
         }
@@ -222,6 +299,9 @@ impl Ctx<'_> {
         lam: &mut [VertexSet],
         touches_comp: bool,
     ) -> Option<NodeId> {
+        if self.should_stop() {
+            return None;
+        }
         let depth = chosen.len();
         // try the current choice if it covers conn and touches the component
         if depth > 0 && touches_comp && sub.conn.is_subset(&lam[depth]) {
@@ -247,7 +327,7 @@ impl Ctx<'_> {
             chosen.push(e);
             let r = self.enumerate_separators(sub, i + 1, chosen, lam, touches);
             chosen.pop();
-            if r.is_some() {
+            if r.is_some() || self.stopped {
                 return r;
             }
         }

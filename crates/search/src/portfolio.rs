@@ -20,7 +20,7 @@
 //! GA (Chapters 6–7) demoted from standalone experiment to incumbent
 //! supplier.
 
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,6 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SearchConfig, SearchStats};
+use crate::detk::Width;
 use crate::incumbent::{offer_traced, raise_traced, Incumbent};
 use crate::registry::{Engine, EngineContext, EngineSpec};
 
@@ -68,6 +69,18 @@ impl Objective {
             "hw" => Some(Objective::HypertreeWidth),
             _ => None,
         }
+    }
+
+    /// Checks that the objective is defined on `h`: every hypergraph has a
+    /// treewidth (of its primal graph), but a ghw or hw decomposition must
+    /// cover every vertex with some hyperedge.
+    pub fn check_instance(self, h: &Hypergraph) -> Result<(), HtdError> {
+        if self != Objective::Treewidth && !h.covers_all_vertices() {
+            return Err(HtdError::Invalid(
+                "some vertex lies in no hyperedge: no decomposition exists".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -136,19 +149,13 @@ impl Problem {
 
     /// Checks the semantic requirements of the objective.
     pub fn validate(&self) -> Result<(), HtdError> {
-        match self.objective {
-            Objective::Treewidth => Ok(()),
-            Objective::GeneralizedHypertreeWidth | Objective::HypertreeWidth => {
-                let h = self.hypergraph.as_ref().ok_or_else(|| {
-                    HtdError::Invalid(format!("{} needs a hypergraph", self.objective.name()))
-                })?;
-                if !h.covers_all_vertices() {
-                    return Err(HtdError::Invalid(
-                        "some vertex lies in no hyperedge: no decomposition exists".into(),
-                    ));
-                }
-                Ok(())
-            }
+        match (self.objective, &self.hypergraph) {
+            (Objective::Treewidth, _) => Ok(()),
+            (objective, Some(h)) => objective.check_instance(h),
+            (objective, None) => Err(HtdError::Invalid(format!(
+                "{} needs a hypergraph",
+                objective.name()
+            ))),
         }
     }
 }
@@ -520,7 +527,7 @@ fn pick_engines(cfg: &SearchConfig, objective: Objective) -> (Vec<Engine>, Vec<E
 }
 
 fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> {
-    // Zero wall-clock budget: don't launch engines at all (the watchdog
+    // Zero wall-clock budget: don't launch engines at all (the deadline
     // would have to race them down). Return the cheap heuristic incumbent
     // immediately, never claiming exactness.
     if cfg.time_limit.is_some_and(|d| d.is_zero()) {
@@ -566,26 +573,12 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
     };
 
     let start = Instant::now();
-    let done = AtomicBool::new(false);
     let (cover_h0, cover_m0) = (exact_cache.hits(), exact_cache.misses());
     let reports: Vec<EngineReport> = crossbeam::thread::scope(|scope| {
-        // deadline watchdog: engines that only poll the cancel flag at
-        // coarse boundaries (GA batches) still stop within ~5ms of it
-        if let Some(limit) = cfg.time_limit {
-            let inc = &inc;
-            let done = &done;
-            scope.spawn(move |_| {
-                let deadline = start + limit;
-                while !done.load(AtomicOrdering::Acquire) && !inc.is_cancelled() {
-                    if Instant::now() >= deadline {
-                        inc.cancel();
-                        registry().counter("htd_deadline_cancellations_total").inc();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
-        }
+        // every worker holds a sender and never sends: the channel
+        // disconnects the moment the last worker returns, which is what
+        // the caller's timed wait below listens for
+        let (running, all_returned) = mpsc::channel::<()>();
         let handles: Vec<_> = engines
             .iter()
             .zip(&specs)
@@ -595,7 +588,9 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                 let inc = &inc;
                 let greedy_cache = &greedy_cache;
                 let pool_threads = cfg.num_threads.max(1);
+                let running = running.clone();
                 scope.spawn(move |_| {
+                    let _running = running;
                     let mut cfg_i = worker_cfg.clone();
                     cfg_i.seed = worker_cfg.seed.wrapping_add((i as u64) << 40);
                     let who = engine.name();
@@ -636,7 +631,7 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                     };
                     // a worker that returns without its own exactness proof
                     // while the run is cancelled was cut short from outside
-                    // (deadline watchdog or a sibling's proof)
+                    // (the deadline or a sibling's proof)
                     let cancelled = inc.is_cancelled() && !report.exact;
                     cfg_i.tracer.emit_with(|| {
                         let elapsed_us = wstart.elapsed().as_micros() as u64;
@@ -664,6 +659,10 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                 })
             })
             .collect();
+        drop(running);
+        if let Some(limit) = cfg.time_limit {
+            await_workers_or_cancel(&all_returned, start + limit, &inc);
+        }
         // The quarantine above means worker threads never unwind, but a
         // join failure still must not take down the portfolio: a lost
         // slot degrades to a panicked report.
@@ -677,11 +676,9 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                 })
             })
             .collect();
-        done.store(true, AtomicOrdering::Release);
         reports
     })
-    // scope errors only if an unjoined thread (the watchdog) panicked;
-    // its work is advisory, so fall back to the incumbent's bounds
+    // every worker is joined above, so the scope itself never fails
     .unwrap_or_default();
 
     let exact = inc.is_exact() || reports.iter().any(|r| r.exact);
@@ -726,6 +723,32 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
         degraded,
         skipped_engines: skipped,
     })
+}
+
+/// The deadline of a portfolio run, kept by the thread that called
+/// [`solve`] while its workers search: it waits until every worker has
+/// returned (`all_returned` disconnects) or `deadline` passes, and in the
+/// latter case cancels the incumbent, so engines that only poll the
+/// cancel flag at coarse boundaries (GA batches, lower-bound rounds) stop
+/// too. A run already cancelled by then (an exact proof, or a caller's
+/// own cancel) is not counted as a deadline cancellation.
+fn await_workers_or_cancel(all_returned: &Receiver<()>, deadline: Instant, inc: &Incumbent) {
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            if !inc.is_cancelled() {
+                inc.cancel();
+                registry()
+                    .counter("htd_solver_deadline_cancellations_total")
+                    .inc();
+            }
+            return;
+        }
+        match all_returned.recv_timeout(deadline - now) {
+            Err(RecvTimeoutError::Disconnected) => return,
+            Ok(()) | Err(RecvTimeoutError::Timeout) => {}
+        }
+    }
 }
 
 /// The report of a quarantined worker: an empty contribution, flagged.
@@ -1082,30 +1105,52 @@ fn run_annealing(
 /// `hw` runs det-k-decomp sequentially (its witness is a decomposition
 /// tree, not an ordering, and it has no anytime interior). The ghw lower
 /// bound primes the iteration since `ghw ≤ hw`.
+///
+/// The search stops at `cfg.time_limit` or when the run's incumbent is
+/// cancelled. A stopped search proves no decomposition, so its outcome is
+/// not exact, has no upper bound, and its lower bound is the smallest
+/// width it had not refuted yet.
 fn solve_hw(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> {
     let h = problem.hypergraph().expect("validated");
     let start = Instant::now();
+    let deadline = cfg.time_limit.map(|limit| start + limit);
+    let inc = cfg.incumbent();
+    let stop = || inc.is_cancelled() || deadline.is_some_and(|d| Instant::now() >= d);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let lb = if h.num_vertices() == 0 {
         0
     } else {
         htd_heuristics::ghw_lower_bound(h, &mut rng).max(1)
     };
-    let (width, _hd) = crate::detk::hypertree_width(h, lb)
-        .ok_or_else(|| HtdError::Invalid("no hypertree decomposition exists".into()))?;
+    let (lower, upper, exact) = match crate::detk::hypertree_width_until(h, lb, &stop) {
+        Width::Exact(width, _hd) => (width, width, true),
+        Width::Stopped { lower } => {
+            if !inc.is_cancelled() {
+                registry()
+                    .counter("htd_solver_deadline_cancellations_total")
+                    .inc();
+            }
+            (lower, u32::MAX, false)
+        }
+        Width::Undecomposable => {
+            return Err(HtdError::Invalid(
+                "no hypertree decomposition exists".into(),
+            ))
+        }
+    };
     Ok(Outcome {
         objective: Objective::HypertreeWidth,
-        lower: width,
-        upper: width,
-        exact: true,
+        lower,
+        upper,
+        exact,
         witness: None,
         nodes: 0,
         elapsed: start.elapsed(),
         per_engine: vec![EngineReport {
             engine: Engine::BranchBound,
-            lower: width,
-            upper: width,
-            exact: true,
+            lower,
+            upper,
+            exact,
             panicked: false,
             stats: SearchStats::default(),
         }],

@@ -94,6 +94,30 @@ fn cancellation_stops_all_workers_within_budget() {
 }
 
 #[test]
+fn time_limited_solves_pay_no_timer_floor() {
+    // reductions alone solve a k-tree in well under a millisecond; a
+    // time-limited solve of one must cost that, not a timer tick
+    let g = gen::named_graph("ktree_30_3").expect("suite graph");
+    let problem = Problem::treewidth(g);
+    let cfg = SearchConfig::default()
+        .with_threads(2)
+        .with_time_limit(Duration::from_secs(10));
+    let mut elapsed: Vec<Duration> = (0..21)
+        .map(|_| {
+            let out = solve(&problem, &cfg).unwrap();
+            assert_eq!(out.exact_width(), Some(3), "a 3-tree has treewidth 3");
+            out.elapsed
+        })
+        .collect();
+    elapsed.sort();
+    let median = elapsed[elapsed.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median time-limited solve of ktree_30_3 took {median:?}"
+    );
+}
+
+#[test]
 fn engines_report_individually() {
     let g = gen::queen_graph(4);
     let out = solve(

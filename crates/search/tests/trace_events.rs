@@ -121,7 +121,7 @@ fn sequential_solve_also_produces_a_valid_stream() {
 #[test]
 fn deadline_cancellation_emits_worker_cancelled_with_bounds() {
     let ring = RingBuffer::new(100_000);
-    // hard instance + tiny wall clock: the watchdog must kill workers
+    // hard instance + tiny wall clock: the deadline must stop workers
     let g = gen::queen_graph(7);
     let cfg = traced_cfg(&ring).with_time_limit(Duration::from_millis(120));
     let out = solve(&Problem::treewidth(g), &cfg).unwrap();

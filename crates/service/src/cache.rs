@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use htd_search::Outcome;
 use parking_lot::Mutex;
@@ -32,12 +33,28 @@ pub struct Entry {
     /// Milliseconds of solve effort that produced this entry; inexact
     /// entries only answer requests with deadlines ≤ this.
     pub effort_ms: u64,
+    /// `outcome` rendered as JSON once, at admission, so a hit's response
+    /// splices it in instead of rendering the outcome again.
+    pub(crate) rendered: Arc<str>,
 }
 
 impl Entry {
+    fn new(outcome: Outcome, effort_ms: u64) -> Entry {
+        let rendered = outcome.to_json().to_string().into();
+        Entry {
+            outcome,
+            effort_ms,
+            rendered,
+        }
+    }
+
     fn cost(&self, key_len: usize) -> usize {
         let witness = self.outcome.witness.as_ref().map_or(0, |w| w.len() * 4);
-        key_len + witness + self.outcome.per_engine.len() * 100 + ENTRY_OVERHEAD
+        key_len
+            + witness
+            + self.outcome.per_engine.len() * 100
+            + self.rendered.len()
+            + ENTRY_OVERHEAD
     }
 
     /// Whether this entry may answer a request with the given tolerance.
@@ -170,6 +187,9 @@ impl ResultCache {
         effort_ms: u64,
     ) {
         let key = Self::key(canonical, objective_name);
+        // rendered before taking the lock that lookups on the event loop
+        // wait for; only a merge of two inexact entries renders under it
+        let fresh = Entry::new(outcome.clone(), effort_ms);
         let mut shard = self.shard(fingerprint).lock();
         let merged = match shard.map.get(&key) {
             Some(existing) => {
@@ -189,21 +209,12 @@ impl ResultCache {
                         .max(outcome.lower)
                         .min(m.upper);
                     m.exact = m.lower == m.upper;
-                    Some(Entry {
-                        outcome: m,
-                        effort_ms: effort_ms.max(old.effort_ms),
-                    })
+                    Some(Entry::new(m, effort_ms.max(old.effort_ms)))
                 } else {
-                    Some(Entry {
-                        outcome: outcome.clone(),
-                        effort_ms,
-                    })
+                    Some(fresh)
                 }
             }
-            None => Some(Entry {
-                outcome: outcome.clone(),
-                effort_ms,
-            }),
+            None => Some(fresh),
         };
         let Some(entry) = merged else { return };
         let cost = entry.cost(key.len());
@@ -320,7 +331,8 @@ mod tests {
     #[test]
     fn lru_evicts_cold_entries_under_pressure() {
         // tiny cache: per-shard budget fits ~2 entries
-        let c = ResultCache::new(SHARDS * 2 * (ENTRY_OVERHEAD + 16));
+        let entry_cost = Entry::new(outcome(1, 1, true), 1).cost("tw\0three".len());
+        let c = ResultCache::new(SHARDS * 2 * entry_cost);
         // same shard (same fingerprint), distinct keys
         c.admit(3, b"one", "tw", &outcome(1, 1, true), 1);
         c.admit(3, b"two", "tw", &outcome(1, 1, true), 1);

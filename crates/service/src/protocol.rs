@@ -79,6 +79,8 @@
 //! responses by it. Responses to protocol-level failures that could not
 //! be parsed far enough to recover an `id` carry `"id":null`.
 
+use std::sync::Arc;
+
 use htd_core::{HtdError, Json};
 use htd_hypergraph::{io, Hypergraph};
 use htd_query::{Answer, AnswerMode};
@@ -520,6 +522,10 @@ pub struct Response {
     pub canonical: bool,
     /// The solve result (status `ok`, `solve` requests).
     pub outcome: Option<Outcome>,
+    /// `outcome` already rendered as JSON: a cache hit carries its
+    /// entry's rendering, which [`Response::to_line`] splices in instead
+    /// of rendering `outcome` again. Never read from the wire.
+    pub(crate) rendered_outcome: Option<Arc<str>>,
     /// The query answer (status `ok`, `answer` requests).
     pub answer: Option<Answer>,
     /// Error text (statuses `error`, `rejected`, `timeout`).
@@ -551,6 +557,7 @@ impl Response {
             fingerprint: None,
             canonical: false,
             outcome: None,
+            rendered_outcome: None,
             answer: None,
             error: None,
             code: None,
@@ -579,6 +586,36 @@ impl Response {
 
     /// Serializes the response to its wire object.
     pub fn to_json(&self) -> Json {
+        let mut m = self.members_before_result();
+        if let Some(o) = &self.outcome {
+            m.push(("outcome".into(), o.to_json()));
+        }
+        if let Some(a) = &self.answer {
+            m.push(("answer".into(), a.to_json()));
+        }
+        Json::Obj(m)
+    }
+
+    /// The response as one line of wire JSON, without the newline:
+    /// `to_json().to_string()`, with `rendered_outcome` spliced in when
+    /// present.
+    pub(crate) fn to_line(&self) -> String {
+        let (Some(outcome), None) = (&self.rendered_outcome, &self.answer) else {
+            return self.to_json().to_string();
+        };
+        // `status` is always written, so the object is never empty, and
+        // `outcome` is the last member of a solve response
+        let mut line = Json::Obj(self.members_before_result()).to_string();
+        line.pop();
+        line.push_str(",\"outcome\":");
+        line.push_str(outcome);
+        line.push('}');
+        line
+    }
+
+    /// Every wire member except the result (`outcome` or `answer`),
+    /// which `to_json` writes last.
+    fn members_before_result(&self) -> Vec<(String, Json)> {
         let mut m: Vec<(String, Json)> = Vec::new();
         if let Some(id) = &self.id {
             m.push(("id".into(), Json::Str(id.clone())));
@@ -610,13 +647,7 @@ impl Response {
             m.push(("draining".into(), Json::Bool(true)));
         }
         m.push(("elapsed_ms".into(), Json::Num(self.elapsed_ms)));
-        if let Some(o) = &self.outcome {
-            m.push(("outcome".into(), o.to_json()));
-        }
-        if let Some(a) = &self.answer {
-            m.push(("answer".into(), a.to_json()));
-        }
-        Json::Obj(m)
+        m
     }
 
     /// Parses a response line.
@@ -645,6 +676,7 @@ impl Response {
                 Some(o) => Some(Outcome::from_json(o)?),
                 None => None,
             },
+            rendered_outcome: None,
             answer: match doc.get("answer") {
                 Some(a) => Some(Answer::from_json(a)?),
                 None => None,
@@ -672,43 +704,82 @@ impl Response {
     }
 }
 
+/// A solve instance parsed and checked as far as its cache key: what the
+/// event loop needs to answer a cache hit. Only a miss goes on to
+/// [`KeyedInstance::into_problem`].
+#[derive(Debug)]
+pub(crate) struct KeyedInstance {
+    objective: Objective,
+    /// The instance as read; graph formats give their binary-edge view.
+    hypergraph: Hypergraph,
+    /// The `tw` key of a hypergraph instance: the binary-edge view of its
+    /// primal graph. `None` when the key is `hypergraph` itself.
+    primal_key: Option<Hypergraph>,
+}
+
+impl KeyedInstance {
+    /// Parses `text` and checks that `objective` is defined on it. For
+    /// treewidth the key hypergraph is the binary-edge view of the primal
+    /// graph, so `tw` requests share cache entries across every input
+    /// format and every hypergraph with the same primal graph.
+    pub(crate) fn parse(
+        format: InstanceFormat,
+        text: &str,
+        objective: Objective,
+    ) -> Result<KeyedInstance, HtdError> {
+        let format = match format {
+            InstanceFormat::Auto => sniff_format(text),
+            f => f,
+        };
+        let parse_error = |e: io::ParseError| HtdError::Parse(e.to_string());
+        // a graph's binary-edge view is its own primal key
+        let (hypergraph, is_graph) = match format {
+            InstanceFormat::PaceGr => (
+                Hypergraph::from_graph(&io::parse_pace_gr(text).map_err(parse_error)?),
+                true,
+            ),
+            InstanceFormat::Dimacs => (
+                Hypergraph::from_graph(&io::parse_dimacs(text).map_err(parse_error)?),
+                true,
+            ),
+            InstanceFormat::Hg => (io::parse_hg(text).map_err(parse_error)?, false),
+            InstanceFormat::Auto => unreachable!("resolved above"),
+        };
+        objective.check_instance(&hypergraph)?;
+        let primal_key = (objective == Objective::Treewidth && !is_graph)
+            .then(|| Hypergraph::from_graph(&hypergraph.primal_graph()));
+        Ok(KeyedInstance {
+            objective,
+            hypergraph,
+            primal_key,
+        })
+    }
+
+    /// The hypergraph whose canonical form is the cache key.
+    pub(crate) fn key(&self) -> &Hypergraph {
+        self.primal_key.as_ref().unwrap_or(&self.hypergraph)
+    }
+
+    /// The [`Problem`] to solve, already checked by [`Self::parse`].
+    pub(crate) fn into_problem(self) -> Problem {
+        match self.objective {
+            Objective::Treewidth => Problem::treewidth_of_hypergraph(self.hypergraph),
+            Objective::GeneralizedHypertreeWidth => Problem::ghw(self.hypergraph),
+            Objective::HypertreeWidth => Problem::hw(self.hypergraph),
+        }
+    }
+}
+
 /// Builds the [`Problem`] plus the hypergraph the cache key is computed
-/// over. For treewidth the key hypergraph is the binary-edge view of the
-/// primal graph, so `tw` requests share cache entries across every input
-/// format and every hypergraph with the same primal graph.
+/// over (see [`KeyedInstance::parse`]).
 pub fn parse_problem(
     format: InstanceFormat,
     text: &str,
     objective: Objective,
 ) -> Result<(Problem, Hypergraph), HtdError> {
-    let format = match format {
-        InstanceFormat::Auto => sniff_format(text),
-        f => f,
-    };
-    let hypergraph = match format {
-        InstanceFormat::PaceGr => {
-            let g = io::parse_pace_gr(text).map_err(|e| HtdError::Parse(e.to_string()))?;
-            Hypergraph::from_graph(&g)
-        }
-        InstanceFormat::Dimacs => {
-            let g = io::parse_dimacs(text).map_err(|e| HtdError::Parse(e.to_string()))?;
-            Hypergraph::from_graph(&g)
-        }
-        InstanceFormat::Hg => io::parse_hg(text).map_err(|e| HtdError::Parse(e.to_string()))?,
-        InstanceFormat::Auto => unreachable!("resolved above"),
-    };
-    let problem = match objective {
-        Objective::Treewidth => Problem::treewidth_of_hypergraph(hypergraph.clone()),
-        Objective::GeneralizedHypertreeWidth => Problem::ghw(hypergraph.clone()),
-        Objective::HypertreeWidth => Problem::hw(hypergraph.clone()),
-    };
-    problem.validate()?;
-    let key_hypergraph = match objective {
-        // tw depends only on the primal graph — normalize the key to it
-        Objective::Treewidth => Hypergraph::from_graph(problem.graph()),
-        _ => hypergraph,
-    };
-    Ok((problem, key_hypergraph))
+    let instance = KeyedInstance::parse(format, text, objective)?;
+    let key = instance.key().clone();
+    Ok((instance.into_problem(), key))
 }
 
 /// Chooses a format from the first non-comment, non-blank line.
@@ -867,6 +938,28 @@ mod tests {
     }
 
     #[test]
+    fn spliced_outcome_renders_like_a_fresh_one() {
+        use htd_search::{solve, SearchConfig};
+        let (problem, _) = parse_problem(
+            InstanceFormat::PaceGr,
+            "p tw 4 4\n1 2\n2 3\n3 4\n4 1\n",
+            Objective::Treewidth,
+        )
+        .unwrap();
+        let outcome = solve(&problem, &SearchConfig::default().with_threads(2)).unwrap();
+        let mut r = Response::new(Some("h\"1".into()), Status::Ok);
+        r.cached = true;
+        r.fingerprint = Some("00ff".into());
+        r.node = Some("node-a".into());
+        r.elapsed_ms = 0.25;
+        r.outcome = Some(outcome.clone());
+        let fresh = r.to_json().to_string();
+        assert_eq!(r.to_line(), fresh, "nothing to splice");
+        r.rendered_outcome = Some(outcome.to_json().to_string().into());
+        assert_eq!(r.to_line(), fresh);
+    }
+
+    #[test]
     fn put_cert_round_trip() {
         use htd_search::{solve, SearchConfig};
         let instance = "p tw 3 3\n1 2\n2 3\n1 3\n";
@@ -931,6 +1024,84 @@ mod tests {
         .unwrap();
         assert_eq!(p.graph().num_edges(), 2);
         assert!(parse_problem(InstanceFormat::Hg, "garbage", Objective::Treewidth).is_err());
+    }
+
+    /// The key the miss path derives from the problem it solves: the
+    /// binary-edge view of the primal graph for `tw`, the hypergraph
+    /// itself for `ghw`/`hw`.
+    fn key_of_problem(problem: &Problem) -> Hypergraph {
+        match problem.objective() {
+            Objective::Treewidth => Hypergraph::from_graph(problem.graph()),
+            _ => problem
+                .hypergraph()
+                .expect("ghw/hw problems keep it")
+                .clone(),
+        }
+    }
+
+    #[test]
+    fn hit_path_key_matches_the_solved_problem() {
+        use htd_hypergraph::{canonical_form, gen};
+        let mut inputs: Vec<(InstanceFormat, String)> = vec![
+            // isolated vertices 4..6
+            (InstanceFormat::PaceGr, "p tw 6 3\n1 2\n2 3\n3 1\n".into()),
+            (
+                InstanceFormat::Dimacs,
+                "c a 4-cycle and an isolated vertex\np edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
+                    .into(),
+            ),
+            // named vertices, a repeated scope, a singleton edge
+            (
+                InstanceFormat::Hg,
+                "r(a,b,c),\ns(c,d),\nt(d,a),\nu(d,a),\nw(b).".into(),
+            ),
+            (InstanceFormat::Auto, "e1(x, y),\ne2(y, z).".into()),
+            (InstanceFormat::Auto, "p tw 3 2\n1 2\n2 3\n".into()),
+            (InstanceFormat::Hg, io::write_hg(&gen::grid2d(3))),
+            (InstanceFormat::Hg, io::write_hg(&gen::adder(3))),
+            (
+                InstanceFormat::PaceGr,
+                io::write_pace_gr(&gen::random_gnp(12, 0.3, 7)),
+            ),
+            (
+                InstanceFormat::Dimacs,
+                htd_hypergraph::io::write_dimacs(&gen::queen_graph(4)),
+            ),
+        ];
+        for seed in 0..6 {
+            inputs.push((
+                InstanceFormat::Hg,
+                io::write_hg(&gen::random_uniform(9, 6, 3, seed)),
+            ));
+        }
+        for (format, text) in &inputs {
+            for objective in [
+                Objective::Treewidth,
+                Objective::GeneralizedHypertreeWidth,
+                Objective::HypertreeWidth,
+            ] {
+                let what = format!("{} {text:?}", objective.name());
+                match KeyedInstance::parse(*format, text, objective) {
+                    Ok(instance) => {
+                        let hit_key = canonical_form(instance.key()).bytes;
+                        let problem = instance.into_problem();
+                        problem.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+                        let miss_key = canonical_form(&key_of_problem(&problem)).bytes;
+                        assert_eq!(hit_key, miss_key, "{what}");
+                        let (_, key) = parse_problem(*format, text, objective).unwrap();
+                        assert_eq!(canonical_form(&key).bytes, hit_key, "{what}");
+                    }
+                    Err(e) => {
+                        let again = parse_problem(*format, text, objective).unwrap_err();
+                        assert_eq!(e.to_string(), again.to_string(), "{what}");
+                        // only ghw/hw refuse a parsed instance: an
+                        // isolated vertex has no covering edge
+                        assert_ne!(objective, Objective::Treewidth, "{what}: {e}");
+                        assert!(matches!(e, HtdError::Invalid(_)), "{what}: {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

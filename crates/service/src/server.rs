@@ -7,12 +7,13 @@
 //!
 //! ## Lifecycle of a solve request
 //!
-//! 1. The event loop frames the line; admission builds the [`Problem`]
-//!    and the canonical form of the (normalized) instance.
-//! 2. Cache lookup — a hit answers immediately without queueing.
-//! 3. The job enters the bounded work queue; a full queue means an
-//!    immediate `rejected` response with `retry_after_ms` (backpressure)
-//!    rather than unbounded buffering.
+//! 1. The event loop frames the line; admission parses the instance as
+//!    far as its cache key ([`KeyedInstance`]) and canonicalizes that.
+//! 2. Cache lookup — a hit answers immediately without queueing, with the
+//!    outcome JSON its cache entry rendered on admission.
+//! 3. A miss builds the [`Problem`] and enters the bounded work queue; a
+//!    full queue means an immediate `rejected` response with
+//!    `retry_after_ms` (backpressure) rather than unbounded buffering.
 //! 4. A worker pops the job. If its deadline already expired in the queue
 //!    the job is dropped with a `timeout` response (cooperative
 //!    cancellation of evicted requests); otherwise the remaining time is
@@ -61,7 +62,7 @@ use crate::client::Client;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    parse_problem, AnswerRequest, CertPush, Command, InstanceFormat, Request, Response,
+    AnswerRequest, CertPush, Command, InstanceFormat, KeyedInstance, Request, Response,
     SolveRequest, Status,
 };
 use crate::store::{CertStore, StoreRecord};
@@ -595,7 +596,7 @@ impl Server {
         reg.counter("htd_solver_expansions_total");
         reg.counter("htd_cover_cache_hits_total");
         reg.counter("htd_cover_cache_misses_total");
-        reg.counter("htd_deadline_cancellations_total");
+        reg.counter("htd_solver_deadline_cancellations_total");
         reg.counter("htd_oracle_failures_total");
         reg.counter("htd_worker_panics_total");
         reg.counter("htd_mem_budget_aborts_total");
@@ -1470,7 +1471,7 @@ fn run_put_cert(inner: &Inner, job: &Job, p: &CertPush) -> Response {
 /// internal error so a single pathological result cannot monopolize the
 /// connection.
 pub(crate) fn response_line(response: &Response) -> Vec<u8> {
-    let mut body = response.to_json().to_string();
+    let mut body = response.to_line();
     if body.len() > MAX_RESPONSE {
         let e = HtdError::Io(format!(
             "response of {} bytes exceeds the {} byte limit",
@@ -1605,8 +1606,9 @@ fn admit_solve(
     let deadline = received + Duration::from_millis(deadline_ms);
     let objective_name = s.objective.name();
 
-    let (problem, key_hypergraph) = match parse_problem(s.format, &s.instance, s.objective) {
-        Ok(pair) => pair,
+    // a hit needs only the key: the problem is built below, on a miss
+    let instance = match KeyedInstance::parse(s.format, &s.instance, s.objective) {
+        Ok(instance) => instance,
         Err(e) => {
             inner
                 .metrics
@@ -1622,7 +1624,7 @@ fn admit_solve(
             return Admission::Ready(r);
         }
     };
-    let canon = canonical_form(&key_hypergraph);
+    let canon = canonical_form(instance.key());
     let fingerprint_hex = canon.hex();
 
     if s.use_cache {
@@ -1641,6 +1643,7 @@ fn admit_solve(
             let mut r = Response::new(id.clone(), Status::Ok);
             r.cached = true;
             r.outcome = Some(hit.outcome);
+            r.rendered_outcome = Some(hit.rendered);
             r.fingerprint = Some(fingerprint_hex.clone());
             r.canonical = canon.complete;
             r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
@@ -1667,7 +1670,7 @@ fn admit_solve(
     }
 
     let solve_work = SolveWork {
-        problem,
+        problem: instance.into_problem(),
         fingerprint: canon.fingerprint,
         fingerprint_hex: fingerprint_hex.clone(),
         canonical: canon.bytes,

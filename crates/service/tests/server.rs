@@ -341,6 +341,7 @@ fn healthz_and_metrics_respond_and_errors_carry_codes() {
         "htd_deadline_cancellations_total",
         // solver-level series appended from the htd-trace registry
         "htd_solver_expansions_total",
+        "htd_solver_deadline_cancellations_total",
         "htd_cover_cache_hit_ratio",
     ] {
         assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
@@ -356,6 +357,161 @@ fn healthz_and_metrics_respond_and_errors_carry_codes() {
         "missing per-engine wins in:\n{metrics}"
     );
 
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn hw_deadline_frees_the_only_worker() {
+    // an exact hw of grid2d_10 takes seconds; its 100 ms deadline must
+    // end the solve, or the tw request queued behind it on the single
+    // worker times out in the queue
+    let (server, addr) = start(ServeOptions {
+        threads: 1,
+        ..quiet_opts()
+    });
+    let hw = io::write_hg(&gen::named_hypergraph("grid2d_10").unwrap());
+    let tw = io::write_pace_gr(&gen::grid_graph(4, 4));
+    let mut client = Client::connect(&addr).unwrap();
+    let (hw_req, hw_id) = client.solve_request(
+        Objective::HypertreeWidth,
+        InstanceFormat::Hg,
+        &hw,
+        Some(100),
+    );
+    let (tw_req, tw_id) = client.solve_request(
+        Objective::Treewidth,
+        InstanceFormat::PaceGr,
+        &tw,
+        Some(1_000),
+    );
+    client.send(&hw_req).unwrap();
+    client.send(&tw_req).unwrap();
+    let mut replies = std::collections::HashMap::new();
+    for _ in 0..2 {
+        let r = client.recv().unwrap();
+        replies.insert(r.id.clone().unwrap(), r);
+    }
+    let tw_reply = &replies[&tw_id];
+    assert_eq!(tw_reply.status, Status::Ok, "{:?}", tw_reply.error);
+    assert_eq!(tw_reply.outcome.as_ref().unwrap().exact_width(), Some(4));
+    let hw_reply = &replies[&hw_id];
+    assert_eq!(hw_reply.status, Status::Ok, "{:?}", hw_reply.error);
+    let outcome = hw_reply.outcome.as_ref().unwrap();
+    assert!(!outcome.exact, "a stopped det-k proves nothing");
+    assert_eq!(
+        outcome.upper,
+        u32::MAX,
+        "a stopped det-k has no decomposition"
+    );
+    // whatever the cache kept of it, it is not an exact answer
+    let again = client
+        .solve(
+            Objective::HypertreeWidth,
+            InstanceFormat::Hg,
+            &hw,
+            Some(100),
+        )
+        .unwrap();
+    assert_eq!(again.status, Status::Ok, "{:?}", again.error);
+    assert!(!again.outcome.unwrap().exact);
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn bad_instances_get_the_same_error_cold_and_warm() {
+    let (server, addr) = start(quiet_opts());
+    let mut client = Client::connect(&addr).unwrap();
+    let complete = "p tw 4 4\n1 2\n2 3\n3 4\n4 1\n";
+    let bad = [
+        // truncated PACE: the last edge lost its second endpoint
+        (Objective::Treewidth, "p tw 4 4\n1 2\n2 3\n3 4\n4"),
+        // ghw of a graph with an isolated vertex: nothing covers it
+        (
+            Objective::GeneralizedHypertreeWidth,
+            "p tw 5 4\n1 2\n2 3\n3 4\n4 1\n",
+        ),
+        (Objective::HypertreeWidth, "p tw 5 4\n1 2\n2 3\n3 4\n4 1\n"),
+    ];
+    let errors = |client: &mut Client| -> Vec<(Status, Option<i64>, Option<String>)> {
+        bad.iter()
+            .map(|(objective, text)| {
+                let r = client
+                    .solve(*objective, InstanceFormat::Auto, text, Some(5_000))
+                    .unwrap();
+                (r.status, r.code, r.error)
+            })
+            .collect()
+    };
+    let cold = errors(&mut client);
+    assert!(
+        cold.iter().all(|(status, ..)| *status == Status::Error),
+        "{cold:?}"
+    );
+    assert_eq!(cold[0].1, Some(2), "a parse error");
+    assert_eq!(cold[1].1, Some(3), "an invalid instance");
+    // warm the cache with every objective of the complete 4-cycle and of
+    // the bad texts' tw readings
+    for objective in [
+        Objective::Treewidth,
+        Objective::GeneralizedHypertreeWidth,
+        Objective::HypertreeWidth,
+    ] {
+        for text in [complete, bad[1].1] {
+            let r = client
+                .solve(objective, InstanceFormat::Auto, text, Some(5_000))
+                .unwrap();
+            if objective == Objective::Treewidth || text == complete {
+                assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+                let hit = client
+                    .solve(objective, InstanceFormat::Auto, text, Some(5_000))
+                    .unwrap();
+                assert!(hit.cached, "{} of {text:?} is cached", objective.name());
+            }
+        }
+    }
+    assert_eq!(errors(&mut client), cold);
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+/// The name and labels of a sample line: everything before its value.
+fn sample_key(line: &str) -> &str {
+    let end = match line.rfind('}') {
+        Some(close) => close + 1,
+        None => line.find(' ').unwrap_or(line.len()),
+    };
+    &line[..end]
+}
+
+#[test]
+fn metrics_scrape_names_every_series_once() {
+    let (server, addr) = start(quiet_opts());
+    let mut client = Client::connect(&addr).unwrap();
+    // one solve, so the solver-level series carry samples too
+    let ok = client
+        .solve(
+            Objective::Treewidth,
+            InstanceFormat::Auto,
+            &io::write_pace_gr(&gen::grid_graph(3, 3)),
+            Some(5_000),
+        )
+        .unwrap();
+    assert_eq!(ok.status, Status::Ok);
+    let (status, metrics) = http_get(&addr, "/metrics");
+    assert!(status.contains("200"), "{status}");
+    let mut types = std::collections::HashSet::new();
+    let mut samples = std::collections::HashSet::new();
+    for line in metrics.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        if let Some(ty) = line.strip_prefix("# TYPE ") {
+            assert!(types.insert(ty), "repeated '# TYPE {ty}' in:\n{metrics}");
+        } else if !line.starts_with('#') {
+            let key = sample_key(line);
+            assert!(samples.insert(key), "repeated sample {key} in:\n{metrics}");
+        }
+    }
+    assert!(types.len() > 10 && samples.len() > 10, "{metrics}");
     client.shutdown().unwrap();
     server.wait();
 }

@@ -56,7 +56,8 @@ pub enum Event {
         expanded: u64,
         elapsed_us: u64,
     },
-    /// A worker was cancelled (deadline watchdog or a sibling's proof).
+    /// A worker was cancelled (the solve's deadline, a sibling's proof or
+    /// the caller's cancel).
     WorkerCancelled {
         worker: &'static str,
         lower: u32,

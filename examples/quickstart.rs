@@ -55,7 +55,7 @@ fn main() {
             .iter()
             .map(|v| format!("x{}", v + 1))
             .collect();
-        let lambda: Vec<&str> = ghd.lambda(p).iter().map(|&e| h.edge_name(e)).collect();
+        let lambda: Vec<_> = ghd.lambda(p).iter().map(|&e| h.edge_name(e)).collect();
         println!(
             "  node {p}: chi = {{{}}}, lambda = {{{}}}, parent = {:?}",
             chi.join(","),
