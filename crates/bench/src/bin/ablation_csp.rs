@@ -5,7 +5,7 @@
 //! solved three ways — chronological backtracking, join-tree clustering
 //! from a min-fill tree decomposition, and a complete GHD. Times and the
 //! backtracking node count grow with instance size; the decomposition
-//! methods stay polynomial.
+//! methods stay polynomial. Exits 1 when any row's methods disagree.
 //!
 //! `cargo run --release -p htd-bench --bin ablation_csp [--full]`
 
@@ -43,6 +43,7 @@ fn main() {
         "#solutions",
         "agree",
     ]);
+    let mut all_agree = true;
     for &n in &sizes {
         // a 2×n grid strengthened with one diagonal per cell: triangle
         // strips, 3-colorable, treewidth ≤ 3 regardless of n
@@ -75,6 +76,7 @@ fn main() {
             && bt.solution.is_some() == ghd_sol.is_some()
             && fc.solution.is_some() == bt.solution.is_some()
             && (count > 0) == bt.solution.is_some();
+        all_agree &= agree;
         t.row(vec![
             n.to_string(),
             csp.num_vars().to_string(),
@@ -91,4 +93,8 @@ fn main() {
         ]);
     }
     t.print();
+    if !all_agree {
+        eprintln!("ablation_csp: the solving methods disagree (agree = false above)");
+        std::process::exit(1);
+    }
 }

@@ -1503,6 +1503,52 @@ mod tests {
     }
 
     #[test]
+    fn solve_counts_never_wrap() {
+        let count = Options {
+            count: true,
+            ..Options::default()
+        };
+        // 30 variables of domain 10 and one constraint x0 = x1 = 0: 10^28
+        let err = cmd_solve("csp 30 10\ncon c 0 1 : 0 0 ;\n", &count).unwrap_err();
+        assert_eq!(exit_code(&err), 4, "{err}");
+        assert!(err.to_string().contains("2^64 - 1"), "{err}");
+        // 19 variables: exactly 10^17
+        let out = cmd_solve("csp 19 10\ncon c 0 1 : 0 0 ;\n", &count).unwrap();
+        assert_eq!(out, "solutions: 100000000000000000\n");
+        // Q(x0,y0,..) :- R0(x0,y0), .., R20(x20,y20), 10 tuples each: 10^21
+        let atoms: Vec<String> = (0..21).map(|i| format!("R{i}(x{i}, y{i})")).collect();
+        let head: Vec<String> = (0..21).map(|i| format!("x{i}, y{i}")).collect();
+        let tuples: Vec<String> = (0..10).map(|v| format!("{v} {v}")).collect();
+        let mut cq = format!("Q({}) :- {}.\n", head.join(", "), atoms.join(", "));
+        for i in 0..21 {
+            cq.push_str(&format!("R{i}: {} .\n", tuples.join(" ; ")));
+        }
+        let err = cmd_answer("q.cq", &cq, &count).unwrap_err();
+        assert_eq!(exit_code(&err), 4, "{err}");
+        assert!(err.to_string().contains("2^64 - 1"), "{err}");
+    }
+
+    #[test]
+    fn solve_repeated_scope_variable() {
+        // c(x0, x0) allows (0, 1) and (1, 1): only x0 = 1, and x1 is free
+        let text = "csp 2 2\ncon c 0 0 : 0 1 ; 1 1 ;\n";
+        let count = Options {
+            count: true,
+            ..Options::default()
+        };
+        assert_eq!(cmd_solve(text, &count).unwrap(), "solutions: 2\n");
+        let all = Options {
+            all: Some(10),
+            ..Options::default()
+        };
+        assert_eq!(cmd_solve(text, &all).unwrap(), "1 0\n1 1\n");
+        assert_eq!(
+            cmd_solve(text, &Options::default()).unwrap(),
+            "x0 = 1\nx1 = 0\n"
+        );
+    }
+
+    #[test]
     fn answer_subcommand_modes() {
         let cq = "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .\n";
         // enumeration (default): distinct head assignments with a header

@@ -7,43 +7,35 @@
 //!   constraint hypergraph.
 //! * [`relation`] — the relational algebra the solvers run on: hash-based
 //!   natural join, semijoin and projection.
-//! * [`acyclic`] — Algorithm *Acyclic Solving* (Fig. 2.4): bottom-up
-//!   semijoins, top-down assignment extraction.
-//! * [`solve_td`] — Join Tree Clustering: solving an arbitrary CSP from a
-//!   tree decomposition of its constraint hypergraph.
-//! * [`solve_ghd`] — solving from a complete generalized hypertree
-//!   decomposition, where each node's relation is
-//!   `π_χ(p) ⋈ {R_e : e ∈ λ(p)}` — the join of `|λ(p)| ≤ width` relations,
-//!   which is why small `ghw` means fast solving.
+//! * [`yannakakis`] — the join-tree evaluator every decomposition-guided
+//!   mode runs on: constraint placement, one node-relation builder (Join
+//!   Tree Clustering from a tree decomposition, `π_χ(p) ⋈ {R_e : e ∈ λ(p)}`
+//!   from a complete generalized hypertree decomposition, a join of
+//!   `|λ(p)| ≤ width` relations, which is why small `ghw` means fast
+//!   solving), and three passes over the relations: the bottom-up
+//!   semijoin pass of Acyclic Solving (Fig. 2.4), the top-down walk that
+//!   yields the witness and enumerates all solutions with polynomial
+//!   delay, and sum–product counting that never wraps.
 //! * [`backtrack`] — chronological backtracking and forward-checking
 //!   baselines.
-//! * [`count`] — solution counting by sum–product message passing over a
-//!   tree decomposition.
-//! * [`enumerate`] — all-solutions enumeration with polynomial delay
-//!   (semijoin pass first, then dead-end-free tuple walks).
 //! * [`io`] — a plain-text CSP format for the command line.
 //! * [`builders`] — classic instances: map coloring (Example 1), SAT as
 //!   CSP (Example 2), graph coloring, n-queens, seeded random binary CSPs.
 
 #![warn(missing_docs)]
 
-pub mod acyclic;
 pub mod backtrack;
 pub mod builders;
-pub mod count;
-pub mod enumerate;
 pub mod io;
 pub mod model;
 pub mod relation;
-pub mod solve_ghd;
-pub mod solve_td;
+pub mod yannakakis;
 
-pub use acyclic::acyclic_solve;
 pub use backtrack::{backtrack_solve, forward_checking_solve};
-pub use count::count_solutions_td;
-pub use enumerate::for_each_solution_td;
 pub use io::{parse_csp, write_csp};
 pub use model::{Constraint, Csp, Value, VarId};
 pub use relation::Relation;
-pub use solve_ghd::solve_with_ghd;
-pub use solve_td::{estimate_node_tuples, node_relations, solve_with_td};
+pub use yannakakis::{
+    count_solutions_td, estimate_node_tuples, for_each_solution_td, node_relations, solve_with_ghd,
+    solve_with_td, NodeRelations,
+};

@@ -13,22 +13,49 @@ pub type Value = u32;
 pub struct Constraint {
     /// Human-readable name.
     pub name: String,
-    /// The scope `S` (distinct variables).
+    /// The scope `S` (distinct variables: [`Constraint::new`] folds a
+    /// repeated one).
     pub scope: Vec<VarId>,
     /// The allowed combinations `R`; each tuple has `scope.len()` values.
     pub tuples: Vec<Vec<Value>>,
 }
 
 impl Constraint {
-    /// Creates a constraint, checking tuple arity.
+    /// Creates a constraint, debug-checking tuple arity.
+    ///
+    /// A variable repeated in `scope` keeps its first column only, and
+    /// only the tuples whose repeated positions agree survive,
+    /// deduplicated: `c(x0, x0)` allowing `(0, 1)` and `(1, 1)` becomes
+    /// `c(x0)` allowing `(1)`. This is exactly what
+    /// [`satisfied_by`](Self::satisfied_by) accepts, so every solver sees
+    /// the constraint the checker sees.
     pub fn new(name: impl Into<String>, scope: Vec<VarId>, tuples: Vec<Vec<Value>>) -> Self {
-        let c = Constraint {
+        debug_assert!(tuples.iter().all(|t| t.len() == scope.len()));
+        // first[i]: the first column holding column i's variable
+        let first: Vec<usize> = scope
+            .iter()
+            .map(|v| scope.iter().position(|w| w == v).expect("v is in scope"))
+            .collect();
+        let keep: Vec<usize> = (0..scope.len()).filter(|&i| first[i] == i).collect();
+        if keep.len() == scope.len() {
+            return Constraint {
+                name: name.into(),
+                scope,
+                tuples,
+            };
+        }
+        let mut seen = std::collections::HashSet::new();
+        let tuples = tuples
+            .iter()
+            .filter(|t| first.iter().enumerate().all(|(i, &f)| t[i] == t[f]))
+            .map(|t| keep.iter().map(|&i| t[i]).collect::<Vec<Value>>())
+            .filter(|t| seen.insert(t.clone()))
+            .collect();
+        Constraint {
             name: name.into(),
-            scope,
+            scope: keep.iter().map(|&i| scope[i]).collect(),
             tuples,
-        };
-        debug_assert!(c.tuples.iter().all(|t| t.len() == c.scope.len()));
-        c
+        }
     }
 
     /// `true` iff the (total) assignment satisfies this constraint.
@@ -132,6 +159,19 @@ mod tests {
         assert!(c.satisfied_by(&[0, 1, 9]));
         assert!(c.satisfied_by(&[1, 0, 9]));
         assert!(!c.satisfied_by(&[0, 0, 9]));
+    }
+
+    #[test]
+    fn repeated_scope_variables_fold_into_one_column() {
+        let c = Constraint::new("c", vec![0, 0], vec![vec![0, 1], vec![1, 1]]);
+        assert_eq!((c.scope, c.tuples), (vec![0], vec![vec![1]]));
+        // x1 = x0 = x1: positions 0 and 2 must agree; duplicates collapse
+        let t = vec![vec![0, 1, 0], vec![0, 1, 1], vec![1, 0, 1], vec![0, 1, 0]];
+        let c = Constraint::new("d", vec![1, 0, 1], t);
+        assert_eq!(
+            (c.scope, c.tuples),
+            (vec![1, 0], vec![vec![0, 1], vec![1, 0]])
+        );
     }
 
     #[test]

@@ -150,23 +150,6 @@ impl Relation {
         Relation::new(keep.to_vec(), tuples)
     }
 
-    /// Selects the tuples consistent with a partial assignment
-    /// (`assignment[v] == u32::MAX` means unassigned).
-    pub fn select_consistent(&self, assignment: &[Value]) -> Relation {
-        let tuples = self
-            .tuples
-            .iter()
-            .filter(|t| {
-                self.vars.iter().zip(t.iter()).all(|(&v, &val)| {
-                    let a = assignment[v as usize];
-                    a == u32::MAX || a == val
-                })
-            })
-            .cloned()
-            .collect();
-        Relation::new(self.vars.clone(), tuples)
-    }
-
     /// The full relation over `vars` with the given uniform domain sizes:
     /// the cross product of the domains. Used by Join Tree Clustering for
     /// bag variables no assigned constraint mentions.
@@ -247,14 +230,6 @@ mod tests {
         // reordering columns
         let q = a.project(&[1, 0]);
         assert!(q.tuples.contains(&vec![1, 0]));
-    }
-
-    #[test]
-    fn select_consistent_with_partial_assignment() {
-        let a = r(&[0, 2], &[&[0, 1], &[1, 1], &[1, 0]]);
-        // x0 = 1, x2 unassigned
-        let s = a.select_consistent(&[1, u32::MAX, u32::MAX]);
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -9,19 +9,22 @@
 //!    engine portfolio (any configured lineup, balanced separators
 //!    included) and fall back to min-fill when the portfolio yields no
 //!    witness ordering;
-//! 2. **refuse-or-run** — bound the tuples Join Tree Clustering could
-//!    materialize ([`htd_csp::estimate_node_tuples`]); if a memory
+//! 2. **refuse-or-run** — place every constraint at a node of the tree
+//!    decomposition and bound the tuples the node relations could
+//!    materialize ([`htd_csp::yannakakis::estimate`]); if a memory
 //!    budget is set and the bound blows it, *refuse* with the estimate
 //!    ([`HtdError::ResourceExhausted`]) rather than risk the evaluation:
 //!    a refusal is degraded service, a wrong answer is not;
-//! 3. **semijoin + extract** — evaluate in one of three modes
+//! 3. **semijoin + extract** — build the node relations once from that
+//!    placement ([`NodeRelations`]) and evaluate in one of three modes
 //!    ([`AnswerMode`]): boolean/first-answer via full semijoin
 //!    reduction, exact count via sum–product message passing when the
-//!    head keeps every variable, and bounded-delay enumeration
-//!    otherwise. Projection heads (`Q(x) :- R(x,y), ...`) answer with
-//!    *distinct* head assignments; the deduplication set is charged
-//!    against the memory budget tuple by tuple, so even enumeration
-//!    degrades to a refusal instead of an over-budget answer.
+//!    head keeps every variable (a count above `u64::MAX` is refused
+//!    with [`HtdError::Unsupported`], never wrapped), and bounded-delay
+//!    enumeration otherwise. Projection heads (`Q(x) :- R(x,y), ...`)
+//!    answer with *distinct* head assignments; the deduplication set is
+//!    charged against the memory budget tuple by tuple, so even
+//!    enumeration degrades to a refusal instead of an over-budget answer.
 //!
 //! Every stage emits an [`Event::QueryStage`] trace event (the semijoin
 //! and extraction passes are fused inside `htd-csp`, so both events
@@ -35,9 +38,8 @@ use std::time::Instant;
 
 use htd_core::bucket::td_of_hypergraph;
 use htd_core::{EliminationOrdering, HtdError, Json, TreeDecomposition};
-use htd_csp::{
-    count_solutions_td, estimate_node_tuples, for_each_solution_td, solve_with_td, Value,
-};
+use htd_csp::yannakakis::{estimate, place};
+use htd_csp::{NodeRelations, Value};
 use htd_hypergraph::{canonical_form, Hypergraph};
 use htd_resilience::{quarantined, MemoryBudget};
 use htd_search::{solve, Problem, SearchConfig};
@@ -343,12 +345,14 @@ impl Drop for ChargeGuard<'_> {
 fn eval_query(
     q: &Query,
     td: &TreeDecomposition,
+    placed: &[Vec<usize>],
     opts: &AnswerOptions,
 ) -> Result<EvalOut, HtdError> {
     let head = &q.head;
+    let mut rels = NodeRelations::build(&q.csp, td, placed);
     match opts.mode {
         AnswerMode::Boolean => {
-            let witness = solve_with_td(&q.csp, td);
+            let witness = rels.solve();
             Ok(EvalOut {
                 satisfiable: witness.is_some(),
                 count: None,
@@ -361,7 +365,13 @@ fn eval_query(
         }
         AnswerMode::Count if q.head_covers_all_vars() => {
             // full join: sum–product message passing, no materialization
-            let count = count_solutions_td(&q.csp, td);
+            let count = rels.count().ok_or_else(|| {
+                HtdError::Unsupported(format!(
+                    "the answer count exceeds 2^64 - 1 = {}, the largest count an answer \
+                     can carry",
+                    u64::MAX
+                ))
+            })?;
             Ok(EvalOut {
                 satisfiable: count > 0,
                 count: Some(count),
@@ -384,7 +394,7 @@ fn eval_query(
             let mut distinct: u64 = 0;
             let mut stop: Option<Stop> = None;
             let mut visits: u64 = 0;
-            let walked = for_each_solution_td(&q.csp, td, |a| {
+            let visit = |a: &[Value]| {
                 visits += 1;
                 if visits % 1024 == 0 {
                     if let Some(d) = opts.deadline {
@@ -417,7 +427,12 @@ fn eval_query(
                     }
                 }
                 true
-            });
+            };
+            let walked = if rels.reduce() {
+                rels.for_each(visit)
+            } else {
+                0
+            };
             drop(guard);
             match stop {
                 Some(Stop::Memory(found)) => {
@@ -532,9 +547,10 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
     });
 
     // refuse rather than materialize over budget (joins only shrink, so
-    // the estimate is an upper bound — see estimate_node_tuples)
+    // the estimate is an upper bound — see yannakakis::estimate)
+    let placed = place(&q.csp, &td);
     if let Some(budget) = &opts.memory_budget {
-        let est = estimate_node_tuples(&q.csp, &td);
+        let est = estimate(&q.csp, &td, &placed);
         let per_tuple = 4 * (u128::from(td.width()) + 1) + 24;
         let est_bytes = est.saturating_mul(per_tuple);
         if est_bytes > u128::from(u64::MAX) || !budget.would_fit(est_bytes as u64) {
@@ -551,7 +567,7 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
 
     let t_eval = Instant::now();
     let sp_eval = htd_trace::span!("answer.evaluate", &tracer);
-    let eval = quarantined(|| eval_query(q, &td, opts))
+    let eval = quarantined(|| eval_query(q, &td, &placed, opts))
         .map_err(|m| HtdError::Io(format!("query evaluation panicked: {m}")))??;
     drop(sp_eval);
     stats.eval_us = t_eval.elapsed().as_micros() as u64;

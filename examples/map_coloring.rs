@@ -47,6 +47,7 @@ fn main() {
     for (v, &color) in via_ghd.iter().enumerate() {
         println!("  {:4} = {}", csp.variables[v], COLORS[color as usize]);
     }
+    assert!(bt.solution.is_some());
     assert!(csp.is_solution(&via_td));
     assert!(csp.is_solution(&via_ghd));
 }

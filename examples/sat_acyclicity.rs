@@ -13,8 +13,7 @@ use htd::core::join_tree::{is_acyclic, join_tree};
 use htd::core::ordering::EliminationOrdering;
 use htd::core::CoverStrategy;
 use htd::csp::builders::sat_to_csp;
-use htd::csp::relation::Relation;
-use htd::csp::{acyclic_solve, solve_with_ghd};
+use htd::csp::{solve_with_ghd, solve_with_td};
 
 fn main() {
     // thesis Example 2: (¬x1 ∨ x2 ∨ x3) ∧ (x1 ∨ ¬x4) ∧ (¬x3 ∨ ¬x5)
@@ -23,13 +22,9 @@ fn main() {
     println!("Example 2 hypergraph acyclic: {}", is_acyclic(&h2));
 
     if let Some(jt) = join_tree(&h2) {
-        // one relation per constraint = per join-tree node
-        let rels: Vec<Relation> = example2
-            .constraints
-            .iter()
-            .map(|c| Relation::new(c.scope.clone(), c.tuples.clone()))
-            .collect();
-        let a = acyclic_solve(&jt.tree, &rels, example2.num_vars()).expect("satisfiable");
+        // the join tree is a tree decomposition with one node per clause
+        let a = solve_with_td(&example2, &jt.tree).expect("satisfiable");
+        assert!(example2.is_solution(&a));
         let pretty: Vec<String> = a
             .iter()
             .enumerate()
