@@ -9,10 +9,7 @@ use htd_core::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator, TwEva
 use htd_csp::{builders, Relation};
 use htd_heuristics::{combined_lower_bound, minor_min_width_alive, upper::min_fill, MinorScratch};
 use htd_hypergraph::{gen, EliminationGraph, VertexSet};
-use htd_search::astar_tw::astar_tw;
-use htd_search::bb_ghw::bb_ghw;
-use htd_search::bb_tw::bb_tw;
-use htd_search::SearchConfig;
+use htd_search::{astar_tw, bb_ghw, bb_tw, SearchConfig};
 use htd_setcover::{greedy_cover, CoverCache, ExactCover};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -12,9 +12,7 @@ use htd_bench::{secs, Scale, Table};
 use htd_core::FhwEvaluator;
 use htd_heuristics::upper::min_fill;
 use htd_hypergraph::gen::named_hypergraph;
-use htd_search::astar_tw::astar_tw;
-use htd_search::bb_ghw::bb_ghw;
-use htd_search::{hypertree_width, SearchConfig};
+use htd_search::{astar_tw, bb_ghw, hypertree_width, SearchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

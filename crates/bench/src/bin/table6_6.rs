@@ -10,8 +10,7 @@
 use htd_bench::{f2, ga_support::ga_tw_stats, Scale, Table};
 use htd_ga::GaParams;
 use htd_hypergraph::gen::named_graph;
-use htd_search::astar_tw::astar_tw;
-use htd_search::SearchConfig;
+use htd_search::{astar_tw, SearchConfig};
 
 fn main() {
     let scale = Scale::from_env();

@@ -9,8 +9,7 @@
 use htd_bench::{f2, ga_support::ga_ghw_stats, Scale, Table};
 use htd_ga::GaParams;
 use htd_hypergraph::gen::named_hypergraph;
-use htd_search::bb_ghw::bb_ghw;
-use htd_search::SearchConfig;
+use htd_search::{bb_ghw, SearchConfig};
 
 fn main() {
     let scale = Scale::from_env();

@@ -8,8 +8,7 @@
 
 use htd_bench::{secs, Scale, Table};
 use htd_hypergraph::gen::named_hypergraph;
-use htd_search::astar_ghw::astar_ghw;
-use htd_search::SearchConfig;
+use htd_search::{astar_ghw, SearchConfig};
 
 fn main() {
     let scale = Scale::from_env();

@@ -88,25 +88,33 @@ impl Instance {
     }
 }
 
-/// Parses instance `text`, choosing the format from `name`'s extension.
-pub fn parse_instance(name: &str, text: &str) -> Result<Instance, HtdError> {
-    if name.ends_with(".gr") {
-        io::parse_pace_gr(text)
-            .map(Instance::Graph)
-            .map_err(|e| HtdError::Parse(e.to_string()))
-    } else if name.ends_with(".col") || name.ends_with(".dimacs") {
-        io::parse_dimacs(text)
-            .map(Instance::Graph)
-            .map_err(|e| HtdError::Parse(e.to_string()))
-    } else if name.ends_with(".hg") {
-        io::parse_hg(text)
-            .map(Instance::Hypergraph)
-            .map_err(|e| HtdError::Parse(e.to_string()))
-    } else {
-        io::parse_hyperedges(text)
-            .map(Instance::Hypergraph)
-            .map_err(|e| HtdError::Parse(e.to_string()))
+/// The format of instance `text` named `name`, as [`parse_instance`]
+/// describes: the content's header first, then the extension.
+fn instance_format(name: &str, text: &str) -> io::Format {
+    match io::sniff_format(text) {
+        io::Format::Hyperedges if name.ends_with(".gr") => io::Format::PaceGr,
+        io::Format::Hyperedges if name.ends_with(".col") || name.ends_with(".dimacs") => {
+            io::Format::Dimacs
+        }
+        sniffed => sniffed,
     }
+}
+
+/// Parses instance `text`. A graph header (`p tw`, `p edge`, `p col`)
+/// picks the graph parser whatever `name`'s extension says; headerless
+/// text goes by extension: `.gr`, `.col` and `.dimacs` to their graph
+/// parser, `.hg` to the strict HyperBench parser, anything else to the
+/// lenient hyperedge parser.
+pub fn parse_instance(name: &str, text: &str) -> Result<Instance, HtdError> {
+    let parsed = match instance_format(name, text) {
+        io::Format::PaceGr => io::parse_pace_gr(text).map(Instance::Graph),
+        io::Format::Dimacs => io::parse_dimacs(text).map(Instance::Graph),
+        io::Format::Hyperedges if name.ends_with(".hg") => {
+            io::parse_hg(text).map(Instance::Hypergraph)
+        }
+        io::Format::Hyperedges => io::parse_hyperedges(text).map(Instance::Hypergraph),
+    };
+    parsed.map_err(|e| HtdError::Parse(e.to_string()))
 }
 
 /// Output format of the width subcommands.
@@ -900,15 +908,7 @@ pub fn cmd_query(file: &str, text: &str, o: &Options) -> Result<String, HtdError
             )))
         }
     };
-    let format = if file.ends_with(".gr") {
-        InstanceFormat::PaceGr
-    } else if file.ends_with(".col") || file.ends_with(".dimacs") {
-        InstanceFormat::Dimacs
-    } else if file.ends_with(".hg") {
-        InstanceFormat::Hg
-    } else {
-        InstanceFormat::Auto
-    };
+    let format: InstanceFormat = instance_format(file, text).into();
     let deadline_ms = o.time_limit.map(|t| (t.as_millis() as u64).max(1));
     let mut client = Client::connect(addr).map_err(|e| HtdError::Io(format!("{addr}: {e}")))?;
     // backpressure rejections retry with jittered exponential backoff
@@ -1262,6 +1262,15 @@ mod tests {
         assert!(matches!(
             parse_instance("x.gr", "garbage"),
             Err(HtdError::Parse(_))
+        ));
+        // a graph header wins over the extension
+        assert!(matches!(
+            parse_instance("x.hg", "p edge 2 1\ne 1 2\n"),
+            Ok(Instance::Graph(_))
+        ));
+        assert!(matches!(
+            parse_instance("x.col", graph_text()),
+            Ok(Instance::Graph(_))
         ));
     }
 

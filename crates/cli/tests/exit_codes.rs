@@ -47,6 +47,73 @@ fn parse_error_is_exit_two() {
 }
 
 #[test]
+fn gen_output_is_read_by_its_content_whatever_the_extension() {
+    // `gen` writes DIMACS; its `p edge` header picks the graph parser
+    // even in a file named like a hyperedge list
+    let out = htd(&["gen", "queen5_5"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let file = write_temp("queen5.hg", &String::from_utf8_lossy(&out.stdout));
+    let out = htd(&["tw", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("treewidth 18"));
+    let _ = std::fs::remove_file(file);
+}
+
+/// Every file-reading subcommand on an empty file, on its own format cut
+/// at a line boundary, and on another subcommand's format: each exits
+/// with its documented code and never panics (101).
+#[test]
+fn bad_inputs_exit_with_their_documented_codes() {
+    let graph = ("g.gr", "p tw 4 4\n1 2\n2 3\n3 4\n4 1\n");
+    let hyper = ("h.hg", "e1(a,b,c),\ne2(a,e,f),\ne3(c,d,e).\n");
+    let cert = (
+        "c.json",
+        "{\"schema\":1,\n\"objective\":\"tw\",\n\"num_vertices\":4,\n\
+         \"edges\":[[0,1],[0,3],[1,2],[2,3]],\n\"claimed_width\":2,\n\
+         \"decomposition\":{\"bags\":[[0,2,3],[0,1,2]],\"parent\":[1,null]}}\n",
+    );
+    let csp = (
+        "c.csp",
+        "csp 3 2\ncon a 0 1 : 0 1 ; 1 0 ;\ncon b 1 2 : 0 1 ; 1 0 ;\n",
+    );
+    let query = (
+        "q.cq",
+        "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .\n",
+    );
+    // (subcommand, its format, the code of its cut file, another format)
+    let cells = [
+        ("info", graph, 2, cert),
+        ("tw", graph, 2, csp),
+        // `.hg` declares no count a cut could violate: the first atoms
+        // are a smaller, well-formed instance
+        ("ghw", hyper, 0, query),
+        ("hw", hyper, 0, csp),
+        ("decompose", graph, 2, query),
+        ("check", cert, 2, graph),
+        // nor does a CSP: its header fixes variables and domain only, and
+        // the constraint lines left are a well-formed CSP
+        ("solve", csp, 0, hyper),
+        // the rule survives the cut and names relation S, whose data was
+        // cut away: an invalid instance, not an unparseable one
+        ("answer", query, 3, csp),
+    ];
+    for (cmd, (name, text), cut_code, (other_name, other_text)) in cells {
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let cut = lines[..lines.len().div_ceil(2)].concat();
+        for (label, file_name, contents, code) in [
+            ("empty", name, "", 2),
+            ("cut", name, cut.as_str(), cut_code),
+            ("other format", other_name, other_text, 2),
+        ] {
+            let file = write_temp(&format!("{cmd}-{file_name}"), contents);
+            let out = htd(&[cmd, file.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(code), "{cmd} on {label}: {out:?}");
+            let _ = std::fs::remove_file(file);
+        }
+    }
+}
+
+#[test]
 fn invalid_instance_is_exit_three() {
     // vertex 3 is isolated: the binary-edge hypergraph leaves it
     // uncovered, so no GHD exists — semantically invalid, not a parse

@@ -28,6 +28,14 @@ pub enum ParseError {
     VertexOutOfRange(String),
     /// The input holds no atoms at all (empty or comment-only).
     NoAtoms,
+    /// A PACE file's edge lines do not match its header's edge count, as
+    /// when the file was cut short.
+    EdgeCount {
+        /// The `m` of the `p tw n m` header.
+        declared: usize,
+        /// The edge lines present.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -37,11 +45,40 @@ impl std::fmt::Display for ParseError {
             ParseError::BadLine(l) => write!(f, "unparseable line: {l:?}"),
             ParseError::VertexOutOfRange(v) => write!(f, "vertex out of range: {v}"),
             ParseError::NoAtoms => write!(f, "no atoms: the input is empty or only comments"),
+            ParseError::EdgeCount { declared, found } => {
+                write!(f, "the header declares {declared} edges, found {found}")
+            }
         }
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// An instance text format.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// PACE `.gr`: a `p tw n m` header.
+    PaceGr,
+    /// DIMACS graph colouring: a `p edge n m` or `p col n m` header.
+    Dimacs,
+    /// The hyperedge (atom list) format: no header.
+    Hyperedges,
+}
+
+/// Reads the format from the content. The first line that is neither
+/// blank nor a `c` or `%` comment decides: a `p tw` header means PACE, a
+/// `p edge` or `p col` header DIMACS, and anything else hyperedges.
+pub fn sniff_format(text: &str) -> Format {
+    let first = text
+        .lines()
+        .map(str::trim)
+        .find(|t| !(t.is_empty() || t.starts_with('%') || t.starts_with('c')));
+    match first {
+        Some(t) if t.starts_with("p tw") => Format::PaceGr,
+        Some(t) if t.starts_with("p edge") || t.starts_with("p col") => Format::Dimacs,
+        _ => Format::Hyperedges,
+    }
+}
 
 /// Parses a DIMACS graph-coloring instance.
 ///
@@ -99,9 +136,12 @@ pub fn write_dimacs(g: &Graph) -> String {
 }
 
 /// Parses a PACE-challenge graph (`.gr`): `p tw n m` header and bare
-/// `u v` edge lines, 1-based, `c` comments.
+/// `u v` edge lines, 1-based, `c` comments. The file must hold exactly `m`
+/// edge lines, so a file cut at a line boundary is an error, not a
+/// smaller graph.
 pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
-    let mut graph: Option<Graph> = None;
+    let mut graph: Option<(Graph, usize)> = None;
+    let mut found = 0usize;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('c') {
@@ -110,14 +150,13 @@ pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
         if let Some(rest) = line.strip_prefix("p ") {
             let mut it = rest.split_whitespace();
             let _tw = it.next().ok_or(ParseError::MissingHeader)?;
-            let n: u32 = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(ParseError::MissingHeader)?;
-            graph = Some(Graph::new(n));
+            let mut number = || it.next().and_then(|s| s.parse().ok());
+            let n: u32 = number().ok_or(ParseError::MissingHeader)?;
+            let m = number().ok_or(ParseError::MissingHeader)? as usize;
+            graph = Some((Graph::new(n), m));
             continue;
         }
-        let g = graph.as_mut().ok_or(ParseError::MissingHeader)?;
+        let (g, _) = graph.as_mut().ok_or(ParseError::MissingHeader)?;
         let mut it = line.split_whitespace();
         let u: u32 = it
             .next()
@@ -132,8 +171,13 @@ pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
             return Err(ParseError::VertexOutOfRange(format!("{u} or {v}")));
         }
         g.add_edge(u - 1, v - 1);
+        found += 1;
     }
-    graph.ok_or(ParseError::MissingHeader)
+    match graph {
+        None => Err(ParseError::MissingHeader),
+        Some((_, declared)) if declared != found => Err(ParseError::EdgeCount { declared, found }),
+        Some((g, _)) => Ok(g),
+    }
 }
 
 /// Writes a graph in PACE `.gr` format.
@@ -315,6 +359,38 @@ mod tests {
             parse_pace_gr("p tw 2 1\n1 9\n"),
             Err(ParseError::VertexOutOfRange(_))
         ));
+    }
+
+    #[test]
+    fn pace_gr_counts_edge_lines_against_the_header() {
+        // cut at a line boundary: two of the four declared edges are gone
+        assert_eq!(
+            parse_pace_gr("p tw 4 4\n1 2\n2 3\n").unwrap_err(),
+            ParseError::EdgeCount {
+                declared: 4,
+                found: 2
+            }
+        );
+        assert!(parse_pace_gr("p tw 3 1\n1 2\n2 3\n").is_err(), "extra line");
+        assert!(parse_pace_gr("p tw 3\n").is_err(), "no edge count");
+        // a repeated edge line counts as a line, not as a new edge
+        let g = parse_pace_gr("p tw 3 2\n1 2\n2 1\n").unwrap();
+        assert_eq!(g.num_edges(), 1);
+        // DIMACS stays tolerant of its declared count
+        assert_eq!(parse_dimacs("p edge 4 4\ne 1 2\n").unwrap().num_edges(), 1);
+    }
+
+    #[test]
+    fn sniff_format_reads_the_first_header() {
+        for (text, want) in [
+            ("c comment\np tw 2 1\n1 2\n", Format::PaceGr),
+            ("p edge 2 1\ne 1 2\n", Format::Dimacs),
+            ("\n% note\np col 2 0\n", Format::Dimacs),
+            ("e1(a,b),\ne2(b,c).\n", Format::Hyperedges),
+            ("", Format::Hyperedges),
+        ] {
+            assert_eq!(sniff_format(text), want, "{text:?}");
+        }
     }
 
     #[test]

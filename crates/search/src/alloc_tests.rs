@@ -10,13 +10,12 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use htd_heuristics::lower::{minor_min_width_alive, MinorScratch};
-use htd_heuristics::reduce::find_reducible;
 use htd_hypergraph::{gen, EliminationGraph, Vertex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ghw_common::GhwContext;
-use crate::pruning::swappable;
+use crate::measure::{Ghw, Measure, Treewidth};
+use crate::SearchConfig;
 
 struct Counting;
 
@@ -104,41 +103,45 @@ fn minor_min_width_bound_does_not_allocate() {
     assert_eq!(n, 0);
 }
 
-#[test]
-fn swappable_and_find_reducible_do_not_allocate() {
-    let eg = midsearch_graph();
+/// Runs every per-node kernel of `m` on `eg` and checks that, once
+/// warm, none of them allocates.
+fn measure_kernels_do_not_allocate<M: Measure>(mut m: M, eg: &EliminationGraph) {
+    let mut rng = StdRng::seed_from_u64(1);
     let n = allocations_after_warm_up(|| {
         for v in eg.alive().iter() {
+            black_box(m.bag_cost(eg, v));
             for w in eg.alive().iter() {
                 if v != w {
-                    black_box(swappable(&eg, v, w));
+                    black_box(M::swappable(eg, v, w));
                 }
             }
         }
     });
-    assert_eq!(n, 0);
+    assert_eq!(n, 0, "bag costs and swap rule");
     let n = allocations_after_warm_up(|| {
-        black_box(find_reducible(&eg, 40));
+        black_box(m.alive_bound(eg, &mut rng));
+        black_box(m.forced(eg, Some(40), &mut rng));
+        black_box(m.forced(eg, None, &mut rng));
     });
-    assert_eq!(n, 0);
+    assert_eq!(n, 0, "alive bound and reductions");
+    let n = allocations_after_warm_up(|| {
+        assert!(m.completion(eg).is_some());
+    });
+    assert_eq!(n, 0, "completion bound");
 }
 
 #[test]
-fn ghw_reductions_and_greedy_cover_do_not_allocate() {
+fn treewidth_kernels_do_not_allocate() {
+    measure_kernels_do_not_allocate(Treewidth::default(), &midsearch_graph());
+}
+
+#[test]
+fn ghw_kernels_do_not_allocate() {
     let h = gen::grid2d(12);
     let g = h.primal_graph();
     let mut eg = EliminationGraph::new(&g);
     for v in (0..g.num_vertices()).step_by(3) {
         eg.eliminate(v);
     }
-    let mut ctx = GhwContext::new(&h);
-    let n = allocations_after_warm_up(|| {
-        black_box(ctx.find_ghw_reducible(&eg));
-    });
-    assert_eq!(n, 0);
-    let alive = eg.alive().clone();
-    let n = allocations_after_warm_up(|| {
-        assert!(ctx.cover_greedy(&alive).is_some());
-    });
-    assert_eq!(n, 0);
+    measure_kernels_do_not_allocate(Ghw::new(&h, &SearchConfig::default()), &eg);
 }

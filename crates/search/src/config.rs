@@ -152,6 +152,23 @@ impl SearchConfig {
         self
     }
 
+    /// The exact-cover memo of a ghw run: the shared one if set, else a
+    /// fresh private one that charges the run's memory budget (a shared
+    /// cache is long-lived and governed by whoever owns it).
+    pub(crate) fn exact_cover_cache(&self) -> Arc<CoverCache> {
+        self.cover_cache
+            .clone()
+            .unwrap_or_else(|| self.private_cover_cache())
+    }
+
+    /// A fresh cover memo that charges the run's memory budget, if any.
+    pub(crate) fn private_cover_cache(&self) -> Arc<CoverCache> {
+        Arc::new(match &self.memory_budget {
+            Some(m) => CoverCache::with_budget(Arc::clone(m)),
+            None => CoverCache::new(),
+        })
+    }
+
     /// The incumbent this run publishes to: the shared one if set, else a
     /// fresh private one. Engines always work against an incumbent, so the
     /// sequential and portfolio code paths are identical.

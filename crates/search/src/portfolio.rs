@@ -35,7 +35,7 @@ use htd_trace::{registry, Event};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{SearchConfig, SearchStats};
+use crate::config::{SearchConfig, SearchOutcome, SearchStats};
 use crate::detk::Width;
 use crate::incumbent::{offer_traced, raise_traced, Incumbent};
 use crate::registry::{Engine, EngineContext, EngineSpec};
@@ -555,15 +555,9 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
         .collect();
     let inc = cfg.incumbent();
     // one cover cache per covering strategy: exact for the searches,
-    // greedy for GA/SA fitness (their sizes differ, so they never share).
-    // Run-private caches charge the run's memory budget; a caller-shared
-    // cache is long-lived and governed by whoever owns it.
-    let private_cache = || match &cfg.memory_budget {
-        Some(m) => Arc::new(CoverCache::with_budget(Arc::clone(m))),
-        None => Arc::new(CoverCache::new()),
-    };
-    let exact_cache = cfg.cover_cache.clone().unwrap_or_else(private_cache);
-    let greedy_cache = private_cache();
+    // greedy for GA/SA fitness (their sizes differ, so they never share)
+    let exact_cache = cfg.exact_cover_cache();
+    let greedy_cache = cfg.private_cover_cache();
 
     let worker_cfg = SearchConfig {
         shared: Some(Arc::clone(&inc)),
@@ -836,34 +830,30 @@ pub(crate) fn blank_report(engine: Engine) -> EngineReport {
 
 /// Branch and bound (tw or ghw by the problem's objective).
 pub(crate) fn run_branch_bound_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let out = match ctx.problem.objective {
-        Objective::GeneralizedHypertreeWidth => {
-            crate::bb_ghw::bb_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
-                .expect("validated: coverable")
-        }
-        _ => crate::bb_tw::bb_tw(ctx.problem.graph(), ctx.cfg),
-    };
-    let mut report = blank_report(Engine::BranchBound);
-    report.lower = out.lower;
-    report.upper = out.upper;
-    report.exact = out.exact;
-    report.stats = out.stats;
-    report.stats.elapsed = start.elapsed();
-    report
+    run_search_spec(ctx, Engine::BranchBound, crate::bb_tw, crate::bb_ghw)
 }
 
 /// A* (tw or ghw by the problem's objective).
 pub(crate) fn run_astar_spec(ctx: &EngineContext<'_>) -> EngineReport {
+    run_search_spec(ctx, Engine::AStar, crate::astar_tw, crate::astar_ghw)
+}
+
+/// Runs one exact search, picking its measure by the problem's objective.
+fn run_search_spec(
+    ctx: &EngineContext<'_>,
+    engine: Engine,
+    tw: fn(&Graph, &SearchConfig) -> SearchOutcome,
+    ghw: fn(&Hypergraph, &SearchConfig) -> Option<SearchOutcome>,
+) -> EngineReport {
     let start = Instant::now();
     let out = match ctx.problem.objective {
         Objective::GeneralizedHypertreeWidth => {
-            crate::astar_ghw::astar_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
+            ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
                 .expect("validated: coverable")
         }
-        _ => crate::astar_tw::astar_tw(ctx.problem.graph(), ctx.cfg),
+        _ => tw(ctx.problem.graph(), ctx.cfg),
     };
-    let mut report = blank_report(Engine::AStar);
+    let mut report = blank_report(engine);
     report.lower = out.lower;
     report.upper = out.upper;
     report.exact = out.exact;

@@ -11,10 +11,7 @@
 //! other test in this binary runs det-k.
 
 use htd_hypergraph::gen;
-use htd_search::astar_ghw::astar_ghw;
-use htd_search::astar_tw::astar_tw;
-use htd_search::bb_tw::bb_tw;
-use htd_search::{det_k_decomp, SearchConfig};
+use htd_search::{astar_ghw, astar_tw, bb_ghw, bb_tw, det_k_decomp, SearchConfig};
 
 #[test]
 fn bb_tw_queen5_effort() {
@@ -32,6 +29,15 @@ fn astar_tw_grid6_effort() {
     assert!(out.exact);
     assert_eq!(out.upper, 6);
     assert_eq!(out.stats.expanded, 16441);
+}
+
+#[test]
+fn bb_ghw_grid2d6_effort() {
+    let h = gen::named_hypergraph("grid2d_6").expect("suite hypergraph");
+    let out = bb_ghw(&h, &SearchConfig::default()).expect("coverable");
+    assert!(out.exact);
+    assert_eq!(out.upper, 3);
+    assert_eq!(out.stats.expanded, 3795);
 }
 
 #[test]

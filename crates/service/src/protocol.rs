@@ -99,6 +99,16 @@ pub enum InstanceFormat {
     Hg,
 }
 
+impl From<io::Format> for InstanceFormat {
+    fn from(f: io::Format) -> Self {
+        match f {
+            io::Format::PaceGr => InstanceFormat::PaceGr,
+            io::Format::Dimacs => InstanceFormat::Dimacs,
+            io::Format::Hyperedges => InstanceFormat::Hg,
+        }
+    }
+}
+
 impl InstanceFormat {
     /// The wire name.
     pub fn name(self) -> &'static str {
@@ -728,7 +738,7 @@ impl KeyedInstance {
         objective: Objective,
     ) -> Result<KeyedInstance, HtdError> {
         let format = match format {
-            InstanceFormat::Auto => sniff_format(text),
+            InstanceFormat::Auto => io::sniff_format(text).into(),
             f => f,
         };
         let parse_error = |e: io::ParseError| HtdError::Parse(e.to_string());
@@ -780,24 +790,6 @@ pub fn parse_problem(
     let instance = KeyedInstance::parse(format, text, objective)?;
     let key = instance.key().clone();
     Ok((instance.into_problem(), key))
-}
-
-/// Chooses a format from the first non-comment, non-blank line.
-fn sniff_format(text: &str) -> InstanceFormat {
-    for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') || t.starts_with('c') {
-            continue;
-        }
-        if t.starts_with("p tw") {
-            return InstanceFormat::PaceGr;
-        }
-        if t.starts_with("p edge") || t.starts_with("p col") {
-            return InstanceFormat::Dimacs;
-        }
-        return InstanceFormat::Hg;
-    }
-    InstanceFormat::Hg
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@ use htd::core::{CoverStrategy, GhwEvaluator};
 use htd::ga::{ga_ghw, saiga_ghw, GaParams, SaigaParams};
 use htd::heuristics::{ghw_lower_bound, upper::min_fill};
 use htd::hypergraph::gen;
-use htd::search::bb_ghw::bb_ghw;
-use htd::search::SearchConfig;
+use htd::search::{bb_ghw, SearchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,10 +35,8 @@ fn main() {
         // greedy: min-fill ordering + exact covers
         let order = min_fill(&h.primal_graph(), &mut rng).ordering;
         let mut ev = GhwEvaluator::new(&h, CoverStrategy::Exact);
-        println!(
-            "min-fill ordering width:             {}",
-            ev.width(order.as_slice()).unwrap()
-        );
+        let greedy = ev.width(order.as_slice()).unwrap();
+        println!("min-fill ordering width:             {greedy}");
 
         // genetic algorithm
         let params = GaParams {
@@ -70,6 +67,11 @@ fn main() {
                 "BB-ghw proven interval:              [{}, {}]",
                 out.lower, out.upper
             );
+        }
+        // every bound above is the width of some ordering, so none may
+        // undercut the proven lower bound
+        for ub in [greedy, ga.width, sa.width] {
+            assert!(out.lower <= ub, "{name}: {ub} < proven {}", out.lower);
         }
     }
 }

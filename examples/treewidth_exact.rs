@@ -6,9 +6,7 @@
 //! ```
 
 use htd::hypergraph::gen;
-use htd::search::astar_tw::astar_tw;
-use htd::search::bb_tw::bb_tw;
-use htd::search::SearchConfig;
+use htd::search::{astar_tw, bb_tw, SearchConfig};
 
 fn main() {
     println!("exact treewidth (A* vs branch and bound):\n");

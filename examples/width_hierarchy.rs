@@ -8,9 +8,7 @@
 use htd::core::bucket::td_of_hypergraph;
 use htd::core::dot::{ghd_to_dot, tree_decomposition_to_dot};
 use htd::hypergraph::gen;
-use htd::search::astar_tw::astar_tw;
-use htd::search::bb_ghw::bb_ghw;
-use htd::search::{hypertree_width, SearchConfig};
+use htd::search::{astar_tw, bb_ghw, hypertree_width, SearchConfig};
 
 fn main() {
     // K6 expressed through its 15 binary edges: tw = 5, but five wide

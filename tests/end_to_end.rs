@@ -9,11 +9,7 @@ use htd::csp::builders;
 use htd::ga::{ga_ghw, ga_tw, saiga_ghw, GaParams, SaigaParams};
 use htd::heuristics::upper::min_fill;
 use htd::hypergraph::gen;
-use htd::search::astar_ghw::astar_ghw;
-use htd::search::astar_tw::astar_tw;
-use htd::search::bb_ghw::bb_ghw;
-use htd::search::bb_tw::bb_tw;
-use htd::search::SearchConfig;
+use htd::search::{astar_ghw, astar_tw, bb_ghw, bb_tw, SearchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
