@@ -34,9 +34,12 @@
 //! structured JSONL event stream — schema v1 of `htd_trace`, documented in
 //! `docs/observability.md`). `--help` after a subcommand prints its usage.
 //!
-//! Graph files: `.gr` (PACE) or `.col` (DIMACS); `.hg` parses as the
-//! HyperBench atom-list format, anything else as the (equivalent) plain
-//! hyperedge format. `-` reads stdin.
+//! Instance files are read by their content: a `p tw` (PACE) or `p edge` /
+//! `p col` (DIMACS) header picks the graph parser whatever the extension.
+//! Headerless text goes by extension: `.gr`, `.col` and `.dimacs` to their
+//! graph parser, `.hg` to the strict HyperBench atom-list parser, anything
+//! else to the lenient (equivalent) plain hyperedge parser. `-` reads
+//! stdin.
 //!
 //! Errors never panic: every failure is an [`HtdError`], and the binary
 //! maps the variant to a distinct nonzero exit code (parse → 2,
@@ -64,7 +67,7 @@ use rand::SeedableRng;
 /// A parsed instance: graphs become hypergraphs of binary edges, keeping
 /// the original graph when available.
 pub enum Instance {
-    /// A simple graph (from `.gr` / `.col`).
+    /// A simple graph (from a PACE or DIMACS file).
     Graph(Graph),
     /// A hypergraph (from the hyperedge format).
     Hypergraph(Hypergraph),

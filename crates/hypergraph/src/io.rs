@@ -148,6 +148,10 @@ pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("p ") {
+            // a second header would restart the graph but not the count
+            if graph.is_some() {
+                return Err(ParseError::BadLine(line.to_string()));
+            }
             let mut it = rest.split_whitespace();
             let _tw = it.next().ok_or(ParseError::MissingHeader)?;
             let mut number = || it.next().and_then(|s| s.parse().ok());
@@ -373,6 +377,11 @@ mod tests {
         );
         assert!(parse_pace_gr("p tw 3 1\n1 2\n2 3\n").is_err(), "extra line");
         assert!(parse_pace_gr("p tw 3\n").is_err(), "no edge count");
+        // a second header may not restart the graph with the count running
+        assert_eq!(
+            parse_pace_gr("p tw 3 2\n1 2\n2 3\np tw 3 2\n").unwrap_err(),
+            ParseError::BadLine("p tw 3 2".into())
+        );
         // a repeated edge line counts as a line, not as a new edge
         let g = parse_pace_gr("p tw 3 2\n1 2\n2 1\n").unwrap();
         assert_eq!(g.num_edges(), 1);

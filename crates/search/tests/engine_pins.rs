@@ -13,8 +13,9 @@
 //!
 //! The other tests run both searches under both measures, treewidth and
 //! ghw, on the same toggle matrix and check them against exhaustive
-//! search, known widths, the budgeted anytime contract and the edge cases
-//! of empty and uncoverable inputs.
+//! search, against each other on larger instances, against known widths,
+//! the budgeted anytime contract and the edge cases of empty and
+//! uncoverable inputs.
 
 use htd_core::ordering::{exhaustive_ghw, exhaustive_tw, TwEvaluator};
 use htd_core::{CoverStrategy, GhwEvaluator};
@@ -204,10 +205,12 @@ fn exact_widths(inst: &Instance, cfg: &SearchConfig) -> [u32; 2] {
 #[test]
 fn both_searches_match_exhaustive_search_under_every_toggle() {
     let mut cases: Vec<(String, Instance, u32)> = Vec::new();
-    for seed in 0..8u64 {
+    for seed in 0..12u64 {
         let g = gen::random_gnp(8, 0.4, seed);
         let truth = exhaustive_tw(&g);
         cases.push((format!("gnp seed {seed}"), Instance::Tw(g), truth));
+    }
+    for seed in 0..10u64 {
         let h = gen::random_uniform(7, 8, 3, seed);
         if let Some(truth) = exhaustive_ghw(&h) {
             cases.push((format!("uniform seed {seed}"), Instance::Ghw(h), truth));
@@ -221,10 +224,33 @@ fn both_searches_match_exhaustive_search_under_every_toggle() {
 }
 
 #[test]
+fn bb_and_astar_agree_on_larger_instances() {
+    let cfg = SearchConfig::default();
+    let mut instances: Vec<(String, Instance)> = (20..28u64)
+        .map(|seed| {
+            let g = gen::random_gnp(10, 0.3, seed);
+            (format!("gnp seed {seed}"), Instance::Tw(g))
+        })
+        .collect();
+    for seed in 10..16u64 {
+        let h = gen::random_uniform(8, 9, 3, seed);
+        if h.covers_all_vertices() {
+            instances.push((format!("uniform seed {seed}"), Instance::Ghw(h)));
+        }
+    }
+    for (name, inst) in &instances {
+        let [bb, astar] = exact_widths(inst, &cfg);
+        assert_eq!(bb, astar, "{name}");
+    }
+}
+
+#[test]
 fn both_searches_find_known_widths() {
     let tw = [
         (gen::path_graph(8), 1),
+        (gen::cycle_graph(8), 2),
         (gen::cycle_graph(9), 2),
+        (gen::complete_graph(6), 5),
         (gen::complete_graph(7), 6),
         (gen::grid_graph(3, 3), 3),
         (gen::grid_graph(4, 4), 4),
