@@ -14,9 +14,7 @@ use std::time::Duration;
 use htd_core::bucket::{ghd_via_elimination, vertex_elimination};
 use htd_core::ordering::CoverStrategy;
 use htd_hypergraph::{Graph, Hypergraph};
-use htd_search::{
-    dp_treewidth, engine_specs, solve, Engine, Objective, Outcome, Problem, SearchConfig,
-};
+use htd_search::{dp_treewidth, solve, Engine, Objective, Outcome, Problem, SearchConfig};
 
 use crate::oracle::{check_ghd, check_graph_td};
 use crate::report::{CheckReport, Condition};
@@ -330,38 +328,32 @@ fn run_arm(
     }
 }
 
-/// One single-engine arm per registered engine that opts into the
-/// differential harness and supports `objective` — the arm list derives
-/// from the engine registry, so a newly registered engine is
-/// cross-examined without touching this crate. Each arm gets two threads:
-/// a one-engine portfolio still runs one worker, but engines with
-/// internal parallelism (balsep) use the second slot for their own pool.
-fn run_registry_arms(
+/// One single-engine arm per engine with [`Engine::differential_arm`],
+/// so an engine added to the table is cross-examined without touching
+/// this crate. Each arm gets two threads: a one-engine portfolio still
+/// runs one worker, but engines with internal parallelism (balsep) use
+/// the second slot for their own pool.
+fn run_engine_arms(
     report: &mut CheckReport,
     claims: &mut Vec<Claim>,
     problem: &Problem,
-    objective: Objective,
     cfg: &DiffConfig,
 ) {
-    for spec in engine_specs() {
-        if !spec.differential_arm() || !spec.supports(objective) {
-            continue;
-        }
-        let engine = Engine::from_name(spec.name()).expect("spec is registered");
+    for engine in Engine::ALL.into_iter().filter(|e| e.differential_arm()) {
         run_arm(
             report,
             claims,
-            spec.name(),
+            engine.name(),
             problem,
             cfg.search_config_for(vec![engine], 2),
         );
     }
 }
 
-/// Differential treewidth run: one arm per registry engine (branch and
-/// bound, A*, balsep, ...) vs the Held–Karp DP (small graphs), plus a
-/// heuristic arm that must bracket the exact value and, optionally, a
-/// 2-thread portfolio arm.
+/// Differential treewidth run: one arm per engine with a differential
+/// arm (branch and bound, A*, balsep) vs the Held–Karp DP (small graphs),
+/// plus a heuristic arm that must bracket the exact value and,
+/// optionally, a 2-thread portfolio arm.
 pub fn diff_tw(g: &Graph, cfg: &DiffConfig) -> CheckReport {
     let mut report = CheckReport::new(format!(
         "tw diff on {} vertices / {} edges",
@@ -370,13 +362,7 @@ pub fn diff_tw(g: &Graph, cfg: &DiffConfig) -> CheckReport {
     ));
     let problem = Problem::treewidth(g.clone());
     let mut claims = Vec::new();
-    run_registry_arms(
-        &mut report,
-        &mut claims,
-        &problem,
-        Objective::Treewidth,
-        cfg,
-    );
+    run_engine_arms(&mut report, &mut claims, &problem, cfg);
     if g.num_vertices() <= cfg.dp_limit && g.num_vertices() > 0 {
         let w = dp_treewidth(g);
         claims.push(Claim {
@@ -414,13 +400,7 @@ pub fn diff_ghw(h: &Hypergraph, cfg: &DiffConfig) -> CheckReport {
     ));
     let problem = Problem::ghw(h.clone());
     let mut claims = Vec::new();
-    run_registry_arms(
-        &mut report,
-        &mut claims,
-        &problem,
-        Objective::GeneralizedHypertreeWidth,
-        cfg,
-    );
+    run_engine_arms(&mut report, &mut claims, &problem, cfg);
     if cfg.portfolio_arm {
         let mut pcfg = cfg.search_config_for(Engine::default_lineup(), 2);
         pcfg.engines = None;

@@ -134,8 +134,8 @@ pub enum OutputFormat {
 pub struct Options {
     /// Heuristic-only bounds instead of the default exact search.
     pub fast: bool,
-    /// Explicit engine lineup (registry names, launch order); `None`
-    /// means the registry's default lineup. Overrides `--fast`.
+    /// Explicit engine lineup (engine names, launch order); `None` means
+    /// the default lineup. Overrides `--fast`.
     pub engines: Option<Vec<String>>,
     /// Node budget for exact searches.
     pub budget: u64,
@@ -280,7 +280,7 @@ pub fn parse_options(args: &[String]) -> Result<Options, HtdError> {
                 let list = it.next().ok_or_else(|| {
                     HtdError::Unsupported(format!(
                         "--engines needs a comma-separated list; registered engines: {}",
-                        htd_search::registered_engine_names().join(", ")
+                        htd_search::engine_list()
                     ))
                 })?;
                 o.engines = Some(list.split(',').map(|s| s.trim().to_string()).collect());
@@ -947,7 +947,7 @@ const USAGE: &str =
     "usage: htd <info|tw|ghw|hw|decompose|check|solve|answer|gen|serve|query> <file|-|name> [flags]
 global flags: --format human|json  --quiet  --threads N  --seed N
               --budget N (nodes)   --time MS (wall clock)  --fast
-              --engines NAME[,NAME...] (explicit lineup from the engine registry)
+              --engines NAME[,NAME...] (explicit lineup from the engine table)
               --memory-mb N (degrade to anytime bounds past this budget)
               --dp (tw: all-or-nothing subset DP; exit 6 when over budget)
               --trace FILE.jsonl (solver event stream, schema v2)
@@ -990,7 +990,7 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             a search stopped by --time reports only the lower bound it reached."),
         "decompose" => Some("usage: htd decompose <file|-> [--format td|dot|cert] [--engines NAME[,NAME...]] [--threads N] [--seed N]\n\
             Emits a tree decomposition of the instance from a min-fill ordering.\n\
-            --engines runs the named registry engines (e.g. balsep,branch_bound;\n\
+            --engines runs the named engines (e.g. balsep,branch_bound;\n\
             see docs/parallelism.md) and decomposes from the best ordering they\n\
             find; unknown names list the registered engines. With --threads N\n\
             the lineup races in the anytime portfolio.\n\

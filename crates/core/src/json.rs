@@ -11,6 +11,9 @@ use std::fmt;
 
 use crate::error::HtdError;
 
+/// 2^53: every integer up to it is an exact `f64`.
+const EXACT_F64: u64 = 1 << 53;
+
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -18,9 +21,13 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (always carried as `f64`; integers round-trip exactly
-    /// up to 2^53, far beyond any counter the workspace emits).
+    /// Any number except an unsigned integer above 2^53, carried as an
+    /// `f64` (integers up to 2^53 are exact).
     Num(f64),
+    /// An unsigned integer above 2^53, where `f64` would round it:
+    /// written digit for digit, and parsed back from such a literal.
+    /// [`Json::uint`] picks between this and [`Json::Num`].
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -38,10 +45,21 @@ impl Json {
         }
     }
 
+    /// An unsigned integer, exact whatever its size: [`Json::Num`] up to
+    /// 2^53, [`Json::U64`] above.
+    pub fn uint(x: u64) -> Json {
+        if x <= EXACT_F64 {
+            Json::Num(x as f64)
+        } else {
+            Json::U64(x)
+        }
+    }
+
     /// The number, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
+            Json::U64(x) => Some(*x as f64),
             _ => None,
         }
     }
@@ -50,6 +68,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            Json::U64(x) => Some(*x),
             _ => None,
         }
     }
@@ -110,6 +129,7 @@ impl fmt::Display for Json {
                     write!(f, "{x}")
                 }
             }
+            Json::U64(x) => write!(f, "{x}"),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -231,6 +251,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| HtdError::Parse("non-utf8 number".into()))?;
+        if let Ok(x) = text.parse::<u64>() {
+            if x > EXACT_F64 {
+                return Ok(Json::U64(x));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| HtdError::Parse(format!("bad number '{text}'")))
@@ -361,6 +386,35 @@ mod tests {
         ]);
         let text = doc.to_string();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn unsigned_integers_round_trip_exactly() {
+        for x in [
+            0,
+            7,
+            EXACT_F64 - 1,
+            EXACT_F64,
+            EXACT_F64 + 1,
+            3u64.pow(34),
+            u64::MAX,
+        ] {
+            let text = Json::uint(x).to_string();
+            assert_eq!(text, x.to_string());
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(back, Json::uint(x));
+            assert_eq!(back.as_u64(), Some(x));
+        }
+        // up to 2^53 a literal parses to the `f64` variant, as it always did
+        assert_eq!(
+            Json::parse("9007199254740992").unwrap(),
+            Json::Num(2f64.powi(53))
+        );
+        // past u64 it stays an `f64`
+        assert!(matches!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(_)
+        ));
     }
 
     #[test]

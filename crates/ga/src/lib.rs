@@ -3,12 +3,12 @@
 //!
 //! * [`crossover`] / [`mutation`] — the six permutation crossover operators
 //!   (PMX, CX, OX1, OX2, POS, AP; Fig. 4.5) and six mutation operators
-//!   (DM, EM, ISM, SIM, IVM, SM; Fig. 4.6) from Larrañaga et al. [36].
+//!   (DM, EM, ISM, SIM, IVM, SM; Fig. 4.6) from Larrañaga et al. \[36\].
 //! * [`engine`] — the generational GA with tournament selection (Fig. 4.4
 //!   / 6.1), generic over the fitness function.
-//! * [`ga_tw`] — GA-tw: fitness = width of the elimination ordering
+//! * [`ga_tw`](mod@ga_tw) — GA-tw: fitness = width of the elimination ordering
 //!   (Fig. 6.2).
-//! * [`ga_ghw`] — GA-ghw: fitness = greedy-cover width of the ordering
+//! * [`ga_ghw`](mod@ga_ghw) — GA-ghw: fitness = greedy-cover width of the ordering
 //!   (Fig. 7.1–7.2).
 //! * [`saiga`] — SAIGA-ghw: the self-adaptive island GA (§7.2) whose
 //!   islands evolve their own control parameters by neighbor orientation,

@@ -206,7 +206,7 @@ impl MinorScratch {
     }
 }
 
-/// Algorithm minor-γR (thesis Fig. 4.8, after [35]): the Ramachandramurthi
+/// Algorithm minor-γR (thesis Fig. 4.8, after \[35\]): the Ramachandramurthi
 /// parameter γR of a non-complete graph — the minimum degree among vertices
 /// not adjacent to every other vertex — is a treewidth lower bound;
 /// maximize it over a contraction sequence.

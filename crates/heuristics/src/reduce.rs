@@ -2,7 +2,7 @@
 //!
 //! Eliminating a simplicial vertex, or an almost-simplicial vertex whose
 //! degree does not exceed a known treewidth lower bound, never increases
-//! the treewidth (Bodlaender et al. [8]). Searches therefore eliminate such
+//! the treewidth (Bodlaender et al. \[8\]). Searches therefore eliminate such
 //! vertices immediately — shrinking the branch-and-bound tree to a single
 //! child — and the same rules preprocess the graph before search starts.
 

@@ -691,6 +691,7 @@ fn json_literal(v: &Json) -> Result<String, HtdError> {
                 Ok(n.to_string())
             }
         }
+        Json::U64(n) => Ok(n.to_string()),
         Json::Bool(b) => Ok(b.to_string()),
         other => Err(invalid(format!(
             "relation values must be numbers or strings, found {other}"

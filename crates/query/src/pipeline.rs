@@ -182,7 +182,7 @@ impl Answer {
             ("satisfiable".to_string(), Json::Bool(self.satisfiable)),
         ];
         if let Some(c) = self.count {
-            fields.push(("count".to_string(), Json::Num(c as f64)));
+            fields.push(("count".to_string(), Json::uint(c)));
         }
         fields.push((
             "tuples".to_string(),

@@ -22,10 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
-use crate::incumbent::{offer_traced, raise_traced};
 use crate::measure::{finish, keep_child, start, Measure};
-
-const WHO: &str = "astar";
+use crate::registry::Engine;
 
 /// Reverse-linked elimination path.
 struct PathNode {
@@ -95,12 +93,12 @@ pub(crate) fn search<M: Measure>(graph: &Graph, m: &mut M, cfg: &SearchConfig) -
     let n = graph.num_vertices();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let inc = cfg.incumbent();
-    let lb0 = match start(graph, m, &mut rng, &inc, cfg, WHO) {
+    let lb0 = match start(graph, m, &mut rng, &inc, cfg, Engine::AStar) {
         ControlFlow::Break(done) => return done,
         ControlFlow::Continue(lb0) => lb0,
     };
     let mut stats = SearchStats::default();
-    let mut budget = Budget::new(cfg, WHO);
+    let mut budget = Budget::new(cfg, Engine::AStar);
     let mut queue: BinaryHeap<State> = BinaryHeap::new();
     let mut seq = 0u64;
     // duplicate detection: eliminated-set → best g seen
@@ -145,7 +143,7 @@ pub(crate) fn search<M: Measure>(graph: &Graph, m: &mut M, cfg: &SearchConfig) -
         }
         global_lb = global_lb.max(s.f);
         // min over open f is a valid lower bound on min(width, ub) (§5.3)
-        raise_traced(&inc, &cfg.tracer, WHO, global_lb.min(ub));
+        inc.raise_traced(&cfg.tracer, Engine::AStar, global_lb.min(ub));
         // rebuild graph: undo to common prefix, then eliminate the rest
         path_into(&s.path, &mut target);
         let common = current_path
@@ -166,7 +164,7 @@ pub(crate) fn search<M: Measure>(graph: &Graph, m: &mut M, cfg: &SearchConfig) -
             stats.expanded = budget.expanded;
             stats.elapsed = budget.elapsed();
             stats.max_queue = stats.max_queue.max(queue.len());
-            offer_traced(&inc, &cfg.tracer, WHO, s.g, &order);
+            inc.offer_traced(&cfg.tracer, Engine::AStar, s.g, &order);
             inc.mark_exact();
             return SearchOutcome {
                 lower: s.g,

@@ -22,28 +22,25 @@
 //! ([`htd_setcover::greedy_cover`]) — a separator that few hyperedges
 //! cover keeps the ghw of the bags it lands in small. The recursion runs
 //! level-synchronously: all parts at one depth split concurrently on a
-//! pool bounded by the portfolio's thread budget
-//! ([`EngineContext::pool_threads`]); the memory governor and the node
-//! budget are observed per worker through the standard [`Budget`], so a
-//! truncated run still returns a complete (if coarser) ordering.
+//! pool bounded by the portfolio's thread budget (`num_threads` of the
+//! whole run); the memory governor and the node budget are observed per
+//! worker through the search budget every engine uses, so a truncated run
+//! still returns a complete (if coarser) ordering.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use htd_core::ordering::{CoverStrategy, GhwEvaluator, TwEvaluator};
 use htd_hypergraph::{Graph, Hypergraph, Vertex, VertexSet};
-use htd_setcover::greedy_cover;
+use htd_setcover::{greedy_cover, CoverCache};
 use htd_trace::Event;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{Budget, SearchConfig};
-use crate::incumbent::{offer_traced, Incumbent};
-use crate::portfolio::{blank_report, EngineReport, Objective};
-use crate::registry::{Engine, EngineContext};
-
-const WHO: &str = "balsep";
+use crate::incumbent::Incumbent;
+use crate::portfolio::{EngineReport, Objective, Problem};
+use crate::registry::Engine;
 
 /// Parts at or below this size are ordered directly with min-fill.
 const LEAF_SIZE: u32 = 32;
@@ -56,42 +53,46 @@ const ROOTS: usize = 3;
 /// Construction rounds (fresh seeds) per engine run.
 const ROUNDS: u64 = 4;
 
-/// The registry's `run` entry for the balsep engine.
-pub(crate) fn run_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let mut report = blank_report(Engine::BalSep);
-    let g = ctx.problem.graph();
+/// The balsep engine's run: a few nested-dissection constructions with
+/// fresh seeds, each evaluated and offered to the incumbent.
+pub(crate) fn run(
+    problem: &Problem,
+    cfg: &SearchConfig,
+    inc: &Arc<Incumbent>,
+    greedy_cache: &Arc<CoverCache>,
+    pool_threads: usize,
+    report: &mut EngineReport,
+) {
+    let g = problem.graph();
     let n = g.num_vertices();
     if n == 0 {
-        report.stats.elapsed = start.elapsed();
-        return report;
+        return;
     }
-    let h = ctx.problem.hypergraph();
-    let ghw = ctx.problem.objective() == Objective::GeneralizedHypertreeWidth;
+    let h = problem.hypergraph();
+    let ghw = problem.objective() == Objective::GeneralizedHypertreeWidth;
     let expanded = AtomicU64::new(0);
     for round in 0..ROUNDS {
-        if ctx.inc.is_cancelled() {
+        if inc.is_cancelled() {
             break;
         }
         if round > 0 {
-            ctx.cfg.tracer.emit(Event::RestartTriggered {
-                worker: WHO,
+            cfg.tracer.emit(Event::RestartTriggered {
+                worker: Engine::BalSep.name(),
                 round: round as u32,
             });
         }
-        let seed = ctx.cfg.seed ^ (round << 48) | 0xB5;
-        let Some(order) = build_ordering(g, h, ctx.cfg, ctx.inc, ctx.pool_threads, seed, &expanded)
-        else {
+        let seed = cfg.seed ^ (round << 48) | 0xB5;
+        let Some(order) = build_ordering(g, h, cfg, inc, pool_threads, seed, &expanded) else {
             break; // cancelled mid-construction
         };
         debug_assert_eq!(order.len() as u32, n, "nested dissection is a permutation");
         let width = {
-            let _sp = htd_trace::span!("balsep.evaluate", &ctx.cfg.tracer);
+            let _sp = htd_trace::span!("balsep.evaluate", &cfg.tracer);
             if ghw {
                 let mut ev = GhwEvaluator::with_cache(
                     h.expect("validated"),
                     CoverStrategy::Greedy,
-                    Arc::clone(ctx.greedy_cache),
+                    Arc::clone(greedy_cache),
                 );
                 match ev.width(&order) {
                     Some(w) => w,
@@ -101,13 +102,10 @@ pub(crate) fn run_spec(ctx: &EngineContext<'_>) -> EngineReport {
                 TwEvaluator::new(g).width(&order)
             }
         };
-        report.upper = report.upper.min(width);
-        offer_traced(ctx.inc, &ctx.cfg.tracer, WHO, width, &order);
+        report.offer(inc, &cfg.tracer, width, &order);
         report.stats.generated += 1;
     }
     report.stats.expanded = expanded.load(AtomicOrdering::Relaxed);
-    report.stats.elapsed = start.elapsed();
-    report
 }
 
 /// One node of the dissection tree: its children's vertices are eliminated
@@ -219,7 +217,7 @@ fn process_level(
 ) -> Vec<Split> {
     let workers = pool_threads.min(frontier.len()).max(1);
     if workers == 1 {
-        let mut budget = Budget::new(cfg, WHO);
+        let mut budget = Budget::new(cfg, Engine::BalSep);
         let splits = frontier
             .iter()
             .map(|task| split_task(g, h, seed, max_depth, task, stop, &mut budget))
@@ -232,8 +230,8 @@ fn process_level(
     let _ = crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| {
-                htd_trace::set_worker(WHO);
-                let mut budget = Budget::new(cfg, WHO);
+                htd_trace::set_worker(Engine::BalSep.name());
+                let mut budget = Budget::new(cfg, Engine::BalSep);
                 let mut local = Vec::new();
                 loop {
                     let i = next.fetch_add(1, AtomicOrdering::Relaxed);

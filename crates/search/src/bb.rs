@@ -13,22 +13,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
-use crate::incumbent::{offer_traced, Incumbent};
+use crate::incumbent::Incumbent;
 use crate::measure::{finish, keep_child, start, Measure};
-
-const WHO: &str = "branch_bound";
+use crate::registry::Engine;
 
 /// Branch and bound on `g` under the measure `m`. Within budget the
 /// result is exact; otherwise `lower`/`upper` are valid anytime bounds.
 pub(crate) fn search<M: Measure>(g: &Graph, m: &mut M, cfg: &SearchConfig) -> SearchOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let inc = cfg.incumbent();
-    let lb0 = match start(g, m, &mut rng, &inc, cfg, WHO) {
+    let lb0 = match start(g, m, &mut rng, &inc, cfg, Engine::BranchBound) {
         ControlFlow::Break(done) => return done,
         ControlFlow::Continue(lb0) => lb0,
     };
     let n = g.num_vertices() as usize;
-    let mut budget = Budget::new(cfg, WHO);
+    let mut budget = Budget::new(cfg, Engine::BranchBound);
     let mut stats = SearchStats::default();
     let mut searcher = Searcher {
         cfg,
@@ -89,7 +88,8 @@ impl<M: Measure> Searcher<'_, M> {
         // one span per branching node; paths nest with recursion depth
         let _sp = htd_trace::span!("bb.branch");
         if eg.num_alive() == 0 {
-            offer_traced(self.inc, &self.cfg.tracer, WHO, g_width, order);
+            self.inc
+                .offer_traced(&self.cfg.tracer, Engine::BranchBound, g_width, order);
             return true;
         }
         // PR1: any completion has width ≤ max(g, completion); record it.
@@ -98,7 +98,8 @@ impl<M: Measure> Searcher<'_, M> {
             if w < self.inc.upper() {
                 let mut o = order.clone();
                 o.extend(eg.alive().iter());
-                offer_traced(self.inc, &self.cfg.tracer, WHO, w, &o);
+                self.inc
+                    .offer_traced(&self.cfg.tracer, Engine::BranchBound, w, &o);
             }
             if rest <= g_width {
                 return true; // subtree width is exactly g, already recorded

@@ -9,11 +9,7 @@ use htd_setcover::CoverCache;
 use htd_trace::{metrics::Counter, registry, Event, Tracer};
 
 use crate::incumbent::Incumbent;
-
-// The engines a portfolio run may launch now live in the open registry;
-// the handle is re-exported here so `htd_search::config::Engine` (and the
-// crate-root re-export) keep resolving for existing callers.
-pub use crate::registry::Engine;
+use crate::registry::Engine;
 
 /// Toggles and budgets shared by all searches.
 ///
@@ -247,8 +243,8 @@ pub(crate) struct Budget {
 }
 
 impl Budget {
-    pub(crate) fn new(cfg: &SearchConfig, label: &'static str) -> Self {
-        let start = Instant::now();
+    pub(crate) fn new(cfg: &SearchConfig, engine: Engine) -> Self {
+        let (start, label) = (Instant::now(), engine.name());
         Budget {
             start,
             deadline: cfg.time_limit.map(|d| start + d),
@@ -372,7 +368,7 @@ mod tests {
     #[test]
     fn budget_node_limit() {
         let cfg = SearchConfig::budgeted(3);
-        let mut b = Budget::new(&cfg, "test");
+        let mut b = Budget::new(&cfg, Engine::BranchBound);
         assert!(b.tick());
         assert!(b.tick());
         assert!(b.tick());
@@ -382,7 +378,7 @@ mod tests {
     #[test]
     fn budget_time_limit() {
         let cfg = SearchConfig::default().with_time_limit(Duration::from_millis(0));
-        let mut b = Budget::new(&cfg, "test");
+        let mut b = Budget::new(&cfg, Engine::BranchBound);
         // the amortized check fires at expansion 256
         let mut stopped = false;
         for _ in 0..1000 {
@@ -401,7 +397,7 @@ mod tests {
             shared: Some(Arc::clone(&inc)),
             ..SearchConfig::default()
         };
-        let mut b = Budget::new(&cfg, "test");
+        let mut b = Budget::new(&cfg, Engine::BranchBound);
         assert!(b.tick());
         inc.cancel();
         assert!(!b.tick(), "cancel observed on the very next tick");
@@ -410,14 +406,14 @@ mod tests {
     #[test]
     fn memory_budget_failure_degrades_ticks() {
         let cfg = SearchConfig::default().with_memory_budget(100);
-        let mut b = Budget::new(&cfg, "test");
+        let mut b = Budget::new(&cfg, Engine::BranchBound);
         assert!(b.charge(60));
         assert!(b.tick());
         assert!(!b.charge(60), "160 > 100");
         assert!(b.mem_exceeded());
         assert!(!b.tick(), "exceeded budget fails every later tick");
         // no budget configured: charges are free
-        let mut free = Budget::new(&SearchConfig::default(), "test");
+        let mut free = Budget::new(&SearchConfig::default(), Engine::BranchBound);
         assert!(free.charge(u64::MAX));
         assert!(!free.mem_exceeded());
     }

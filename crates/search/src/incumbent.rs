@@ -24,6 +24,8 @@ use htd_hypergraph::Vertex;
 use htd_trace::{Event, Tracer};
 use parking_lot::Mutex;
 
+use crate::registry::Engine;
+
 /// Sentinel for "no upper bound arrived yet" in the timestamp atomics.
 const NEVER: u64 = u64::MAX;
 
@@ -36,8 +38,8 @@ pub struct Incumbent {
     /// (width, witness ordering, attributed engine) — kept together under
     /// one lock so the stored ordering always matches the stored width
     /// even when two improvements race (the atomic `upper` alone cannot
-    /// guarantee that). The engine label is `""` for unattributed offers.
-    best: Mutex<(u32, Vec<Vertex>, &'static str)>,
+    /// guarantee that). The engine is `None` for unattributed offers.
+    best: Mutex<(u32, Vec<Vertex>, Option<Engine>)>,
     /// When this incumbent was created; anchors the convergence timestamps.
     created: Instant,
     /// Microseconds from `created` to the first accepted upper bound.
@@ -71,7 +73,7 @@ impl Incumbent {
             upper: AtomicU32::new(u32::MAX),
             exact: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
-            best: Mutex::new((u32::MAX, Vec::new(), "")),
+            best: Mutex::new((u32::MAX, Vec::new(), None)),
             created: Instant::now(),
             first_upper_us: AtomicU64::new(NEVER),
             best_upper_us: AtomicU64::new(NEVER),
@@ -98,14 +100,17 @@ impl Incumbent {
     /// Offers an achieved width with its witness ordering, unattributed.
     /// Returns `true` iff this improved the incumbent.
     pub fn offer_upper(&self, width: u32, order: &[Vertex]) -> bool {
-        self.offer_upper_as(width, order, "")
+        self.offer(width, order, None)
     }
 
     /// Offers an achieved width with its witness ordering, attributed to
-    /// the engine named `who` (see `Engine::name`). Returns `true` iff
-    /// this improved the incumbent. Proving `lower == upper` marks the
-    /// run exact and cancels it.
-    pub fn offer_upper_as(&self, width: u32, order: &[Vertex], who: &'static str) -> bool {
+    /// the engine `who`. Returns `true` iff this improved the incumbent.
+    /// Proving `lower == upper` marks the run exact and cancels it.
+    pub fn offer_upper_as(&self, width: u32, order: &[Vertex], who: Engine) -> bool {
+        self.offer(width, order, Some(who))
+    }
+
+    fn offer(&self, width: u32, order: &[Vertex], who: Option<Engine>) -> bool {
         let mut cur = self.upper.load(Ordering::Acquire);
         loop {
             if width >= cur {
@@ -133,6 +138,24 @@ impl Incumbent {
         }
         self.check_closed();
         true
+    }
+
+    /// [`Incumbent::offer_upper_as`] plus an `IncumbentImproved` trace
+    /// event when the offer was accepted: the engines' offer path.
+    pub(crate) fn offer_traced(&self, tracer: &Tracer, who: Engine, width: u32, order: &[Vertex]) {
+        if self.offer_upper_as(width, order, who) {
+            let worker = who.name();
+            tracer.emit(Event::IncumbentImproved { worker, width });
+        }
+    }
+
+    /// [`Incumbent::raise_lower`] plus a `BoundTightened` trace event when
+    /// the bound actually rose.
+    pub(crate) fn raise_traced(&self, tracer: &Tracer, who: Engine, lb: u32) {
+        if self.raise_lower(lb) {
+            let worker = who.name();
+            tracer.emit(Event::BoundTightened { worker, lower: lb });
+        }
     }
 
     /// Raises the proven lower bound. Returns `true` iff it rose. Proving
@@ -200,9 +223,9 @@ impl Incumbent {
 
     /// The engine whose offer produced the current upper bound, if any
     /// arrived and the offer was attributed (`None` for unattributed).
-    pub fn winner(&self) -> Option<&'static str> {
+    pub fn winner(&self) -> Option<Engine> {
         let best = self.best.lock();
-        (best.0 != u32::MAX && !best.2.is_empty()).then_some(best.2)
+        best.2.filter(|_| best.0 != u32::MAX)
     }
 
     /// Time from creation to the first accepted upper bound, if any.
@@ -220,35 +243,6 @@ impl Incumbent {
             us => Some(Duration::from_micros(us)),
         }
     }
-}
-
-/// [`Incumbent::offer_upper_as`] plus an `IncumbentImproved` trace event
-/// when the offer was accepted. The engines' standard offer path.
-pub(crate) fn offer_traced(
-    inc: &Incumbent,
-    tracer: &Tracer,
-    who: &'static str,
-    width: u32,
-    order: &[Vertex],
-) -> bool {
-    let improved = inc.offer_upper_as(width, order, who);
-    if improved {
-        tracer.emit(Event::IncumbentImproved { worker: who, width });
-    }
-    improved
-}
-
-/// [`Incumbent::raise_lower`] plus a `BoundTightened` trace event when the
-/// bound actually rose.
-pub(crate) fn raise_traced(inc: &Incumbent, tracer: &Tracer, who: &'static str, lb: u32) -> bool {
-    let rose = inc.raise_lower(lb);
-    if rose {
-        tracer.emit(Event::BoundTightened {
-            worker: who,
-            lower: lb,
-        });
-    }
-    rose
 }
 
 #[cfg(test)]
@@ -297,12 +291,15 @@ mod tests {
         assert_eq!(inc.winner(), None);
         assert_eq!(inc.time_to_first_upper(), None);
         assert_eq!(inc.time_to_best_upper(), None);
-        assert!(inc.offer_upper_as(9, &[0], "heuristic"));
-        assert_eq!(inc.winner(), Some("heuristic"));
+        assert!(inc.offer_upper_as(9, &[0], Engine::Heuristic));
+        assert_eq!(inc.winner(), Some(Engine::Heuristic));
         let first = inc.time_to_first_upper().unwrap();
-        assert!(inc.offer_upper_as(4, &[1], "astar"));
-        assert!(!inc.offer_upper_as(6, &[2], "genetic"), "worse offer loses");
-        assert_eq!(inc.winner(), Some("astar"));
+        assert!(inc.offer_upper_as(4, &[1], Engine::AStar));
+        assert!(
+            !inc.offer_upper_as(6, &[2], Engine::Genetic),
+            "worse offer loses"
+        );
+        assert_eq!(inc.winner(), Some(Engine::AStar));
         assert!(inc.time_to_first_upper().unwrap() <= inc.time_to_best_upper().unwrap());
         assert_eq!(inc.time_to_first_upper().unwrap(), first);
         // unattributed offers win the bound but not the credit

@@ -43,15 +43,12 @@ pub mod registry;
 use htd_hypergraph::{Graph, Hypergraph};
 use measure::{Ghw, Treewidth};
 
-pub use config::{Engine, SearchConfig, SearchOutcome, SearchStats};
+pub use config::{SearchConfig, SearchOutcome, SearchStats};
 pub use detk::{det_k_decomp, hypertree_width};
 pub use dp_tw::{dp_treewidth, dp_treewidth_budgeted};
 pub use incumbent::Incumbent;
 pub use portfolio::{solve, EngineReport, Objective, Outcome, Problem};
-pub use registry::{
-    engine_specs, engines_from_names, register_engine, registered_engine_names, EngineContext,
-    EngineSpec,
-};
+pub use registry::{engine_list, engines_from_names, Engine};
 
 /// Computes the treewidth of `g` by branch and bound over elimination
 /// orderings. Within budget the result is exact; otherwise `lower`/`upper`

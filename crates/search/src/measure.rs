@@ -23,7 +23,8 @@ use htd_setcover::CoverCache;
 use rand::rngs::StdRng;
 
 use crate::config::{SearchConfig, SearchOutcome, SearchStats};
-use crate::incumbent::{offer_traced, raise_traced, Incumbent};
+use crate::incumbent::Incumbent;
+use crate::registry::Engine;
 
 /// What BB and A* need to know about the width they minimise.
 pub(crate) trait Measure {
@@ -289,7 +290,7 @@ pub(crate) fn start<M: Measure>(
     rng: &mut StdRng,
     inc: &Incumbent,
     cfg: &SearchConfig,
-    who: &'static str,
+    who: Engine,
 ) -> ControlFlow<SearchOutcome, u32> {
     if g.num_vertices() == 0 {
         inc.offer_upper(0, &[]);
@@ -303,9 +304,9 @@ pub(crate) fn start<M: Measure>(
         });
     }
     let lb0 = m.initial_bounds(g, rng, |w, order| {
-        offer_traced(inc, &cfg.tracer, who, w, order);
+        inc.offer_traced(&cfg.tracer, who, w, order);
     });
-    raise_traced(inc, &cfg.tracer, who, lb0);
+    inc.raise_traced(&cfg.tracer, who, lb0);
     if lb0 < inc.upper() {
         return ControlFlow::Continue(lb0);
     }

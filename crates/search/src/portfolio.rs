@@ -11,9 +11,8 @@
 //! [`Incumbent`]. Every bound any worker proves immediately tightens every
 //! other worker's pruning; the first exact proof — or the wall-clock
 //! budget — cancels the whole run cooperatively. All ghw workers share one
-//! concurrent [`CoverCache`](htd_setcover::CoverCache) per covering
-//! strategy, so a bag's set cover is solved once per run rather than once
-//! per engine.
+//! concurrent [`CoverCache`] per covering strategy, so a bag's set cover
+//! is solved once per run rather than once per engine.
 //!
 //! This is the thesis's systems chapters in one place: the searches
 //! (Chapters 4–9), the heuristics feeding them initial bounds, and the
@@ -29,16 +28,16 @@ use htd_core::json::Json;
 use htd_core::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator};
 use htd_ga::engine::GaParams;
 use htd_ga::sa::SaParams;
-use htd_hypergraph::{Graph, Hypergraph};
+use htd_hypergraph::{Graph, Hypergraph, Vertex};
 use htd_setcover::CoverCache;
-use htd_trace::{registry, Event};
+use htd_trace::{registry, Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SearchConfig, SearchOutcome, SearchStats};
 use crate::detk::Width;
-use crate::incumbent::{offer_traced, raise_traced, Incumbent};
-use crate::registry::{Engine, EngineContext, EngineSpec};
+use crate::incumbent::Incumbent;
+use crate::registry::{engine_list, Engine};
 
 /// What to minimize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,6 +177,15 @@ pub struct EngineReport {
     pub stats: SearchStats,
 }
 
+impl EngineReport {
+    /// Records an upper bound this engine achieved and offers it, with its
+    /// witness ordering, to the run's incumbent.
+    pub(crate) fn offer(&mut self, inc: &Incumbent, tracer: &Tracer, width: u32, order: &[Vertex]) {
+        self.upper = self.upper.min(width);
+        inc.offer_traced(tracer, self.engine, width, order);
+    }
+}
+
 /// The unified result of [`solve`]: certified anytime bounds, a witness,
 /// and per-engine accounting.
 #[derive(Clone, Debug)]
@@ -216,9 +224,9 @@ pub struct Outcome {
     /// exactness they didn't prove before the truncation.
     pub degraded: bool,
     /// Lineup engines that never got a worker slot (fewer threads than
-    /// engines, or an engine that does not support the objective). They
-    /// contributed nothing — a run that looks oddly narrow was not a
-    /// silent truncation, it is recorded here and in the trace stream.
+    /// engines). They contributed nothing — a run that looks oddly narrow
+    /// was not a silent truncation, it is recorded here and in the trace
+    /// stream.
     pub skipped_engines: Vec<Engine>,
 }
 
@@ -469,6 +477,14 @@ fn engine_report_from_json(doc: &Json) -> Result<EngineReport, HtdError> {
 /// `exact` iff the gap closed within budget.
 pub fn solve(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> {
     problem.validate()?;
+    if problem.objective != Objective::HypertreeWidth
+        && cfg.engines.as_ref().is_some_and(Vec::is_empty)
+    {
+        return Err(HtdError::Unsupported(format!(
+            "the engine lineup is empty; registered engines: {}",
+            engine_list()
+        )));
+    }
     let start = Instant::now();
     cfg.tracer.emit_with(|| Event::SolveStarted {
         objective: problem.objective.name(),
@@ -479,9 +495,8 @@ pub fn solve(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError>
             .unwrap_or_else(|| problem.graph().num_edges()),
     });
     let mut outcome = match problem.objective {
-        Objective::Treewidth => solve_portfolio(problem, cfg),
-        Objective::GeneralizedHypertreeWidth => solve_portfolio(problem, cfg),
         Objective::HypertreeWidth => solve_hw(problem, cfg),
+        _ => solve_portfolio(problem, cfg),
     }?;
     outcome.elapsed = start.elapsed();
     if let Some(w) = outcome.winner {
@@ -502,27 +517,18 @@ pub fn solve(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError>
 
 /// Picks the engines that get a worker slot and the ones that don't.
 ///
-/// The lineup is first filtered to engines whose registered spec supports
-/// the objective; if more remain than the portfolio has threads, the
-/// registry's claim order decides who wins a slot (externally registered
-/// engines without a better claim keep their lineup position at the back).
-/// Whatever falls off is *returned*, not dropped: the caller records it in
-/// the trace stream and the outcome's diagnostics.
-fn pick_engines(cfg: &SearchConfig, objective: Objective) -> (Vec<Engine>, Vec<Engine>) {
-    let lineup = cfg.engines.clone().unwrap_or_else(Engine::default_lineup);
-    let (supported, mut skipped): (Vec<Engine>, Vec<Engine>) = lineup
-        .into_iter()
-        .partition(|e| e.spec().is_some_and(|s| s.supports(objective)));
+/// A lineup that fits the portfolio's threads launches in lineup order;
+/// otherwise the engines' claim ranks decide who wins a slot. Whatever
+/// falls off is *returned*, not dropped: the caller records it in the
+/// trace stream and the outcome's diagnostics.
+fn pick_engines(cfg: &SearchConfig) -> (Vec<Engine>, Vec<Engine>) {
+    let mut picked = cfg.engines.clone().unwrap_or_else(Engine::default_lineup);
     let slots = cfg.num_threads.max(1);
-    if supported.len() <= slots {
-        return (supported, skipped);
+    if picked.len() <= slots {
+        return (picked, Vec::new());
     }
-    let claim = crate::registry::claim_order();
-    let rank = |e: &Engine| claim.iter().position(|c| c == e).unwrap_or(usize::MAX);
-    let mut picked = supported;
-    picked.sort_by_key(rank);
-    let dropped = picked.split_off(slots);
-    skipped.extend(dropped);
+    picked.sort_by_key(|e| e.claim_rank());
+    let skipped = picked.split_off(slots);
     (picked, skipped)
 }
 
@@ -533,7 +539,7 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
     if cfg.time_limit.is_some_and(|d| d.is_zero()) {
         return Ok(zero_budget_outcome(problem, cfg));
     }
-    let (engines, skipped) = pick_engines(cfg, problem.objective);
+    let (engines, skipped) = pick_engines(cfg);
     if !skipped.is_empty() {
         registry()
             .counter("htd_engines_skipped_total")
@@ -547,12 +553,6 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
             slots: cfg.num_threads.max(1) as u64,
         });
     }
-    // resolved once, outside the worker threads: pick_engines only returns
-    // engines whose spec is registered
-    let specs: Vec<Arc<dyn EngineSpec>> = engines
-        .iter()
-        .map(|e| e.spec().expect("picked engines are registered"))
-        .collect();
     let inc = cfg.incumbent();
     // one cover cache per covering strategy: exact for the searches,
     // greedy for GA/SA fitness (their sizes differ, so they never share)
@@ -575,9 +575,8 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
         let (running, all_returned) = mpsc::channel::<()>();
         let handles: Vec<_> = engines
             .iter()
-            .zip(&specs)
             .enumerate()
-            .map(|(i, (&engine, spec))| {
+            .map(|(i, &engine)| {
                 let worker_cfg = &worker_cfg;
                 let inc = &inc;
                 let greedy_cache = &greedy_cache;
@@ -601,34 +600,27 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                                 panic!("injected fault: worker panic");
                             }
                         }
-                        let ctx = EngineContext {
-                            problem,
-                            cfg: &cfg_i,
-                            inc,
-                            greedy_cache,
-                            pool_threads,
-                        };
-                        spec.run(&ctx)
+                        engine.run(problem, &cfg_i, inc, greedy_cache, pool_threads)
                     });
-                    let report = match quarantined {
-                        Ok(report) => report,
-                        Err(message) => {
-                            registry().counter("htd_worker_panics_total").inc();
-                            cfg_i.tracer.emit_with(|| Event::WorkerPanicked {
-                                worker: who,
-                                message,
-                            });
-                            let mut r = panicked_report(engine);
-                            r.stats.elapsed = wstart.elapsed();
-                            return r;
-                        }
-                    };
+                    let elapsed = wstart.elapsed();
+                    let mut report = quarantined.unwrap_or_else(|message| {
+                        registry().counter("htd_worker_panics_total").inc();
+                        cfg_i.tracer.emit_with(|| Event::WorkerPanicked {
+                            worker: who,
+                            message,
+                        });
+                        panicked_report(engine)
+                    });
+                    report.stats.elapsed = elapsed;
+                    if report.panicked {
+                        return report;
+                    }
                     // a worker that returns without its own exactness proof
                     // while the run is cancelled was cut short from outside
                     // (the deadline or a sibling's proof)
                     let cancelled = inc.is_cancelled() && !report.exact;
                     cfg_i.tracer.emit_with(|| {
-                        let elapsed_us = wstart.elapsed().as_micros() as u64;
+                        let elapsed_us = elapsed.as_micros() as u64;
                         let upper = (report.upper != u32::MAX).then_some(report.upper);
                         if cancelled {
                             Event::WorkerCancelled {
@@ -709,7 +701,7 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
         nodes: reports.iter().map(|r| r.stats.expanded).sum(),
         elapsed: start.elapsed(),
         per_engine: reports,
-        winner: inc.winner().and_then(Engine::from_name),
+        winner: inc.winner(),
         time_to_first_upper: inc.time_to_first_upper(),
         time_to_best_upper: inc.time_to_best_upper(),
         cover_cache_hits,
@@ -748,12 +740,8 @@ fn await_workers_or_cancel(all_returned: &Receiver<()>, deadline: Instant, inc: 
 /// The report of a quarantined worker: an empty contribution, flagged.
 fn panicked_report(engine: Engine) -> EngineReport {
     EngineReport {
-        engine,
-        lower: 0,
-        upper: u32::MAX,
-        exact: false,
         panicked: true,
-        stats: SearchStats::default(),
+        ..blank_report(engine)
     }
 }
 
@@ -781,16 +769,14 @@ fn zero_budget_outcome(problem: &Problem, cfg: &SearchConfig) -> Outcome {
         _ => htd_heuristics::ghw_lower_bound(problem.hypergraph().expect("validated"), &mut rng),
     };
     let report = EngineReport {
-        engine: Engine::Heuristic,
         lower,
         upper,
-        exact: false,
-        panicked: false,
         stats: SearchStats {
             generated: 1,
             elapsed: start.elapsed(),
             ..SearchStats::default()
         },
+        ..blank_report(Engine::Heuristic)
     };
     Outcome {
         objective: problem.objective,
@@ -824,83 +810,32 @@ pub(crate) fn blank_report(engine: Engine) -> EngineReport {
 }
 
 // ---------------------------------------------------------------------
-// Built-in engine runners. These are the `run` entries of the registry's
-// builtin table (`crate::registry`): the portfolio never matches on an
-// engine, it just calls the registered spec.
+// Engine runners: `Engine::run` (`crate::registry`) dispatches to these,
+// each filling in the report the worker hands it.
 
-/// Branch and bound (tw or ghw by the problem's objective).
-pub(crate) fn run_branch_bound_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    run_search_spec(ctx, Engine::BranchBound, crate::bb_tw, crate::bb_ghw)
-}
-
-/// A* (tw or ghw by the problem's objective).
-pub(crate) fn run_astar_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    run_search_spec(ctx, Engine::AStar, crate::astar_tw, crate::astar_ghw)
-}
-
-/// Runs one exact search, picking its measure by the problem's objective.
-fn run_search_spec(
-    ctx: &EngineContext<'_>,
-    engine: Engine,
+/// One exact search, with its measure picked by the problem's objective.
+pub(crate) fn run_search(
+    problem: &Problem,
+    cfg: &SearchConfig,
     tw: fn(&Graph, &SearchConfig) -> SearchOutcome,
     ghw: fn(&Hypergraph, &SearchConfig) -> Option<SearchOutcome>,
-) -> EngineReport {
-    let start = Instant::now();
-    let out = match ctx.problem.objective {
+    report: &mut EngineReport,
+) {
+    let out = match problem.objective {
         Objective::GeneralizedHypertreeWidth => {
-            ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
-                .expect("validated: coverable")
+            ghw(problem.hypergraph().expect("validated"), cfg).expect("validated: coverable")
         }
-        _ => tw(ctx.problem.graph(), ctx.cfg),
+        _ => tw(problem.graph(), cfg),
     };
-    let mut report = blank_report(engine);
     report.lower = out.lower;
     report.upper = out.upper;
     report.exact = out.exact;
     report.stats = out.stats;
-    report.stats.elapsed = start.elapsed();
-    report
-}
-
-/// Greedy + ILS upper-bound worker.
-pub(crate) fn run_heuristic_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let mut report = blank_report(Engine::Heuristic);
-    run_heuristic(ctx.problem, ctx.cfg, ctx.inc, &mut report);
-    report.stats.elapsed = start.elapsed();
-    report
-}
-
-/// Dedicated lower-bound worker.
-pub(crate) fn run_lower_bound_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let mut report = blank_report(Engine::LowerBound);
-    run_lower_bound(ctx.problem, ctx.cfg, ctx.inc, &mut report);
-    report.stats.elapsed = start.elapsed();
-    report
-}
-
-/// GA upper-bound worker.
-pub(crate) fn run_genetic_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let mut report = blank_report(Engine::Genetic);
-    run_genetic(ctx.problem, ctx.cfg, ctx.inc, ctx.greedy_cache, &mut report);
-    report.stats.elapsed = start.elapsed();
-    report
-}
-
-/// SA upper-bound worker.
-pub(crate) fn run_annealing_spec(ctx: &EngineContext<'_>) -> EngineReport {
-    let start = Instant::now();
-    let mut report = blank_report(Engine::Annealing);
-    run_annealing(ctx.problem, ctx.cfg, ctx.inc, &mut report);
-    report.stats.elapsed = start.elapsed();
-    report
 }
 
 /// Upper-bound heuristics: greedy orderings, then iterated local search
 /// rounds with fresh seeds, each offered to the incumbent.
-fn run_heuristic(
+pub(crate) fn run_heuristic(
     problem: &Problem,
     cfg: &SearchConfig,
     inc: &Arc<Incumbent>,
@@ -934,8 +869,7 @@ fn run_heuristic(
                 None => return,
             },
         };
-        report.upper = report.upper.min(width);
-        offer_traced(inc, &cfg.tracer, "heuristic", width, ordering.as_slice());
+        report.offer(inc, &cfg.tracer, width, ordering.as_slice());
         report.stats.generated += 1;
     };
     let mut ev = (problem.objective != Objective::Treewidth).then(ghw_ev);
@@ -959,7 +893,7 @@ fn run_heuristic(
             }
             if round > 0 {
                 cfg.tracer.emit(Event::RestartTriggered {
-                    worker: "heuristic",
+                    worker: Engine::Heuristic.name(),
                     round: round as u32,
                 });
             }
@@ -975,7 +909,7 @@ fn run_heuristic(
 }
 
 /// Lower-bound worker: randomized minor-based bounds over several seeds.
-fn run_lower_bound(
+pub(crate) fn run_lower_bound(
     problem: &Problem,
     cfg: &SearchConfig,
     inc: &Arc<Incumbent>,
@@ -987,7 +921,7 @@ fn run_lower_bound(
         }
         if round > 0 {
             cfg.tracer.emit(Event::RestartTriggered {
-                worker: "lower_bound",
+                worker: Engine::LowerBound.name(),
                 round: round as u32,
             });
         }
@@ -999,14 +933,14 @@ fn run_lower_bound(
             }
         };
         report.lower = report.lower.max(lb);
-        raise_traced(inc, &cfg.tracer, "lower_bound", lb);
+        inc.raise_traced(&cfg.tracer, Engine::LowerBound, lb);
         report.stats.generated += 1;
     }
 }
 
 /// GA worker: small-generation batches with fresh seeds, each batch's best
 /// offered to the incumbent, until cancelled or out of batches.
-fn run_genetic(
+pub(crate) fn run_genetic(
     problem: &Problem,
     cfg: &SearchConfig,
     inc: &Arc<Incumbent>,
@@ -1024,7 +958,7 @@ fn run_genetic(
         }
         if batch > 0 {
             cfg.tracer.emit(Event::RestartTriggered {
-                worker: "genetic",
+                worker: Engine::Genetic.name(),
                 round: batch as u32,
             });
         }
@@ -1032,8 +966,7 @@ fn run_genetic(
         match problem.objective {
             Objective::Treewidth => {
                 let r = htd_ga::ga_tw(problem.graph(), &params, &mut rng);
-                report.upper = report.upper.min(r.width);
-                offer_traced(inc, &cfg.tracer, "genetic", r.width, r.ordering.as_slice());
+                report.offer(inc, &cfg.tracer, r.width, r.ordering.as_slice());
                 report.stats.generated += r.inner.evaluations;
             }
             _ => {
@@ -1046,8 +979,7 @@ fn run_genetic(
                     Arc::clone(greedy_cache),
                     &mut rng,
                 ) {
-                    report.upper = report.upper.min(r.width);
-                    offer_traced(inc, &cfg.tracer, "genetic", r.width, r.ordering.as_slice());
+                    report.offer(inc, &cfg.tracer, r.width, r.ordering.as_slice());
                     report.stats.generated += r.inner.evaluations;
                 }
             }
@@ -1056,7 +988,7 @@ fn run_genetic(
 }
 
 /// SA worker: a few annealing runs with fresh seeds.
-fn run_annealing(
+pub(crate) fn run_annealing(
     problem: &Problem,
     cfg: &SearchConfig,
     inc: &Arc<Incumbent>,
@@ -1069,7 +1001,7 @@ fn run_annealing(
         }
         if round > 0 {
             cfg.tracer.emit(Event::RestartTriggered {
-                worker: "annealing",
+                worker: Engine::Annealing.name(),
                 round: round as u32,
             });
         }
@@ -1077,14 +1009,12 @@ fn run_annealing(
         match problem.objective {
             Objective::Treewidth => {
                 let (ordering, width) = htd_ga::sa::sa_tw(problem.graph(), &params, &mut rng);
-                report.upper = report.upper.min(width);
-                offer_traced(inc, &cfg.tracer, "annealing", width, ordering.as_slice());
+                report.offer(inc, &cfg.tracer, width, ordering.as_slice());
             }
             _ => {
                 let h = problem.hypergraph().expect("validated");
                 if let Some((ordering, width)) = htd_ga::sa::sa_ghw(h, &params, &mut rng) {
-                    report.upper = report.upper.min(width);
-                    offer_traced(inc, &cfg.tracer, "annealing", width, ordering.as_slice());
+                    report.offer(inc, &cfg.tracer, width, ordering.as_slice());
                 }
             }
         }
@@ -1137,12 +1067,10 @@ fn solve_hw(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> 
         nodes: 0,
         elapsed: start.elapsed(),
         per_engine: vec![EngineReport {
-            engine: Engine::BranchBound,
             lower,
             upper,
             exact,
-            panicked: false,
-            stats: SearchStats::default(),
+            ..blank_report(Engine::BranchBound)
         }],
         winner: None,
         time_to_first_upper: None,
@@ -1329,5 +1257,20 @@ mod tests {
         .unwrap();
         assert_eq!(out.per_engine.len(), 2);
         assert!(out.lower <= 2 && out.upper >= 2);
+    }
+
+    #[test]
+    fn an_empty_lineup_is_an_error() {
+        let cfg = SearchConfig::default().with_engines(vec![]);
+        for problem in [
+            Problem::treewidth(gen::cycle_graph(6)),
+            Problem::ghw(gen::adder(2)),
+        ] {
+            let err = solve(&problem, &cfg).unwrap_err();
+            assert!(matches!(err, HtdError::Unsupported(_)), "{err:?}");
+            assert!(err.to_string().contains("branch_bound"), "{err}");
+        }
+        // hw runs det-k-decomp, which takes no lineup
+        assert!(solve(&Problem::hw(gen::adder(2)), &cfg).unwrap().exact);
     }
 }

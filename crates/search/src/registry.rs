@@ -1,201 +1,134 @@
-//! The pluggable engine registry.
+//! The engine table.
 //!
-//! Engines used to be a closed `enum` with hand-maintained `match` arms in
-//! the portfolio, the trace attribution, the service metrics and the
-//! differential harness. This module replaces that with an open registry:
-//! an engine is anything implementing [`EngineSpec`], registered once under
-//! a stable snake_case name, and everything downstream — launch order,
-//! claim order under scarce worker slots, `htd-trace` worker labels,
-//! per-engine `/metrics` series, `htd-check` differential arms — derives
-//! from the registry instead of a hard-coded list.
-//!
-//! [`Engine`] is the cheap handle the rest of the workspace passes around:
-//! a `Copy` wrapper over the engine's interned name. The historical enum
-//! variants survive as associated constants (`Engine::BranchBound`, ...),
-//! so lineups keep reading the way they always did.
+//! [`Engine`] names every engine the portfolio can launch, and this module
+//! is the one place that knows the engine set: each per-engine fact (its
+//! name, its claim on scarce worker slots, whether the `htd-check`
+//! differential harness gives it an arm, and how it runs) is one `match`
+//! on the enum. The launch order is the order of [`Engine::ALL`].
 
 use std::sync::Arc;
 
 use htd_core::error::HtdError;
 use htd_setcover::CoverCache;
-use parking_lot::RwLock;
 
 use crate::config::SearchConfig;
 use crate::incumbent::Incumbent;
-use crate::portfolio::{EngineReport, Objective, Problem};
+use crate::portfolio::{self, run_search, EngineReport, Problem};
+use crate::{astar_ghw, astar_tw, balsep, bb_ghw, bb_tw};
 
-/// A registered solver engine, identified by its interned name.
-///
-/// Equality and hashing are by name, so handles obtained from the registry,
-/// from [`Engine::from_name`] and from the associated constants all compare
-/// equal for the same engine.
+/// A solver engine of the portfolio.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Engine(&'static str);
-
-#[allow(non_upper_case_globals)]
-impl Engine {
+pub enum Engine {
     /// Greedy upper-bound heuristics (min-fill / min-degree / MCS) plus
     /// iterated local search — fast first incumbents.
-    pub const Heuristic: Engine = Engine("heuristic");
+    Heuristic,
     /// Dedicated lower-bound worker (minor-min-width / tw-ksc families).
-    pub const LowerBound: Engine = Engine("lower_bound");
+    LowerBound,
     /// Depth-first branch and bound over elimination orderings.
-    pub const BranchBound: Engine = Engine("branch_bound");
+    BranchBound,
     /// Best-first A* over elimination orderings.
-    pub const AStar: Engine = Engine("astar");
+    AStar,
     /// Balanced-separator nested dissection with parallel recursion on
     /// disconnected components (log-depth, BalancedGo-style).
-    pub const BalSep: Engine = Engine("balsep");
+    BalSep,
     /// Genetic algorithm upper-bound worker.
-    pub const Genetic: Engine = Engine("genetic");
+    Genetic,
     /// Simulated-annealing upper-bound worker.
-    pub const Annealing: Engine = Engine("annealing");
+    Annealing,
 }
 
 impl Engine {
+    /// Every engine, in launch order.
+    pub const ALL: [Engine; 7] = [
+        Engine::Heuristic,
+        Engine::LowerBound,
+        Engine::BranchBound,
+        Engine::AStar,
+        Engine::BalSep,
+        Engine::Genetic,
+        Engine::Annealing,
+    ];
+
     /// The stable snake_case name used in JSON reports, trace events and
     /// metric labels.
     pub fn name(self) -> &'static str {
-        self.0
+        match self {
+            Engine::Heuristic => "heuristic",
+            Engine::LowerBound => "lower_bound",
+            Engine::BranchBound => "branch_bound",
+            Engine::AStar => "astar",
+            Engine::BalSep => "balsep",
+            Engine::Genetic => "genetic",
+            Engine::Annealing => "annealing",
+        }
     }
 
-    /// Looks the name up in the registry. Unlike the closed-enum days,
-    /// this resolves every registered engine, including ones added at
-    /// runtime through [`register_engine`].
+    /// The engine called `name`, if any.
     pub fn from_name(name: &str) -> Option<Engine> {
-        store()
-            .read()
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| Engine(s.name()))
+        Engine::ALL.into_iter().find(|e| e.name() == name)
     }
 
-    /// The default portfolio lineup, in launch order: every registered
-    /// engine flagged for the default lineup, sorted by launch rank.
+    /// The default portfolio lineup, in launch order: every engine.
     pub fn default_lineup() -> Vec<Engine> {
-        let specs = store().read();
-        let mut lineup: Vec<&Arc<dyn EngineSpec>> =
-            specs.iter().filter(|s| s.in_default_lineup()).collect();
-        lineup.sort_by_key(|s| s.launch_rank());
-        lineup.iter().map(|s| Engine(s.name())).collect()
+        Engine::ALL.to_vec()
     }
-
-    /// This engine's spec, if it is (still) registered.
-    pub fn spec(self) -> Option<Arc<dyn EngineSpec>> {
-        store().read().iter().find(|s| s.name() == self.0).cloned()
-    }
-}
-
-/// Everything an engine gets handed for one run: the instance, the budgets,
-/// the shared incumbent it offers bounds to, the shared greedy cover cache,
-/// and the portfolio's thread budget (for engines that parallelize
-/// internally — the pool they spawn must stay within this bound).
-pub struct EngineContext<'a> {
-    /// The instance and objective.
-    pub problem: &'a Problem,
-    /// Budgets, toggles, tracer, memory governor. `num_threads` is always 1
-    /// here — worker threads are the portfolio's business; see
-    /// [`EngineContext::pool_threads`].
-    pub cfg: &'a SearchConfig,
-    /// The shared anytime state this engine offers bounds to.
-    pub inc: &'a Arc<Incumbent>,
-    /// Run-wide greedy cover cache (ghw fitness evaluations).
-    pub greedy_cache: &'a Arc<CoverCache>,
-    /// The whole run's thread budget: engines with internal parallelism
-    /// (balsep) bound their own worker pools by this.
-    pub pool_threads: usize,
-}
-
-/// A pluggable solver engine.
-///
-/// Implementations are registered with [`register_engine`] and from then on
-/// participate in everything derived from the registry: `Engine::from_name`
-/// (hence CLI `--engines` and the service request field), the default
-/// lineup, portfolio claim order, trace attribution and per-engine metrics.
-pub trait EngineSpec: Send + Sync {
-    /// Stable snake_case identifier; doubles as the trace/metric label.
-    /// Must be unique across the registry and live for the program
-    /// (registration interns the handle by this `&'static str`).
-    fn name(&self) -> &'static str;
-
-    /// Whether this engine can solve the given objective.
-    fn supports(&self, objective: Objective) -> bool;
-
-    /// Position in the default launch lineup (lower launches earlier).
-    fn launch_rank(&self) -> u32;
 
     /// Priority when worker slots are scarcer than the lineup (lower
-    /// claims a slot first).
-    fn claim_rank(&self) -> u32;
-
-    /// Whether [`Engine::default_lineup`] includes this engine. Engines
-    /// registered by downstream crates may prefer opt-in (`false`):
-    /// they then run only when named explicitly.
-    fn in_default_lineup(&self) -> bool {
-        true
+    /// claims a slot first): the exact searches, then the bracketing
+    /// heuristics, then balsep and the metaheuristics.
+    pub(crate) fn claim_rank(self) -> u32 {
+        match self {
+            Engine::BranchBound => 0,
+            Engine::AStar => 1,
+            Engine::Heuristic => 2,
+            Engine::LowerBound => 3,
+            Engine::BalSep => 4,
+            Engine::Genetic => 5,
+            Engine::Annealing => 6,
+        }
     }
 
     /// Whether the `htd-check` differential harness gives this engine its
-    /// own single-engine arm. Defaults to `true`; the cheap bracketing
-    /// heuristics (which run as one combined arm) and the stochastic
-    /// metaheuristics (budget-hungry, upper-bound-only) opt out.
-    fn differential_arm(&self) -> bool {
-        true
+    /// own single-engine arm. The cheap bracketing heuristics run there as
+    /// one combined arm, and the stochastic metaheuristics (budget-hungry,
+    /// upper-bound only) get none.
+    pub fn differential_arm(self) -> bool {
+        match self {
+            Engine::BranchBound | Engine::AStar | Engine::BalSep => true,
+            Engine::Heuristic | Engine::LowerBound | Engine::Genetic | Engine::Annealing => false,
+        }
     }
 
-    /// Runs the engine to completion (or cooperative cancellation),
-    /// offering every bound it proves to `ctx.inc`.
-    fn run(&self, ctx: &EngineContext<'_>) -> EngineReport;
-}
-
-fn store() -> &'static RwLock<Vec<Arc<dyn EngineSpec>>> {
-    static STORE: std::sync::OnceLock<RwLock<Vec<Arc<dyn EngineSpec>>>> =
-        std::sync::OnceLock::new();
-    STORE.get_or_init(|| RwLock::new(builtin_specs()))
-}
-
-/// Registers an engine, returning its handle. Fails if the name is taken.
-pub fn register_engine(spec: Arc<dyn EngineSpec>) -> Result<Engine, HtdError> {
-    let mut specs = store().write();
-    if specs.iter().any(|s| s.name() == spec.name()) {
-        return Err(HtdError::Invalid(format!(
-            "engine '{}' is already registered",
-            spec.name()
-        )));
+    /// Runs the engine to completion or cooperative cancellation, offering
+    /// every bound it proves to `inc`, the incumbent `cfg.shared` holds.
+    /// `greedy_cache` is the run's greedy cover memo; `pool_threads` is the
+    /// run's thread budget, which bounds balsep's own worker pool. The
+    /// caller times the run.
+    pub(crate) fn run(
+        self,
+        problem: &Problem,
+        cfg: &SearchConfig,
+        inc: &Arc<Incumbent>,
+        greedy_cache: &Arc<CoverCache>,
+        pool_threads: usize,
+    ) -> EngineReport {
+        let mut report = portfolio::blank_report(self);
+        let r = &mut report;
+        match self {
+            Engine::Heuristic => portfolio::run_heuristic(problem, cfg, inc, r),
+            Engine::LowerBound => portfolio::run_lower_bound(problem, cfg, inc, r),
+            Engine::BranchBound => run_search(problem, cfg, bb_tw, bb_ghw, r),
+            Engine::AStar => run_search(problem, cfg, astar_tw, astar_ghw, r),
+            Engine::BalSep => balsep::run(problem, cfg, inc, greedy_cache, pool_threads, r),
+            Engine::Genetic => portfolio::run_genetic(problem, cfg, inc, greedy_cache, r),
+            Engine::Annealing => portfolio::run_annealing(problem, cfg, inc, r),
+        }
+        report
     }
-    let handle = Engine(spec.name());
-    specs.push(spec);
-    Ok(handle)
 }
 
-/// A snapshot of every registered engine spec, in registration order
-/// (builtins first, in launch-rank order).
-pub fn engine_specs() -> Vec<Arc<dyn EngineSpec>> {
-    store().read().clone()
-}
-
-/// The names of every registered engine, in launch-rank order — the list
-/// surfaced by `--engines` errors and the service's unknown-engine reply.
-pub fn registered_engine_names() -> Vec<&'static str> {
-    let specs = store().read();
-    let mut named: Vec<(u32, &'static str)> =
-        specs.iter().map(|s| (s.launch_rank(), s.name())).collect();
-    named.sort();
-    named.into_iter().map(|(_, n)| n).collect()
-}
-
-/// Every registered engine in claim order: when the portfolio has fewer
-/// worker slots than lineup engines, the lowest claim ranks win the slots.
-pub(crate) fn claim_order() -> Vec<Engine> {
-    let specs = store().read();
-    let mut ranked: Vec<(u32, &'static str)> =
-        specs.iter().map(|s| (s.claim_rank(), s.name())).collect();
-    ranked.sort();
-    ranked.into_iter().map(|(_, n)| Engine(n)).collect()
-}
-
-/// Resolves a list of engine names against the registry; the error names
-/// every unknown engine and lists what is registered.
+/// Resolves a list of engine names; the error names every unknown engine
+/// and lists the engines there are.
 pub fn engines_from_names<S: AsRef<str>>(names: &[S]) -> Result<Vec<Engine>, HtdError> {
     let mut engines = Vec::with_capacity(names.len());
     let mut unknown: Vec<&str> = Vec::new();
@@ -210,134 +143,36 @@ pub fn engines_from_names<S: AsRef<str>>(names: &[S]) -> Result<Vec<Engine>, Htd
             "unknown engine{} '{}'; registered engines: {}",
             if unknown.len() > 1 { "s" } else { "" },
             unknown.join("', '"),
-            registered_engine_names().join(", ")
+            engine_list()
         )));
     }
     Ok(engines)
 }
 
-/// The built-in engines as one declarative table — the registry's seed.
-/// Adding a builtin means adding a row here, not a match arm anywhere.
-struct Builtin {
-    name: &'static str,
-    launch_rank: u32,
-    claim_rank: u32,
-    diff_arm: bool,
-    run: fn(&EngineContext<'_>) -> EngineReport,
-}
-
-impl EngineSpec for Builtin {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn supports(&self, objective: Objective) -> bool {
-        // every builtin searches elimination orderings, which witness both
-        // tw and ghw; hw (det-k-decomp) takes the dedicated solve_hw path
-        matches!(
-            objective,
-            Objective::Treewidth | Objective::GeneralizedHypertreeWidth
-        )
-    }
-
-    fn launch_rank(&self) -> u32 {
-        self.launch_rank
-    }
-
-    fn claim_rank(&self) -> u32 {
-        self.claim_rank
-    }
-
-    fn differential_arm(&self) -> bool {
-        self.diff_arm
-    }
-
-    fn run(&self, ctx: &EngineContext<'_>) -> EngineReport {
-        (self.run)(ctx)
-    }
-}
-
-fn builtin_specs() -> Vec<Arc<dyn EngineSpec>> {
-    // claim order preserves the historical priority (branch_bound, astar,
-    // heuristic, lower_bound, ...) with balsep slotted after lower_bound,
-    // so small-slot portfolios behave exactly as before this registry.
-    let rows = [
-        Builtin {
-            name: "heuristic",
-            launch_rank: 0,
-            claim_rank: 2,
-            diff_arm: false,
-            run: crate::portfolio::run_heuristic_spec,
-        },
-        Builtin {
-            name: "lower_bound",
-            launch_rank: 1,
-            claim_rank: 3,
-            diff_arm: false,
-            run: crate::portfolio::run_lower_bound_spec,
-        },
-        Builtin {
-            name: "branch_bound",
-            launch_rank: 2,
-            claim_rank: 0,
-            diff_arm: true,
-            run: crate::portfolio::run_branch_bound_spec,
-        },
-        Builtin {
-            name: "astar",
-            launch_rank: 3,
-            claim_rank: 1,
-            diff_arm: true,
-            run: crate::portfolio::run_astar_spec,
-        },
-        Builtin {
-            name: "balsep",
-            launch_rank: 4,
-            claim_rank: 4,
-            diff_arm: true,
-            run: crate::balsep::run_spec,
-        },
-        Builtin {
-            name: "genetic",
-            launch_rank: 5,
-            claim_rank: 5,
-            diff_arm: false,
-            run: crate::portfolio::run_genetic_spec,
-        },
-        Builtin {
-            name: "annealing",
-            launch_rank: 6,
-            claim_rank: 6,
-            diff_arm: false,
-            run: crate::portfolio::run_annealing_spec,
-        },
-    ];
-    rows.into_iter()
-        .map(|b| Arc::new(b) as Arc<dyn EngineSpec>)
-        .collect()
+/// Every engine name in launch order, comma-separated: the list that
+/// engine-selection errors print.
+pub fn engine_list() -> String {
+    Engine::ALL.map(Engine::name).join(", ")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SearchStats;
 
     #[test]
-    fn handles_compare_by_name() {
-        assert_eq!(
-            Engine::BranchBound,
-            Engine::from_name("branch_bound").unwrap()
-        );
+    fn names_round_trip() {
+        for e in Engine::ALL {
+            assert_eq!(Engine::from_name(e.name()), Some(e));
+        }
         assert_eq!(Engine::BranchBound.name(), "branch_bound");
         assert_ne!(Engine::BranchBound, Engine::AStar);
         assert!(Engine::from_name("no_such_engine").is_none());
     }
 
     #[test]
-    fn default_lineup_is_launch_ranked_and_registry_driven() {
-        let lineup = Engine::default_lineup();
+    fn default_lineup_is_launch_ordered_and_claims_favour_the_searches() {
         assert_eq!(
-            lineup,
+            Engine::default_lineup(),
             vec![
                 Engine::Heuristic,
                 Engine::LowerBound,
@@ -348,8 +183,8 @@ mod tests {
                 Engine::Annealing,
             ]
         );
-        // claim order starts with the exact searches, as it always did
-        let claim = claim_order();
+        let mut claim = Engine::ALL;
+        claim.sort_by_key(|e| e.claim_rank());
         assert_eq!(
             &claim[..4],
             &[
@@ -362,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_error_lists_the_registry() {
+    fn unknown_names_error_lists_the_engines() {
         let err = engines_from_names(&["balsep", "warp_drive"]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("warp_drive"), "{msg}");
@@ -370,48 +205,5 @@ mod tests {
         assert!(msg.contains("balsep"), "{msg}");
         let ok = engines_from_names(&["astar", "balsep"]).unwrap();
         assert_eq!(ok, vec![Engine::AStar, Engine::BalSep]);
-    }
-
-    #[test]
-    fn runtime_registration_extends_every_derived_view() {
-        struct Null;
-        impl EngineSpec for Null {
-            fn name(&self) -> &'static str {
-                "null_test_engine"
-            }
-            fn supports(&self, _o: Objective) -> bool {
-                true
-            }
-            fn launch_rank(&self) -> u32 {
-                100
-            }
-            fn claim_rank(&self) -> u32 {
-                100
-            }
-            fn in_default_lineup(&self) -> bool {
-                false
-            }
-            fn run(&self, _ctx: &EngineContext<'_>) -> EngineReport {
-                EngineReport {
-                    engine: Engine::from_name("null_test_engine").unwrap(),
-                    lower: 0,
-                    upper: u32::MAX,
-                    exact: false,
-                    panicked: false,
-                    stats: SearchStats::default(),
-                }
-            }
-        }
-        // idempotent across test runs in one process: ignore "already
-        // registered" from a sibling test
-        let _ = register_engine(Arc::new(Null));
-        let e = Engine::from_name("null_test_engine").expect("registered");
-        assert_eq!(e.name(), "null_test_engine");
-        assert!(
-            !Engine::default_lineup().contains(&e),
-            "opt-out engines stay out of the default lineup"
-        );
-        assert!(registered_engine_names().contains(&"null_test_engine"));
-        assert!(register_engine(Arc::new(Null)).is_err(), "duplicate name");
     }
 }

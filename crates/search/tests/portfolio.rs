@@ -73,8 +73,8 @@ fn portfolio_agrees_with_sequential_on_adder4_ghw() {
 #[test]
 fn cancellation_stops_all_workers_within_budget() {
     // queen8 is far beyond any sub-second exact solve, so only the time
-    // budget can end this run; all four workers must notice the watchdog's
-    // cancel within the 100ms grace the issue allots
+    // budget can end this run; all four workers must notice the caller's
+    // deadline cancel within a 100ms grace
     let g = gen::queen_graph(8);
     let budget = Duration::from_millis(300);
     let cfg = SearchConfig::default()

@@ -12,11 +12,11 @@
 //!   flush as `POLLOUT` allows), and the in-flight request count.
 //! * **Pipelined batch mode**: a client may write many newline-JSON
 //!   requests without waiting; each is admitted independently
-//!   ([`crate::server::admit_request`]) into the worker pool, queue,
-//!   watchdog and backpressure machinery, and responses are written back
+//!   (`server::admit_request`) into the worker pool, queue, deadline
+//!   and backpressure machinery, and responses are written back
 //!   *as they complete* — possibly out of request order, matched by the
 //!   request `id` the client chose.
-//! * **Completions** flow from workers through a [`Completions`] queue
+//! * **Completions** flow from workers through a `Completions` queue
 //!   plus a socketpair waker: a worker pushes the finished response and
 //!   writes one byte; the loop wakes, matches the `(connection, token)`
 //!   tag against its pending table, and queues the bytes. A pending

@@ -15,9 +15,9 @@
 //!   every later request, anytime bounds only serve requests whose own
 //!   budget could not have done better ([`cache`]).
 //! * **Deadlines** — each request carries a wall-clock deadline mapped
-//!   onto the solver's budget, enforced by a watchdog that cancels the
-//!   shared incumbent the moment it expires; requests that age out while
-//!   queued are evicted without running ([`server`]).
+//!   onto the solver's time limit, which every solve keeps itself;
+//!   requests that age out while queued are evicted without running
+//!   ([`server`]).
 //! * **Backpressure** — a bounded work queue; a full queue rejects
 //!   immediately with a retry hint instead of buffering unboundedly.
 //! * **Observability** — `GET /healthz`, Prometheus-text `GET /metrics`

@@ -74,8 +74,6 @@ pub struct Metrics {
     /// with [`Metrics::queue_wait`] this splits end-to-end latency into
     /// its queueing and compute parts.
     pub solve_time: HistogramMetric,
-    /// In-flight solves cancelled by the deadline watchdog.
-    pub deadline_cancellations: AtomicU64,
     /// Upper widths served, by value (capped at [`MAX_TRACKED_WIDTH`]).
     pub widths: Vec<AtomicU64>,
     /// Exact answers served.
@@ -142,7 +140,6 @@ impl Metrics {
             request_latency: HistogramMetric::new(&LATENCY_BUCKETS_MS),
             queue_wait: HistogramMetric::new(&SECONDS_BUCKETS),
             solve_time: HistogramMetric::new(&SECONDS_BUCKETS),
-            deadline_cancellations: AtomicU64::new(0),
             widths: (0..=MAX_TRACKED_WIDTH).map(|_| AtomicU64::new(0)).collect(),
             exact_served: AtomicU64::new(0),
             inexact_served: AtomicU64::new(0),
@@ -282,12 +279,6 @@ impl Metrics {
             "htd_inexact_served_total",
             "Anytime-bound answers served.",
             ld(&self.inexact_served),
-        );
-        c(
-            &mut o,
-            "htd_deadline_cancellations_total",
-            "In-flight solves cancelled by the deadline watchdog.",
-            ld(&self.deadline_cancellations),
         );
 
         // cluster series, zero outside cluster mode (stable schema)
@@ -447,10 +438,6 @@ impl Metrics {
                 "queue_p95_ms".into(),
                 Json::Num(self.queue_wait.quantile(0.95) * 1e3),
             ),
-            (
-                "deadline_cancellations".into(),
-                ld(&self.deadline_cancellations),
-            ),
             ("cluster_forwards".into(), ld(&self.cluster_forwards)),
             ("cluster_failovers".into(), ld(&self.cluster_failovers)),
             (
@@ -487,18 +474,12 @@ mod tests {
         let m = Metrics::new();
         m.queue_wait.observe(0.0007); // bucket (0.0005, 0.001]
         m.solve_time.observe(0.3); // bucket (0.25, 0.5]
-        m.deadline_cancellations.fetch_add(2, Ordering::Relaxed);
         let text = m.render_prometheus(0, 0, false);
         assert!(text.contains("htd_queue_seconds_bucket{le=\"0.001\"} 1"));
         assert!(text.contains("htd_queue_seconds_count 1"));
         assert!(text.contains("htd_solve_seconds_bucket{le=\"0.5\"} 1"));
         assert!(text.contains("htd_solve_seconds_sum 0.3"));
-        assert!(text.contains("htd_deadline_cancellations_total 2"));
         let snap = m.snapshot_json(0, 0, false);
-        assert_eq!(
-            snap.get("deadline_cancellations").unwrap().as_u64(),
-            Some(2)
-        );
         let q = snap.get("queue_p95_ms").unwrap().as_f64().unwrap();
         assert!(q > 0.5 && q <= 1.0, "{q}");
     }

@@ -21,10 +21,10 @@
 //!
 //! `format` is `auto` (default, sniffed), `gr` (PACE), `col` (DIMACS) or
 //! `hg` (HyperBench). `cache` is `use` (default) or `off` (bypass lookup,
-//! still admit the fresh result). `engines` (array of registry names, or
-//! one comma-separated string) pins the lineup for this request; an
-//! unknown name is rejected with an error listing the registered
-//! engines.
+//! still admit the fresh result). `engines` (a non-empty array of engine
+//! names, or one comma-separated string) pins the lineup for this
+//! request; an empty array, a non-string entry or an unknown name is
+//! rejected with an error listing the engines.
 //!
 //! ## Responses
 //!
@@ -147,7 +147,7 @@ pub struct SolveRequest {
     pub budget: Option<u64>,
     /// Worker threads for this solve; `None` = 1.
     pub threads: Option<usize>,
-    /// Explicit engine lineup (registry names, launch order); `None`
+    /// Explicit engine lineup (engine names, launch order); `None`
     /// runs the server's default (breaker-filtered) lineup. An explicit
     /// lineup overrides the circuit-breaker bench for this request.
     pub engines: Option<Vec<Engine>>,
@@ -436,19 +436,27 @@ impl Request {
 
 /// Shared `engines` field parsing of `solve` and `answer` requests.
 fn engines_from_doc(doc: &Json) -> Result<Option<Vec<Engine>>, HtdError> {
-    match doc.get("engines") {
-        None => Ok(None),
-        Some(Json::Arr(names)) => {
-            let names: Vec<&str> = names.iter().filter_map(|v| v.as_str()).collect();
-            Ok(Some(htd_search::engines_from_names(&names)?))
+    let names: Vec<&str> = match doc.get("engines") {
+        None => return Ok(None),
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(Json::as_str)
+            .collect::<Option<Vec<_>>>()
+            .filter(|names| !names.is_empty())
+            .ok_or_else(|| {
+                HtdError::Unsupported(format!(
+                    "engines must list at least one engine name; registered engines: {}",
+                    htd_search::engine_list()
+                ))
+            })?,
+        Some(Json::Str(list)) => list.split(',').map(str::trim).collect(),
+        Some(_) => {
+            return Err(HtdError::Unsupported(
+                "engines must be a name array or comma-separated string".into(),
+            ))
         }
-        Some(Json::Str(list)) => Ok(Some(htd_search::engines_from_names(
-            &list.split(',').map(str::trim).collect::<Vec<_>>(),
-        )?)),
-        Some(_) => Err(HtdError::Unsupported(
-            "engines must be a name array or comma-separated string".into(),
-        )),
-    }
+    };
+    htd_search::engines_from_names(&names).map(Some)
 }
 
 /// Shared `forwarded` marker parsing of `solve` and `answer` requests.
@@ -781,7 +789,7 @@ impl KeyedInstance {
 }
 
 /// Builds the [`Problem`] plus the hypergraph the cache key is computed
-/// over (see [`KeyedInstance::parse`]).
+/// over (see `KeyedInstance::parse`).
 pub fn parse_problem(
     format: InstanceFormat,
     text: &str,
@@ -807,6 +815,26 @@ mod tests {
         assert!(msg.contains("warp"), "{msg}");
         assert!(msg.contains("registered engines"), "{msg}");
         assert!(msg.contains("branch_bound"), "{msg}");
+    }
+
+    #[test]
+    fn empty_or_non_string_engine_lists_are_refused() {
+        for engines in ["[]", "[1,2]", r#"["balsep",7]"#] {
+            for cmd in [
+                r#""cmd":"solve","objective":"tw","instance":"p tw 1 0""#,
+                r#""cmd":"answer","query":"Q() :- R(x).\nR: 1 .""#,
+            ] {
+                let doc = Json::parse(&format!(r#"{{{cmd},"engines":{engines}}}"#)).unwrap();
+                let err = Request::from_json(&doc).unwrap_err();
+                assert!(
+                    matches!(err, HtdError::Unsupported(_)),
+                    "{engines}: {err:?}"
+                );
+                let msg = err.to_string();
+                assert!(msg.contains("registered engines"), "{engines}: {msg}");
+                assert!(msg.contains("branch_bound"), "{engines}: {msg}");
+            }
+        }
     }
 
     #[test]
@@ -927,6 +955,26 @@ mod tests {
         p.draining = true;
         let back = Response::from_json(&Json::parse(&p.to_json().to_string()).unwrap()).unwrap();
         assert!(back.draining);
+    }
+
+    #[test]
+    fn answer_counts_above_2_pow_53_cross_the_wire_exactly() {
+        for count in [3u64.pow(34), (1 << 53) + 1, u64::MAX] {
+            let mut r = Response::new(Some("c".into()), Status::Ok);
+            r.answer = Some(Answer {
+                head: vec!["x".into()],
+                mode: AnswerMode::Count,
+                satisfiable: true,
+                count: Some(count),
+                tuples: Vec::new(),
+                truncated: false,
+                stats: Default::default(),
+            });
+            let line = r.to_line();
+            assert!(line.contains(&format!("\"count\":{count}")), "{line}");
+            let back = Response::from_json(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(back.answer.and_then(|a| a.count), Some(count));
+        }
     }
 
     #[test]

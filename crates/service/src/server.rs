@@ -8,7 +8,7 @@
 //! ## Lifecycle of a solve request
 //!
 //! 1. The event loop frames the line; admission parses the instance as
-//!    far as its cache key ([`KeyedInstance`]) and canonicalizes that.
+//!    far as its cache key and canonicalizes that.
 //! 2. Cache lookup — a hit answers immediately without queueing, with the
 //!    outcome JSON its cache entry rendered on admission.
 //! 3. A miss builds the [`Problem`] and enters the bounded work queue; a
@@ -17,16 +17,16 @@
 //! 4. A worker pops the job. If its deadline already expired in the queue
 //!    the job is dropped with a `timeout` response (cooperative
 //!    cancellation of evicted requests); otherwise the remaining time is
-//!    mapped onto the solver's [`SearchConfig`] budget and a shared
-//!    [`Incumbent`] is registered with the deadline watchdog, which
-//!    cancels it the moment the deadline passes — so a cold solve never
-//!    overshoots its deadline by more than the engines' cancellation
-//!    granularity (a few milliseconds).
+//!    mapped onto the solver's [`SearchConfig`] time limit, which the
+//!    solve keeps itself — so a cold solve never overshoots its deadline
+//!    by more than the engines' cancellation granularity (a few
+//!    milliseconds). The solve's shared [`Incumbent`] sits on the
+//!    in-flight list, through which [`Server::kill`] cancels it.
 //! 5. The result is admitted to the cache and the response handed back
 //!    to the event loop, which writes it on the requesting connection.
 //!
-//! `answer` (conjunctive-query) requests ride the same queue, deadline
-//! watchdog and backpressure: admission parses the query,
+//! `answer` (conjunctive-query) requests ride the same queue, deadlines
+//! and backpressure: admission parses the query,
 //! a worker runs the `htd-query` pipeline, and a per-server
 //! [`ShapeCache`] lets repeated query *shapes* skip decomposition while
 //! every answer is still evaluated against its own relations.
@@ -37,8 +37,8 @@
 //! server into *draining*: new solve requests are refused with
 //! `shutting_down`, queued and in-flight work runs to completion, probes
 //! (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and once the
-//! queue is empty and no solve is in flight the workers, watchdog and
-//! event loop exit and a final metrics summary is flushed to the log.
+//! queue is empty and no solve is in flight the workers and event loop
+//! exit and a final metrics summary is flushed to the log.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -70,8 +70,6 @@ use crate::store::{CertStore, StoreRecord};
 /// Slack subtracted from the remaining deadline when budgeting a solve,
 /// covering admission/serialization overhead around the engine run.
 const DEADLINE_SLACK: Duration = Duration::from_millis(10);
-/// How often the watchdog scans for expired deadlines.
-const WATCHDOG_PERIOD: Duration = Duration::from_millis(2);
 /// Extra time the event loop waits for a worker's reply beyond the
 /// request's deadline before it answers `timeout` itself.
 pub(crate) const REPLY_GRACE: Duration = Duration::from_secs(2);
@@ -206,7 +204,7 @@ pub(crate) enum Admission {
 }
 
 /// A unit of queued work: a decomposition solve or a conjunctive-query
-/// answer. Both share the bounded queue, the deadline watchdog and the
+/// answer. Both share the bounded queue, the deadlines and the
 /// backpressure machinery.
 struct Job {
     id: Option<String>,
@@ -362,7 +360,7 @@ pub(crate) struct Inner {
     queue: WorkQueue,
     /// Draining: refuse new solves, finish queued + in-flight work.
     draining: AtomicBool,
-    /// Final stop: workers, watchdog and event loop exit.
+    /// Final stop: workers and event loop exit.
     pub(crate) shutdown: AtomicBool,
     /// Abrupt stop ([`Server::kill`]): exit without draining, dropping
     /// queued work and open connections — the in-process analog of
@@ -370,8 +368,9 @@ pub(crate) struct Inner {
     pub(crate) killed: AtomicBool,
     /// Cluster membership + failure detector (`opts.cluster`).
     pub(crate) cluster: Option<Arc<Cluster>>,
-    /// In-flight deadline registry scanned by the watchdog.
-    registry: Mutex<Vec<(Instant, Arc<Incumbent>)>>,
+    /// The shared incumbents of in-flight jobs, which [`Server::kill`]
+    /// cancels.
+    in_flight: Mutex<Vec<Arc<Incumbent>>>,
     pub(crate) conn_seq: AtomicU64,
     /// Seeded fault injector (`opts.chaos`); `None` in production.
     injector: Option<Arc<FaultInjector>>,
@@ -482,14 +481,12 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: std::net::SocketAddr,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
     event_loop: Option<JoinHandle<()>>,
     agent: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and starts the event loop, watchdog and
-    /// workers. On non-unix targets, which have no `poll(2)`, it fails
+    /// Binds the listener and starts the event loop and workers. On non-unix targets, which have no `poll(2)`, it fails
     /// with [`std::io::ErrorKind::Unsupported`] before binding.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         if cfg!(not(unix)) {
@@ -554,7 +551,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             cluster,
-            registry: Mutex::new(Vec::new()),
+            in_flight: Mutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
             injector,
             breakers,
@@ -639,13 +636,6 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        let watchdog = {
-            let inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("htd-watchdog".into())
-                .spawn(move || watchdog_loop(&inner))
-                .expect("spawn watchdog")
-        };
         let event_loop = {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
@@ -684,7 +674,6 @@ impl Server {
             inner,
             addr,
             workers,
-            watchdog: Some(watchdog),
             event_loop: Some(event_loop),
             agent,
         })
@@ -758,7 +747,7 @@ impl Server {
         self.inner.killed.store(true, Ordering::SeqCst);
         self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for (_, incumbent) in self.inner.registry.lock().iter() {
+        for incumbent in self.inner.in_flight.lock().iter() {
             incumbent.cancel();
         }
         self.join_all();
@@ -773,7 +762,6 @@ impl Server {
         let threads = self
             .workers
             .drain(..)
-            .chain(self.watchdog.take())
             .chain(self.event_loop.take())
             .chain(self.agent.take());
         for t in threads {
@@ -911,37 +899,6 @@ pub fn run_until_shutdown(opts: ServeOptions) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Cancels the shared incumbents of expired in-flight solves. Only the
-/// first cancellation of a solve is counted and logged: a flag already
-/// set means either a previous scan got it or the solve finished (exact
-/// proofs cancel their own incumbent), neither of which is a new kill.
-fn watchdog_loop(inner: &Inner) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        {
-            let registry = inner.registry.lock();
-            for (deadline, incumbent) in registry.iter() {
-                if now >= *deadline && !incumbent.is_cancelled() {
-                    incumbent.cancel();
-                    inner
-                        .metrics
-                        .deadline_cancellations
-                        .fetch_add(1, Ordering::Relaxed);
-                    inner.log(format_args!(
-                        "watchdog cancelled expired solve overshoot_ms={:.1} best_upper={}",
-                        now.saturating_duration_since(*deadline).as_secs_f64() * 1e3,
-                        match incumbent.upper() {
-                            u32::MAX => "-".into(),
-                            u => u.to_string(),
-                        },
-                    ));
-                }
-            }
-        }
-        thread::sleep(WATCHDOG_PERIOD);
-    }
-}
-
 fn worker_loop(inner: &Inner) {
     loop {
         if inner.shutdown.load(Ordering::SeqCst)
@@ -980,10 +937,7 @@ fn worker_loop(inner: &Inner) {
         }
         inner.metrics.inflight.fetch_add(1, Ordering::SeqCst);
         let incumbent = Arc::new(Incumbent::new());
-        inner
-            .registry
-            .lock()
-            .push((job.deadline, Arc::clone(&incumbent)));
+        inner.in_flight.lock().push(Arc::clone(&incumbent));
 
         // seeded fault injection (chaos mode): a request may be stalled,
         // allocation-starved, or handed a panicking portfolio worker
@@ -1015,10 +969,10 @@ fn worker_loop(inner: &Inner) {
             }
         };
 
-        {
-            let mut registry = inner.registry.lock();
-            registry.retain(|(_, i)| !Arc::ptr_eq(i, &incumbent));
-        }
+        inner
+            .in_flight
+            .lock()
+            .retain(|i| !Arc::ptr_eq(i, &incumbent));
         inner.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
         if r.status == Status::Ok {
             inner.metrics.request_latency.observe(r.elapsed_ms);

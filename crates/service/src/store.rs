@@ -25,8 +25,8 @@
 //! ```
 //!
 //! The payload carries the original instance *text*, not just the
-//! canonical bytes: the oracle needs a [`Problem`] to judge the witness
-//! against, and re-parsing the instance plus re-deriving its canonical
+//! canonical bytes: the oracle needs a [`Problem`](htd_search::Problem)
+//! to judge the witness against, and re-parsing the instance plus re-deriving its canonical
 //! form from scratch means a tampered instance/outcome pairing cannot
 //! slip through on a stale key.
 //!

@@ -338,7 +338,6 @@ fn healthz_and_metrics_respond_and_errors_carry_codes() {
         "htd_queue_seconds_count 1",
         "htd_solve_seconds_bucket",
         "htd_solve_seconds_count 1",
-        "htd_deadline_cancellations_total",
         // solver-level series appended from the htd-trace registry
         "htd_solver_expansions_total",
         "htd_solver_deadline_cancellations_total",
@@ -621,6 +620,35 @@ fn oversized_and_malformed_frames_get_structured_errors() {
         assert!(reply.contains("pong"), "{reply}");
     }
 
+    server.request_shutdown();
+    server.wait();
+}
+
+#[test]
+fn empty_or_non_string_engine_lists_get_code_4() {
+    let (server, addr) = start(quiet_opts());
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for engines in ["[]", "[1,2]"] {
+        let line = format!(
+            r#"{{"cmd":"solve","objective":"tw","instance":"p tw 3 2\n1 2\n2 3\n","engines":{engines}}}"#
+        );
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let doc = htd_core::Json::parse(reply.trim()).expect("structured reply");
+        assert_eq!(
+            doc.get("status").and_then(|v| v.as_str()),
+            Some("error"),
+            "{engines}: {reply}"
+        );
+        assert_eq!(
+            doc.get("code").and_then(|v| v.as_u64()),
+            Some(4),
+            "{engines}: {reply}"
+        );
+        assert!(reply.contains("branch_bound"), "{engines}: {reply}");
+    }
     server.request_shutdown();
     server.wait();
 }

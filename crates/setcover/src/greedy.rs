@@ -1,4 +1,4 @@
-//! Greedy set cover (thesis Fig. 7.2, after Chvátal [11]).
+//! Greedy set cover (thesis Fig. 7.2, after Chvátal \[11\]).
 
 use htd_hypergraph::{EdgeId, VertexSet};
 use rand::Rng;

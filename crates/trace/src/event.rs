@@ -13,7 +13,7 @@
 
 /// Version stamped into every JSONL record as `"v"`. Schema history:
 /// v1 = solver/worker/query events; v2 adds the `span_enter`/`span_exit`
-/// pair from the span layer ([`crate::span`]).
+/// pair from the span layer ([`crate::span`](mod@crate::span)).
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Every `kind` the current schema can emit, in no particular order.

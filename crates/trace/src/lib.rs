@@ -13,7 +13,7 @@
 //! - **Sinks** ([`sink`]): where events go. [`NullSink`] (discard),
 //!   [`JsonlSink`] (the versioned `--trace file.jsonl` format), or a
 //!   [`RingBuffer`] for tests and in-process analysis.
-//! - **Spans** ([`span`]): hierarchical RAII profiling regions
+//! - **Spans** ([`span`](mod@span)): hierarchical RAII profiling regions
 //!   (`span!("astar.expand")`) aggregating per-path wall/CPU/self time
 //!   and call counts, exported as a profile snapshot, folded stacks
 //!   for flamegraphs, per-span histograms, and (for coarse spans fed a
