@@ -672,7 +672,6 @@ fn cluster_workload(smoke: bool, metrics: &mut Vec<Metric>) {
                     default_deadline_ms: deadline,
                     log: false,
                     verify_responses: false,
-                    reuse_addr: true,
                     cluster: Some(cfg),
                     ..ServeOptions::default()
                 })

@@ -110,7 +110,6 @@ fn start_node(addrs: &[String], me: usize) -> Server {
         default_deadline_ms: 10_000,
         log: false,
         verify_responses: false,
-        reuse_addr: true,
         cluster: Some(cfg),
         ..ServeOptions::default()
     })

@@ -134,8 +134,6 @@ fn main() {
         verify_responses: false,
         memory_mb: Some(64),
         chaos: Some(FaultPlan::chaos(args.seed)),
-        breaker_threshold: 3,
-        breaker_probe_ms: 250,
         ..ServeOptions::default()
     })
     .expect("bind loopback");

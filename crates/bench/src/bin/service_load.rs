@@ -871,7 +871,6 @@ fn cluster_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
                 default_deadline_ms: deadline,
                 log: false,
                 verify_responses: false,
-                reuse_addr: true,
                 cluster: Some(ClusterConfig::new(ids[me].as_str(), peers)),
                 ..ServeOptions::default()
             })

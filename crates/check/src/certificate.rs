@@ -223,17 +223,15 @@ impl Certificate {
             }
         };
         let num_vertices = field("num_vertices")?
-            .as_u64()
-            .ok_or_else(|| HtdError::Parse("'num_vertices' is not a number".into()))?
-            as u32;
+            .as_u32()
+            .ok_or_else(|| HtdError::Parse("'num_vertices' is not a u32".into()))?;
         let id_list = |v: &Json, what: &str| -> Result<Vec<u32>, HtdError> {
             v.as_arr()
                 .ok_or_else(|| HtdError::Parse(format!("{what} is not an array")))?
                 .iter()
                 .map(|x| {
-                    x.as_u64()
-                        .map(|n| n as u32)
-                        .ok_or_else(|| HtdError::Parse(format!("{what} holds a non-integer")))
+                    x.as_u32()
+                        .ok_or_else(|| HtdError::Parse(format!("{what} holds a non-u32")))
                 })
                 .collect()
         };
@@ -248,9 +246,8 @@ impl Certificate {
         let claimed_width = match doc.get("claimed_width") {
             None => None,
             Some(w) => Some(
-                w.as_u64()
-                    .ok_or_else(|| HtdError::Parse("'claimed_width' is not a number".into()))?
-                    as u32,
+                w.as_u32()
+                    .ok_or_else(|| HtdError::Parse("'claimed_width' is not a u32".into()))?,
             ),
         };
         let d = field("decomposition")?;

@@ -31,12 +31,26 @@ fn success_is_exit_zero() {
 
 #[test]
 fn parse_error_is_exit_two() {
+    let names: Vec<String> = (0..=16_384).map(|v| format!("v{v}")).collect();
+    let wide_hg = format!("e1({}).\n", names.join(","));
     // an .hg file without atoms (what `htd gen nosuchname > x.hg` leaves
-    // behind) is no instance, not one of width 0
+    // behind) is no instance, not one of width 0; an instance over the
+    // 16384-vertex cap is refused before anything is allocated for it;
+    // a number too wide for its 32-bit field is refused, not truncated
     for (name, text, cmd) in [
         ("bad.gr", "p tw not-a-number\n", "tw"),
         ("empty.hg", "", "ghw"),
         ("comments.hg", "% only a comment\n\n", "ghw"),
+        ("huge.gr", "p tw 4294967295 0\n", "info"),
+        ("huge.col", "p edge 4294967295 0\n", "tw"),
+        ("wide.hg", wide_hg.as_str(), "ghw"),
+        (
+            "wide.json",
+            "{\"schema\":1,\"objective\":\"tw\",\"num_vertices\":4294967299,\
+             \"edges\":[[4294967296,1]],\"claimed_width\":1,\
+             \"decomposition\":{\"bags\":[[0,1,2]],\"parent\":[null]}}\n",
+            "check",
+        ),
     ] {
         let file = write_temp(name, text);
         let out = htd(&[cmd, file.to_str().unwrap()]);
@@ -175,6 +189,20 @@ fn resource_exhaustion_is_exit_six() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "2");
     let _ = std::fs::remove_file(file);
+
+    // a query with more variables than a decomposition may have is
+    // refused before its dense primal graph is built
+    let chain: Vec<String> = (0..16_384)
+        .map(|i| format!("R(v{i}, v{})", i + 1))
+        .collect();
+    let file = write_temp(
+        "wide.cq",
+        &format!("Q() :- {}.\nR: 1 2 .\n", chain.join(", ")),
+    );
+    let out = htd(&["answer", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(6), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("16385 variables"));
+    let _ = std::fs::remove_file(file);
 }
 
 #[test]
@@ -312,6 +340,48 @@ fn serving_a_locked_store_is_exit_five() {
         "{out:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The signal handler `htd serve` installs: SIGTERM starts the graceful
+/// drain, and the process exits 0 once it is done.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_and_exits_zero() {
+    use std::io::{BufRead, Read};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_htd"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn htd serve");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("htd-service listening on ")
+        .unwrap_or_else(|| panic!("no listening line: {line:?}"))
+        .to_string();
+    htd_service::Client::connect(&addr).unwrap().ping().unwrap();
+    let pid = child.id().to_string();
+    let sent = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
+    assert!(sent.success(), "kill -TERM {pid}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("htd serve still running 10 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0), "{status:?}");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("server drained"), "{rest:?}");
 }
 
 #[test]

@@ -73,6 +73,12 @@ impl Json {
         }
     }
 
+    /// The number as u32, if this is a non-negative integral number below
+    /// 2^32. A wider value is `None`, never truncated.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|x| u32::try_from(x).ok())
+    }
+
     /// The string, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -17,6 +17,33 @@ use std::fmt::Write as _;
 use crate::graph::Graph;
 use crate::hypergraph::Hypergraph;
 
+/// Most vertices an instance read from text may have. A dense adjacency
+/// copy of `n` vertices takes n² bits, 32 MiB at this cap, which is about
+/// 40 times the largest instance in the repository (c880, 383 vertices).
+/// The parsers refuse a larger instance before allocating for it, so a
+/// 19-byte header cannot ask for a 128 GiB graph.
+pub const MAX_VERTICES: u32 = 1 << 14;
+
+/// Most bytes the edges of an instance read from text may take as vertex
+/// sets, one bitset of ⌈n/64⌉ words per edge: twice a dense adjacency
+/// copy at [`MAX_VERTICES`], so 32768 edges at the cap and far more on
+/// fewer vertices. Without it an 8 MiB input of short edges over 16384
+/// vertices would ask for gigabytes.
+pub const MAX_EDGE_SET_BYTES: u64 = 1 << 26;
+
+/// Refuses an instance of `vertices` vertices and `edges` edges beyond
+/// [`MAX_VERTICES`] or [`MAX_EDGE_SET_BYTES`]; every parser checks it
+/// before building the hypergraph view an instance may be turned into.
+pub fn check_size(vertices: u64, edges: u64) -> Result<(), ParseError> {
+    if vertices > u64::from(MAX_VERTICES) {
+        return Err(ParseError::TooManyVertices { declared: vertices });
+    }
+    if edges.saturating_mul(vertices.div_ceil(64) * 8) > MAX_EDGE_SET_BYTES {
+        return Err(ParseError::TooManyEdges { edges, vertices });
+    }
+    Ok(())
+}
+
 /// Errors produced by the parsers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
@@ -36,6 +63,20 @@ pub enum ParseError {
         /// The edge lines present.
         found: usize,
     },
+    /// The instance has more vertices than [`MAX_VERTICES`].
+    TooManyVertices {
+        /// The vertex count the header declares, or the distinct vertex
+        /// names an atom list mentions.
+        declared: u64,
+    },
+    /// The instance's edges, as vertex sets, would take more than
+    /// [`MAX_EDGE_SET_BYTES`].
+    TooManyEdges {
+        /// The edges.
+        edges: u64,
+        /// The vertices, which set the width of every edge's set.
+        vertices: u64,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -48,6 +89,15 @@ impl std::fmt::Display for ParseError {
             ParseError::EdgeCount { declared, found } => {
                 write!(f, "the header declares {declared} edges, found {found}")
             }
+            ParseError::TooManyVertices { declared } => write!(
+                f,
+                "the instance has {declared} vertices, more than the {MAX_VERTICES} accepted"
+            ),
+            ParseError::TooManyEdges { edges, vertices } => write!(
+                f,
+                "{edges} edges over {vertices} vertices take more than the \
+                 {MAX_EDGE_SET_BYTES} bytes of edge sets accepted"
+            ),
         }
     }
 }
@@ -96,10 +146,7 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
         match it.next() {
             Some("p") => {
                 let _format = it.next().ok_or(ParseError::MissingHeader)?;
-                let n: u32 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(ParseError::MissingHeader)?;
+                let n = header_vertices(it.next())?;
                 graph = Some(Graph::new(n));
             }
             Some("e") => {
@@ -122,7 +169,19 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
             None => {}
         }
     }
-    graph.ok_or(ParseError::MissingHeader)
+    let g = graph.ok_or(ParseError::MissingHeader)?;
+    check_size(u64::from(g.num_vertices()), g.num_edges() as u64)?;
+    Ok(g)
+}
+
+/// The `n` of a `p … n m` header, refused above [`MAX_VERTICES`] before
+/// any graph is allocated for it.
+fn header_vertices(field: Option<&str>) -> Result<u32, ParseError> {
+    let n: u64 = field
+        .and_then(|s| s.parse().ok())
+        .ok_or(ParseError::MissingHeader)?;
+    check_size(n, 0)?;
+    Ok(n as u32)
 }
 
 /// Writes a graph in DIMACS graph-coloring format.
@@ -154,9 +213,11 @@ pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
             }
             let mut it = rest.split_whitespace();
             let _tw = it.next().ok_or(ParseError::MissingHeader)?;
-            let mut number = || it.next().and_then(|s| s.parse().ok());
-            let n: u32 = number().ok_or(ParseError::MissingHeader)?;
-            let m = number().ok_or(ParseError::MissingHeader)? as usize;
+            let n = header_vertices(it.next())?;
+            let m: usize = it
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or(ParseError::MissingHeader)?;
             graph = Some((Graph::new(n), m));
             continue;
         }
@@ -180,7 +241,10 @@ pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
     match graph {
         None => Err(ParseError::MissingHeader),
         Some((_, declared)) if declared != found => Err(ParseError::EdgeCount { declared, found }),
-        Some((g, _)) => Ok(g),
+        Some((g, _)) => {
+            check_size(u64::from(g.num_vertices()), g.num_edges() as u64)?;
+            Ok(g)
+        }
     }
 }
 
@@ -249,6 +313,17 @@ pub fn parse_hyperedges(text: &str) -> Result<Hypergraph, ParseError> {
             }
         }
     }
+    // interning gives every edge a vertex set as wide as the vertex
+    // count, so refuse an oversized instance first; the mentions bound
+    // the vertex count, so only a large input pays for counting names
+    let mentions: usize = edges.iter().map(|(_, scope)| scope.len()).sum();
+    if check_size(mentions as u64, edges.len() as u64).is_err() {
+        let names: std::collections::HashSet<&str> = edges
+            .iter()
+            .flat_map(|(_, scope)| scope.iter().map(String::as_str))
+            .collect();
+        check_size(names.len() as u64, edges.len() as u64)?;
+    }
     Ok(Hypergraph::from_named_edges(&edges))
 }
 
@@ -312,6 +387,84 @@ pub fn write_hyperedges(h: &Hypergraph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_headers_are_refused_before_allocating() {
+        let over = u64::from(MAX_VERTICES) + 1;
+        for (parse, header) in [
+            (
+                parse_pace_gr as fn(&str) -> Result<Graph, ParseError>,
+                "p tw",
+            ),
+            (parse_dimacs, "p edge"),
+        ] {
+            for n in [over, u64::from(u32::MAX), 99_999_999_999] {
+                let err = parse(&format!("{header} {n} 0\n")).unwrap_err();
+                assert_eq!(err, ParseError::TooManyVertices { declared: n });
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&n.to_string()) && msg.contains("16384"),
+                    "{msg}"
+                );
+            }
+            let at_cap = parse(&format!("{header} {MAX_VERTICES} 0\n")).unwrap();
+            assert_eq!(at_cap.num_vertices(), MAX_VERTICES);
+        }
+    }
+
+    #[test]
+    fn atom_lists_with_too_many_vertices_are_refused() {
+        let atoms = |n: u32| {
+            let scope: Vec<String> = (0..n).map(|v| format!("v{v}")).collect();
+            format!("e1({}),\ne2(v0).", scope.join(","))
+        };
+        let err = parse_hg(&atoms(MAX_VERTICES + 1)).unwrap_err();
+        let declared = u64::from(MAX_VERTICES) + 1;
+        assert_eq!(err, ParseError::TooManyVertices { declared });
+        assert_eq!(
+            parse_hg(&atoms(MAX_VERTICES)).unwrap().num_vertices(),
+            MAX_VERTICES
+        );
+        // many mentions of few vertices are fine
+        let repeated: Vec<String> = (0..MAX_VERTICES + 10)
+            .map(|i| format!("e{i}(a,b)"))
+            .collect();
+        let h = parse_hg(&format!("{}.", repeated.join(",\n"))).unwrap();
+        assert_eq!(h.num_vertices(), 2);
+    }
+
+    #[test]
+    fn edge_sets_over_the_budget_are_refused() {
+        // at the vertex cap an edge's set takes 2 KiB, so 32768 edges fit
+        let fit = (MAX_EDGE_SET_BYTES / 2048) as u32;
+        let n = MAX_VERTICES;
+        // distinct pairs {u, u + 1 + i / n}, 1-based
+        let pairs = |m: u32| (0..m).map(move |i| (i % n + 1, (i % n + 1 + i / n) % n + 1));
+        for m in [fit, fit + 1] {
+            let body: String = pairs(m).map(|(u, v)| format!("{u} {v}\n")).collect();
+            let gr = parse_pace_gr(&format!("p tw {n} {m}\n{body}"));
+            let dimacs: String = pairs(m).map(|(u, v)| format!("e {u} {v}\n")).collect();
+            let col = parse_dimacs(&format!("p edge {n} {m}\n{dimacs}"));
+            let atoms: Vec<String> = pairs(m)
+                .map(|(u, v)| format!("e{u}_{v}(v{u},v{v})"))
+                .collect();
+            let hg = parse_hg(&format!("{}.", atoms.join(",\n")));
+            if m == fit {
+                assert_eq!(gr.unwrap().num_edges(), m as usize);
+                assert_eq!(col.unwrap().num_edges(), m as usize);
+                assert_eq!(hg.unwrap().num_edges(), m);
+            } else {
+                let refused = ParseError::TooManyEdges {
+                    edges: u64::from(m),
+                    vertices: u64::from(n),
+                };
+                assert_eq!(gr.unwrap_err(), refused);
+                assert_eq!(col.unwrap_err(), refused);
+                assert_eq!(hg.unwrap_err(), refused);
+                assert!(refused.to_string().contains("32769 edges over 16384"));
+            }
+        }
+    }
 
     #[test]
     fn dimacs_roundtrip() {

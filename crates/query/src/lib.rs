@@ -35,6 +35,7 @@ pub mod shape;
 pub use htd_resilience::MemoryBudget;
 pub use parse::{parse_query, FileAccess, Query};
 pub use pipeline::{
-    answer, Answer, AnswerMode, AnswerOptions, AnswerStats, ANSWER_LATENCY_BUCKETS_MS,
+    answer, check_query_size, Answer, AnswerMode, AnswerOptions, AnswerStats,
+    ANSWER_LATENCY_BUCKETS_MS,
 };
 pub use shape::ShapeCache;

@@ -40,6 +40,7 @@ use htd_core::bucket::td_of_hypergraph;
 use htd_core::{EliminationOrdering, HtdError, Json, TreeDecomposition};
 use htd_csp::yannakakis::{estimate, place};
 use htd_csp::{NodeRelations, Value};
+use htd_hypergraph::io::{self, MAX_EDGE_SET_BYTES, MAX_VERTICES};
 use htd_hypergraph::{canonical_form, Hypergraph};
 use htd_resilience::{quarantined, MemoryBudget};
 use htd_search::{solve, Problem, SearchConfig};
@@ -279,7 +280,10 @@ impl Answer {
                     .get("shape_cache_hit")
                     .and_then(Json::as_bool)
                     .unwrap_or(false),
-                width: num("width") as u32,
+                width: match stats.get("width") {
+                    None => 0,
+                    Some(w) => w.as_u32().ok_or_else(|| bad("width"))?,
+                },
                 nodes: num("nodes"),
                 fingerprint: stats
                     .get("fingerprint")
@@ -467,6 +471,27 @@ fn eval_query(
     }
 }
 
+/// Refuses a query too large to decompose, before anything dense is built
+/// for it: decomposing builds the query hypergraph, one vertex set of
+/// ⌈n/64⌉ words per atom, and its primal graph, n² bits for n variables.
+/// A query over the instance parsers' caps ([`io::check_size`]) is
+/// [`HtdError::ResourceExhausted`], counted in `htd_answer_refusals_total`.
+/// [`answer`] checks it first.
+pub fn check_query_size(q: &Query) -> Result<(), HtdError> {
+    let (vars, atoms) = (q.csp.num_vars(), q.csp.constraints.len());
+    if io::check_size(vars.into(), atoms as u64).is_ok() {
+        return Ok(());
+    }
+    htd_trace::registry()
+        .counter("htd_answer_refusals_total")
+        .inc();
+    Err(HtdError::ResourceExhausted(format!(
+        "refusing decomposition: the query has {vars} variables and {atoms} atoms, more than \
+         a decomposition may have ({MAX_VERTICES} variables, {MAX_EDGE_SET_BYTES} bytes of \
+         atom sets)"
+    )))
+}
+
 /// Answers `q` end to end: decompose (shape-cache aware), estimate,
 /// evaluate. See the module docs for the stage breakdown; errors are
 /// structured [`HtdError`]s — notably [`HtdError::ResourceExhausted`]
@@ -487,6 +512,7 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
         elapsed_us: opts.parse_us,
     });
 
+    check_query_size(q)?;
     let h = q.csp.hypergraph();
     let canon = canonical_form(&h);
     let mut stats = AnswerStats {
@@ -713,6 +739,32 @@ mod tests {
         let mut got = b.tuples.clone();
         got.sort();
         assert_eq!(got, vec![vec!["4", "6"], vec!["4", "8"]]);
+    }
+
+    #[test]
+    fn queries_over_the_vertex_cap_are_refused_before_decomposing() {
+        let atoms: Vec<String> = (0..MAX_VERTICES)
+            .map(|i| format!("R(v{i}, v{})", i + 1))
+            .collect();
+        let text = format!("Q() :- {}.\nR: 1 2 .", atoms.join(", "));
+        let query = q(&text);
+        assert_eq!(query.csp.num_vars(), MAX_VERTICES + 1);
+        match answer(&query, &opts(AnswerMode::Count)).unwrap_err() {
+            HtdError::ResourceExhausted(msg) => {
+                assert!(msg.contains("16385") && msg.contains("16384"), "{msg}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // at the cap, 2 KiB per atom: 32769 atoms take more than 64 MiB
+        let atoms: Vec<String> = (0..2 * MAX_VERTICES + 1)
+            .map(|i| format!("R(v{}, v{})", i % MAX_VERTICES, (i + 1) % MAX_VERTICES))
+            .collect();
+        let query = q(&format!("Q() :- {}.\nR: 1 2 .", atoms.join(", ")));
+        assert_eq!(query.csp.num_vars(), MAX_VERTICES);
+        match answer(&query, &opts(AnswerMode::Count)).unwrap_err() {
+            HtdError::ResourceExhausted(msg) => assert!(msg.contains("32769 atoms"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
     }
 
     #[test]

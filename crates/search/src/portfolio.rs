@@ -329,16 +329,20 @@ impl Outcome {
                 .as_u64()
                 .ok_or_else(|| HtdError::Parse(format!("'{k}' is not a number")))
         };
+        let width = |k: &str| -> Result<u32, HtdError> {
+            field(k)?
+                .as_u32()
+                .ok_or_else(|| HtdError::Parse(format!("'{k}' is not a u32")))
+        };
         let witness = match doc.get("witness") {
             None => None,
             Some(w) => {
                 let items = w
                     .as_arr()
                     .ok_or_else(|| HtdError::Parse("witness is not an array".into()))?;
-                let order: Option<Vec<u32>> =
-                    items.iter().map(|v| v.as_u64().map(|x| x as u32)).collect();
+                let order: Option<Vec<u32>> = items.iter().map(Json::as_u32).collect();
                 Some(EliminationOrdering::new_unchecked(order.ok_or_else(
-                    || HtdError::Parse("witness holds a non-integer".into()),
+                    || HtdError::Parse("witness holds a non-u32".into()),
                 )?))
             }
         };
@@ -365,8 +369,8 @@ impl Outcome {
         };
         Ok(Outcome {
             objective,
-            lower: num("lower")? as u32,
-            upper: num("upper")? as u32,
+            lower: width("lower")?,
+            upper: width("upper")?,
             exact: field("exact")?
                 .as_bool()
                 .ok_or_else(|| HtdError::Parse("'exact' is not a bool".into()))?,
@@ -439,14 +443,19 @@ fn engine_report_from_json(doc: &Json) -> Result<EngineReport, HtdError> {
     )
     .ok_or_else(|| HtdError::Parse("bad engine name".into()))?;
     let num = |k: &str| doc.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
+    // a bound is read exactly or refused, never truncated
+    let bound = |k: &str| {
+        doc.get(k)
+            .map(|v| {
+                v.as_u32()
+                    .ok_or_else(|| HtdError::Parse(format!("engine '{k}' is not a u32")))
+            })
+            .transpose()
+    };
     Ok(EngineReport {
         engine,
-        lower: num("lower") as u32,
-        upper: doc
-            .get("upper")
-            .and_then(|v| v.as_u64())
-            .map(|x| x as u32)
-            .unwrap_or(u32::MAX),
+        lower: bound("lower")?.unwrap_or(0),
+        upper: bound("upper")?.unwrap_or(u32::MAX),
         exact: doc.get("exact").and_then(|v| v.as_bool()).unwrap_or(false),
         panicked: doc
             .get("panicked")
@@ -1159,6 +1168,44 @@ mod tests {
             assert_eq!(a.engine, b.engine);
             assert_eq!(a.stats.expanded, b.stats.expanded);
         }
+    }
+
+    #[test]
+    fn bounds_above_u32_are_refused_not_truncated() {
+        let out = solve(
+            &Problem::treewidth(gen::cycle_graph(5)),
+            &SearchConfig::default(),
+        )
+        .unwrap();
+        let doc = out.to_json();
+        let with = |key: &str, value: Json| {
+            let Json::Obj(mut members) = doc.clone() else {
+                unreachable!("an outcome is an object")
+            };
+            for (k, v) in &mut members {
+                if k == key {
+                    *v = value.clone();
+                }
+            }
+            Json::Obj(members)
+        };
+        // 4294967298 as u32 is 2: a claim with lower > upper must not
+        // turn into one with lower < upper
+        for (key, value) in [
+            ("lower", Json::uint(4_294_967_298)),
+            ("upper", Json::uint(1 << 32)),
+            ("witness", Json::Arr(vec![Json::uint(1 << 32)])),
+        ] {
+            let err = Outcome::from_json(&with(key, value)).unwrap_err();
+            assert!(matches!(err, HtdError::Parse(_)), "{key}: {err:?}");
+        }
+        let mut engines = doc.get("engines").unwrap().as_arr().unwrap().to_vec();
+        let Json::Obj(report) = &mut engines[0] else {
+            unreachable!("an engine report is an object")
+        };
+        report.retain(|(k, _)| k != "upper");
+        report.push(("upper".into(), Json::uint(u64::from(u32::MAX) + 1)));
+        assert!(Outcome::from_json(&with("engines", Json::Arr(engines))).is_err());
     }
 
     #[test]

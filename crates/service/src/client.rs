@@ -33,15 +33,7 @@ pub struct Client {
 impl Client {
     /// Connects to `addr` (e.g. `127.0.0.1:7878`).
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Client {
-            addr: addr.to_string(),
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            next_id: 0,
-            poisoned: false,
-        })
+        Client::over(addr, TcpStream::connect(addr)?)
     }
 
     /// Like [`Client::connect`], but bounds the TCP handshake: the
@@ -55,7 +47,11 @@ impl Client {
                 format!("{addr} resolves to no address"),
             )
         })?;
-        let stream = TcpStream::connect_timeout(&sockaddr, timeout)?;
+        Client::over(addr, TcpStream::connect_timeout(&sockaddr, timeout)?)
+    }
+
+    /// A client on a freshly dialled `stream` to `addr`.
+    fn over(addr: &str, stream: TcpStream) -> std::io::Result<Client> {
         let _ = stream.set_nodelay(true);
         Ok(Client {
             addr: addr.to_string(),
@@ -69,11 +65,8 @@ impl Client {
     /// Drops the existing socket and dials the server again. Any
     /// responses still in flight on the old connection are lost.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect(&self.addr)?;
-        let _ = stream.set_nodelay(true);
-        self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = stream;
-        self.poisoned = false;
+        let fresh = Client::connect(&self.addr)?;
+        (self.reader, self.writer, self.poisoned) = (fresh.reader, fresh.writer, false);
         Ok(())
     }
 

@@ -48,7 +48,7 @@ use parking_lot::Mutex;
 
 use crate::client::Client;
 use crate::metrics::Metrics;
-use crate::protocol::{CertPush, Command, Request, Status};
+use crate::protocol::{CertPush, Command, Request, Response, Status};
 use crate::ring::Ring;
 use crate::store::{CertStore, StoreRecord};
 
@@ -292,6 +292,28 @@ impl Cluster {
         self.peers.lock().get(id).is_some_and(|p| p.partitioned)
     }
 
+    /// One request to peer `id` at `addr` over a fresh connection — how
+    /// every forward, probe and certificate push reaches a peer: the dial
+    /// is bounded by the probe timeout (a dead peer must never hold a
+    /// caller for the kernel's default connect timeout of minutes), the
+    /// reply by `read`. `None` when the peer is partitioned away or the
+    /// exchange fails.
+    pub(crate) fn call_peer(
+        &self,
+        id: &str,
+        addr: &str,
+        read: Duration,
+        req: &Request,
+    ) -> Option<Response> {
+        if self.is_peer_partitioned(id) {
+            return None;
+        }
+        let dial = Duration::from_millis(self.cfg.probe_timeout_ms);
+        let mut client = Client::connect_timeout(addr, dial).ok()?;
+        client.set_read_timeout(Some(read));
+        client.request(req).ok()
+    }
+
     /// Queues `push` for every *other* owner of `fingerprint`: live
     /// replicas get a replication push, unreachable owners a hint that
     /// flushes on recovery. Called after every verified cacheable solve
@@ -494,12 +516,16 @@ impl Cluster {
     pub fn tick(&self, store: Option<&CertStore>) {
         let now = Instant::now();
         let timeout = Duration::from_millis(self.cfg.probe_timeout_ms);
+        let ping = Request {
+            id: Some("probe".into()),
+            cmd: Command::Ping,
+        };
         for (id, addr) in self.due_probes(now) {
             let _sp = htd_trace::span!("cluster.probe");
-            let result = if self.is_peer_partitioned(&id) {
-                Err(())
-            } else {
-                probe_peer(&addr, timeout)
+            // `Ok(draining)` on any well-formed pong
+            let result = match self.call_peer(&id, &addr, timeout, &ping) {
+                Some(r) if r.status == Status::Pong => Ok(r.draining),
+                _ => Err(()),
             };
             if self.note_probe(&id, result, Instant::now()) {
                 // recovery: replay the local store and hand the peer
@@ -518,18 +544,25 @@ impl Cluster {
                 break;
             };
             let _sp = htd_trace::span!("cluster.push");
-            let delivered = !self.is_peer_partitioned(&d.target)
-                && push_cert(&addr, &d.push, timeout).is_some_and(|accepted| {
-                    if !accepted {
-                        // the receiver's oracle rejected the claim: it
-                        // recomputes on demand; re-sending cannot help
-                        self.log(format_args!(
-                            "peer={} rejected certificate fp={}",
-                            d.target, d.push.fingerprint_hex
-                        ));
-                    }
-                    true
-                });
+            let push = Request {
+                id: Some("push".into()),
+                cmd: Command::PutCert(d.push.clone()),
+            };
+            // verification re-solves nothing but re-checks a certificate,
+            // which on large instances takes real time: give the read some
+            // slack
+            let reply = self.call_peer(&d.target, &addr, timeout * 4, &push);
+            let delivered = reply.is_some_and(|r| {
+                if r.status != Status::Ok {
+                    // the receiver's oracle rejected the claim: it
+                    // recomputes on demand; re-sending cannot help
+                    self.log(format_args!(
+                        "peer={} rejected certificate fp={}",
+                        d.target, d.push.fingerprint_hex
+                    ));
+                }
+                true
+            });
             if delivered {
                 match d.kind {
                     DeliveryKind::Replicate => self
@@ -546,40 +579,6 @@ impl Cluster {
             }
         }
     }
-}
-
-/// One health probe: dial with a timeout, `ping`, read the `pong`'s
-/// `draining` flag. `Ok(draining)` on any well-formed pong.
-fn probe_peer(addr: &str, timeout: Duration) -> Result<bool, ()> {
-    let mut client = Client::connect_timeout(addr, timeout).map_err(|_| ())?;
-    client.set_read_timeout(Some(timeout));
-    let r = client
-        .request(&Request {
-            id: Some("probe".into()),
-            cmd: Command::Ping,
-        })
-        .map_err(|_| ())?;
-    if r.status == Status::Pong {
-        Ok(r.draining)
-    } else {
-        Err(())
-    }
-}
-
-/// Delivers one certificate. `Some(accepted)` when the peer answered at
-/// all (`accepted` = oracle admitted it); `None` on transport failure.
-fn push_cert(addr: &str, push: &CertPush, timeout: Duration) -> Option<bool> {
-    let mut client = Client::connect_timeout(addr, timeout).ok()?;
-    // verification re-solves nothing but re-checks a certificate, which
-    // on large instances takes real time: give the read some slack
-    client.set_read_timeout(Some(timeout * 4));
-    let r = client
-        .request(&Request {
-            id: Some("push".into()),
-            cmd: Command::PutCert(push.clone()),
-        })
-        .ok()?;
-    Some(r.status == Status::Ok)
 }
 
 /// The cluster agent: probes peers, flushes the outbox, triggers

@@ -428,10 +428,7 @@ mod imp {
             let _sp = htd_trace::span!("service.conn");
             match Json::parse(trimmed).and_then(|doc| Request::from_json(&doc)) {
                 Err(e) => {
-                    inner
-                        .metrics
-                        .error_responses
-                        .fetch_add(1, Ordering::Relaxed);
+                    inner.metrics.count(Status::Error);
                     let r = Response::from_error(None, &e);
                     c.queue(&response_line(&r));
                 }
@@ -478,10 +475,7 @@ mod imp {
         };
         if !c.closing && c.read_buf.len() >= cap {
             // unfinished frame at the cap: structured refusal, then close
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
+            inner.metrics.count(Status::Error);
             let e = HtdError::Parse(format!(
                 "request frame exceeds {cap} bytes without a newline"
             ));
@@ -528,10 +522,7 @@ mod imp {
             .collect();
         for key in expired {
             let p = pending.remove(&key).expect("key just listed");
-            inner
-                .metrics
-                .timeout_responses
-                .fetch_add(1, Ordering::Relaxed);
+            inner.metrics.count(Status::Timeout);
             let mut r = Response::new(p.id, Status::Timeout);
             r.error = Some("no worker response before deadline".into());
             r.fingerprint = p.fingerprint;

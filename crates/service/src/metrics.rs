@@ -14,6 +14,8 @@ use std::time::Instant;
 use htd_core::Json;
 use htd_trace::HistogramMetric;
 
+use crate::protocol::Status;
+
 /// Upper bounds (ms) of the solve-latency histogram buckets; the last
 /// bucket is +Inf.
 pub const LATENCY_BUCKETS_MS: [f64; 14] = [
@@ -163,6 +165,21 @@ impl Metrics {
     /// Milliseconds since server start.
     pub fn uptime_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
+    }
+
+    /// Counts one response by its status: the only code that moves the
+    /// five `htd_responses_total` counters. `pong`, `stats` and the reply
+    /// to `shutdown` are never counted.
+    pub(crate) fn count(&self, status: Status) {
+        let counter = match status {
+            Status::Ok => &self.ok_responses,
+            Status::Rejected => &self.rejected_responses,
+            Status::Timeout => &self.timeout_responses,
+            Status::Error => &self.error_responses,
+            Status::ShuttingDown => &self.shedding_responses,
+            Status::Pong | Status::Stats => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a served outcome (width + exactness).

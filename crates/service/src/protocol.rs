@@ -238,35 +238,19 @@ impl Request {
         if let Some(id) = &self.id {
             m.push(("id".into(), Json::Str(id.clone())));
         }
+        let num = |x: u64| Json::Num(x as f64);
         match &self.cmd {
             Command::Ping => m.push(("cmd".into(), Json::Str("ping".into()))),
             Command::Stats => m.push(("cmd".into(), Json::Str("stats".into()))),
             Command::Shutdown => m.push(("cmd".into(), Json::Str("shutdown".into()))),
             Command::Solve(s) => {
                 m.push(("cmd".into(), Json::Str("solve".into())));
-                m.push(("objective".into(), Json::Str(s.objective.name().into())));
-                m.push(("format".into(), Json::Str(s.format.name().into())));
-                m.push(("instance".into(), Json::Str(s.instance.clone())));
+                push_instance(&mut m, s.objective, s.format, &s.instance);
                 if let Some(d) = s.deadline_ms {
-                    m.push(("deadline_ms".into(), Json::Num(d as f64)));
+                    m.push(("deadline_ms".into(), num(d)));
                 }
                 if let Some(b) = s.budget {
-                    m.push(("budget".into(), Json::Num(b as f64)));
-                }
-                if let Some(t) = s.threads {
-                    m.push(("threads".into(), Json::Num(t as f64)));
-                }
-                if let Some(engines) = &s.engines {
-                    m.push((
-                        "engines".into(),
-                        Json::Arr(engines.iter().map(|e| Json::Str(e.name().into())).collect()),
-                    ));
-                }
-                if !s.use_cache {
-                    m.push(("cache".into(), Json::Str("off".into())));
-                }
-                if s.forwarded {
-                    m.push(("forwarded".into(), Json::Bool(true)));
+                    m.push(("budget".into(), num(b)));
                 }
             }
             Command::Answer(a) => {
@@ -274,91 +258,82 @@ impl Request {
                 m.push(("mode".into(), Json::Str(a.mode.name().into())));
                 m.push(("query".into(), Json::Str(a.query.clone())));
                 if let Some(l) = a.limit {
-                    m.push(("limit".into(), Json::Num(l as f64)));
+                    m.push(("limit".into(), num(l)));
                 }
                 if let Some(d) = a.deadline_ms {
-                    m.push(("deadline_ms".into(), Json::Num(d as f64)));
-                }
-                if let Some(t) = a.threads {
-                    m.push(("threads".into(), Json::Num(t as f64)));
-                }
-                if let Some(engines) = &a.engines {
-                    m.push((
-                        "engines".into(),
-                        Json::Arr(engines.iter().map(|e| Json::Str(e.name().into())).collect()),
-                    ));
-                }
-                if !a.use_cache {
-                    m.push(("cache".into(), Json::Str("off".into())));
-                }
-                if a.forwarded {
-                    m.push(("forwarded".into(), Json::Bool(true)));
+                    m.push(("deadline_ms".into(), num(d)));
                 }
             }
             Command::PutCert(c) => {
                 m.push(("cmd".into(), Json::Str("put_cert".into())));
-                m.push(("objective".into(), Json::Str(c.objective.name().into())));
-                m.push(("format".into(), Json::Str(c.format.name().into())));
-                m.push(("instance".into(), Json::Str(c.instance.clone())));
+                push_instance(&mut m, c.objective, c.format, &c.instance);
                 m.push(("fingerprint".into(), Json::Str(c.fingerprint_hex.clone())));
-                m.push(("effort_ms".into(), Json::Num(c.effort_ms as f64)));
+                m.push(("effort_ms".into(), num(c.effort_ms)));
                 m.push(("outcome".into(), c.outcome.to_json()));
                 if let Some(from) = &c.from {
                     m.push(("from".into(), Json::Str(from.clone())));
                 }
             }
         }
+        // the members `solve` and `answer` share come after their own
+        if let Command::Solve(SolveRequest {
+            threads,
+            engines,
+            use_cache,
+            forwarded,
+            ..
+        })
+        | Command::Answer(AnswerRequest {
+            threads,
+            engines,
+            use_cache,
+            forwarded,
+            ..
+        }) = &self.cmd
+        {
+            if let Some(t) = threads {
+                m.push(("threads".into(), num(*t as u64)));
+            }
+            if let Some(engines) = engines {
+                let names = engines.iter().map(|e| Json::Str(e.name().into()));
+                m.push(("engines".into(), Json::Arr(names.collect())));
+            }
+            if !use_cache {
+                m.push(("cache".into(), Json::Str("off".into())));
+            }
+            if *forwarded {
+                m.push(("forwarded".into(), Json::Bool(true)));
+            }
+        }
         Json::Obj(m)
     }
 
-    /// Parses a request line.
+    /// Parses a request line. A numeric member that is present must be a
+    /// non-negative integer; anything else is a parse error naming it,
+    /// never a silent default.
     pub fn from_json(doc: &Json) -> Result<Request, HtdError> {
-        let id = doc
-            .get("id")
-            .and_then(|v| v.as_str())
-            .map(|s| s.to_string());
+        let id = text(doc, "id");
         let cmd = doc
             .get("cmd")
-            .and_then(|v| v.as_str())
+            .and_then(Json::as_str)
             .ok_or_else(|| HtdError::Parse("request missing 'cmd'".into()))?;
         let cmd = match cmd {
             "ping" => Command::Ping,
             "stats" => Command::Stats,
             "shutdown" => Command::Shutdown,
             "solve" => {
-                let objective = doc
-                    .get("objective")
-                    .and_then(|v| v.as_str())
-                    .and_then(Objective::from_name)
-                    .ok_or_else(|| {
-                        HtdError::Unsupported("solve needs 'objective' tw|ghw|hw".into())
-                    })?;
-                let format = match doc.get("format").and_then(|v| v.as_str()) {
-                    None => InstanceFormat::Auto,
-                    Some(f) => InstanceFormat::from_name(f).ok_or_else(|| {
-                        HtdError::Unsupported(format!("format '{f}' (expected auto|gr|col|hg)"))
-                    })?,
-                };
-                let instance = doc
-                    .get("instance")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| HtdError::Parse("solve missing 'instance'".into()))?
-                    .to_string();
-                let engines = engines_from_doc(doc)?;
-                let use_cache = cache_from_doc(doc)?;
+                let (objective, format, instance) = instance_from_doc(doc, "solve")?;
+                let shared = Shared::from_doc(doc)?;
                 Command::Solve(SolveRequest {
                     objective,
                     format,
                     instance,
-                    deadline_ms: doc.get("deadline_ms").and_then(|v| v.as_u64()),
-                    budget: doc.get("budget").and_then(|v| v.as_u64()),
-                    threads: doc
-                        .get("threads")
-                        .and_then(|v| v.as_u64())
-                        .map(|t| t as usize),
-                    engines,
-                    use_cache,
-                    forwarded: forwarded_from_doc(doc),
+                    deadline_ms: shared.deadline_ms,
+                    budget: uint_member(doc, "budget")?,
+                    threads: shared.threads,
+                    engines: shared.engines,
+                    use_cache: shared.use_cache,
+                    forwarded: shared.forwarded,
                 })
             }
             "answer" => {
@@ -368,49 +343,24 @@ impl Request {
                         HtdError::Unsupported(format!("mode '{m}' (expected bool|count|enum)"))
                     })?,
                 };
-                let query = doc
-                    .get("query")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| HtdError::Parse("answer missing 'query'".into()))?
-                    .to_string();
+                let query = text(doc, "query")
+                    .ok_or_else(|| HtdError::Parse("answer missing 'query'".into()))?;
+                let shared = Shared::from_doc(doc)?;
                 Command::Answer(AnswerRequest {
                     query,
                     mode,
-                    limit: doc.get("limit").and_then(|v| v.as_u64()),
-                    deadline_ms: doc.get("deadline_ms").and_then(|v| v.as_u64()),
-                    threads: doc
-                        .get("threads")
-                        .and_then(|v| v.as_u64())
-                        .map(|t| t as usize),
-                    engines: engines_from_doc(doc)?,
-                    use_cache: cache_from_doc(doc)?,
-                    forwarded: forwarded_from_doc(doc),
+                    limit: uint_member(doc, "limit")?,
+                    deadline_ms: shared.deadline_ms,
+                    threads: shared.threads,
+                    engines: shared.engines,
+                    use_cache: shared.use_cache,
+                    forwarded: shared.forwarded,
                 })
             }
             "put_cert" => {
-                let objective = doc
-                    .get("objective")
-                    .and_then(|v| v.as_str())
-                    .and_then(Objective::from_name)
-                    .ok_or_else(|| {
-                        HtdError::Unsupported("put_cert needs 'objective' tw|ghw|hw".into())
-                    })?;
-                let format = match doc.get("format").and_then(|v| v.as_str()) {
-                    None => InstanceFormat::Auto,
-                    Some(f) => InstanceFormat::from_name(f).ok_or_else(|| {
-                        HtdError::Unsupported(format!("format '{f}' (expected auto|gr|col|hg)"))
-                    })?,
-                };
-                let instance = doc
-                    .get("instance")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| HtdError::Parse("put_cert missing 'instance'".into()))?
-                    .to_string();
-                let fingerprint_hex = doc
-                    .get("fingerprint")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| HtdError::Parse("put_cert missing 'fingerprint'".into()))?
-                    .to_string();
+                let (objective, format, instance) = instance_from_doc(doc, "put_cert")?;
+                let fingerprint_hex = text(doc, "fingerprint")
+                    .ok_or_else(|| HtdError::Parse("put_cert missing 'fingerprint'".into()))?;
                 let outcome = Outcome::from_json(
                     doc.get("outcome")
                         .ok_or_else(|| HtdError::Parse("put_cert missing 'outcome'".into()))?,
@@ -420,12 +370,9 @@ impl Request {
                     format,
                     instance,
                     fingerprint_hex,
-                    effort_ms: doc.get("effort_ms").and_then(|v| v.as_u64()).unwrap_or(0),
+                    effort_ms: uint_member(doc, "effort_ms")?.unwrap_or(0),
                     outcome,
-                    from: doc
-                        .get("from")
-                        .and_then(|v| v.as_str())
-                        .map(|s| s.to_string()),
+                    from: text(doc, "from"),
                 })
             }
             other => return Err(HtdError::Unsupported(format!("unknown cmd '{other}'"))),
@@ -434,7 +381,86 @@ impl Request {
     }
 }
 
-/// Shared `engines` field parsing of `solve` and `answer` requests.
+/// Writes the `objective`, `format` and `instance` members of a `solve`
+/// or `put_cert`.
+fn push_instance(
+    m: &mut Vec<(String, Json)>,
+    objective: Objective,
+    format: InstanceFormat,
+    instance: &str,
+) {
+    m.push(("objective".into(), Json::Str(objective.name().into())));
+    m.push(("format".into(), Json::Str(format.name().into())));
+    m.push(("instance".into(), Json::Str(instance.to_string())));
+}
+
+/// Reads the `objective`, `format` and `instance` members of a `solve` or
+/// `put_cert` (named `cmd` in the errors).
+fn instance_from_doc(
+    doc: &Json,
+    cmd: &str,
+) -> Result<(Objective, InstanceFormat, String), HtdError> {
+    let objective = doc
+        .get("objective")
+        .and_then(|v| v.as_str())
+        .and_then(Objective::from_name)
+        .ok_or_else(|| HtdError::Unsupported(format!("{cmd} needs 'objective' tw|ghw|hw")))?;
+    let format = match doc.get("format").and_then(|v| v.as_str()) {
+        None => InstanceFormat::Auto,
+        Some(f) => InstanceFormat::from_name(f).ok_or_else(|| {
+            HtdError::Unsupported(format!("format '{f}' (expected auto|gr|col|hg)"))
+        })?,
+    };
+    let instance = text(doc, "instance")
+        .ok_or_else(|| HtdError::Parse(format!("{cmd} missing 'instance'")))?;
+    Ok((objective, format, instance))
+}
+
+/// An optional integer member: absent is `None`; present, it must be a
+/// non-negative integer, or the request is a parse error naming it.
+fn uint_member(doc: &Json, key: &str) -> Result<Option<u64>, HtdError> {
+    doc.get(key)
+        .map(|v| {
+            v.as_u64().ok_or_else(|| {
+                HtdError::Parse(format!("'{key}' must be a non-negative integer, got {v}"))
+            })
+        })
+        .transpose()
+}
+
+/// The members `solve` and `answer` share, read once for both.
+struct Shared {
+    deadline_ms: Option<u64>,
+    threads: Option<usize>,
+    engines: Option<Vec<Engine>>,
+    use_cache: bool,
+    forwarded: bool,
+}
+
+impl Shared {
+    fn from_doc(doc: &Json) -> Result<Shared, HtdError> {
+        Ok(Shared {
+            deadline_ms: uint_member(doc, "deadline_ms")?,
+            threads: uint_member(doc, "threads")?.map(|t| t as usize),
+            engines: engines_from_doc(doc)?,
+            use_cache: match doc.get("cache").and_then(|v| v.as_str()) {
+                None | Some("use") => true,
+                Some("off") => false,
+                Some(c) => {
+                    return Err(HtdError::Unsupported(format!(
+                        "cache '{c}' (expected use|off)"
+                    )))
+                }
+            },
+            forwarded: doc
+                .get("forwarded")
+                .and_then(|v| v.as_bool())
+                .unwrap_or(false),
+        })
+    }
+}
+
+/// The `engines` member of a `solve` or `answer`.
 fn engines_from_doc(doc: &Json) -> Result<Option<Vec<Engine>>, HtdError> {
     let names: Vec<&str> = match doc.get("engines") {
         None => return Ok(None),
@@ -457,24 +483,6 @@ fn engines_from_doc(doc: &Json) -> Result<Option<Vec<Engine>>, HtdError> {
         }
     };
     htd_search::engines_from_names(&names).map(Some)
-}
-
-/// Shared `forwarded` marker parsing of `solve` and `answer` requests.
-fn forwarded_from_doc(doc: &Json) -> bool {
-    doc.get("forwarded")
-        .and_then(|v| v.as_bool())
-        .unwrap_or(false)
-}
-
-/// Shared `cache` field parsing of `solve` and `answer` requests.
-fn cache_from_doc(doc: &Json) -> Result<bool, HtdError> {
-    match doc.get("cache").and_then(|v| v.as_str()) {
-        None | Some("use") => Ok(true),
-        Some("off") => Ok(false),
-        Some(c) => Err(HtdError::Unsupported(format!(
-            "cache '{c}' (expected use|off)"
-        ))),
-    }
 }
 
 /// Response statuses.
@@ -670,56 +678,35 @@ impl Response {
 
     /// Parses a response line.
     pub fn from_json(doc: &Json) -> Result<Response, HtdError> {
+        let flag = |key: &str| doc.get(key).and_then(Json::as_bool).unwrap_or(false);
         let status = doc
             .get("status")
-            .and_then(|v| v.as_str())
+            .and_then(Json::as_str)
             .and_then(Status::from_name)
             .ok_or_else(|| HtdError::Parse("response missing 'status'".into()))?;
         Ok(Response {
-            id: doc
-                .get("id")
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_string()),
+            id: text(doc, "id"),
             status,
-            cached: doc.get("cached").and_then(|v| v.as_bool()).unwrap_or(false),
-            fingerprint: doc
-                .get("fingerprint")
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_string()),
-            canonical: doc
-                .get("canonical")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            outcome: match doc.get("outcome") {
-                Some(o) => Some(Outcome::from_json(o)?),
-                None => None,
-            },
+            cached: flag("cached"),
+            fingerprint: text(doc, "fingerprint"),
+            canonical: flag("canonical"),
+            outcome: doc.get("outcome").map(Outcome::from_json).transpose()?,
             rendered_outcome: None,
-            answer: match doc.get("answer") {
-                Some(a) => Some(Answer::from_json(a)?),
-                None => None,
-            },
-            error: doc
-                .get("error")
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_string()),
-            code: doc.get("code").and_then(|v| v.as_u64()).map(|c| c as i64),
-            retry_after_ms: doc.get("retry_after_ms").and_then(|v| v.as_u64()),
+            answer: doc.get("answer").map(Answer::from_json).transpose()?,
+            error: text(doc, "error"),
+            code: doc.get("code").and_then(Json::as_u64).map(|c| c as i64),
+            retry_after_ms: doc.get("retry_after_ms").and_then(Json::as_u64),
             stats: doc.get("stats").cloned(),
-            elapsed_ms: doc
-                .get("elapsed_ms")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0),
-            node: doc
-                .get("node")
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_string()),
-            draining: doc
-                .get("draining")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
+            elapsed_ms: doc.get("elapsed_ms").and_then(Json::as_f64).unwrap_or(0.0),
+            node: text(doc, "node"),
+            draining: flag("draining"),
         })
     }
+}
+
+/// A string member, when present as a string.
+fn text(doc: &Json, key: &str) -> Option<String> {
+    doc.get(key).and_then(Json::as_str).map(str::to_string)
 }
 
 /// A solve instance parsed and checked as far as its cache key: what the
@@ -764,8 +751,25 @@ impl KeyedInstance {
             InstanceFormat::Auto => unreachable!("resolved above"),
         };
         objective.check_instance(&hypergraph)?;
-        let primal_key = (objective == Objective::Treewidth && !is_graph)
-            .then(|| Hypergraph::from_graph(&hypergraph.primal_graph()));
+        // the key has one vertex set per primal edge, which one wide atom
+        // makes far larger than the instance, so it gets the parsers'
+        // edge-set budget; the widest atom alone is a clique, so it is
+        // checked before the primal graph is built
+        let primal_key = if objective == Objective::Treewidth && !is_graph {
+            let fits = |edges: u64| {
+                io::check_size(hypergraph.num_vertices().into(), edges).map_err(|e| {
+                    HtdError::ResourceExhausted(format!("refusing the primal graph as a key: {e}"))
+                })
+            };
+            let edges = hypergraph.edges().iter();
+            let k = edges.map(|e| u64::from(e.len())).max().unwrap_or(0);
+            fits(k * k.saturating_sub(1) / 2)?;
+            let primal = hypergraph.primal_graph();
+            fits(primal.num_edges() as u64)?;
+            Some(Hypergraph::from_graph(&primal))
+        } else {
+            None
+        };
         Ok(KeyedInstance {
             objective,
             hypergraph,
@@ -869,6 +873,89 @@ mod tests {
             }
             _ => panic!("wrong cmd"),
         }
+    }
+
+    #[test]
+    fn request_wire_text_keeps_its_members_and_their_order() {
+        let solve = |deadline_ms, budget, threads, engines, use_cache, forwarded| {
+            Request {
+                id: Some("r1".into()),
+                cmd: Command::Solve(SolveRequest {
+                    objective: Objective::GeneralizedHypertreeWidth,
+                    format: InstanceFormat::Hg,
+                    instance: "e1(a,b),\ne2(b,c).".into(),
+                    deadline_ms,
+                    budget,
+                    threads,
+                    engines,
+                    use_cache,
+                    forwarded,
+                }),
+            }
+            .to_json()
+            .to_string()
+        };
+        assert_eq!(
+            solve(
+                Some(250),
+                Some(1000),
+                Some(2),
+                Some(vec![Engine::BalSep, Engine::BranchBound]),
+                false,
+                true
+            ),
+            r#"{"id":"r1","cmd":"solve","objective":"ghw","format":"hg","instance":"e1(a,b),\ne2(b,c).","deadline_ms":250,"budget":1000,"threads":2,"engines":["balsep","branch_bound"],"cache":"off","forwarded":true}"#
+        );
+        assert_eq!(
+            solve(None, None, None, None, true, false),
+            r#"{"id":"r1","cmd":"solve","objective":"ghw","format":"hg","instance":"e1(a,b),\ne2(b,c)."}"#
+        );
+        let answer = Request {
+            id: Some("a1".into()),
+            cmd: Command::Answer(AnswerRequest {
+                query: "Q(x) :- R(x).\nR: 1 ; 2 .".into(),
+                mode: AnswerMode::Enumerate,
+                limit: Some(10),
+                deadline_ms: Some(250),
+                threads: Some(2),
+                engines: Some(vec![Engine::BalSep]),
+                use_cache: false,
+                forwarded: true,
+            }),
+        };
+        assert_eq!(
+            answer.to_json().to_string(),
+            r#"{"id":"a1","cmd":"answer","mode":"enum","query":"Q(x) :- R(x).\nR: 1 ; 2 .","limit":10,"deadline_ms":250,"threads":2,"engines":["balsep"],"cache":"off","forwarded":true}"#
+        );
+    }
+
+    #[test]
+    fn mistyped_numbers_are_parse_errors_naming_the_member() {
+        let solve = r#""cmd":"solve","objective":"tw","instance":"p tw 1 0""#;
+        let answer = r#""cmd":"answer","query":"Q() :- R(x).\nR: 1 .""#;
+        let push = r#""cmd":"put_cert","objective":"tw","instance":"p tw 1 0","fingerprint":"00","outcome":{"objective":"tw","lower":0,"upper":0,"exact":true,"nodes":0,"elapsed_ms":0}"#;
+        for (cmd, member) in [
+            (solve, r#""deadline_ms":"200""#),
+            (solve, r#""threads":-1"#),
+            (solve, r#""budget":2.5"#),
+            (solve, r#""deadline_ms":null"#),
+            (answer, r#""limit":"10""#),
+            (answer, r#""threads":-2"#),
+            (answer, r#""deadline_ms":true"#),
+            (push, r#""effort_ms":-5"#),
+        ] {
+            let doc = Json::parse(&format!("{{{cmd},{member}}}")).unwrap();
+            let err = Request::from_json(&doc).unwrap_err();
+            let name = member.split('"').nth(1).unwrap();
+            assert!(matches!(err, HtdError::Parse(_)), "{member}: {err:?}");
+            assert!(err.to_string().contains(name), "{member}: {err}");
+        }
+        // present and well-typed, they are read as they are
+        let doc = Json::parse(&format!(r#"{{{solve},"deadline_ms":200,"threads":3}}"#)).unwrap();
+        let Command::Solve(s) = Request::from_json(&doc).unwrap().cmd else {
+            panic!("wrong cmd")
+        };
+        assert_eq!((s.deadline_ms, s.threads), (Some(200), Some(3)));
     }
 
     #[test]
@@ -1157,5 +1244,40 @@ mod tests {
         .unwrap();
         use htd_hypergraph::canonical_form;
         assert_eq!(canonical_form(&key_hg).bytes, canonical_form(&key_gr).bytes);
+    }
+
+    #[test]
+    fn tw_keys_over_the_edge_set_budget_are_refused() {
+        // 16384 vertices: 2 KiB per key edge, so 32768 primal edges fit
+        let atom = |name: &str, vs: std::ops::Range<u32>| {
+            let scope: Vec<String> = vs.map(|v| format!("v{v}")).collect();
+            format!("{name}({})", scope.join(","))
+        };
+        let singles = |from: u32| (from..16_384).map(|v| atom(&format!("s{v}"), v..v + 1));
+        // one atom of 257 vertices is a 32896-edge clique on its own
+        let wide: Vec<String> = std::iter::once(atom("w", 0..257))
+            .chain(singles(257))
+            .collect();
+        // two 200-vertex atoms fit alone, but not together (39800 edges)
+        let pair: Vec<String> = [atom("a", 0..200), atom("b", 200..400)]
+            .into_iter()
+            .chain(singles(400))
+            .collect();
+        for (atoms, edges) in [(wide, 32_896), (pair, 39_800)] {
+            let text = format!("{}.", atoms.join(",\n"));
+            match parse_problem(InstanceFormat::Hg, &text, Objective::Treewidth) {
+                Err(HtdError::ResourceExhausted(msg)) => {
+                    assert!(msg.contains(&format!("{edges} edges over 16384")), "{msg}")
+                }
+                other => panic!("expected a refusal, got {:?}", other.map(|_| ())),
+            }
+            // ghw keys on the hypergraph itself, which fits
+            parse_problem(
+                InstanceFormat::Hg,
+                &text,
+                Objective::GeneralizedHypertreeWidth,
+            )
+            .unwrap();
+        }
     }
 }

@@ -5,40 +5,54 @@
 //! [`crate::event_loop`], so the server runs on unix targets only:
 //! elsewhere [`Server::start`] fails with [`std::io::ErrorKind::Unsupported`].
 //!
-//! ## Lifecycle of a solve request
+//! ## Lifecycle of a request
 //!
-//! 1. The event loop frames the line; admission parses the instance as
-//!    far as its cache key and canonicalizes that.
-//! 2. Cache lookup — a hit answers immediately without queueing, with the
-//!    outcome JSON its cache entry rendered on admission.
-//! 3. A miss builds the [`Problem`] and enters the bounded work queue; a
-//!    full queue means an immediate `rejected` response with
-//!    `retry_after_ms` (backpressure) rather than unbounded buffering.
-//! 4. A worker pops the job. If its deadline already expired in the queue
+//! `ping`, `stats` and `shutdown` are answered on the event loop. Every
+//! command a worker runs — `solve`, `answer` and a peer's `put_cert` —
+//! takes one path:
+//!
+//! 1. Its own step, on the event loop. A solve parses the instance as far
+//!    as its cache key and canonicalizes that; a cache hit is answered on
+//!    the spot with the outcome JSON its cache entry rendered on
+//!    admission. An answer parses its query. A parse error, and an
+//!    instance key or query too large to build, is answered here. None
+//!    of this is refused while draining.
+//! 2. The one way into the queue. A draining server refuses with
+//!    `shutting_down`. Otherwise the work is built (a solve's [`Problem`]
+//!    only now), a key this node does not own is routed to its owners
+//!    (cluster mode, unless a peer forwarded the request already), and
+//!    the job enters the bounded work queue. A full queue means an
+//!    immediate `rejected` response rather than unbounded buffering;
+//!    solves and answers carry a `retry_after_ms` hint (backpressure).
+//! 3. A worker pops the job. If its deadline already expired in the queue
 //!    the job is dropped with a `timeout` response (cooperative
-//!    cancellation of evicted requests); otherwise the remaining time is
-//!    mapped onto the solver's [`SearchConfig`] time limit, which the
-//!    solve keeps itself — so a cold solve never overshoots its deadline
-//!    by more than the engines' cancellation granularity (a few
-//!    milliseconds). The solve's shared [`Incumbent`] sits on the
-//!    in-flight list, through which [`Server::kill`] cancels it.
-//! 5. The result is admitted to the cache and the response handed back
-//!    to the event loop, which writes it on the requesting connection.
+//!    cancellation of evicted requests). Otherwise the remaining time is
+//!    mapped onto the job's [`SearchConfig`] time limit, which the search
+//!    keeps itself — so a cold job never overshoots its deadline by more
+//!    than the engines' cancellation granularity (a few milliseconds).
+//!    The search's shared [`Incumbent`] sits on the in-flight list,
+//!    through which [`Server::kill`] cancels it.
+//! 4. A verified outcome — a clean solve, or a pushed certificate the
+//!    oracle re-proved — is admitted to the cache and appended to the
+//!    store, and the response is handed back to the event loop, which
+//!    writes it on the requesting connection.
 //!
-//! `answer` (conjunctive-query) requests ride the same queue, deadlines
-//! and backpressure: admission parses the query,
-//! a worker runs the `htd-query` pipeline, and a per-server
+//! An `answer` runs the `htd-query` pipeline on the worker; a per-server
 //! [`ShapeCache`] lets repeated query *shapes* skip decomposition while
 //! every answer is still evaluated against its own relations.
+//!
+//! Every response is counted once by its status: admission counts those
+//! it answers, the worker those it computes, and the event loop those it
+//! synthesizes. A response relayed from a key's owner was counted there.
 //!
 //! ## Graceful shutdown
 //!
 //! `shutdown` (or SIGINT/SIGTERM under [`run_until_shutdown`]) flips the
-//! server into *draining*: new solve requests are refused with
-//! `shutting_down`, queued and in-flight work runs to completion, probes
-//! (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and once the
-//! queue is empty and no solve is in flight the workers and event loop
-//! exit and a final metrics summary is flushed to the log.
+//! server into *draining*: new work is refused with `shutting_down`,
+//! queued and in-flight work runs to completion, probes (`/healthz`,
+//! `/metrics`, `ping`, `stats`) keep answering, and once the queue is
+//! empty and no job is in flight the workers and event loop exit and a
+//! final metrics summary is flushed to the log.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -50,7 +64,9 @@ use std::time::{Duration, Instant};
 
 use htd_core::{HtdError, Json};
 use htd_hypergraph::canonical::canonical_form;
-use htd_query::{parse_query, AnswerMode, AnswerOptions, FileAccess, Query, ShapeCache};
+use htd_query::{
+    check_query_size, parse_query, AnswerMode, AnswerOptions, FileAccess, Query, ShapeCache,
+};
 use htd_resilience::{
     quarantined, CircuitBreaker, Fault, FaultInjector, FaultPlan, InjectedFaults, MemoryBudget,
 };
@@ -58,7 +74,6 @@ use htd_search::{solve, Engine, Incumbent, Problem, SearchConfig};
 use parking_lot::Mutex;
 
 use crate::cache::ResultCache;
-use crate::client::Client;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::Metrics;
 use crate::protocol::{
@@ -88,6 +103,14 @@ const SHAPE_CACHE_CAPACITY: usize = 1024;
 /// Server-side cap on enumerated answer tuples when the request names no
 /// limit, keeping one answer under [`MAX_RESPONSE`].
 const DEFAULT_ANSWER_LIMIT: u64 = 100_000;
+/// Consecutive panicked reports after which an engine's circuit breaker
+/// opens and the engine is benched from the lineup.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long a benched engine stays out before its breaker half-opens and
+/// lets one probe solve try it again.
+const BREAKER_PROBE: Duration = Duration::from_millis(500);
+/// Node budget of the decomposition search behind an `answer`.
+const ANSWER_MAX_NODES: u64 = 200_000;
 
 /// Configuration of a server instance.
 #[derive(Clone, Debug)]
@@ -118,12 +141,6 @@ pub struct ServeOptions {
     /// get a panicking worker, an injected stall, or an allocation-starved
     /// budget. `None` (production) injects nothing.
     pub chaos: Option<FaultPlan>,
-    /// Consecutive panicked reports after which an engine's circuit
-    /// breaker opens and the engine is benched from the lineup.
-    pub breaker_threshold: u32,
-    /// How long a benched engine stays out before the breaker half-opens
-    /// and lets one probe solve try it again.
-    pub breaker_probe_ms: u64,
     /// Directory of the persistent verified certificate store. `Some`
     /// opens (creating if absent) `store.log` under it, re-verifies every
     /// record with the `htd-check` oracle, warms the result cache with
@@ -137,11 +154,6 @@ pub struct ServeOptions {
     /// Cluster membership: `Some` makes this node one of N peers sharding
     /// the keyspace over a consistent-hash ring (see [`crate::cluster`]).
     pub cluster: Option<ClusterConfig>,
-    /// Bind with `SO_REUSEADDR` so a restarted node can reclaim its port
-    /// immediately (lingering connections of a killed predecessor
-    /// otherwise hold it in `TIME_WAIT`). Off by default: in production
-    /// the guard against two servers on one port is worth the wait.
-    pub reuse_addr: bool,
 }
 
 impl Default for ServeOptions {
@@ -157,12 +169,9 @@ impl Default for ServeOptions {
             verify_responses: false,
             memory_mb: None,
             chaos: None,
-            breaker_threshold: 3,
-            breaker_probe_ms: 500,
             store_dir: None,
             event_loop: false,
             cluster: None,
-            reuse_addr: false,
         }
     }
 }
@@ -288,6 +297,17 @@ impl Work {
             Work::Answer(_) => None,
             Work::Forward(f) => f.local.fingerprint_hex(),
             Work::PutCert(p) => Some(&p.fingerprint_hex),
+        }
+    }
+
+    /// The ring key a cluster routes the work by: a solve's instance
+    /// fingerprint, and for an answer the canonical fingerprint of the
+    /// query's hypergraph, the key the shape cache uses.
+    fn routing_key(&self) -> u64 {
+        match self {
+            Work::Solve(w) => w.fingerprint,
+            Work::Answer(w) => canonical_form(&w.query.csp.hypergraph()).fingerprint,
+            Work::Forward(_) | Work::PutCert(_) => unreachable!("only solves and answers route"),
         }
     }
 }
@@ -473,6 +493,28 @@ impl Inner {
             }
         }
     }
+
+    /// Admits a verified outcome — a clean solve, or a pushed certificate
+    /// the oracle re-proved — to the cache, then appends it to the store
+    /// when there is one. `CertStore::append` itself refuses anything the
+    /// loader could not later re-verify.
+    fn remember(&self, rec: &StoreRecord) {
+        self.cache.admit(
+            rec.fingerprint,
+            &rec.canonical,
+            rec.objective,
+            &rec.outcome,
+            rec.effort_ms,
+        );
+        if let Some(store) = &self.store {
+            if let Err(e) = store.append(rec) {
+                self.log(format_args!(
+                    "store append failed fp={:016x}: {e}",
+                    rec.fingerprint
+                ));
+            }
+        }
+    }
 }
 
 /// A running server; dropping it does **not** stop the threads — call
@@ -495,11 +537,10 @@ impl Server {
                 "htd-service needs poll(2) and runs on unix targets only",
             ));
         }
-        let listener = if opts.reuse_addr {
-            bind_reusable(&opts.addr)?
-        } else {
-            TcpListener::bind(&opts.addr)?
-        };
+        // std binds with SO_REUSEADDR on unix: a node restarted after a
+        // crash reclaims its port at once, while a second server on a
+        // port that a socket is listening on still fails with AddrInUse
+        let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
         widen_accept_backlog(&listener);
         let addr = listener.local_addr()?;
@@ -507,15 +548,7 @@ impl Server {
         let injector = opts.chaos.map(FaultInjector::new);
         let breakers = Engine::default_lineup()
             .into_iter()
-            .map(|e| {
-                (
-                    e,
-                    CircuitBreaker::new(
-                        opts.breaker_threshold,
-                        Duration::from_millis(opts.breaker_probe_ms),
-                    ),
-                )
-            })
+            .map(|e| (e, CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE)))
             .collect();
         // open the certificate store (if any) before serving: every
         // record is re-verified by the oracle inside `CertStore::open`,
@@ -796,68 +829,6 @@ fn widen_accept_backlog(listener: &TcpListener) {
 #[cfg(not(unix))]
 fn widen_accept_backlog(_listener: &TcpListener) {}
 
-/// Binds with `SO_REUSEADDR` ([`ServeOptions::reuse_addr`]): a node
-/// restarted after a crash must reclaim its port immediately even while
-/// connections of its killed predecessor linger in `TIME_WAIT`. `std`'s
-/// `TcpListener::bind` sets no socket options, so the v4 path builds the
-/// socket by hand; anything else falls back to the plain bind.
-#[cfg(target_os = "linux")]
-fn bind_reusable(addr: &str) -> std::io::Result<TcpListener> {
-    use std::net::{SocketAddr, ToSocketAddrs};
-    use std::os::unix::io::FromRawFd;
-    let Some(SocketAddr::V4(v4)) = addr.to_socket_addrs()?.next() else {
-        return TcpListener::bind(addr);
-    };
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port: u16,
-        addr: u32,
-        zero: [u8; 8],
-    }
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    // SAFETY: every pointer handed to the kernel points to a live local
-    // (`one`, `sin`), and each length argument is that local's size;
-    // `SockaddrIn` is `repr(C)` with the layout of `struct sockaddr_in`.
-    // The fd is checked after `socket`, closed on every error path, and
-    // on success owned by exactly one `TcpListener`.
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let one: i32 = 1;
-        setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4);
-        let sin = SockaddrIn {
-            family: AF_INET as u16,
-            port: v4.port().to_be(),
-            addr: u32::from(*v4.ip()).to_be(),
-            zero: [0; 8],
-        };
-        if bind(fd, &sin, std::mem::size_of::<SockaddrIn>() as u32) != 0 || listen(fd, 4096) != 0 {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            return Err(e);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_reusable(addr: &str) -> std::io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
 #[cfg(unix)]
 fn install_signal_drain() -> &'static AtomicBool {
     static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -915,10 +886,7 @@ fn worker_loop(inner: &Inner) {
         inner.metrics.queue_wait.observe(queued.as_secs_f64());
         if now >= job.deadline {
             // expired while queued: evict without running
-            inner
-                .metrics
-                .timeout_responses
-                .fetch_add(1, Ordering::Relaxed);
+            inner.metrics.count(Status::Timeout);
             let mut r = Response::new(job.id.clone(), Status::Timeout);
             inner.stamp(&mut r);
             r.fingerprint = job.work.fingerprint_hex().map(str::to_string);
@@ -950,22 +918,45 @@ fn worker_loop(inner: &Inner) {
             thread::sleep(d);
         }
 
+        let run = Run {
+            inner,
+            job: &job,
+            incumbent: &incumbent,
+            fault: &fault,
+            queued,
+        };
+        let mut relayed = false;
         let mut r = match &job.work {
             Work::Solve(w) => {
                 let _sp = htd_trace::span!("service.solve");
-                run_solve(inner, &job, w, &incumbent, &fault, queued)
+                run.solve(w)
             }
             Work::Answer(w) => {
                 let _sp = htd_trace::span!("service.answer");
-                run_answer(inner, &job, w, &incumbent, &fault, queued)
+                run.answer(w)
             }
             Work::Forward(f) => {
                 let _sp = htd_trace::span!("cluster.forward");
-                run_forward(inner, &job, f, &incumbent, &fault, queued)
+                match run.forward(f) {
+                    Some(r) => {
+                        relayed = true;
+                        r
+                    }
+                    // last rung of the ladder: every owner unusable —
+                    // answer from here, and let replication hint the owner
+                    None => match &*f.local {
+                        Work::Solve(w) => run.solve(w),
+                        Work::Answer(w) => run.answer(w),
+                        // admission never nests Forward/PutCert in a fallback
+                        Work::Forward(_) | Work::PutCert(_) => {
+                            unreachable!("invalid forward fallback")
+                        }
+                    },
+                }
             }
             Work::PutCert(p) => {
                 let _sp = htd_trace::span!("cluster.put_cert");
-                run_put_cert(inner, &job, p)
+                run.put_cert(p)
             }
         };
 
@@ -974,6 +965,10 @@ fn worker_loop(inner: &Inner) {
             .lock()
             .retain(|i| !Arc::ptr_eq(i, &incumbent));
         inner.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
+        // the owner that computed a relayed response counted it
+        if !relayed {
+            inner.metrics.count(r.status);
+        }
         if r.status == Status::Ok {
             inner.metrics.request_latency.observe(r.elapsed_ms);
         }
@@ -983,115 +978,129 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Runs one solve job on a worker: budget the remaining deadline into
-/// the search, quarantine the solve, verify/admit the outcome, respond.
-fn run_solve(
-    inner: &Inner,
-    job: &Job,
-    w: &SolveWork,
-    incumbent: &Arc<Incumbent>,
-    fault: &Fault,
+/// One job on a worker: what every kind of work reads besides its own
+/// payload.
+struct Run<'a> {
+    inner: &'a Inner,
+    job: &'a Job,
+    /// The search's shared incumbent, on the in-flight list.
+    incumbent: &'a Arc<Incumbent>,
+    /// What the seeded fault injector drew for this job.
+    fault: &'a Fault,
+    /// Time the job waited in the queue.
     queued: Duration,
-) -> Response {
-    let remaining = job.deadline.saturating_duration_since(Instant::now());
-    let mut cfg = match w.budget {
-        Some(b) => SearchConfig::budgeted(b),
-        None => SearchConfig::portfolio(),
-    };
-    cfg = cfg
-        .with_time_limit(remaining.saturating_sub(DEADLINE_SLACK))
-        .with_threads(job.threads);
-    cfg.shared = Some(Arc::clone(incumbent));
-    if fault.alloc_fail {
-        // near-zero budget: the solve degrades to its anytime bounds
-        cfg = cfg.with_memory_budget(16 << 10);
-    } else if let Some(mb) = inner.opts.memory_mb {
-        cfg = cfg.with_memory_budget(mb << 20);
-    }
-    if fault.panic_worker {
-        cfg = cfg.with_faults(InjectedFaults::with_panics(1));
-    }
-    // an explicit per-request lineup wins; otherwise bench engines
-    // with open breakers (and admit at most one probe)
-    let lineup = job
-        .engines
-        .clone()
-        .or_else(|| inner.allowed_engines(job.threads.max(1)));
-    if let Some(engines) = lineup.clone() {
-        cfg = cfg.with_engines(engines);
-    }
+}
 
-    let solve_start = Instant::now();
-    // last line of defense: a panic anywhere in the solve path is
-    // quarantined into a structured internal error instead of taking
-    // the worker thread (and with it the whole pool) down
-    let result = quarantined(|| solve(&w.problem, &cfg)).unwrap_or_else(|message| {
-        htd_trace::registry()
-            .counter("htd_worker_panics_total")
-            .inc();
-        // the panic escaped per-engine attribution; charge the whole
-        // lineup so a persistently crashing path still gets benched
-        for (engine, b) in &inner.breakers {
-            match lineup.as_ref() {
-                Some(l) if !l.contains(engine) => {}
-                _ => b.record_failure(),
-            }
+impl Run<'_> {
+    /// The job's search settings: the remaining deadline less
+    /// [`DEADLINE_SLACK`], the request's threads, the in-flight incumbent,
+    /// an injected panic, a node budget (`None`: the default) and a
+    /// lineup (`None`: the default lineup).
+    fn search_config(&self, max_nodes: Option<u64>, lineup: Option<Vec<Engine>>) -> SearchConfig {
+        let remaining = self.job.deadline.saturating_duration_since(Instant::now());
+        let mut cfg = SearchConfig::default()
+            .with_time_limit(remaining.saturating_sub(DEADLINE_SLACK))
+            .with_threads(self.job.threads);
+        cfg.shared = Some(Arc::clone(self.incumbent));
+        if let Some(nodes) = max_nodes {
+            cfg = cfg.with_max_nodes(nodes);
         }
-        inner.refresh_quarantine_gauge();
-        Err(HtdError::Io(format!(
-            "solver panicked (quarantined): {message}"
-        )))
-    });
-    let solve_elapsed = solve_start.elapsed();
-    let solve_ms = solve_elapsed.as_secs_f64() * 1000.0;
-    inner
-        .metrics
-        .solve_time
-        .observe(solve_elapsed.as_secs_f64());
+        if self.fault.panic_worker {
+            cfg = cfg.with_faults(InjectedFaults::with_panics(1));
+        }
+        if let Some(engines) = lineup {
+            cfg = cfg.with_engines(engines);
+        }
+        cfg
+    }
 
-    let mut r = match result {
-        Ok(outcome) => {
-            inner.metrics.solve_latency.observe(solve_ms);
-            inner.record_engine_outcomes(&outcome.per_engine);
-            let survived_panic = outcome.per_engine.iter().any(|e| e.panicked);
-            let degraded = outcome.degraded || survived_panic;
-            if degraded {
-                htd_trace::registry()
-                    .counter("htd_degraded_responses_total")
-                    .inc();
-            }
-            // degraded results carry weaker bounds than a healthy solve
-            // of the same instance would; never let them shadow a
-            // future clean answer in the cache
-            let mut cacheable = !degraded;
-            if inner.opts.verify_responses {
-                let report = htd_check::verify_outcome(&w.problem, &outcome);
-                if !report.is_valid() {
-                    cacheable = false;
-                    htd_trace::registry()
-                        .counter("htd_oracle_failures_total")
-                        .inc();
-                    inner.log(format_args!(
-                        "req={} obj={} fp={} ORACLE VIOLATION (response served, not cached): {}",
-                        job.id.as_deref().unwrap_or("-"),
-                        w.objective_name,
-                        w.fingerprint_hex,
-                        report
-                    ));
+    /// Bytes the job may allocate: next to none under an injected
+    /// allocation failure (a solve degrades to its anytime bounds, an
+    /// answer refuses — neither may lie), else `--memory-mb`; `None` is
+    /// ungoverned.
+    fn memory_budget(&self) -> Option<u64> {
+        if self.fault.alloc_fail {
+            Some(16 << 10)
+        } else {
+            self.inner.opts.memory_mb.map(|mb| mb << 20)
+        }
+    }
+
+    /// Runs one solve: budget the remaining deadline into the search,
+    /// quarantine the solve, verify/admit the outcome, respond.
+    fn solve(&self, w: &SolveWork) -> Response {
+        let (inner, job) = (self.inner, self.job);
+        // an explicit per-request lineup wins; otherwise bench engines
+        // with open breakers (and admit at most one probe)
+        let lineup = job
+            .engines
+            .clone()
+            .or_else(|| inner.allowed_engines(job.threads.max(1)));
+        let mut cfg = self.search_config(w.budget, lineup.clone());
+        if let Some(bytes) = self.memory_budget() {
+            cfg = cfg.with_memory_budget(bytes);
+        }
+
+        let solve_start = Instant::now();
+        // last line of defense: a panic anywhere in the solve path is
+        // quarantined into a structured internal error instead of taking
+        // the worker thread (and with it the whole pool) down
+        let result = quarantined(|| solve(&w.problem, &cfg)).unwrap_or_else(|message| {
+            htd_trace::registry()
+                .counter("htd_worker_panics_total")
+                .inc();
+            // the panic escaped per-engine attribution; charge the whole
+            // lineup so a persistently crashing path still gets benched
+            for (engine, b) in &inner.breakers {
+                match lineup.as_ref() {
+                    Some(l) if !l.contains(engine) => {}
+                    _ => b.record_failure(),
                 }
             }
-            if cacheable {
-                inner.cache.admit(
-                    w.fingerprint,
-                    &w.canonical,
-                    w.objective_name,
-                    &outcome,
-                    solve_ms.ceil() as u64,
-                );
-                // persist what the cache learned: only clean, cacheable
-                // outcomes reach the log, and `CertStore::append` itself
-                // refuses anything the loader could not later re-verify
-                if let Some(store) = &inner.store {
+            inner.refresh_quarantine_gauge();
+            Err(HtdError::Io(format!(
+                "solver panicked (quarantined): {message}"
+            )))
+        });
+        let solve_elapsed = solve_start.elapsed();
+        let solve_ms = solve_elapsed.as_secs_f64() * 1000.0;
+        inner
+            .metrics
+            .solve_time
+            .observe(solve_elapsed.as_secs_f64());
+
+        let mut r = match result {
+            Ok(mut outcome) => {
+                inner.metrics.solve_latency.observe(solve_ms);
+                inner.record_engine_outcomes(&outcome.per_engine);
+                let survived_panic = outcome.per_engine.iter().any(|e| e.panicked);
+                let degraded = outcome.degraded || survived_panic;
+                if degraded {
+                    htd_trace::registry()
+                        .counter("htd_degraded_responses_total")
+                        .inc();
+                }
+                // degraded results carry weaker bounds than a healthy solve
+                // of the same instance would; never let them shadow a
+                // future clean answer in the cache
+                let mut cacheable = !degraded;
+                if inner.opts.verify_responses {
+                    let report = htd_check::verify_outcome(&w.problem, &outcome);
+                    if !report.is_valid() {
+                        cacheable = false;
+                        htd_trace::registry()
+                            .counter("htd_oracle_failures_total")
+                            .inc();
+                        inner.log(format_args!(
+                            "req={} obj={} fp={} ORACLE VIOLATION (response served, not cached): {}",
+                            job.id.as_deref().unwrap_or("-"),
+                            w.objective_name,
+                            w.fingerprint_hex,
+                            report
+                        ));
+                    }
+                }
+                if cacheable {
                     let rec = StoreRecord {
                         objective: w.objective_name,
                         format: w.format,
@@ -1099,325 +1108,247 @@ fn run_solve(
                         fingerprint: w.fingerprint,
                         canonical: w.canonical.clone(),
                         effort_ms: solve_ms.ceil() as u64,
-                        outcome: outcome.clone(),
+                        outcome,
                     };
-                    if let Err(e) = store.append(&rec) {
-                        inner.log(format_args!(
-                            "store append failed fp={}: {e}",
-                            w.fingerprint_hex
-                        ));
+                    inner.remember(&rec);
+                    // cluster mode: push the verified certificate to the
+                    // other owners of this fingerprint. Only
+                    // store-admissible outcomes travel (the receiver's
+                    // oracle gate mirrors the store's), and the push covers
+                    // both steady-state replication and the hinted handoff
+                    // of a local-fallback solve — the owners are exactly
+                    // the nodes that need it.
+                    if let Some(cluster) = &inner.cluster {
+                        if !rec.instance.is_empty()
+                            && rec.objective != "hw"
+                            && rec.outcome.witness.is_some()
+                        {
+                            cluster.replicate(
+                                rec.fingerprint,
+                                &CertPush {
+                                    objective: rec.outcome.objective,
+                                    format: rec.format,
+                                    instance: rec.instance.clone(),
+                                    fingerprint_hex: w.fingerprint_hex.clone(),
+                                    effort_ms: rec.effort_ms,
+                                    outcome: rec.outcome.clone(),
+                                    from: Some(cluster.node_id().to_string()),
+                                },
+                            );
+                        }
                     }
+                    outcome = rec.outcome;
                 }
-                // cluster mode: push the verified certificate to the
-                // other owners of this fingerprint. Only store-admissible
-                // outcomes travel (the receiver's oracle gate mirrors the
-                // store's), and the push covers both steady-state
-                // replication and the hinted handoff of a local-fallback
-                // solve — the owners are exactly the nodes that need it.
-                if let Some(cluster) = &inner.cluster {
-                    if !w.instance.is_empty()
-                        && w.objective_name != "hw"
-                        && outcome.witness.is_some()
-                    {
-                        cluster.replicate(
-                            w.fingerprint,
-                            &CertPush {
-                                objective: outcome.objective,
-                                format: w.format,
-                                instance: w.instance.clone(),
-                                fingerprint_hex: w.fingerprint_hex.clone(),
-                                effort_ms: solve_ms.ceil() as u64,
-                                outcome: outcome.clone(),
-                                from: Some(cluster.node_id().to_string()),
-                            },
-                        );
-                    }
-                }
+                inner.metrics.record_served(outcome.upper, outcome.exact);
+                let mut r = Response::new(job.id.clone(), Status::Ok);
+                r.outcome = Some(outcome);
+                r
             }
-            inner.metrics.record_served(outcome.upper, outcome.exact);
-            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::new(job.id.clone(), Status::Ok);
-            r.outcome = Some(outcome);
-            r
-        }
-        Err(e) => {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            Response::from_error(job.id.clone(), &e)
-        }
-    };
-    r.fingerprint = Some(w.fingerprint_hex.clone());
-    r.canonical = w.canonical_complete;
-    r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
-    inner.log(format_args!(
-        "req={} obj={} fp={} cache=miss status={} width={} exact={} winner={} queued_ms={:.2} solve_ms={:.1} total_ms={:.1} deadline_ms={}",
-        job.id.as_deref().unwrap_or("-"),
-        w.objective_name,
-        w.fingerprint_hex,
-        r.status.name(),
-        r.outcome.as_ref().map_or(0, |o| o.upper),
-        r.outcome.as_ref().is_some_and(|o| o.exact),
-        r.outcome
+            Err(e) => Response::from_error(job.id.clone(), &e),
+        };
+        r.fingerprint = Some(w.fingerprint_hex.clone());
+        r.canonical = w.canonical_complete;
+        r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+        inner.log(format_args!(
+            "req={} obj={} fp={} cache=miss status={} width={} exact={} winner={} queued_ms={:.2} solve_ms={:.1} total_ms={:.1} deadline_ms={}",
+            job.id.as_deref().unwrap_or("-"),
+            w.objective_name,
+            w.fingerprint_hex,
+            r.status.name(),
+            r.outcome.as_ref().map_or(0, |o| o.upper),
+            r.outcome.as_ref().is_some_and(|o| o.exact),
+            r.outcome
+                .as_ref()
+                .and_then(|o| o.winner)
+                .map_or("-", |w| w.name()),
+            self.queued.as_secs_f64() * 1e3,
+            solve_ms,
+            r.elapsed_ms,
+            job.deadline_ms,
+        ));
+        r
+    }
+
+    /// Runs one answer through the `htd-query` pipeline: decomposition
+    /// (shape-cache first), then Yannakakis evaluation against the
+    /// request's own relations — under the same deadline, thread and
+    /// memory governance as a solve, but with the requested lineup and
+    /// no breaker filtering. A memory-budget overrun *refuses* the query
+    /// with a size estimate ([`HtdError::ResourceExhausted`]) rather than
+    /// returning a wrong answer.
+    fn answer(&self, w: &AnswerWork) -> Response {
+        let (inner, job) = (self.inner, self.job);
+        let opts = AnswerOptions {
+            mode: w.mode,
+            limit: w.limit.unwrap_or(DEFAULT_ANSWER_LIMIT),
+            search: self.search_config(Some(ANSWER_MAX_NODES), job.engines.clone()),
+            memory_budget: self.memory_budget().map(MemoryBudget::new),
+            shape_cache: w.use_shape_cache.then(|| Arc::clone(&inner.shapes)),
+            deadline: Some(
+                job.deadline
+                    .checked_sub(DEADLINE_SLACK)
+                    .unwrap_or(job.deadline),
+            ),
+            parse_us: w.parse_us,
+        };
+
+        let eval_start = Instant::now();
+        // the pipeline quarantines its evaluation pass; this outer
+        // quarantine additionally covers the decomposition search
+        let result = quarantined(|| htd_query::answer(&w.query, &opts)).unwrap_or_else(|message| {
+            htd_trace::registry()
+                .counter("htd_worker_panics_total")
+                .inc();
+            Err(HtdError::Io(format!(
+                "answer pipeline panicked (quarantined): {message}"
+            )))
+        });
+        let eval_elapsed = eval_start.elapsed();
+        inner.metrics.solve_time.observe(eval_elapsed.as_secs_f64());
+
+        let mut r = match result {
+            Ok(ans) => {
+                let mut r = Response::new(job.id.clone(), Status::Ok);
+                // `cached` on an answer means the *decomposition* was
+                // reused; the semijoin passes always ran against this
+                // request's data
+                r.cached = ans.stats.shape_cache_hit;
+                r.fingerprint = Some(ans.stats.fingerprint.clone());
+                r.canonical = ans.stats.canonical_complete;
+                r.answer = Some(ans);
+                r
+            }
+            Err(e) => Response::from_error(job.id.clone(), &e),
+        };
+        r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+        inner.log(format_args!(
+            "req={} obj=answer mode={} fp={} shape_cache={} status={} tuples={} queued_ms={:.2} eval_ms={:.1} total_ms={:.1} deadline_ms={}",
+            job.id.as_deref().unwrap_or("-"),
+            w.mode.name(),
+            r.fingerprint.as_deref().unwrap_or("-"),
+            if r.cached { "hit" } else { "miss" },
+            r.status.name(),
+            r.answer.as_ref().map_or(0, |a| a.stats.tuples_scanned),
+            self.queued.as_secs_f64() * 1e3,
+            eval_elapsed.as_secs_f64() * 1e3,
+            r.elapsed_ms,
+            job.deadline_ms,
+        ));
+        r
+    }
+
+    /// Tries the owners of a forwarded request in order and relays the
+    /// first usable response. `None` when every owner is unreachable,
+    /// shutting down or partitioned away: the caller then computes
+    /// locally, and the certificate travels to the owners as a hint via
+    /// the replication path. Forwarding runs on the worker pool — never
+    /// on the event loop — so a slow peer stalls one worker slot, not the
+    /// whole front end.
+    fn forward(&self, f: &ForwardWork) -> Option<Response> {
+        let (inner, job) = (self.inner, self.job);
+        let cluster = inner
+            .cluster
             .as_ref()
-            .and_then(|o| o.winner)
-            .map_or("-", |w| w.name()),
-        queued.as_secs_f64() * 1e3,
-        solve_ms,
-        r.elapsed_ms,
-        job.deadline_ms,
-    ));
-    r
-}
-
-/// Runs one answer job through the `htd-query` pipeline: decomposition
-/// (shape-cache first), then Yannakakis evaluation against the
-/// request's own relations — under the same deadline, thread and
-/// memory governance as a solve. A memory-budget overrun *refuses* the
-/// query with a size estimate ([`HtdError::ResourceExhausted`]) rather
-/// than returning a wrong answer.
-fn run_answer(
-    inner: &Inner,
-    job: &Job,
-    w: &AnswerWork,
-    incumbent: &Arc<Incumbent>,
-    fault: &Fault,
-    queued: Duration,
-) -> Response {
-    let remaining = job.deadline.saturating_duration_since(Instant::now());
-    let mut cfg = SearchConfig::default()
-        .with_max_nodes(200_000)
-        .with_time_limit(remaining.saturating_sub(DEADLINE_SLACK))
-        .with_threads(job.threads);
-    cfg.shared = Some(Arc::clone(incumbent));
-    if fault.panic_worker {
-        cfg = cfg.with_faults(InjectedFaults::with_panics(1));
-    }
-    if let Some(engines) = job.engines.clone() {
-        cfg = cfg.with_engines(engines);
-    }
-    let budget = if fault.alloc_fail {
-        // allocation starvation: the evaluation must refuse, never lie
-        Some(MemoryBudget::new(16 << 10))
-    } else {
-        inner.opts.memory_mb.map(|mb| MemoryBudget::new(mb << 20))
-    };
-    let opts = AnswerOptions {
-        mode: w.mode,
-        limit: w.limit.unwrap_or(DEFAULT_ANSWER_LIMIT),
-        search: cfg,
-        memory_budget: budget,
-        shape_cache: w.use_shape_cache.then(|| Arc::clone(&inner.shapes)),
-        deadline: Some(
-            job.deadline
-                .checked_sub(DEADLINE_SLACK)
-                .unwrap_or(job.deadline),
-        ),
-        parse_us: w.parse_us,
-    };
-
-    let eval_start = Instant::now();
-    // the pipeline quarantines its evaluation pass; this outer
-    // quarantine additionally covers the decomposition search
-    let result = quarantined(|| htd_query::answer(&w.query, &opts)).unwrap_or_else(|message| {
-        htd_trace::registry()
-            .counter("htd_worker_panics_total")
-            .inc();
-        Err(HtdError::Io(format!(
-            "answer pipeline panicked (quarantined): {message}"
-        )))
-    });
-    let eval_elapsed = eval_start.elapsed();
-    inner.metrics.solve_time.observe(eval_elapsed.as_secs_f64());
-
-    let mut r = match result {
-        Ok(ans) => {
-            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::new(job.id.clone(), Status::Ok);
-            // `cached` on an answer means the *decomposition* was reused;
-            // the semijoin passes always ran against this request's data
-            r.cached = ans.stats.shape_cache_hit;
-            r.fingerprint = Some(ans.stats.fingerprint.clone());
-            r.canonical = ans.stats.canonical_complete;
-            r.answer = Some(ans);
-            r
-        }
-        Err(e) => {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            Response::from_error(job.id.clone(), &e)
-        }
-    };
-    r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
-    inner.log(format_args!(
-        "req={} obj=answer mode={} fp={} shape_cache={} status={} tuples={} queued_ms={:.2} eval_ms={:.1} total_ms={:.1} deadline_ms={}",
-        job.id.as_deref().unwrap_or("-"),
-        w.mode.name(),
-        r.fingerprint.as_deref().unwrap_or("-"),
-        if r.cached { "hit" } else { "miss" },
-        r.status.name(),
-        r.answer.as_ref().map_or(0, |a| a.stats.tuples_scanned),
-        queued.as_secs_f64() * 1e3,
-        eval_elapsed.as_secs_f64() * 1e3,
-        r.elapsed_ms,
-        job.deadline_ms,
-    ));
-    r
-}
-
-/// Runs one forwarded request on a worker: dial the owners in order and
-/// relay the first usable response; when every owner is unreachable,
-/// shutting down or partitioned away, compute locally (the certificate
-/// then travels to the owners as a hint via the replication path).
-/// Forwarding runs on the worker pool — never on the event loop — so a
-/// slow peer stalls one worker slot, not the whole front end.
-fn run_forward(
-    inner: &Inner,
-    job: &Job,
-    f: &ForwardWork,
-    incumbent: &Arc<Incumbent>,
-    fault: &Fault,
-    queued: Duration,
-) -> Response {
-    let cluster = inner
-        .cluster
-        .as_ref()
-        .expect("forward work queued without a cluster");
-    let dial_timeout = Duration::from_millis(cluster.config().probe_timeout_ms);
-    for (hop, (peer, addr)) in f.candidates.iter().enumerate() {
-        let attempt = (|| -> Option<Response> {
-            if cluster.is_peer_partitioned(peer) {
-                return None;
-            }
-            let mut c = Client::connect_timeout(addr, dial_timeout).ok()?;
+            .expect("forward work queued without a cluster");
+        let request = Request {
+            id: job.id.clone(),
+            cmd: f.cmd.clone(),
+        };
+        for (hop, (peer, addr)) in f.candidates.iter().enumerate() {
             let remaining = job.deadline.saturating_duration_since(Instant::now());
-            c.set_read_timeout(Some(remaining + REPLY_GRACE));
-            let r = c
-                .request(&Request {
-                    id: job.id.clone(),
-                    cmd: f.cmd.clone(),
-                })
-                .ok()?;
             // a draining owner refuses new work; treat like a dead one
-            (r.status != Status::ShuttingDown).then_some(r)
-        })();
-        match attempt {
-            Some(mut r) => {
+            match cluster
+                .call_peer(peer, addr, remaining + REPLY_GRACE, &request)
+                .filter(|r| r.status != Status::ShuttingDown)
+            {
+                Some(mut r) => {
+                    inner
+                        .metrics
+                        .cluster_forwards
+                        .fetch_add(1, Ordering::Relaxed);
+                    r.id = job.id.clone();
+                    r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+                    inner.log(format_args!(
+                        "req={} fp={} forwarded to={} hop={hop} status={} ms={:.1}",
+                        job.id.as_deref().unwrap_or("-"),
+                        f.local.fingerprint_hex().unwrap_or("-"),
+                        peer,
+                        r.status.name(),
+                        r.elapsed_ms,
+                    ));
+                    return Some(r);
+                }
+                None => {
+                    inner
+                        .metrics
+                        .cluster_failovers
+                        .fetch_add(1, Ordering::Relaxed);
+                    inner.log(format_args!(
+                        "req={} fp={} owner={peer} unreachable, failing over",
+                        job.id.as_deref().unwrap_or("-"),
+                        f.local.fingerprint_hex().unwrap_or("-"),
+                    ));
+                }
+            }
+        }
+        inner
+            .metrics
+            .cluster_local_fallbacks
+            .fetch_add(1, Ordering::Relaxed);
+        inner.log(format_args!(
+            "req={} fp={} all {} owner(s) unusable: solving locally",
+            job.id.as_deref().unwrap_or("-"),
+            f.local.fingerprint_hex().unwrap_or("-"),
+            f.candidates.len(),
+        ));
+        None
+    }
+
+    /// Handles a `put_cert` push from a peer: the claim is re-verified
+    /// from scratch (re-parse, re-canonicalize, oracle re-proof) before
+    /// anything is admitted — a remote peer is exactly as untrusted as
+    /// bytes on disk.
+    fn put_cert(&self, p: &CertPush) -> Response {
+        let (inner, job) = (self.inner, self.job);
+        let claimed = u64::from_str_radix(&p.fingerprint_hex, 16).unwrap_or(0);
+        let mut r = match crate::store::verify_claim(
+            p.objective,
+            p.format,
+            p.instance.clone(),
+            claimed,
+            p.effort_ms,
+            p.outcome.clone(),
+        ) {
+            Some(rec) => {
+                inner.remember(&rec);
                 inner
                     .metrics
-                    .cluster_forwards
+                    .cluster_certs_accepted
                     .fetch_add(1, Ordering::Relaxed);
-                r.id = job.id.clone();
-                r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
-                inner.log(format_args!(
-                    "req={} fp={} forwarded to={} hop={hop} status={} ms={:.1}",
-                    job.id.as_deref().unwrap_or("-"),
-                    f.local.fingerprint_hex().unwrap_or("-"),
-                    peer,
-                    r.status.name(),
-                    r.elapsed_ms,
-                ));
-                return r;
+                Response::new(job.id.clone(), Status::Ok)
             }
             None => {
                 inner
                     .metrics
-                    .cluster_failovers
+                    .cluster_cert_rejects
                     .fetch_add(1, Ordering::Relaxed);
-                inner.log(format_args!(
-                    "req={} fp={} owner={peer} unreachable, failing over",
-                    job.id.as_deref().unwrap_or("-"),
-                    f.local.fingerprint_hex().unwrap_or("-"),
-                ));
+                let e = HtdError::Invalid(
+                    "pushed certificate failed oracle re-verification".to_string(),
+                );
+                Response::from_error(job.id.clone(), &e)
             }
-        }
+        };
+        r.fingerprint = Some(p.fingerprint_hex.clone());
+        r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+        inner.log(format_args!(
+            "put_cert from={} fp={} status={} ms={:.1}",
+            p.from.as_deref().unwrap_or("-"),
+            p.fingerprint_hex,
+            r.status.name(),
+            r.elapsed_ms,
+        ));
+        r
     }
-    // last rung of the ladder: every owner unusable — answer the client
-    // from here rather than failing, and let replication hint the owner
-    inner
-        .metrics
-        .cluster_local_fallbacks
-        .fetch_add(1, Ordering::Relaxed);
-    inner.log(format_args!(
-        "req={} fp={} all {} owner(s) unusable: solving locally",
-        job.id.as_deref().unwrap_or("-"),
-        f.local.fingerprint_hex().unwrap_or("-"),
-        f.candidates.len(),
-    ));
-    match &*f.local {
-        Work::Solve(w) => run_solve(inner, job, w, incumbent, fault, queued),
-        Work::Answer(w) => run_answer(inner, job, w, incumbent, fault, queued),
-        // admission never nests Forward/PutCert inside a fallback
-        Work::Forward(_) | Work::PutCert(_) => unreachable!("invalid forward fallback"),
-    }
-}
-
-/// Handles a `put_cert` push from a peer: the claim is re-verified from
-/// scratch (re-parse, re-canonicalize, oracle re-proof) before anything
-/// is admitted — a remote peer is exactly as untrusted as bytes on disk.
-fn run_put_cert(inner: &Inner, job: &Job, p: &CertPush) -> Response {
-    let claimed = u64::from_str_radix(&p.fingerprint_hex, 16).unwrap_or(0);
-    let mut r = match crate::store::verify_claim(
-        p.objective,
-        p.format,
-        p.instance.clone(),
-        claimed,
-        p.effort_ms,
-        p.outcome.clone(),
-    ) {
-        Some(rec) => {
-            inner.cache.admit(
-                rec.fingerprint,
-                &rec.canonical,
-                rec.objective,
-                &rec.outcome,
-                rec.effort_ms,
-            );
-            if let Some(store) = &inner.store {
-                if let Err(e) = store.append(&rec) {
-                    inner.log(format_args!(
-                        "store append of pushed cert failed fp={}: {e}",
-                        p.fingerprint_hex
-                    ));
-                }
-            }
-            inner
-                .metrics
-                .cluster_certs_accepted
-                .fetch_add(1, Ordering::Relaxed);
-            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::new(job.id.clone(), Status::Ok);
-            r.fingerprint = Some(p.fingerprint_hex.clone());
-            r
-        }
-        None => {
-            inner
-                .metrics
-                .cluster_cert_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let e =
-                HtdError::Invalid("pushed certificate failed oracle re-verification".to_string());
-            let mut r = Response::from_error(job.id.clone(), &e);
-            r.fingerprint = Some(p.fingerprint_hex.clone());
-            r
-        }
-    };
-    r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
-    inner.log(format_args!(
-        "put_cert from={} fp={} status={} ms={:.1}",
-        p.from.as_deref().unwrap_or("-"),
-        p.fingerprint_hex,
-        r.status.name(),
-        r.elapsed_ms,
-    ));
-    r
 }
 
 /// Serializes one response line (newline included), enforcing
@@ -1441,10 +1372,10 @@ pub(crate) fn response_line(response: &Response) -> Vec<u8> {
 }
 
 /// Non-blocking admission, called by the event loop for every request
-/// frame: probes answer on the spot, solves/answers either answer
-/// immediately (cache hit, parse error, drain refusal, backpressure
-/// rejection) or enter the bounded work queue with their reply routed
-/// to `sink`.
+/// frame: probes answer on the spot, and every other command either
+/// answers immediately (cache hit, parse error, drain refusal,
+/// backpressure rejection) or enters the bounded work queue with its
+/// reply routed to `sink`.
 pub(crate) fn admit_request(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Admission {
     match admit_request_inner(inner, req, sink) {
         Admission::Ready(mut r) => {
@@ -1456,14 +1387,14 @@ pub(crate) fn admit_request(inner: &Arc<Inner>, req: Request, sink: ReplySink) -
 }
 
 fn admit_request_inner(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Admission {
-    match req.cmd {
+    let admission = match req.cmd {
         Command::Ping => {
             inner.metrics.ping_requests.fetch_add(1, Ordering::Relaxed);
             let mut r = Response::new(req.id, Status::Pong);
             // leave-intent signal: the cluster failure detector reads this
             // to mark a draining peer `Leaving` instead of failing it
             r.draining = inner.draining();
-            Admission::Ready(r)
+            return Admission::Ready(r);
         }
         Command::Stats => {
             inner.metrics.stats_requests.fetch_add(1, Ordering::Relaxed);
@@ -1473,81 +1404,38 @@ fn admit_request_inner(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Adm
                 inner.cache.bytes(),
                 inner.draining(),
             ));
-            Admission::Ready(r)
+            return Admission::Ready(r);
         }
         Command::Shutdown => {
             if !inner.draining.swap(true, Ordering::SeqCst) {
                 inner.log(format_args!("drain requested by client"));
             }
-            Admission::Ready(Response::new(req.id, Status::ShuttingDown))
+            return Admission::Ready(Response::new(req.id, Status::ShuttingDown));
         }
         Command::Solve(s) => admit_solve(inner, req.id, s, sink),
         Command::Answer(a) => admit_answer(inner, req.id, a, sink),
-        Command::PutCert(p) => admit_put_cert(inner, req.id, p, sink),
-    }
-}
-
-/// Admission path of a peer's `put_cert` push: the oracle re-proof is
-/// real work (a full `htd check` of the claimed decomposition), so it
-/// rides the bounded queue like any other job instead of stalling the
-/// event loop.
-fn admit_put_cert(
-    inner: &Arc<Inner>,
-    id: Option<String>,
-    p: CertPush,
-    sink: ReplySink,
-) -> Admission {
-    let received = Instant::now();
-    inner
-        .metrics
-        .put_cert_requests
-        .fetch_add(1, Ordering::Relaxed);
-    if inner.draining() {
-        inner
-            .metrics
-            .shedding_responses
-            .fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::new(id, Status::ShuttingDown);
-        r.error = Some("server is draining".into());
-        return Admission::Ready(r);
-    }
-    let deadline_ms = inner.opts.default_deadline_ms;
-    let deadline = received + Duration::from_millis(deadline_ms);
-    let fingerprint_hex = p.fingerprint_hex.clone();
-    let job = Job {
-        id: id.clone(),
-        work: Work::PutCert(p),
-        deadline,
-        deadline_ms,
-        threads: 1,
-        engines: None,
-        received,
-        enqueued: Instant::now(),
-        reply: sink,
+        Command::PutCert(p) => {
+            inner
+                .metrics
+                .put_cert_requests
+                .fetch_add(1, Ordering::Relaxed);
+            // the oracle re-proof is real work (a full `htd check` of the
+            // claimed decomposition), so it rides the bounded queue like
+            // any other job instead of stalling the event loop
+            enqueue(inner, req.id, Instant::now(), None, sink, || {
+                Work::PutCert(p)
+            })
+        }
     };
-    inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
-    if !inner.queue.try_push(job) {
-        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // the sender's outbox redelivers with backoff; a plain rejection
-        // is all the backpressure signal it needs
-        let mut r = Response::new(id, Status::Rejected);
-        r.error = Some("work queue full".into());
-        r.fingerprint = Some(fingerprint_hex);
-        r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-        return Admission::Ready(r);
+    // the probes aside, every response admission gives is counted here
+    if let Admission::Ready(r) = &admission {
+        inner.metrics.count(r.status);
     }
-    Admission::Queued {
-        id,
-        fingerprint: Some(fingerprint_hex),
-        deadline,
-        received,
-    }
+    admission
 }
 
+/// Admission of a `solve`: parse the instance as far as its cache key,
+/// answer a hit on the spot, and queue a miss.
 fn admit_solve(
     inner: &Arc<Inner>,
     id: Option<String>,
@@ -1556,32 +1444,17 @@ fn admit_solve(
 ) -> Admission {
     let received = Instant::now();
     inner.metrics.solve_requests.fetch_add(1, Ordering::Relaxed);
-    let deadline_ms = s.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
-    let deadline = received + Duration::from_millis(deadline_ms);
     let objective_name = s.objective.name();
-
-    // a hit needs only the key: the problem is built below, on a miss
+    // a hit needs only the key: the problem is built on a miss
     let instance = match KeyedInstance::parse(s.format, &s.instance, s.objective) {
         Ok(instance) => instance,
-        Err(e) => {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::from_error(id.clone(), &e);
-            r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-            inner.log(format_args!(
-                "req={} obj={objective_name} status=error err={:?}",
-                id.as_deref().unwrap_or("-"),
-                r.error.as_deref().unwrap_or("")
-            ));
-            return Admission::Ready(r);
-        }
+        Err(e) => return parse_error(inner, id, objective_name, &e, received),
     };
     let canon = canonical_form(instance.key());
     let fingerprint_hex = canon.hex();
 
     if s.use_cache {
+        let deadline_ms = s.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
         if let Some(hit) = inner.cache.lookup(
             canon.fingerprint,
             &canon.bytes,
@@ -1590,7 +1463,6 @@ fn admit_solve(
             Some(deadline_ms),
         ) {
             inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
             inner
                 .metrics
                 .record_served(hit.outcome.upper, hit.outcome.exact);
@@ -1613,101 +1485,43 @@ fn admit_solve(
     }
     inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    if inner.draining() {
-        inner
-            .metrics
-            .shedding_responses
-            .fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::new(id, Status::ShuttingDown);
-        r.error = Some("server is draining".into());
-        return Admission::Ready(r);
-    }
-
-    let solve_work = SolveWork {
-        problem: instance.into_problem(),
-        fingerprint: canon.fingerprint,
-        fingerprint_hex: fingerprint_hex.clone(),
-        canonical: canon.bytes,
-        canonical_complete: canon.complete,
-        objective_name,
-        budget: s.budget,
-        // the instance text is only re-read by the store's loader and
-        // the cluster's replication push; keep the job lean otherwise
-        instance: if inner.store.is_some() || inner.cluster.is_some() {
-            s.instance.clone()
-        } else {
-            String::new()
-        },
-        format: s.format,
+    // the instance text is only re-read by the store's loader and the
+    // cluster's replication push; keep the job lean otherwise
+    let text = if inner.store.is_some() || inner.cluster.is_some() {
+        s.instance.clone()
+    } else {
+        String::new()
     };
-    let threads = s.threads.unwrap_or(1).max(1);
-    let engines = s.engines.clone();
-    // keys this node does not own route to their owners; the `forwarded`
-    // flag breaks the cycle (a forwarded request always computes where
-    // it lands). Cache hits above stay local either way — replicas hold
-    // verified entries legitimately.
-    let work = match &inner.cluster {
-        Some(cl) if !s.forwarded && !cl.owns(canon.fingerprint) => {
-            let candidates = cl.forward_candidates(canon.fingerprint);
-            let mut fwd = s;
-            fwd.forwarded = true;
-            Work::Forward(ForwardWork {
-                cmd: Command::Solve(fwd),
-                candidates,
-                local: Box::new(Work::Solve(solve_work)),
-            })
-        }
-        _ => Work::Solve(solve_work),
-    };
-    let job = Job {
-        id: id.clone(),
-        work,
-        deadline,
-        deadline_ms,
-        threads,
-        engines,
-        received,
-        enqueued: Instant::now(),
-        reply: sink,
-    };
-    inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
-    if !inner.queue.try_push(job) {
-        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // hint: half the median solve so retries spread out, floor 10ms
-        let p50 = inner.metrics.solve_latency.quantile(0.5);
-        let mut r = Response::new(id.clone(), Status::Rejected);
-        r.error = Some("work queue full".into());
-        r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
-        r.fingerprint = Some(fingerprint_hex.clone());
-        r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-        inner.log(format_args!(
-            "req={} obj={objective_name} fp={fingerprint_hex} status=rejected retry_after_ms={}",
-            id.as_deref().unwrap_or("-"),
-            r.retry_after_ms.unwrap_or(0)
-        ));
-        return Admission::Ready(r);
-    }
-
-    Admission::Queued {
+    let (budget, format) = (s.budget, s.format);
+    enqueue(
+        inner,
         id,
-        fingerprint: Some(fingerprint_hex),
-        deadline,
         received,
-    }
+        Some(Command::Solve(s)),
+        sink,
+        move || {
+            Work::Solve(SolveWork {
+                problem: instance.into_problem(),
+                fingerprint: canon.fingerprint,
+                fingerprint_hex,
+                canonical: canon.bytes,
+                canonical_complete: canon.complete,
+                objective_name,
+                budget,
+                instance: text,
+                format,
+            })
+        },
+    )
 }
 
-/// Admission path of an `answer` request: parse the query on the
-/// event loop (cheap, and a parse error must not occupy a worker), then
-/// queue the evaluation under the same backpressure and deadline rules
-/// as a solve. Unlike the solve result cache, the shape cache cannot
-/// answer from the event loop — a shape hit only
-/// skips the decomposition, the semijoin passes still run against this
-/// request's own relations — so the lookup happens inside the pipeline
-/// on the worker.
+/// Admission of an `answer`: parse the query on the event loop (cheap,
+/// and a parse error must not occupy a worker), then queue the
+/// evaluation. Unlike the solve result cache, the shape cache cannot
+/// answer from the event loop — a shape hit only skips the
+/// decomposition, the semijoin passes still run against this request's
+/// own relations — so the lookup happens inside the pipeline on the
+/// worker.
 fn admit_answer(
     inner: &Arc<Inner>,
     id: Option<String>,
@@ -1719,73 +1533,127 @@ fn admit_answer(
         .metrics
         .answer_requests
         .fetch_add(1, Ordering::Relaxed);
-    let deadline_ms = a.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
-    let deadline = received + Duration::from_millis(deadline_ms);
-
-    // the service never reads relation files on behalf of a remote peer
-    let query = match parse_query(&a.query, &FileAccess::Deny) {
+    // the service never reads relation files on behalf of a remote peer;
+    // an oversized query is refused before routing builds its hypergraph
+    let parsed = parse_query(&a.query, &FileAccess::Deny);
+    let query = match parsed.and_then(|q| check_query_size(&q).map(|()| q)) {
         Ok(q) => q,
-        Err(e) => {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::from_error(id.clone(), &e);
-            r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-            inner.log(format_args!(
-                "req={} obj=answer status=error err={:?}",
-                id.as_deref().unwrap_or("-"),
-                r.error.as_deref().unwrap_or("")
-            ));
-            return Admission::Ready(r);
-        }
+        Err(e) => return parse_error(inner, id, "answer", &e, received),
     };
     let parse_us = received.elapsed().as_micros() as u64;
+    let (mode, limit, use_shape_cache) = (a.mode, a.limit, a.use_cache);
+    enqueue(
+        inner,
+        id,
+        received,
+        Some(Command::Answer(a)),
+        sink,
+        move || {
+            Work::Answer(AnswerWork {
+                query,
+                mode,
+                limit,
+                use_shape_cache,
+                parse_us,
+            })
+        },
+    )
+}
 
+/// The `error` response to a request whose instance or query does not
+/// parse or is too large to take in; admission counts it like every
+/// answer it gives.
+fn parse_error(
+    inner: &Inner,
+    id: Option<String>,
+    label: &str,
+    e: &HtdError,
+    received: Instant,
+) -> Admission {
+    let mut r = Response::from_error(id, e);
+    r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
+    inner.log(format_args!(
+        "req={} obj={label} status=error err={:?}",
+        r.id.as_deref().unwrap_or("-"),
+        r.error.as_deref().unwrap_or("")
+    ));
+    Admission::Ready(r)
+}
+
+/// The one way into the work queue, for every command a worker runs.
+/// A draining server refuses new work here. Otherwise `build` makes the
+/// work, and the job takes its deadline, threads and lineup from
+/// `request` (`None`, a `put_cert`, gets one thread and the default
+/// deadline). A key this node does not own goes to its owners instead,
+/// unless a peer forwarded the request already: the copy an owner
+/// receives has `forwarded` set, so it computes where it lands (one hop,
+/// no loops). Cache hits never get here, so they stay local either way —
+/// replicas hold verified entries legitimately. A full queue answers
+/// `rejected`, with a `retry_after_ms` hint for solves and answers; a
+/// `put_cert`'s sender redelivers with its own backoff.
+fn enqueue(
+    inner: &Inner,
+    id: Option<String>,
+    received: Instant,
+    mut request: Option<Command>,
+    sink: ReplySink,
+    build: impl FnOnce() -> Work,
+) -> Admission {
     if inner.draining() {
-        inner
-            .metrics
-            .shedding_responses
-            .fetch_add(1, Ordering::Relaxed);
         let mut r = Response::new(id, Status::ShuttingDown);
         r.error = Some("server is draining".into());
         return Admission::Ready(r);
     }
-
-    // answers route on the same key the shape cache uses: the canonical
-    // fingerprint of the query's hypergraph (only computed when clustered)
-    let routing_key = inner
-        .cluster
-        .as_ref()
-        .map(|_| canonical_form(&query.csp.hypergraph()).fingerprint);
-    let answer_work = AnswerWork {
-        query,
-        mode: a.mode,
-        limit: a.limit,
-        use_shape_cache: a.use_cache,
-        parse_us,
-    };
-    let threads = a.threads.unwrap_or(1).max(1);
-    let engines = a.engines.clone();
-    let work = match (&inner.cluster, routing_key) {
-        (Some(cl), Some(key)) if !a.forwarded && !cl.owns(key) => {
-            let candidates = cl.forward_candidates(key);
-            let mut fwd = a;
-            fwd.forwarded = true;
-            Work::Forward(ForwardWork {
-                cmd: Command::Answer(fwd),
-                candidates,
-                local: Box::new(Work::Answer(answer_work)),
+    let (deadline_ms, threads, engines, route) = match &mut request {
+        Some(
+            Command::Solve(SolveRequest {
+                deadline_ms,
+                threads,
+                engines,
+                forwarded,
+                ..
             })
-        }
-        _ => Work::Answer(answer_work),
+            | Command::Answer(AnswerRequest {
+                deadline_ms,
+                threads,
+                engines,
+                forwarded,
+                ..
+            }),
+        ) => (
+            *deadline_ms,
+            *threads,
+            engines.clone(),
+            !std::mem::replace(forwarded, true),
+        ),
+        _ => (None, None, None, false),
     };
+    let work = build();
+    let (label, fingerprint) = (work.label(), work.fingerprint_hex().map(str::to_string));
+    let hint = !matches!(work, Work::PutCert(_));
+    let work = match (request, &inner.cluster) {
+        (Some(cmd), Some(cluster)) if route => {
+            let key = work.routing_key();
+            if cluster.owns(key) {
+                work
+            } else {
+                Work::Forward(ForwardWork {
+                    cmd,
+                    candidates: cluster.forward_candidates(key),
+                    local: Box::new(work),
+                })
+            }
+        }
+        _ => work,
+    };
+    let deadline_ms = deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
+    let deadline = received + Duration::from_millis(deadline_ms);
     let job = Job {
         id: id.clone(),
         work,
         deadline,
         deadline_ms,
-        threads,
+        threads: threads.unwrap_or(1).max(1),
         engines,
         received,
         enqueued: Instant::now(),
@@ -1794,27 +1662,28 @@ fn admit_answer(
     inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
     if !inner.queue.try_push(job) {
         inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // hint: half the median solve so retries spread out, floor 10ms
-        let p50 = inner.metrics.solve_latency.quantile(0.5);
-        let mut r = Response::new(id.clone(), Status::Rejected);
+        let mut r = Response::new(id, Status::Rejected);
         r.error = Some("work queue full".into());
-        r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
+        if hint {
+            // half the median solve so retries spread out, floor 10ms
+            let p50 = inner.metrics.solve_latency.quantile(0.5);
+            r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
+        }
+        r.fingerprint = fingerprint;
         r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
         inner.log(format_args!(
-            "req={} obj=answer status=rejected retry_after_ms={}",
-            id.as_deref().unwrap_or("-"),
+            "req={} obj={label}{} status=rejected retry_after_ms={}",
+            r.id.as_deref().unwrap_or("-"),
+            r.fingerprint
+                .as_deref()
+                .map_or(String::new(), |fp| format!(" fp={fp}")),
             r.retry_after_ms.unwrap_or(0)
         ));
         return Admission::Ready(r);
     }
-
     Admission::Queued {
         id,
-        fingerprint: None,
+        fingerprint,
         deadline,
         received,
     }

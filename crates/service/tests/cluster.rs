@@ -52,7 +52,6 @@ fn start_node(ids: &[&str], addrs: &[String], me: usize, replication: usize) -> 
         default_deadline_ms: 10_000,
         log: false,
         verify_responses: false,
-        reuse_addr: true,
         cluster: Some(cluster_config(ids, addrs, me, replication)),
         ..ServeOptions::default()
     })

@@ -7,12 +7,15 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use htd_core::Json;
 use htd_hypergraph::{gen, io};
 use htd_search::Objective;
-use htd_service::{Client, InstanceFormat, ServeOptions, Server, Status};
+use htd_service::{
+    AnswerMode, Client, ClusterConfig, InstanceFormat, PeerSpec, ServeOptions, Server, Status,
+};
 
 fn start() -> (Server, String) {
     let server = Server::start(ServeOptions {
@@ -137,6 +140,124 @@ fn seeded_garbage_never_panics_or_hangs() {
     let mut client = Client::connect(&addr).unwrap();
     client.ping().unwrap();
     client.shutdown().unwrap();
+    server.wait();
+}
+
+/// Frames that parse but ask for too much or carry a mistyped number: an
+/// instance header over the vertex cap (which once made the server
+/// allocate 128 GiB and abort) and a numeric member that is not a
+/// non-negative integer each get a structured code-2 error, and the
+/// server keeps answering.
+#[test]
+fn oversized_headers_and_mistyped_numbers_get_structured_errors() {
+    let (server, addr) = start();
+    let frames = [
+        r#"{"id":"h1","cmd":"solve","objective":"tw","instance":"p tw 4294967295 0"}"#,
+        r#"{"id":"h2","cmd":"solve","objective":"ghw","instance":"p edge 4294967295 0"}"#,
+        r#"{"id":"n1","cmd":"solve","objective":"tw","instance":"p tw 1 0","deadline_ms":"200"}"#,
+        r#"{"id":"n2","cmd":"answer","query":"Q() :- R(x).\nR: 1 .","threads":-1}"#,
+    ];
+    for frame in frames {
+        let mut s = connect(&addr);
+        s.write_all(format!("{frame}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(s);
+        let doc = read_structured(&mut reader).expect("a structured reply");
+        assert_eq!(
+            doc.get("status").and_then(|v| v.as_str()),
+            Some("error"),
+            "{frame}"
+        );
+        assert_eq!(doc.get("code").and_then(|v| v.as_u64()), Some(2), "{frame}");
+        let msg = doc
+            .get("error")
+            .and_then(|v| v.as_str())
+            .unwrap_or_default();
+        let named = ["4294967295", "deadline_ms", "threads"];
+        assert!(named.iter().any(|n| msg.contains(n)), "{frame}: {msg}");
+        Client::connect(&addr).unwrap().ping().unwrap();
+    }
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.wait();
+}
+
+/// Inputs that parse but whose derived structures would not fit: one
+/// atom over 16384 vertices asked for treewidth (its primal graph as a
+/// cache key is K_16384, some 280 GB of vertex sets) and, on a cluster
+/// node, a query over the vertex cap (routing would build its hypergraph
+/// on the event loop). Admission refuses both with code 6 ahead of the
+/// queue: they are answered while the one worker is busy and the one
+/// queue slot is taken, where anything queued would be `rejected`.
+#[test]
+fn oversized_keys_and_queries_are_refused_at_admission() {
+    let peer = PeerSpec {
+        id: "b".into(),
+        addr: "127.0.0.1:1".into(),
+    };
+    let server = Server::start(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        queue_capacity: 1,
+        log: false,
+        cluster: Some(ClusterConfig::new("a", vec![peer])),
+        ..ServeOptions::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let m = server.metrics();
+    let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let mut busy = Client::connect(&addr).unwrap();
+    let hard = io::write_pace_gr(&gen::random_gnp(60, 0.5, 1));
+    let (req, _) = busy.solve_request(
+        Objective::Treewidth,
+        InstanceFormat::Auto,
+        &hard,
+        Some(2_000),
+    );
+    busy.send(&req).unwrap();
+    wait_for("the busy solve", &|| m.inflight.load(Ordering::SeqCst) == 1);
+    let mut queued = Client::connect(&addr).unwrap();
+    let clique = io::write_pace_gr(&gen::complete_graph(5));
+    let (req, _) = queued.solve_request(
+        Objective::Treewidth,
+        InstanceFormat::Auto,
+        &clique,
+        Some(50),
+    );
+    queued.send(&req).unwrap();
+    wait_for("the queued solve", &|| {
+        m.queue_depth.load(Ordering::SeqCst) == 1
+    });
+
+    let mut c = Client::connect(&addr).unwrap();
+    let vertices: Vec<String> = (0..16_384).map(|v| format!("v{v}")).collect();
+    let wide = format!("e({}).", vertices.join(","));
+    let refused = c
+        .solve(Objective::Treewidth, InstanceFormat::Hg, &wide, None)
+        .unwrap();
+    let chain: Vec<String> = (0..16_384)
+        .map(|i| format!("R(v{i}, v{})", i + 1))
+        .collect();
+    let query = format!("Q() :- {}.\nR: 1 2 .", chain.join(", "));
+    let refused_query = c.answer(&query, AnswerMode::Count, None, None).unwrap();
+    for (r, named) in [
+        (refused, "primal graph"),
+        (refused_query, "16385 variables"),
+    ] {
+        assert_eq!(r.status, Status::Error, "{r:?}");
+        assert_eq!(r.code, Some(6), "{r:?}");
+        let msg = r.error.as_deref().unwrap_or_default();
+        assert!(msg.contains(named), "{msg}");
+    }
+    c.ping().unwrap();
+    assert_eq!(m.cluster_forwards.load(Ordering::SeqCst), 0);
+    drop((busy.recv(), queued.recv()));
+    c.shutdown().unwrap();
     server.wait();
 }
 

@@ -109,6 +109,24 @@ fn solve_roundtrip_and_cache_hit() {
     server.wait();
 }
 
+/// Every server binds with `SO_REUSEADDR`, which still leaves the guard
+/// against two servers on one port: binding an addr:port a server is
+/// listening on fails with `AddrInUse`.
+#[test]
+fn a_second_server_on_a_bound_port_fails_with_addr_in_use() {
+    let (server, addr) = start(quiet_opts());
+    let second = Server::start(ServeOptions {
+        addr: addr.clone(),
+        ..quiet_opts()
+    });
+    let err = second
+        .err()
+        .expect("a second bind of a listening port fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.wait();
+}
+
 #[test]
 fn verify_responses_oracle_checks_before_caching() {
     let (server, addr) = start(ServeOptions {
