@@ -1,251 +1,241 @@
-//! CI regression gate over `bench_suite` snapshots.
+//! Paired performance gate over the repository benchmark.
 //!
-//! Compares a candidate snapshot (default `BENCH_8.json`) against a
-//! committed baseline and fails — exit 1 — when any shared metric
-//! regressed past tolerance, honoring each metric's `better` direction:
+//! `perf_gate PARENT CHANGE` takes two `perfbench` binaries, one built
+//! from the merge base and one from the change, and runs every workload
+//! `BENCHMARK.json` declares in [`PAIRS`] pairs, alternating which side
+//! goes first. Each run is `BIN --workload W --seed 1 --seconds 10
+//! --trace 0`, started from the current directory, which must be the
+//! repository root; the last line of its stdout is the result object.
 //!
-//! * default: **fail** above 25% regression, **warn** above 10%;
-//! * `--tolerance-smoke`: fail above 100%, warn above 40% — for CI
-//!   runners comparing a `--smoke` candidate against a committed full
-//!   run on different hardware, where only catastrophic regressions are
-//!   trustworthy signals;
-//! * millisecond metrics additionally need an absolute move of at least
-//!   0.5 ms before they can warn or fail, so sub-millisecond noise on
-//!   tiny workloads never gates a merge.
+//! A pair's *move* of an end-to-end metric is the change's value against
+//! the parent's, as a fraction of the parent's, signed so that positive
+//! is the metric's worse direction. The gate exits
 //!
-//! Baselines may be schema `htd-bench/v1` (named-metric map) or the
-//! backfilled `htd-bench/v0` generation; v0 files are adapted through a
-//! fixed extraction table (`BENCH_7.json`'s answer-latency fields map to
-//! the `answer_*` metrics of the v1 suite). At least one metric must be
-//! shared between baseline and candidate, otherwise the gate errors —
-//! a comparison that checks nothing must not pass silently.
+//! * 1 when a run exits nonzero or reports `"correct": false`, when on a
+//!   workload the change fails a larger share of its attempted operations
+//!   than the parent, or when the median move of an end-to-end metric is
+//!   larger than the metric's `bound`;
+//! * 2 when `BENCHMARK.json` or a result line cannot be read, or when a
+//!   workload has no metric that both sides report (a metric only one
+//!   side reports is listed as not compared).
 //!
-//! `cargo run --release -p htd-bench --bin perf_gate -- \
-//!     --against BENCH_7.json [--candidate BENCH_8.json] [--tolerance-smoke]`
+//! It prints, per workload and metric, each side's median, the pair
+//! moves, their median, the bound and the verdict.
+//!
+//! Sizing, on 2 shared vCPUs (Intel Xeon) with one perfbench binary as
+//! both sides, three full gate runs: the worst median move was +9.1%
+//! (`solve` `tail_ms`), the next +7.8% (`answer` `setup_s`), and the
+//! worst single pair +21.4% (`solve` `tail_ms`), against a bound of 0.25
+//! on every metric. One gate run is 18 runs of about 12 s each, 3.7
+//! minutes.
+//!
+//! `cargo run --release -p htd-bench --bin perf_gate -- PARENT CHANGE`
 
-use htd_bench::{round3, Table};
+use std::process::Command;
+
+use htd_bench::Table;
 use htd_core::Json;
 
-struct Args {
-    against: String,
-    candidate: String,
-    smoke: bool,
-}
+/// Runs per side and workload, alternating which side goes first.
+const PAIRS: usize = 3;
+/// Length of one run, in seconds.
+const SECONDS: &str = "10";
+/// Workload seed of every run.
+const SEED: &str = "1";
 
-fn parse_args() -> Args {
-    let mut a = Args {
-        against: String::new(),
-        candidate: "BENCH_8.json".into(),
-        smoke: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--against" => a.against = it.next().expect("--against FILE").clone(),
-            "--candidate" => a.candidate = it.next().expect("--candidate FILE").clone(),
-            "--tolerance-smoke" => a.smoke = true,
-            _ => {
-                eprintln!("usage: perf_gate --against FILE [--candidate FILE] [--tolerance-smoke]");
-                std::process::exit(4);
-            }
-        }
-    }
-    if a.against.is_empty() {
-        eprintln!("perf_gate: --against FILE is required");
-        std::process::exit(4);
-    }
-    a
-}
-
-/// A named metric with its improvement direction (`true` = lower is
-/// better).
+/// An end-to-end metric as `BENCHMARK.json` declares it.
 struct Metric {
     name: String,
-    value: f64,
-    unit: String,
-    lower_is_better: bool,
+    higher_is_better: bool,
+    bound: f64,
 }
 
-fn load(path: &str) -> Vec<Metric> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("perf_gate: cannot read {path}: {e}");
-        std::process::exit(5);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("perf_gate: {path} is not valid JSON: {e:?}");
-        std::process::exit(2);
-    });
-    let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-    match schema {
-        "htd-bench/v1" => v1_metrics(&doc, path),
-        // v0 and pre-versioning files go through the extraction table
-        _ => v0_metrics(&doc, path),
+/// One run's result object.
+struct Run {
+    attempted: f64,
+    failed: f64,
+    metrics: Json,
+}
+
+impl Run {
+    fn value(&self, metric: &str) -> Option<f64> {
+        self.metrics.get(metric)?.get("value")?.as_f64()
     }
 }
 
-fn v1_metrics(doc: &Json, path: &str) -> Vec<Metric> {
-    let Some(Json::Obj(members)) = doc.get("metrics") else {
-        eprintln!("perf_gate: {path}: v1 snapshot without a metrics object");
-        std::process::exit(2);
+fn die(code: i32, msg: &str) -> ! {
+    eprintln!("perf_gate: {msg}");
+    std::process::exit(code);
+}
+
+/// The workloads and end-to-end metrics of `BENCHMARK.json`.
+fn declared() -> (Vec<String>, Vec<Metric>) {
+    let text = std::fs::read_to_string("BENCHMARK.json")
+        .unwrap_or_else(|e| die(2, &format!("cannot read BENCHMARK.json: {e}")));
+    let doc = Json::parse(&text)
+        .unwrap_or_else(|e| die(2, &format!("BENCHMARK.json does not parse: {e}")));
+    let list = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| die(2, &format!("BENCHMARK.json has no {key} list")))
     };
-    members
+    let field = |m: &Json, key: &str| {
+        m.get(key)
+            .cloned()
+            .unwrap_or_else(|| die(2, &format!("a BENCHMARK.json entry has no {key}")))
+    };
+    let workloads = list("workloads")
         .iter()
-        .filter_map(|(name, m)| {
+        .map(|w| field(w, "name").as_str().map(String::from))
+        .collect::<Option<Vec<_>>>()
+        .unwrap_or_else(|| die(2, "a workload name is not a string"));
+    let metrics = list("end_to_end")
+        .iter()
+        .map(|m| {
             Some(Metric {
-                name: name.clone(),
-                value: m.get("value")?.as_f64()?,
-                unit: m.get("unit").and_then(|u| u.as_str()).unwrap_or("").into(),
-                lower_is_better: m.get("better").and_then(|b| b.as_str()) != Some("higher"),
+                name: field(m, "name").as_str()?.to_string(),
+                higher_is_better: field(m, "better").as_str()? == "higher",
+                bound: field(m, "bound").as_f64()?,
             })
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()
+        .unwrap_or_else(|| die(2, "an end-to-end metric has a malformed field"));
+    (workloads, metrics)
 }
 
-/// Extraction table for the pre-versioning snapshot generation.
-///
-/// * `BENCH_7.json` (answer_load): `cold_p50_ms` / `warm_p50_ms` /
-///   `warm_over_cold_p50_speedup` are the same measurements the v1
-///   suite's answer workload reports, so they map onto `answer_*`.
-/// * `BENCH_6.json` (bench_snapshot): per-arm `t_common_width_us` maps
-///   to `ghw_{engine}_tcommon_{instance}_ms` — not produced by the v1
-///   suite, but two v0 files remain comparable to each other.
-fn v0_metrics(doc: &Json, path: &str) -> Vec<Metric> {
-    let mut out = Vec::new();
-    match doc.get("bench").and_then(|b| b.as_u64()) {
-        Some(7) => {
-            let mut take = |field: &str, name: &str, unit: &str, lower: bool| {
-                if let Some(v) = doc.get(field).and_then(|v| v.as_f64()) {
-                    out.push(Metric {
-                        name: name.into(),
-                        value: v,
-                        unit: unit.into(),
-                        lower_is_better: lower,
-                    });
-                }
-            };
-            take("cold_p50_ms", "answer_cold_p50_ms", "ms", true);
-            take("warm_p50_ms", "answer_warm_p50_ms", "ms", true);
-            take(
-                "warm_over_cold_p50_speedup",
-                "answer_warm_speedup",
-                "x",
-                false,
-            );
-        }
-        Some(6) => {
-            for (instance, arms) in [("ghw_race", doc.get("ghw_race"))]
-                .into_iter()
-                .filter_map(|(_, v)| v.and_then(|v| v.as_arr()))
-                .flatten()
-                .filter_map(|inst| {
-                    Some((
-                        inst.get("instance")?.as_str()?.to_string(),
-                        inst.get("arms")?.as_arr()?,
-                    ))
-                })
-            {
-                for arm in arms {
-                    let (Some(engine), Some(t)) = (
-                        arm.get("engine").and_then(|e| e.as_str()),
-                        arm.get("t_common_width_us").and_then(|t| t.as_f64()),
-                    ) else {
-                        continue;
-                    };
-                    out.push(Metric {
-                        name: format!("ghw_{engine}_tcommon_{instance}_ms"),
-                        value: t / 1e3,
-                        unit: "ms".into(),
-                        lower_is_better: true,
-                    });
-                }
-            }
-        }
-        other => {
-            eprintln!("perf_gate: {path}: unversioned snapshot with unknown bench {other:?}");
-            std::process::exit(2);
-        }
+/// Runs `bin` on `workload` and reads its result object.
+fn run(side: &str, bin: &str, workload: &str) -> Run {
+    let out = Command::new(bin)
+        .args(["--workload", workload, "--seed", SEED])
+        .args(["--seconds", SECONDS, "--trace", "0"])
+        .output()
+        .unwrap_or_else(|e| die(2, &format!("cannot run {bin}: {e}")));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
+    if !out.status.success() {
+        eprint!("{}", String::from_utf8_lossy(&out.stderr));
+        die(1, &format!("{side} {workload} run failed: {}", out.status));
     }
-    out
+    let doc = last
+        .and_then(|l| Json::parse(l).ok())
+        .unwrap_or_else(|| die(2, &format!("{side} {workload}: no result line")));
+    let num = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| die(2, &format!("{side} {workload}: result has no {key}")))
+    };
+    let (attempted, failed) = (num("attempted"), num("failed"));
+    if doc.get("correct").and_then(Json::as_bool) != Some(true) {
+        die(1, &format!("{side} {workload} run is not correct"));
+    }
+    Run {
+        attempted,
+        failed,
+        metrics: doc.get("metrics").cloned().unwrap_or(Json::Null),
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+}
+
+fn pct(x: f64) -> String {
+    format!("{:+.1}%", 100.0 * x)
 }
 
 fn main() {
-    let args = parse_args();
-    let (fail_tol, warn_tol) = if args.smoke {
-        (1.00, 0.40)
-    } else {
-        (0.25, 0.10)
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let [parent, change] = argv.as_slice() else {
+        die(2, "usage: perf_gate PARENT CHANGE (two perfbench binaries)");
     };
-    let baseline = load(&args.against);
-    let candidate = load(&args.candidate);
-
-    let mut table = Table::new(&["metric", "baseline", "candidate", "change", "verdict"]);
-    let (mut shared, mut failures, mut warnings) = (0usize, 0usize, 0usize);
-    for m in &candidate {
-        let Some(b) = baseline.iter().find(|b| b.name == m.name) else {
-            continue;
-        };
-        shared += 1;
-        // regression as a fraction of the baseline, positive = worse
-        let regression = if b.value.abs() < 1e-9 {
-            0.0
-        } else if m.lower_is_better {
-            (m.value - b.value) / b.value
-        } else {
-            (b.value - m.value) / b.value
-        };
-        // sub-millisecond moves on ms metrics are noise, never a signal;
-        // likewise percentage-point metrics hovering near zero (the span
-        // overhead probe) only matter once they move whole points
-        let below_floor = (m.unit == "ms" && (m.value - b.value).abs() < 0.5)
-            || (m.unit == "pct" && (m.value - b.value).abs() < 5.0);
-        let verdict = if below_floor || regression <= warn_tol {
-            if !below_floor && regression < -warn_tol {
-                "improved"
+    let (workloads, metrics) = declared();
+    let mut table = Table::new(&[
+        "workload",
+        "metric",
+        "parent",
+        "change",
+        "pair moves",
+        "median",
+        "bound",
+        "verdict",
+    ]);
+    let mut failures = 0;
+    for w in &workloads {
+        let (mut p, mut c) = (Vec::new(), Vec::new());
+        for pair in 0..PAIRS {
+            eprintln!("perf_gate: {w} pair {}/{PAIRS}", pair + 1);
+            if pair % 2 == 0 {
+                p.push(run("parent", parent, w));
+                c.push(run("change", change, w));
             } else {
-                "ok"
+                c.push(run("change", change, w));
+                p.push(run("parent", parent, w));
             }
-        } else if regression <= fail_tol {
-            warnings += 1;
-            "WARN"
-        } else {
-            failures += 1;
-            "FAIL"
+        }
+        let frac = |runs: &[Run]| {
+            let attempted: f64 = runs.iter().map(|r| r.attempted).sum();
+            runs.iter().map(|r| r.failed).sum::<f64>() / attempted.max(1.0)
         };
+        let (pf, cf) = (frac(&p), frac(&c));
+        let worse = cf > pf;
+        failures += usize::from(worse);
         table.row(vec![
-            m.name.clone(),
-            format!("{} {}", round3(b.value), b.unit),
-            format!("{} {}", round3(m.value), m.unit),
-            format!(
-                "{:+.1}%",
-                100.0 * regression * if m.lower_is_better { 1.0 } else { -1.0 }
-            ),
-            verdict.into(),
+            w.clone(),
+            "failed/attempted".into(),
+            format!("{pf:.4}"),
+            format!("{cf:.4}"),
+            String::new(),
+            String::new(),
+            "0".into(),
+            (if worse { "FAIL" } else { "ok" }).into(),
         ]);
+        let mut compared = 0;
+        for m in &metrics {
+            let values = |runs: &[Run]| -> Option<Vec<f64>> {
+                runs.iter().map(|r| r.value(&m.name)).collect()
+            };
+            let (Some(pv), Some(cv)) = (values(&p), values(&c)) else {
+                let row = [w.as_str(), &m.name, "", "", "", "", "", "not compared"];
+                table.row(row.map(String::from).to_vec());
+                continue;
+            };
+            compared += 1;
+            let moves: Vec<f64> = pv
+                .iter()
+                .zip(&cv)
+                .map(|(&p, &c)| {
+                    let worse = if m.higher_is_better { p - c } else { c - p };
+                    if worse == 0.0 {
+                        0.0
+                    } else {
+                        worse / p.abs()
+                    }
+                })
+                .collect();
+            let mid = median(moves.clone());
+            let fail = mid > m.bound;
+            failures += usize::from(fail);
+            table.row(vec![
+                w.clone(),
+                m.name.clone(),
+                format!("{:.4}", median(pv)),
+                format!("{:.4}", median(cv)),
+                moves.iter().map(|&x| pct(x)).collect::<Vec<_>>().join(" "),
+                pct(mid),
+                format!("{}", m.bound),
+                (if fail { "FAIL" } else { "ok" }).into(),
+            ]);
+        }
+        if compared == 0 {
+            table.print();
+            die(2, &format!("{w}: no end-to-end metric both sides report"));
+        }
     }
-    println!(
-        "perf_gate: {} vs {} ({} tolerance: warn >{:.0}%, fail >{:.0}%)",
-        args.candidate,
-        args.against,
-        if args.smoke { "smoke" } else { "strict" },
-        warn_tol * 100.0,
-        fail_tol * 100.0
-    );
     table.print();
-
-    if shared == 0 {
-        eprintln!(
-            "perf_gate: no shared metrics between {} and {} — nothing was checked",
-            args.candidate, args.against
-        );
-        std::process::exit(2);
-    }
-    println!("{shared} shared metric(s), {warnings} warning(s), {failures} failure(s)");
     if failures > 0 {
-        eprintln!(
-            "perf_gate: FAIL — regression past {:.0}% tolerance",
-            fail_tol * 100.0
-        );
-        std::process::exit(1);
+        die(1, &format!("{failures} check(s) failed"));
     }
+    println!("perf_gate: pass");
 }

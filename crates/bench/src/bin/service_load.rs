@@ -30,16 +30,11 @@
 //!
 //! `cargo run --release -p htd-bench --bin service_load \
 //!     [--clients N] [--requests N] [--hit-ratio PCT] [--deadline-ms MS] \
-//!     [--connections N] [--pipeline K] [--store-compare] [--cluster N] \
-//!     [--out FILE]`
-//!
-//! With `--out FILE` the phase results are also written as an
-//! `htd-bench/v1` metrics fragment for merging into a perf snapshot.
+//!     [--connections N] [--pipeline K] [--store-compare] [--cluster N]`
 
 use std::time::{Duration, Instant};
 
-use htd_bench::{f2, round3, Table};
-use htd_core::Json;
+use htd_bench::{f2, Table};
 use htd_hypergraph::{gen, io};
 use htd_search::Objective;
 use htd_service::{Client, ClusterConfig, InstanceFormat, PeerSpec, ServeOptions, Server, Status};
@@ -57,8 +52,6 @@ struct Args {
     store_compare: bool,
     /// Cluster scaling phase: node count (0 = phase off).
     cluster: usize,
-    /// Write an htd-bench/v1 metrics fragment here.
-    out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -71,24 +64,13 @@ fn parse_args() -> Args {
         pipeline: 1,
         store_compare: false,
         cluster: 0,
-        out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--store-compare" => {
-                a.store_compare = true;
-                continue;
-            }
-            "--out" => {
-                a.out = it.next().cloned();
-                if a.out.is_none() {
-                    usage();
-                }
-                continue;
-            }
-            _ => {}
+        if flag == "--store-compare" {
+            a.store_compare = true;
+            continue;
         }
         let v = it.next().and_then(|s| s.parse::<u64>().ok());
         match (flag.as_str(), v) {
@@ -108,7 +90,7 @@ fn parse_args() -> Args {
 fn usage() -> ! {
     eprintln!(
         "usage: service_load [--clients N] [--requests N] [--hit-ratio PCT] [--deadline-ms MS] \
-         [--connections N] [--pipeline K] [--store-compare] [--cluster N] [--out FILE]"
+         [--connections N] [--pipeline K] [--store-compare] [--cluster N]"
     );
     std::process::exit(4);
 }
@@ -198,57 +180,19 @@ struct ClientReport {
     worst_overshoot_ms: f64,
 }
 
-/// A named result for the optional `--out` metrics fragment.
-struct OutMetric {
-    name: &'static str,
-    value: f64,
-    unit: &'static str,
-    better: &'static str,
-}
-
 fn main() {
     let args = parse_args();
-    let mut out_metrics: Vec<OutMetric> = Vec::new();
-    let mut failed = false;
-
-    if args.cluster >= 2 {
-        failed |= !cluster_phase(&args, &mut out_metrics);
+    let mut ok = if args.cluster >= 2 {
+        cluster_phase(&args)
     } else if args.connections > 0 || args.pipeline > 1 {
-        failed |= !pipeline_phase(&args, &mut out_metrics);
+        pipeline_phase(&args)
     } else {
-        failed |= !mixed_phase(&args, &mut out_metrics);
-    }
+        mixed_phase(&args)
+    };
     if args.store_compare {
-        failed |= !store_phase(&args, &mut out_metrics);
+        ok &= store_phase(&args);
     }
-
-    if let Some(path) = &args.out {
-        let metric_map: Vec<(String, Json)> = out_metrics
-            .iter()
-            .map(|m| {
-                (
-                    m.name.to_string(),
-                    Json::Obj(vec![
-                        ("value".into(), Json::Num(round3(m.value))),
-                        ("unit".into(), Json::Str(m.unit.into())),
-                        ("better".into(), Json::Str(m.better.into())),
-                    ]),
-                )
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("htd-bench/v1".into())),
-            ("bench".into(), Json::Str("service_load".into())),
-            ("metrics".into(), Json::Obj(metric_map)),
-        ]);
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("service_load: cannot write {path}: {e}");
-            failed = true;
-        } else {
-            println!("wrote {path}");
-        }
-    }
-    if failed {
+    if !ok {
         std::process::exit(1);
     }
 }
@@ -256,7 +200,7 @@ fn main() {
 // ------------------------------------------------------------ mixed phase
 
 /// The original workload: blocking clients, mixed warm/cold draws.
-fn mixed_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
+fn mixed_phase(args: &Args) -> bool {
     let requests = args.requests.unwrap_or(200);
     let server = Server::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
@@ -425,19 +369,6 @@ fn mixed_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
     server.wait();
     println!("server drained cleanly");
 
-    out.push(OutMetric {
-        name: "service_load_warm_p50_ms",
-        value: quantile(&warm, 0.5),
-        unit: "ms",
-        better: "lower",
-    });
-    out.push(OutMetric {
-        name: "service_load_throughput_rps",
-        value: total / wall.as_secs_f64().max(1e-9),
-        unit: "req/s",
-        better: "higher",
-    });
-
     let mut ok_phase = true;
     if !cold.is_empty() && !warm.is_empty() && speedup < 10.0 {
         eprintln!(
@@ -462,7 +393,7 @@ fn mixed_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
 /// concurrent sockets, each keeping `pipeline` requests in flight and
 /// matching responses by id. The phase **fails on a single dropped,
 /// duplicated, or mismatched response** — correctness first, then p95.
-fn pipeline_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
+fn pipeline_phase(args: &Args) -> bool {
     let connections = args.connections.max(1);
     let pipeline = args.pipeline.max(1);
     // per-connection request count: default two batches per connection
@@ -583,25 +514,6 @@ fn pipeline_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
     server.wait();
     println!("server drained cleanly");
 
-    out.push(OutMetric {
-        name: "service_pipeline_p95_ms",
-        value: quantile(&lat, 0.95),
-        unit: "ms",
-        better: "lower",
-    });
-    out.push(OutMetric {
-        name: "service_pipeline_rps",
-        value: total / wall.as_secs_f64().max(1e-9),
-        unit: "req/s",
-        better: "higher",
-    });
-    out.push(OutMetric {
-        name: "service_pipeline_dropped",
-        value: (dropped + garbled) as f64,
-        unit: "count",
-        better: "lower",
-    });
-
     if dropped + garbled > 0 {
         eprintln!("FAIL: pipelined phase dropped {dropped} and garbled {garbled} responses");
         return false;
@@ -613,7 +525,7 @@ fn pipeline_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
 
 /// Warm-restart comparison: cold p50 without a store vs first-request
 /// p50 after rebooting onto a populated store directory.
-fn store_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
+fn store_phase(args: &Args) -> bool {
     let corpus = store_corpus();
     let dir = std::env::temp_dir().join(format!("htd-service-load-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -689,25 +601,6 @@ fn store_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
     t.row(vec!["restart speedup".into(), format!("{speedup:.0}x")]);
     t.print();
 
-    out.push(OutMetric {
-        name: "store_cold_p50_ms",
-        value: cold_p50,
-        unit: "ms",
-        better: "lower",
-    });
-    out.push(OutMetric {
-        name: "store_restart_p50_ms",
-        value: warm_p50,
-        unit: "ms",
-        better: "lower",
-    });
-    out.push(OutMetric {
-        name: "store_restart_speedup",
-        value: speedup,
-        unit: "x",
-        better: "higher",
-    });
-
     if speedup < 10.0 {
         eprintln!("FAIL: warm restart from store must be >=10x faster than store-less cold start (got {speedup:.1}x)");
         return false;
@@ -744,7 +637,7 @@ fn free_port() -> u16 {
 /// shard at full native warm rate with zero forwarding overhead, which
 /// is exactly the property that makes capacity add when every node gets
 /// its own hardware. Acceptance: aggregate ≥ 2× the single-node rate.
-fn cluster_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
+fn cluster_phase(args: &Args) -> bool {
     let n = args.cluster;
     let clients = args.clients.max(1);
     let requests = args.requests.unwrap_or(300);
@@ -950,25 +843,6 @@ fn cluster_phase(args: &Args, out: &mut Vec<OutMetric>) -> bool {
     t.row(vec!["aggregate warm [req/s]".into(), f2(aggregate)]);
     t.row(vec!["aggregate / single".into(), format!("{scaling:.2}x")]);
     t.print();
-
-    out.push(OutMetric {
-        name: "service_cluster_single_rps",
-        value: single_rps,
-        unit: "req/s",
-        better: "higher",
-    });
-    out.push(OutMetric {
-        name: "service_cluster_aggregate_rps",
-        value: aggregate,
-        unit: "req/s",
-        better: "higher",
-    });
-    out.push(OutMetric {
-        name: "service_cluster_scaling",
-        value: scaling,
-        unit: "x",
-        better: "higher",
-    });
 
     if scaling < 2.0 {
         eprintln!(

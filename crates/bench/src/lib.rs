@@ -62,13 +62,6 @@ pub fn repeat_runs(runs: u64, mut f: impl FnMut(u64) -> u32) -> RunStats {
     summarize(&values)
 }
 
-/// Rounds a milliseconds value to 3 decimals (microsecond precision).
-/// Every bench binary reports milliseconds through this so snapshot
-/// files stay short and diff cleanly across runs.
-pub fn round3(ms: f64) -> f64 {
-    (ms * 1000.0).round() / 1000.0
-}
-
 /// Summary statistics of a sample.
 pub fn summarize(values: &[u32]) -> RunStats {
     let min = *values.iter().min().expect("nonempty");

@@ -39,6 +39,7 @@ use htd_core::error::HtdError;
 use htd_core::ghd::GeneralizedHypertreeDecomposition;
 use htd_core::json::Json;
 use htd_core::tree_decomposition::TreeDecomposition;
+use htd_hypergraph::io::check_size;
 use htd_hypergraph::{Graph, Hypergraph};
 
 use crate::oracle::{check_decomposition, Level, RawDecomposition};
@@ -81,19 +82,6 @@ impl Certificate {
             level: Level::Td,
             num_vertices: g.num_vertices(),
             edges: g.edges().map(|(u, v)| vec![u, v]).collect(),
-            claimed_width: Some(td.width()),
-            degraded: false,
-            budget: None,
-            decomposition: RawDecomposition::from_td(td),
-        }
-    }
-
-    /// A `tw` certificate for a tree decomposition of a hypergraph.
-    pub fn for_td(h: &Hypergraph, td: &TreeDecomposition) -> Certificate {
-        Certificate {
-            level: Level::Td,
-            num_vertices: h.num_vertices(),
-            edges: (0..h.num_edges()).map(|e| h.edge(e).to_vec()).collect(),
             claimed_width: Some(td.width()),
             degraded: false,
             budget: None,
@@ -205,8 +193,9 @@ impl Certificate {
     }
 
     /// Parses a certificate document. Structural problems (missing keys,
-    /// wrong types) are parse errors; *semantic* problems (a broken tree,
-    /// an uncovered edge) are left for [`Certificate::check`] to report.
+    /// wrong types, an instance over the parsers' size caps) are parse
+    /// errors; *semantic* problems (a broken tree, an uncovered edge) are
+    /// left for [`Certificate::check`] to report.
     pub fn from_json(doc: &Json) -> Result<Certificate, HtdError> {
         let field = |k: &str| {
             doc.get(k)
@@ -243,6 +232,9 @@ impl Certificate {
                 .collect()
         };
         let edges = id_lists(field("edges")?, "edges")?;
+        // the oracle allocates per vertex: the instance parsers' caps apply
+        check_size(u64::from(num_vertices), edges.len() as u64)
+            .map_err(|e| HtdError::Parse(e.to_string()))?;
         let claimed_width = match doc.get("claimed_width") {
             None => None,
             Some(w) => Some(

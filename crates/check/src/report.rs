@@ -186,13 +186,6 @@ impl CheckReport {
             .collect()
     }
 
-    /// Collects the engine-side validator result into this report.
-    pub fn absorb_validation(&mut self, errors: &[ValidationError]) {
-        for e in errors {
-            self.violations.push(Violation::from(e));
-        }
-    }
-
     /// The report as JSON:
     /// `{"subject":..,"valid":..,"violations":[{"condition":..,"detail":..}]}`.
     pub fn to_json(&self) -> Json {

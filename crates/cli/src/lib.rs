@@ -1337,6 +1337,23 @@ mod tests {
     }
 
     #[test]
+    fn hw_json_credits_no_engine() {
+        let inst = parse_instance("t.hg", hyper_text()).unwrap();
+        let out = cmd_hw(
+            &inst,
+            &Options {
+                format: Some("json".into()),
+                ..Options::default()
+            },
+        )
+        .unwrap();
+        let doc = Json::parse(out.trim()).unwrap();
+        assert_eq!(doc.get("upper").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("engines").and_then(Json::as_arr), Some(&[][..]));
+        assert!(!out.contains("winner"), "{out}");
+    }
+
+    #[test]
     fn hw_stopped_by_its_time_limit_reports_a_lower_bound() {
         // an exact hw of grid2d_10 takes seconds
         let h = htd_hypergraph::gen::named_hypergraph("grid2d_10").unwrap();

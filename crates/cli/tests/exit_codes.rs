@@ -35,8 +35,9 @@ fn parse_error_is_exit_two() {
     let wide_hg = format!("e1({}).\n", names.join(","));
     // an .hg file without atoms (what `htd gen nosuchname > x.hg` leaves
     // behind) is no instance, not one of width 0; an instance over the
-    // 16384-vertex cap is refused before anything is allocated for it;
-    // a number too wide for its 32-bit field is refused, not truncated
+    // 16384-vertex cap is refused before anything is allocated for it,
+    // also as a certificate's instance; a number too wide for its 32-bit
+    // field is refused, not truncated
     for (name, text, cmd) in [
         ("bad.gr", "p tw not-a-number\n", "tw"),
         ("empty.hg", "", "ghw"),
@@ -49,6 +50,12 @@ fn parse_error_is_exit_two() {
             "{\"schema\":1,\"objective\":\"tw\",\"num_vertices\":4294967299,\
              \"edges\":[[4294967296,1]],\"claimed_width\":1,\
              \"decomposition\":{\"bags\":[[0,1,2]],\"parent\":[null]}}\n",
+            "check",
+        ),
+        (
+            "huge.json",
+            "{\"objective\":\"tw\",\"num_vertices\":4294967295,\"edges\":[[0,1]],\
+             \"claimed_width\":1,\"decomposition\":{\"bags\":[[0,1]],\"parent\":[null]}}",
             "check",
         ),
     ] {

@@ -168,12 +168,6 @@ pub fn td_of_hypergraph(h: &Hypergraph, order: &EliminationOrdering) -> TreeDeco
     vertex_elimination(&h.primal_graph(), order)
 }
 
-/// The width the ordering achieves on graph `g` (max bag size − 1),
-/// recomputed from the decomposition — a checking convenience.
-pub fn ordering_width_graph(g: &Graph, order: &EliminationOrdering) -> u32 {
-    vertex_elimination(g, order).width()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

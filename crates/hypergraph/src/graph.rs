@@ -7,8 +7,7 @@ use crate::Vertex;
 ///
 /// Adjacency is stored as one [`VertexSet`] per vertex, so neighborhood
 /// operations (common-neighbor counts, fill-edge detection, clique tests)
-/// are word-parallel. An optional vertex-name table maps ids back to the
-/// labels of the source instance.
+/// are word-parallel.
 ///
 /// ```
 /// use htd_hypergraph::Graph;
@@ -21,7 +20,6 @@ use crate::Vertex;
 pub struct Graph {
     adj: Vec<VertexSet>,
     num_edges: usize,
-    names: Option<Vec<String>>,
 }
 
 impl Graph {
@@ -30,7 +28,6 @@ impl Graph {
         Graph {
             adj: (0..n).map(|_| VertexSet::new(n)).collect(),
             num_edges: 0,
-            names: None,
         }
     }
 
@@ -56,18 +53,9 @@ impl Graph {
         self.num_edges
     }
 
-    /// Attaches vertex names (must have length `num_vertices()`).
-    pub fn set_names(&mut self, names: Vec<String>) {
-        assert_eq!(names.len() as u32, self.num_vertices());
-        self.names = Some(names);
-    }
-
-    /// The name of vertex `v`, falling back to its numeric id.
+    /// The name of vertex `v`: its numeric id.
     pub fn name(&self, v: Vertex) -> String {
-        match &self.names {
-            Some(ns) => ns[v as usize].clone(),
-            None => v.to_string(),
-        }
+        v.to_string()
     }
 
     /// Adds the undirected edge `{u, v}`. Returns `true` if it was new.

@@ -1075,12 +1075,8 @@ fn solve_hw(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> 
         witness: None,
         nodes: 0,
         elapsed: start.elapsed(),
-        per_engine: vec![EngineReport {
-            lower,
-            upper,
-            exact,
-            ..blank_report(Engine::BranchBound)
-        }],
+        // det-k is no portfolio engine: no engine ran, none is credited
+        per_engine: Vec::new(),
         winner: None,
         time_to_first_upper: None,
         time_to_best_upper: None,

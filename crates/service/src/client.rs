@@ -70,12 +70,6 @@ impl Client {
         Ok(())
     }
 
-    /// `true` when the last request died mid-frame and the connection
-    /// can no longer be trusted with another frame.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// Bounds how long [`Client::recv`] (and the blocking helpers) wait
     /// for a response frame. `None` waits forever. The timeout does not
     /// survive [`Client::reconnect`].

@@ -70,7 +70,7 @@ use htd_query::{
 use htd_resilience::{
     quarantined, CircuitBreaker, Fault, FaultInjector, FaultPlan, InjectedFaults, MemoryBudget,
 };
-use htd_search::{solve, Engine, Incumbent, Problem, SearchConfig};
+use htd_search::{solve, Engine, Incumbent, Objective, Problem, SearchConfig};
 use parking_lot::Mutex;
 
 use crate::cache::ResultCache;
@@ -1030,12 +1030,16 @@ impl Run<'_> {
     /// quarantine the solve, verify/admit the outcome, respond.
     fn solve(&self, w: &SolveWork) -> Response {
         let (inner, job) = (self.inner, self.job);
+        // det-k answers hw alone: no portfolio engine runs, so none is
+        // benched, probed or credited by an hw solve
+        let portfolio = w.problem.objective() != Objective::HypertreeWidth;
         // an explicit per-request lineup wins; otherwise bench engines
         // with open breakers (and admit at most one probe)
-        let lineup = job
-            .engines
-            .clone()
-            .or_else(|| inner.allowed_engines(job.threads.max(1)));
+        let lineup = match &job.engines {
+            Some(engines) => Some(engines.clone()),
+            None if portfolio => inner.allowed_engines(job.threads.max(1)),
+            None => None,
+        };
         let mut cfg = self.search_config(w.budget, lineup.clone());
         if let Some(bytes) = self.memory_budget() {
             cfg = cfg.with_memory_budget(bytes);
@@ -1051,13 +1055,15 @@ impl Run<'_> {
                 .inc();
             // the panic escaped per-engine attribution; charge the whole
             // lineup so a persistently crashing path still gets benched
-            for (engine, b) in &inner.breakers {
-                match lineup.as_ref() {
-                    Some(l) if !l.contains(engine) => {}
-                    _ => b.record_failure(),
+            if portfolio {
+                for (engine, b) in &inner.breakers {
+                    match lineup.as_ref() {
+                        Some(l) if !l.contains(engine) => {}
+                        _ => b.record_failure(),
+                    }
                 }
+                inner.refresh_quarantine_gauge();
             }
-            inner.refresh_quarantine_gauge();
             Err(HtdError::Io(format!(
                 "solver panicked (quarantined): {message}"
             )))
@@ -1072,7 +1078,9 @@ impl Run<'_> {
         let mut r = match result {
             Ok(mut outcome) => {
                 inner.metrics.solve_latency.observe(solve_ms);
-                inner.record_engine_outcomes(&outcome.per_engine);
+                if portfolio {
+                    inner.record_engine_outcomes(&outcome.per_engine);
+                }
                 let survived_panic = outcome.per_engine.iter().any(|e| e.panicked);
                 let degraded = outcome.degraded || survived_panic;
                 if degraded {

@@ -119,6 +119,15 @@ fn forwarding_routes_to_the_owner_and_stamps_its_node_id() {
             >= 1
     );
 
+    // the same request again is forwarded to a warm owner, and the
+    // relayed response keeps the owner's cache flag
+    let r = client
+        .solve(Objective::Treewidth, InstanceFormat::PaceGr, &inst, None)
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    assert!(r.cached, "a forwarded warm request comes back cached");
+    assert_eq!(r.node.as_deref(), Some("a"));
+
     // a key this node owns is solved locally
     let local = instance_owned_by(c.cluster().unwrap(), "c", "a");
     let r = client

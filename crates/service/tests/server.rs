@@ -1,13 +1,14 @@
 //! End-to-end tests: a real server on a loopback port, driven through
 //! the TCP client and raw HTTP probes.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use htd_hypergraph::{gen, io};
 use htd_search::Objective;
-use htd_service::{Client, InstanceFormat, ServeOptions, Server, Status};
+use htd_service::{AnswerMode, Client, InstanceFormat, ServeOptions, Server, Status};
 
 fn start(opts: ServeOptions) -> (Server, String) {
     let server = Server::start(opts).expect("bind loopback");
@@ -738,5 +739,93 @@ fn chaos_mode_survives_panics_and_serves_every_request() {
         "degraded counter exported"
     );
     server.request_shutdown();
+    server.wait();
+}
+
+/// Query text for shape `s`, data variant `variant`: a circulant rule (a
+/// cycle `v_i → v_{i+1}` plus a second shift `v_i → v_{i+k}`) whose
+/// treewidth the exact engines cannot prove quickly, so a cold request
+/// spends its decomposition budget, over a tiny domain whose semijoin
+/// passes cost far less than that search. Every variant of a shape has
+/// the same rule and fresh tuples, so all but the first hit the shape
+/// cache.
+fn circulant_query(s: usize, variant: usize) -> String {
+    let mut x = 0xA11CEu64 ^ ((s as u64) << 32) ^ (variant as u64).wrapping_mul(0x1234_5677);
+    let mut mix = move || {
+        // SplitMix64 finalizer
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let n = 18 + 2 * s;
+    let shift = 4 + s / 2;
+    let mut text = String::from("Q(v0, v1) :- ");
+    let mut names: Vec<String> = Vec::new();
+    for (round, step) in [(0usize, 1usize), (1, shift)] {
+        for i in 0..n {
+            let name = format!("e{}", round * n + i);
+            let sep = if names.is_empty() { "" } else { ", " };
+            let _ = write!(text, "{sep}{name}(v{i}, v{})", (i + step) % n);
+            names.push(name);
+        }
+    }
+    text.push_str(".\n");
+    for name in &names {
+        let _ = write!(text, "{name}:");
+        for _ in 0..5 {
+            let _ = write!(text, " {} {} ;", mix() % 3, mix() % 3);
+        }
+        text.push_str(" .\n");
+    }
+    text
+}
+
+/// Each shape's first answer decomposes its query; the later variants
+/// reuse the cached decomposition with fresh data, so they report
+/// `cached` and come back at least 3× faster at the median.
+#[test]
+fn warm_answers_hit_the_shape_cache_and_beat_cold_ones() {
+    let deadline = 4_000;
+    let (server, addr) = start(ServeOptions {
+        queue_capacity: 64,
+        default_deadline_ms: deadline,
+        ..quiet_opts()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for s in 0..2 {
+        for variant in 0..10 {
+            let t = Instant::now();
+            let r = client
+                .answer(
+                    &circulant_query(s, variant),
+                    AnswerMode::Boolean,
+                    None,
+                    Some(deadline),
+                )
+                .unwrap();
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(
+                r.status,
+                Status::Ok,
+                "shape {s} variant {variant}: {:?}",
+                r.error
+            );
+            assert_eq!(r.cached, variant > 0, "shape {s} variant {variant}");
+            if r.cached { &mut warm } else { &mut cold }.push(ms);
+        }
+    }
+    let p50 = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (cold_p50, warm_p50) = (p50(&mut cold), p50(&mut warm));
+    assert!(
+        cold_p50 >= 3.0 * warm_p50,
+        "warm p50 {warm_p50:.2} ms is not 3x below cold p50 {cold_p50:.2} ms"
+    );
+    client.shutdown().unwrap();
     server.wait();
 }
