@@ -9,7 +9,6 @@
 //! deliberate mutation should trip.
 
 use htd_core::json::Json;
-use htd_core::tree_decomposition::ValidationError;
 
 /// A decomposition condition (or harness invariant) that can be violated.
 ///
@@ -103,32 +102,6 @@ pub struct Violation {
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.condition, self.detail)
-    }
-}
-
-/// Engine-side single-error validation mapped into the oracle vocabulary,
-/// so callers of `htd-core`'s validators can report *which* condition
-/// failed through the same [`Condition`] names.
-impl From<&ValidationError> for Violation {
-    fn from(e: &ValidationError) -> Violation {
-        match e {
-            ValidationError::EdgeNotCovered { edge } => Violation {
-                condition: Condition::EdgeCoverage,
-                detail: format!("hyperedge {edge} is contained in no bag"),
-            },
-            ValidationError::Disconnected { vertex } => Violation {
-                condition: Condition::Connectedness,
-                detail: format!("bags containing vertex {vertex} are not connected"),
-            },
-            ValidationError::BagNotCovered { node } => Violation {
-                condition: Condition::BagCover,
-                detail: format!("χ of node {node} not covered by its λ edges"),
-            },
-            ValidationError::NotATree => Violation {
-                condition: Condition::TreeShape,
-                detail: "parent pointers are not a rooted tree".into(),
-            },
-        }
     }
 }
 
@@ -245,17 +218,5 @@ mod tests {
         assert!(text.contains("connectedness"));
         let json = r.to_json().to_string();
         assert!(json.contains("\"valid\":false"));
-    }
-
-    #[test]
-    fn validation_error_maps_to_conditions() {
-        let v = Violation::from(&ValidationError::EdgeNotCovered { edge: 7 });
-        assert_eq!(v.condition, Condition::EdgeCoverage);
-        let v = Violation::from(&ValidationError::Disconnected { vertex: 2 });
-        assert_eq!(v.condition, Condition::Connectedness);
-        let v = Violation::from(&ValidationError::BagNotCovered { node: 0 });
-        assert_eq!(v.condition, Condition::BagCover);
-        let v = Violation::from(&ValidationError::NotATree);
-        assert_eq!(v.condition, Condition::TreeShape);
     }
 }

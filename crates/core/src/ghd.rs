@@ -61,23 +61,6 @@ impl GeneralizedHypertreeDecomposition {
         Ok(())
     }
 
-    /// Like [`validate`](Self::validate), but collects **every** violation
-    /// of all three conditions instead of stopping at the first, so
-    /// callers can report exactly which conditions failed.
-    pub fn validate_all(&self, h: &Hypergraph) -> Vec<ValidationError> {
-        let mut errors = self.tree.validate_all(h);
-        for p in 0..self.tree.num_nodes() {
-            let mut vars = VertexSet::new(h.num_vertices());
-            for &e in &self.lambda[p] {
-                vars.union_with(h.edge(e));
-            }
-            if !self.tree.bag(p).is_subset(&vars) {
-                errors.push(ValidationError::BagNotCovered { node: p });
-            }
-        }
-        errors
-    }
-
     /// Checks the *hypertree decomposition* conditions: the three GHD
     /// conditions plus the descendant condition (condition 4 of Gottlob,
     /// Leone & Scarcello): for every node `p`,
@@ -253,25 +236,6 @@ mod tests {
             bad.validate_hypertree(&h),
             Err(ValidationError::BagNotCovered { node: 1 })
         );
-    }
-
-    #[test]
-    fn validate_all_collects_every_violation() {
-        let h = thesis_hypergraph();
-        // single bag missing vertex 3 entirely: edge e2 = {2,3,4} uncovered,
-        // vertex coverage aside, and λ = {} leaves the bag uncovered too
-        let tree = TreeDecomposition::new(
-            vec![VertexSet::from_iter_with_capacity(6, [0, 1, 2, 4, 5])],
-            vec![None],
-        )
-        .unwrap();
-        let ghd = GeneralizedHypertreeDecomposition::new(tree, vec![vec![]]);
-        let errors = ghd.validate_all(&h);
-        assert!(errors.contains(&ValidationError::EdgeNotCovered { edge: 2 }));
-        assert!(errors.contains(&ValidationError::BagNotCovered { node: 0 }));
-        assert!(errors.len() >= 2);
-        // and a valid GHD collects nothing
-        assert!(thesis_ghd().validate_all(&h).is_empty());
     }
 
     #[test]

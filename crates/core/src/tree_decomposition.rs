@@ -223,55 +223,6 @@ impl TreeDecomposition {
         Ok(())
     }
 
-    /// Like [`validate`](Self::validate), but collects **every** violation
-    /// instead of stopping at the first, so callers can report exactly
-    /// which conditions failed (e.g. through `htd-check`'s `CheckReport`).
-    pub fn validate_all(&self, h: &Hypergraph) -> Vec<ValidationError> {
-        let mut errors = Vec::new();
-        for e in 0..h.num_edges() {
-            let scope = h.edge(e);
-            if !self.bags.iter().any(|b| scope.is_subset(b)) {
-                errors.push(ValidationError::EdgeNotCovered { edge: e });
-            }
-        }
-        self.collect_disconnected(h.num_vertices(), &mut errors);
-        errors
-    }
-
-    /// [`validate_graph`](Self::validate_graph) collecting every violation.
-    /// Uncovered graph edges are reported by their lower endpoint, matching
-    /// `validate_graph`'s encoding.
-    pub fn validate_graph_all(&self, g: &Graph) -> Vec<ValidationError> {
-        let mut errors = Vec::new();
-        for (u, v) in g.edges() {
-            if !self.bags.iter().any(|b| b.contains(u) && b.contains(v)) {
-                errors.push(ValidationError::EdgeNotCovered { edge: u });
-            }
-        }
-        self.collect_disconnected(g.num_vertices(), &mut errors);
-        errors
-    }
-
-    fn collect_disconnected(&self, num_vertices: u32, errors: &mut Vec<ValidationError>) {
-        for v in 0..num_vertices {
-            let mut nodes = 0u32;
-            let mut edges = 0u32;
-            for p in 0..self.num_nodes() {
-                if self.bags[p].contains(v) {
-                    nodes += 1;
-                    if let Some(q) = self.parent[p] {
-                        if self.bags[q].contains(v) {
-                            edges += 1;
-                        }
-                    }
-                }
-            }
-            if nodes > 0 && edges != nodes - 1 {
-                errors.push(ValidationError::Disconnected { vertex: v });
-            }
-        }
-    }
-
     /// Removes nodes whose bag is a subset of a neighbor's bag, repeatedly,
     /// producing an equivalent decomposition without redundant nodes.
     /// Width is unchanged; validity is preserved.
@@ -362,38 +313,6 @@ mod tests {
             vec![None, Some(0), Some(0), Some(0)],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn validate_all_collects_every_violation() {
-        let h = thesis_hypergraph();
-        // two disconnected occurrences of vertex 0 and an uncovered edge e2
-        let td = TreeDecomposition::new(
-            vec![vs(6, &[0, 1, 2]), vs(6, &[3]), vs(6, &[0, 4, 5])],
-            vec![None, Some(0), Some(1)],
-        )
-        .unwrap();
-        let errors = td.validate_all(&h);
-        assert!(errors.contains(&ValidationError::EdgeNotCovered { edge: 2 }));
-        assert!(errors.contains(&ValidationError::Disconnected { vertex: 0 }));
-        assert_eq!(errors.len(), 2);
-        assert!(thesis_td().validate_all(&h).is_empty());
-    }
-
-    #[test]
-    fn validate_graph_all_collects_every_violation() {
-        use htd_hypergraph::Graph;
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        // path-shaped bags that miss edge (3,0) and split vertex 2
-        let td = TreeDecomposition::new(
-            vec![vs(4, &[0, 1, 2]), vs(4, &[1, 3]), vs(4, &[2, 3])],
-            vec![None, Some(0), Some(1)],
-        )
-        .unwrap();
-        let errors = td.validate_graph_all(&g);
-        // (0,3) is the uncovered edge; the encoding reports its lower endpoint
-        assert!(errors.contains(&ValidationError::EdgeNotCovered { edge: 0 }));
-        assert!(errors.contains(&ValidationError::Disconnected { vertex: 2 }));
     }
 
     #[test]

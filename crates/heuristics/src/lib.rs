@@ -22,7 +22,7 @@ pub mod reduce;
 pub mod upper;
 
 pub use ghw_lower::ghw_lower_bound;
-pub use local_search::{improve_ordering, improve_ordering_until, min_fill_plus_ils, IlsParams};
+pub use local_search::{improve_ordering, improve_ordering_until, IlsParams};
 pub use lower::{
     combined_lower_bound, degeneracy, minor_gamma_r, minor_min_width, minor_min_width_alive,
     MinorScratch,

@@ -112,16 +112,6 @@ pub fn improve_ordering_until<R: Rng>(
     (EliminationOrdering::new_unchecked(best), best_w)
 }
 
-/// Convenience: min-fill followed by local search.
-pub fn min_fill_plus_ils<R: Rng>(
-    g: &Graph,
-    params: &IlsParams,
-    rng: &mut R,
-) -> (EliminationOrdering, u32) {
-    let start = crate::upper::min_fill(g, rng).ordering;
-    improve_ordering(g, &start, params, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +151,8 @@ mod tests {
     fn min_fill_plus_ils_on_queen() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = gen::queen_graph(5);
-        let (_, w) = min_fill_plus_ils(&g, &IlsParams::default(), &mut rng);
+        let start = crate::upper::min_fill(&g, &mut rng).ordering;
+        let (_, w) = improve_ordering(&g, &start, &IlsParams::default(), &mut rng);
         assert!((18..=19).contains(&w), "queen5 ILS width {w}");
     }
 

@@ -24,15 +24,6 @@ pub fn min_degree<R: Rng>(g: &Graph, rng: &mut R) -> HeuristicOrdering {
     greedy_ordering(g, rng, |eg, v| eg.degree(v) as u64)
 }
 
-/// Min-fill with degree tie-break (often slightly better than pure
-/// min-fill): score = fill * n + degree.
-pub fn min_fill_degree<R: Rng>(g: &Graph, rng: &mut R) -> HeuristicOrdering {
-    let n = g.num_vertices() as u64;
-    greedy_ordering(g, rng, move |eg, v| {
-        eg.fill_count(v) as u64 * (n + 1) + eg.degree(v) as u64
-    })
-}
-
 /// Eliminates a best-scoring vertex until none is left, ties broken by
 /// `rng` among the best in increasing vertex order.
 ///
@@ -214,7 +205,6 @@ mod tests {
             for h in [
                 min_fill(&g, &mut rng),
                 min_degree(&g, &mut rng),
-                min_fill_degree(&g, &mut rng),
                 max_cardinality_search(&g, &mut rng),
             ] {
                 assert!(h.width >= tw, "seed {seed}: heuristic below treewidth");

@@ -82,18 +82,16 @@ pub fn canonical_form_budgeted(h: &Hypergraph, budget: u64) -> CanonicalForm {
     }
 }
 
-/// Convenience: just the 64-bit fingerprint (default budget).
-pub fn fingerprint64(h: &Hypergraph) -> u64 {
-    canonical_form(h).fingerprint
-}
-
 // ---------------------------------------------------------------------------
 // hashing
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The 64-bit FNV-1a hash of `bytes`: the fingerprint of a canonical
+/// form, the checksum of a certificate-store record, and the hash of the
+/// names behind ring placement and generated-suite seeds.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut x = FNV_OFFSET;
     for &b in bytes {
         x ^= b as u64;
@@ -510,6 +508,13 @@ mod tests {
         // structure: recompute with full budget and compare structure size
         assert_eq!(&f.bytes[0..4], &20u32.to_le_bytes());
         assert_eq!(fnv1a(&f.bytes), f.fingerprint);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

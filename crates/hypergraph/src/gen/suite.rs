@@ -7,6 +7,7 @@
 //! same structural regime (see DESIGN.md).
 
 use super::{graphs, hypergraphs};
+use crate::canonical::fnv1a;
 use crate::graph::Graph;
 use crate::hypergraph::Hypergraph;
 
@@ -15,13 +16,7 @@ use crate::hypergraph::Hypergraph;
 const SUITE_SEED: u64 = 0x5EED_2006;
 
 fn seed_of(name: &str) -> u64 {
-    // stable, dependency-free string hash (FNV-1a)
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ SUITE_SEED
+    fnv1a(name.as_bytes()) ^ SUITE_SEED
 }
 
 /// Returns the named benchmark graph, or `None` for unknown names.

@@ -28,7 +28,7 @@ pub mod hypergraph;
 pub mod io;
 
 pub use bitset::VertexSet;
-pub use canonical::{canonical_form, fingerprint64, CanonicalForm};
+pub use canonical::{canonical_form, CanonicalForm};
 pub use elim::EliminationGraph;
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;

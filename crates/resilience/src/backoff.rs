@@ -9,12 +9,7 @@
 
 use std::time::Duration;
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
+use crate::splitmix64;
 
 /// The wait before retry number `attempt` (0-based).
 ///
@@ -26,7 +21,7 @@ pub fn backoff_with_jitter(hint: Duration, attempt: u32, seed: u64, max: Duratio
     let exp_ms = base_ms.saturating_mul(1u64 << attempt.min(16));
     let capped_ms = exp_ms.min(max.as_millis() as u64).max(1);
     // jitter in [-25%, +25%], deterministic in (seed, attempt)
-    let h = mix(seed ^ u64::from(attempt).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    let h = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xD6E8_FEB8_6659_FD93));
     let half_span = (capped_ms / 4).max(1);
     let jitter = (h % (2 * half_span + 1)) as i64 - half_span as i64;
     Duration::from_millis(capped_ms.saturating_add_signed(jitter).max(1))

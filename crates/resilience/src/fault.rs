@@ -75,9 +75,10 @@ impl Fault {
     }
 }
 
-/// SplitMix64: the decision hash. Small, seedable, and good enough to
-/// decorrelate the fault classes.
-fn mix(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer, a fast and well-mixed 64 → 64 bit hash: the
+/// fault decisions, the backoff jitter and the cluster ring's placement
+/// all draw from it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -117,7 +118,7 @@ impl FaultInjector {
     /// [`next_request`]: FaultInjector::next_request
     pub fn decision(&self, n: u64) -> Fault {
         let p = &self.plan;
-        let h = mix(p.seed ^ n.wrapping_mul(0xA076_1D64_78BD_642F));
+        let h = splitmix64(p.seed ^ n.wrapping_mul(0xA076_1D64_78BD_642F));
         let fires = |every: u64, lane: u32| every > 0 && (h >> lane) % every == 0;
         Fault {
             panic_worker: fires(p.panic_every, 0),

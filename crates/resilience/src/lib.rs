@@ -29,6 +29,6 @@ pub mod quarantine;
 
 pub use backoff::backoff_with_jitter;
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use fault::{Fault, FaultInjector, FaultPlan, InjectedFaults};
+pub use fault::{splitmix64, Fault, FaultInjector, FaultPlan, InjectedFaults};
 pub use memory::MemoryBudget;
 pub use quarantine::{describe_panic, quarantined};

@@ -33,8 +33,8 @@
 //! The wire format is one JSON object per line over TCP ([`protocol`]),
 //! reusing [`htd_search::Outcome`]'s documented schema for results; the
 //! same socket also answers plain HTTP probes. `htd serve` / `htd query`
-//! front this crate from the CLI, and the `service_load` bench replays
-//! generated corpora against it.
+//! front this crate from the CLI, and perfbench's `serve` workload
+//! replays generated corpora against it.
 //!
 //! One front end serves every connection: the event loop
 //! ([`event_loop`]), a readiness-based non-blocking

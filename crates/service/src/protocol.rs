@@ -308,11 +308,12 @@ impl Request {
         Json::Obj(m)
     }
 
-    /// Parses a request line. A numeric member that is present must be a
-    /// non-negative integer; anything else is a parse error naming it,
+    /// Parses a request line. A member that is present must have its
+    /// JSON type: a number a non-negative integer, a text member a string
+    /// and `forwarded` a bool. Anything else is a parse error naming it,
     /// never a silent default.
     pub fn from_json(doc: &Json) -> Result<Request, HtdError> {
-        let id = text(doc, "id");
+        let id = str_member(doc, "id")?;
         let cmd = doc
             .get("cmd")
             .and_then(Json::as_str)
@@ -337,13 +338,13 @@ impl Request {
                 })
             }
             "answer" => {
-                let mode = match doc.get("mode").and_then(|v| v.as_str()) {
+                let mode = match str_member(doc, "mode")?.as_deref() {
                     None => AnswerMode::Boolean,
                     Some(m) => AnswerMode::from_name(m).ok_or_else(|| {
                         HtdError::Unsupported(format!("mode '{m}' (expected bool|count|enum)"))
                     })?,
                 };
-                let query = text(doc, "query")
+                let query = str_member(doc, "query")?
                     .ok_or_else(|| HtdError::Parse("answer missing 'query'".into()))?;
                 let shared = Shared::from_doc(doc)?;
                 Command::Answer(AnswerRequest {
@@ -359,7 +360,7 @@ impl Request {
             }
             "put_cert" => {
                 let (objective, format, instance) = instance_from_doc(doc, "put_cert")?;
-                let fingerprint_hex = text(doc, "fingerprint")
+                let fingerprint_hex = str_member(doc, "fingerprint")?
                     .ok_or_else(|| HtdError::Parse("put_cert missing 'fingerprint'".into()))?;
                 let outcome = Outcome::from_json(
                     doc.get("outcome")
@@ -372,7 +373,7 @@ impl Request {
                     fingerprint_hex,
                     effort_ms: uint_member(doc, "effort_ms")?.unwrap_or(0),
                     outcome,
-                    from: text(doc, "from"),
+                    from: str_member(doc, "from")?,
                 })
             }
             other => return Err(HtdError::Unsupported(format!("unknown cmd '{other}'"))),
@@ -405,13 +406,13 @@ fn instance_from_doc(
         .and_then(|v| v.as_str())
         .and_then(Objective::from_name)
         .ok_or_else(|| HtdError::Unsupported(format!("{cmd} needs 'objective' tw|ghw|hw")))?;
-    let format = match doc.get("format").and_then(|v| v.as_str()) {
+    let format = match str_member(doc, "format")?.as_deref() {
         None => InstanceFormat::Auto,
         Some(f) => InstanceFormat::from_name(f).ok_or_else(|| {
             HtdError::Unsupported(format!("format '{f}' (expected auto|gr|col|hg)"))
         })?,
     };
-    let instance = text(doc, "instance")
+    let instance = str_member(doc, "instance")?
         .ok_or_else(|| HtdError::Parse(format!("{cmd} missing 'instance'")))?;
     Ok((objective, format, instance))
 }
@@ -426,6 +427,27 @@ fn uint_member(doc: &Json, key: &str) -> Result<Option<u64>, HtdError> {
             })
         })
         .transpose()
+}
+
+/// An optional string member: absent is `None`; present, it must be a
+/// string, or the request is a parse error naming it.
+fn str_member(doc: &Json, key: &str) -> Result<Option<String>, HtdError> {
+    doc.get(key)
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| HtdError::Parse(format!("'{key}' must be a string, got {v}")))
+        })
+        .transpose()
+}
+
+/// The `forwarded` flag: absent is `false`; present, it must be a bool,
+/// or the request is a parse error naming it.
+fn forwarded_member(doc: &Json) -> Result<bool, HtdError> {
+    doc.get("forwarded").map_or(Ok(false), |v| {
+        v.as_bool()
+            .ok_or_else(|| HtdError::Parse(format!("'forwarded' must be a bool, got {v}")))
+    })
 }
 
 /// The members `solve` and `answer` share, read once for both.
@@ -443,7 +465,7 @@ impl Shared {
             deadline_ms: uint_member(doc, "deadline_ms")?,
             threads: uint_member(doc, "threads")?.map(|t| t as usize),
             engines: engines_from_doc(doc)?,
-            use_cache: match doc.get("cache").and_then(|v| v.as_str()) {
+            use_cache: match str_member(doc, "cache")?.as_deref() {
                 None | Some("use") => true,
                 Some("off") => false,
                 Some(c) => {
@@ -452,10 +474,7 @@ impl Shared {
                     )))
                 }
             },
-            forwarded: doc
-                .get("forwarded")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
+            forwarded: forwarded_member(doc)?,
         })
     }
 }
@@ -704,7 +723,8 @@ impl Response {
     }
 }
 
-/// A string member, when present as a string.
+/// A string member of a response, when present as a string: a response
+/// to a frame that could not be read carries `"id":null`.
 fn text(doc: &Json, key: &str) -> Option<String> {
     doc.get(key).and_then(Json::as_str).map(str::to_string)
 }
@@ -943,6 +963,12 @@ mod tests {
             (answer, r#""threads":-2"#),
             (answer, r#""deadline_ms":true"#),
             (push, r#""effort_ms":-5"#),
+            (solve, r#""id":7"#),
+            (solve, r#""format":7"#),
+            (answer, r#""mode":3"#),
+            (solve, r#""cache":false"#),
+            (answer, r#""forwarded":"yes""#),
+            (push, r#""from":1"#),
         ] {
             let doc = Json::parse(&format!("{{{cmd},{member}}}")).unwrap();
             let err = Request::from_json(&doc).unwrap_err();

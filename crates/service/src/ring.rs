@@ -17,6 +17,9 @@
 //! classic consistent-hashing minimal-disruption property, verified by
 //! the tests below.
 
+use htd_hypergraph::canonical::fnv1a;
+use htd_resilience::splitmix64;
+
 /// A deterministic consistent-hash ring: `points` maps hashed vnode
 /// positions to indices into `nodes`.
 #[derive(Clone, Debug)]
@@ -26,23 +29,6 @@ pub struct Ring {
     /// Member node ids, sorted for construction determinism.
     nodes: Vec<String>,
     seed: u64,
-}
-
-/// Finalizer from splitmix64: a fast, well-mixed 64→64 bit hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    let mut x = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        x ^= b as u64;
-        x = x.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    x
 }
 
 impl Ring {
@@ -56,9 +42,9 @@ impl Ring {
         let vnodes = vnodes.max(1);
         let mut points = Vec::with_capacity(nodes.len() * vnodes);
         for (i, id) in nodes.iter().enumerate() {
-            let base = fnv1a_str(id) ^ mix64(seed);
+            let base = fnv1a(id.as_bytes()) ^ splitmix64(seed);
             for v in 0..vnodes {
-                points.push((mix64(base ^ mix64(v as u64)), i as u32));
+                points.push((splitmix64(base ^ splitmix64(v as u64)), i as u32));
             }
         }
         points.sort_unstable();
@@ -96,7 +82,7 @@ impl Ring {
         if self.points.is_empty() {
             return out;
         }
-        let pos = mix64(key ^ self.seed);
+        let pos = splitmix64(key ^ self.seed);
         let start = self.points.partition_point(|&(p, _)| p < pos);
         for i in 0..self.points.len() {
             let (_, node) = self.points[(start + i) % self.points.len()];
@@ -166,7 +152,7 @@ mod tests {
         let r = ring3();
         let mut counts = [0usize; 3];
         for key in 0..3000u64 {
-            let p = r.primary(mix64(key)).unwrap();
+            let p = r.primary(splitmix64(key)).unwrap();
             counts[(p.as_bytes()[0] - b'a') as usize] += 1;
         }
         for &c in &counts {
@@ -182,8 +168,8 @@ mod tests {
         let reduced = Ring::new(vec!["a".into(), "b".into()], 64, 0xC0FF_EE00_D15E_A5E5);
         let mut moved = 0usize;
         for key in 0..2000u64 {
-            let before = full.primary(mix64(key)).unwrap();
-            let after = reduced.primary(mix64(key)).unwrap();
+            let before = full.primary(splitmix64(key)).unwrap();
+            let after = reduced.primary(splitmix64(key)).unwrap();
             if before != "c" {
                 // keys not owned by the removed node must not move
                 assert_eq!(before, after, "key {key} moved needlessly");

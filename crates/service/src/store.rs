@@ -69,6 +69,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use htd_core::Json;
+use htd_hypergraph::canonical::fnv1a;
 use htd_search::Outcome;
 use parking_lot::Mutex;
 
@@ -81,18 +82,6 @@ const MAGIC: u32 = 0x5344_5448;
 const MAX_PAYLOAD: u32 = 64 << 20;
 /// Record schema version inside the payload.
 const RECORD_VERSION: u64 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut x = FNV_OFFSET;
-    for &b in bytes {
-        x ^= b as u64;
-        x = x.wrapping_mul(FNV_PRIME);
-    }
-    x
-}
 
 /// One verified entry recovered from (or destined for) the log.
 #[derive(Clone, Debug)]

@@ -17,6 +17,8 @@ use htd_service::{
     Client, Command, InstanceFormat, Request, Response, ServeOptions, Server, SolveRequest, Status,
 };
 
+mod common;
+
 fn start(opts: ServeOptions) -> (Server, String) {
     let server = Server::start(opts).expect("bind loopback");
     let addr = server.addr().to_string();
@@ -337,4 +339,87 @@ fn graceful_drain_answers_inflight_batch() {
     let mut line = String::new();
     assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0);
     server.wait();
+}
+
+/// Fifty connections each pipeline two rounds of eight requests for the
+/// warmed corpus at a 4-worker server: every id comes back exactly once,
+/// and every answer is `ok`. A read timeout beyond deadline plus grace
+/// turns a lost response into a failure instead of a hang.
+#[test]
+fn fifty_pipelining_connections_get_each_response_exactly_once() {
+    let (connections, rounds, in_flight, deadline_ms) = (50, 2, 8, 10_000);
+    let (server, addr) = start(ServeOptions {
+        threads: 4,
+        cache_mb: 32,
+        queue_capacity: 1024,
+        default_deadline_ms: 2_000,
+        ..loop_opts()
+    });
+    let corpus = common::corpus();
+    let mut warmer = Client::connect(&addr).unwrap();
+    for (objective, text) in &corpus {
+        warmer
+            .solve(*objective, InstanceFormat::Auto, text, Some(deadline_ms))
+            .unwrap();
+    }
+
+    let faults: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .map(|ci| {
+                let (addr, corpus) = (&addr, &corpus);
+                scope.spawn(move || {
+                    let mut faults = Vec::new();
+                    let mut client = Client::connect(addr).unwrap();
+                    client.set_read_timeout(Some(Duration::from_secs(15)));
+                    for round in 0..rounds {
+                        let mut unanswered = Vec::new();
+                        for k in 0..in_flight {
+                            let (objective, text) = &corpus[(ci + round * 3 + k) % corpus.len()];
+                            let (req, id) = client.solve_request(
+                                *objective,
+                                InstanceFormat::Auto,
+                                text,
+                                Some(deadline_ms),
+                            );
+                            client.send(&req).unwrap();
+                            unanswered.push(id);
+                        }
+                        for _ in 0..in_flight {
+                            let r = match client.recv() {
+                                Ok(r) => r,
+                                Err(e) => {
+                                    faults.push(format!("connection {ci}: {e}"));
+                                    return faults;
+                                }
+                            };
+                            let matched =
+                                r.id.as_ref()
+                                    .and_then(|id| unanswered.iter().position(|x| x == id));
+                            match matched {
+                                Some(pos) if r.status == Status::Ok => {
+                                    unanswered.swap_remove(pos);
+                                }
+                                Some(pos) => {
+                                    unanswered.swap_remove(pos);
+                                    faults.push(format!("{:?}: {:?}", r.id, r.error));
+                                }
+                                None => faults.push(format!("unknown or repeated id {:?}", r.id)),
+                            }
+                        }
+                        if !unanswered.is_empty() {
+                            faults.push(format!("connection {ci}: {unanswered:?} unanswered"));
+                        }
+                    }
+                    faults
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    warmer.shutdown().unwrap();
+    server.wait();
+    assert!(faults.is_empty(), "{} faults: {faults:?}", faults.len());
 }

@@ -143,11 +143,11 @@ fn seeded_garbage_never_panics_or_hangs() {
     server.wait();
 }
 
-/// Frames that parse but ask for too much or carry a mistyped number: an
+/// Frames that parse but ask for too much or carry a mistyped member: an
 /// instance header over the vertex cap (which once made the server
-/// allocate 128 GiB and abort) and a numeric member that is not a
-/// non-negative integer each get a structured code-2 error, and the
-/// server keeps answering.
+/// allocate 128 GiB and abort), a numeric member that is not a
+/// non-negative integer and a `cache` that is not a string each get a
+/// structured code-2 error, and the server keeps answering.
 #[test]
 fn oversized_headers_and_mistyped_numbers_get_structured_errors() {
     let (server, addr) = start();
@@ -156,6 +156,7 @@ fn oversized_headers_and_mistyped_numbers_get_structured_errors() {
         r#"{"id":"h2","cmd":"solve","objective":"ghw","instance":"p edge 4294967295 0"}"#,
         r#"{"id":"n1","cmd":"solve","objective":"tw","instance":"p tw 1 0","deadline_ms":"200"}"#,
         r#"{"id":"n2","cmd":"answer","query":"Q() :- R(x).\nR: 1 .","threads":-1}"#,
+        r#"{"id":"s1","cmd":"solve","objective":"tw","instance":"p tw 1 0","cache":false}"#,
     ];
     for frame in frames {
         let mut s = connect(&addr);
@@ -172,7 +173,7 @@ fn oversized_headers_and_mistyped_numbers_get_structured_errors() {
             .get("error")
             .and_then(|v| v.as_str())
             .unwrap_or_default();
-        let named = ["4294967295", "deadline_ms", "threads"];
+        let named = ["4294967295", "deadline_ms", "threads", "cache"];
         assert!(named.iter().any(|n| msg.contains(n)), "{frame}: {msg}");
         Client::connect(&addr).unwrap().ping().unwrap();
     }

@@ -10,6 +10,8 @@ use htd_hypergraph::{gen, io};
 use htd_search::Objective;
 use htd_service::{AnswerMode, Client, InstanceFormat, ServeOptions, Server, Status};
 
+mod common;
+
 fn start(opts: ServeOptions) -> (Server, String) {
     let server = Server::start(opts).expect("bind loopback");
     let addr = server.addr().to_string();
@@ -828,4 +830,118 @@ fn warm_answers_hit_the_shape_cache_and_beat_cold_ones() {
     );
     client.shutdown().unwrap();
     server.wait();
+}
+
+/// Two clients send 40 requests each to a 4-worker server with 400 ms
+/// deadlines, 70 % of them (a fixed draw) replaying the warmed corpus
+/// and the rest unique random graphs, while `/healthz` and `/metrics`
+/// are probed every 25 ms. Every request is answered `ok`, warm hits
+/// come back at least 10× faster than cold solves at the median, no cold
+/// solve overshoots its deadline by more than 100 ms, every probe gets a
+/// 200, and the server drains on shutdown.
+#[test]
+fn mixed_warm_and_cold_load_keeps_the_latency_bars() {
+    let (clients, requests, deadline_ms) = (2usize, 40usize, 400u64);
+    let (server, addr) = start(ServeOptions {
+        threads: 4,
+        cache_mb: 32,
+        queue_capacity: 256,
+        default_deadline_ms: deadline_ms,
+        ..quiet_opts()
+    });
+    let corpus = common::corpus();
+    let mut warmer = Client::connect(&addr).unwrap();
+    for (objective, text) in &corpus {
+        warmer
+            .solve(*objective, InstanceFormat::Auto, text, Some(deadline_ms))
+            .unwrap();
+    }
+
+    let probe_addr = addr.clone();
+    let probes = std::thread::spawn(move || {
+        let mut statuses = Vec::new();
+        for _ in 0..20 {
+            for path in ["/healthz", "/metrics"] {
+                statuses.push((path, http_get(&probe_addr, path).0));
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        statuses
+    });
+    // per request: (cached, milliseconds, status, error)
+    let runs: Vec<(bool, f64, Status, Option<String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|ci| {
+                let (addr, corpus) = (&addr, &corpus);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut runs = Vec::new();
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ ((ci as u64) << 32);
+                    for i in 0..requests {
+                        x = x
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let (objective, text) = if (x >> 33) % 100 < 70 {
+                            corpus[(x >> 7) as usize % corpus.len()].clone()
+                        } else {
+                            // a unique instance, so a guaranteed miss
+                            let n = 20 + ((ci * requests + i) % 12) as u32;
+                            let g = gen::random_gnp(n, 0.45, ((ci as u64) << 32) | i as u64);
+                            (Objective::Treewidth, io::write_pace_gr(&g))
+                        };
+                        let t = Instant::now();
+                        let r = client
+                            .solve(objective, InstanceFormat::Auto, &text, Some(deadline_ms))
+                            .unwrap();
+                        let ms = t.elapsed().as_secs_f64() * 1e3;
+                        runs.push((r.cached, ms, r.status, r.error));
+                    }
+                    runs
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let probes = probes.join().unwrap();
+    warmer.shutdown().unwrap();
+    server.wait();
+
+    let failed: Vec<_> = runs.iter().filter(|r| r.2 != Status::Ok).collect();
+    assert!(
+        failed.is_empty(),
+        "{} requests not ok: {failed:?}",
+        failed.len()
+    );
+    let p50 = |cached: bool| {
+        let mut ms: Vec<f64> = runs.iter().filter(|r| r.0 == cached).map(|r| r.1).collect();
+        assert!(!ms.is_empty(), "no request with cached = {cached}");
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let (cold_p50, warm_p50) = (p50(false), p50(true));
+    let worst_overshoot = runs
+        .iter()
+        .filter(|r| !r.0)
+        .map(|r| r.1 - deadline_ms as f64)
+        .fold(0.0, f64::max);
+    let warm = runs.iter().filter(|r| r.0).count();
+    println!(
+        "{warm} warm, p50 {warm_p50:.2} ms; {} cold, p50 {cold_p50:.2} ms ({:.0}x); worst overshoot {worst_overshoot:.0} ms",
+        runs.len() - warm,
+        cold_p50 / warm_p50
+    );
+    assert!(
+        cold_p50 >= 10.0 * warm_p50,
+        "warm p50 {warm_p50:.2} ms is not 10x below cold p50 {cold_p50:.2} ms"
+    );
+    assert!(
+        worst_overshoot <= 100.0,
+        "a cold solve overshot its {deadline_ms} ms deadline by {worst_overshoot:.0} ms"
+    );
+    for (path, status) in &probes {
+        assert!(status.starts_with("HTTP/1.1 200"), "{path}: {status}");
+    }
 }

@@ -322,3 +322,91 @@ fn seeded_corpus_round_trips_without_fingerprint_collisions() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Instances whose cold solve does real search (tens of milliseconds
+/// each on one worker), so the restart bar compares re-verified store
+/// hits with search rather than with the fixed cost of a request.
+fn restart_corpus() -> Vec<(Objective, String)> {
+    let mut c: Vec<(Objective, String)> =
+        [(25, 0.4, 25), (24, 0.4, 24), (26, 0.35, 126), (26, 0.3, 26)]
+            .into_iter()
+            .map(|(n, p, seed)| {
+                (
+                    Objective::Treewidth,
+                    io::write_pace_gr(&gen::random_gnp(n, p, seed)),
+                )
+            })
+            .collect();
+    c.push((
+        Objective::Treewidth,
+        io::write_pace_gr(&gen::queen_graph(5)),
+    ));
+    for k in [6, 7] {
+        c.push((
+            Objective::GeneralizedHypertreeWidth,
+            io::write_hg(&gen::grid2d(k)),
+        ));
+    }
+    c
+}
+
+/// A store-less server solves the corpus cold; a server with a store
+/// solves it again to fill the store; a server restarted onto that store
+/// answers every request from it (`cached`), with a p50 at least 10×
+/// below the cold one.
+#[test]
+fn restart_onto_the_store_answers_from_it_10x_faster_than_cold() {
+    let dir = tmp_dir("restart");
+    let corpus = restart_corpus();
+    let deadline_ms = 500;
+    // one server's (milliseconds, cached) per corpus instance
+    let serve_corpus = |store: bool| -> Vec<(f64, bool)> {
+        let server = Server::start(ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            default_deadline_ms: deadline_ms,
+            log: false,
+            store_dir: store.then(|| dir.clone()),
+            ..ServeOptions::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(&server.addr().to_string()).unwrap();
+        let runs = corpus
+            .iter()
+            .map(|(objective, text)| {
+                let t = std::time::Instant::now();
+                let r = client
+                    .solve(*objective, InstanceFormat::Auto, text, Some(deadline_ms))
+                    .unwrap();
+                (t.elapsed().as_secs_f64() * 1e3, r.cached)
+            })
+            .collect();
+        client.shutdown().unwrap();
+        server.wait();
+        runs
+    };
+    let cold = serve_corpus(false);
+    serve_corpus(true);
+    let restarted = serve_corpus(true);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let p50 = |runs: &[(f64, bool)]| {
+        let mut ms: Vec<f64> = runs.iter().map(|r| r.0).collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let (cold_p50, restart_p50) = (p50(&cold), p50(&restarted));
+    println!(
+        "cold p50 {cold_p50:.2} ms, restart p50 {restart_p50:.2} ms ({:.0}x)",
+        cold_p50 / restart_p50
+    );
+    let missed: Vec<usize> = (0..corpus.len()).filter(|&i| !restarted[i].1).collect();
+    assert!(
+        missed.is_empty(),
+        "restart answered instances {missed:?} without the store"
+    );
+    assert!(
+        cold_p50 >= 10.0 * restart_p50,
+        "restart p50 {restart_p50:.2} ms is not 10x below cold p50 {cold_p50:.2} ms"
+    );
+}

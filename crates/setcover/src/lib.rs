@@ -27,5 +27,5 @@ pub mod lower_bound;
 pub use cache::CoverCache;
 pub use exact::ExactCover;
 pub use fractional::fractional_cover;
-pub use greedy::{greedy_cover, greedy_cover_size};
+pub use greedy::greedy_cover;
 pub use lower_bound::{cover_lower_bound, ksc_lower_bound};
