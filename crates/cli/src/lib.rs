@@ -31,7 +31,7 @@
 //! [`Outcome::to_json`]), `--quiet`, `--threads N` (N > 1 runs the anytime
 //! portfolio), `--seed N`, `--budget N` (node budget), `--time MS`
 //! (wall-clock budget in milliseconds), `--trace FILE` (write the solver's
-//! structured JSONL event stream — schema v1 of `htd_trace`, documented in
+//! structured JSONL event stream — schema v3 of `htd_trace`, documented in
 //! `docs/observability.md`). `--help` after a subcommand prints its usage.
 //!
 //! Instance files are read by their content: a `p tw` (PACE) or `p edge` /
@@ -162,7 +162,7 @@ pub struct Options {
     pub queue: usize,
     /// `query`: objective name (`tw`/`ghw`/`hw`).
     pub objective: Option<String>,
-    /// Write the solver's structured event stream (JSONL, schema v2 of
+    /// Write the solver's structured event stream (JSONL, schema v3 of
     /// `htd_trace`) to this file.
     pub trace: Option<String>,
     /// Enable the span profiler and write folded stacks
@@ -630,7 +630,6 @@ fn answer_options(o: &Options, mode: AnswerMode, limit: u64) -> Result<AnswerOpt
         memory_budget: o.memory_mb.map(|mb| MemoryBudget::new(mb << 20)),
         shape_cache: None,
         deadline: o.time_limit.map(|t| std::time::Instant::now() + t),
-        ..AnswerOptions::default()
     })
 }
 
@@ -753,13 +752,8 @@ fn render_answer(
 /// reproduces the server-side exit code locally.
 fn service_error(r: htd_service::Response) -> HtdError {
     let msg = r.error.unwrap_or_else(|| "server error".into());
-    match r.code {
-        Some(2) => HtdError::Parse(msg),
-        Some(3) => HtdError::Invalid(msg),
-        Some(4) => HtdError::Unsupported(msg),
-        Some(6) => HtdError::ResourceExhausted(msg),
-        _ => HtdError::Io(msg),
-    }
+    // a response without a code maps like an unknown one, to Io
+    HtdError::from_code(r.code.unwrap_or_default(), msg)
 }
 
 /// `htd answer`: answer a conjunctive query (`Q(x,y) :- R(x,z), S(z,y).`
@@ -793,8 +787,17 @@ pub fn cmd_answer(file: &str, text: &str, o: &Options) -> Result<String, HtdErro
             ))),
         };
     }
-    // local evaluation: relation file references resolve relative to the
-    // query file's directory (or the working directory for stdin)
+    let opts = answer_options(o, mode, o.limit.unwrap_or(u64::MAX))?;
+    let ans = answer_local(file, text, &opts)?;
+    render_answer(&ans, o, None)
+}
+
+/// Answers the query in `text` in this process. Parsing runs under the
+/// `answer.parse` span, traced into `opts`' tracer like the pipeline's
+/// `answer.decompose` and `answer.evaluate`.
+fn answer_local(file: &str, text: &str, opts: &AnswerOptions) -> Result<Answer, HtdError> {
+    // relation file references resolve relative to the query file's
+    // directory (or the working directory for stdin)
     let base = if file == "-" {
         std::path::PathBuf::from(".")
     } else {
@@ -803,12 +806,11 @@ pub fn cmd_answer(file: &str, text: &str, o: &Options) -> Result<String, HtdErro
             .filter(|p| !p.as_os_str().is_empty())
             .map_or_else(|| std::path::PathBuf::from("."), |p| p.to_path_buf())
     };
-    let parse_start = std::time::Instant::now();
-    let q = parse_query(text, &FileAccess::Allow { base })?;
-    let mut opts = answer_options(o, mode, o.limit.unwrap_or(u64::MAX))?;
-    opts.parse_us = parse_start.elapsed().as_micros() as u64;
-    let ans = htd_query::answer(&q, &opts)?;
-    render_answer(&ans, o, None)
+    let q = {
+        let _sp = htd_trace::span!("answer.parse", &opts.search.tracer);
+        parse_query(text, &FileAccess::Allow { base })?
+    };
+    htd_query::answer(&q, opts)
 }
 
 /// `htd gen`: print a named benchmark instance.
@@ -950,7 +952,7 @@ global flags: --format human|json  --quiet  --threads N  --seed N
               --engines NAME[,NAME...] (explicit lineup from the engine table)
               --memory-mb N (degrade to anytime bounds past this budget)
               --dp (tw: all-or-nothing subset DP; exit 6 when over budget)
-              --trace FILE.jsonl (solver event stream, schema v2)
+              --trace FILE.jsonl (solver event stream, schema v3)
               --profile FILE.folded (span profiler; folded stacks for flamegraphs)
 answer:       --mode bool|count|enum  --limit N  (--addr to use a server)
 serve/query:  --addr HOST:PORT  --cache-mb N  --queue N  --objective tw|ghw|hw
@@ -976,7 +978,7 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             object per line: {\"objective\",\"lower\",\"upper\",\"exact\",\"witness\",\n\
             \"nodes\",\"elapsed_ms\",\"engines\":[...],\"trace_summary\":{...}}.\n\
             --trace FILE writes the solver's structured event stream (one JSON\n\
-            object per line, schema v2: incumbent improvements with worker\n\
+            object per line, schema v3: incumbent improvements with worker\n\
             attribution, bound tightenings, node-expansion batches, worker\n\
             lifecycle, span enter/exit; see docs/observability.md).\n\
             --profile FILE enables the span profiler and writes folded stacks\n\
@@ -1226,13 +1228,7 @@ fn round3(ms: f64) -> f64 {
 
 /// The process exit code for an error (documented in the module docs).
 pub fn exit_code(e: &HtdError) -> i32 {
-    match e {
-        HtdError::Parse(_) => 2,
-        HtdError::Invalid(_) => 3,
-        HtdError::Unsupported(_) => 4,
-        HtdError::Io(_) => 5,
-        HtdError::ResourceExhausted(_) => 6,
-    }
+    e.code()
 }
 
 #[cfg(test)]
@@ -1672,6 +1668,32 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, HtdError::ResourceExhausted(_)), "{err:?}");
         assert_eq!(exit_code(&err), 6);
+    }
+
+    #[test]
+    fn traced_local_answer_spans_each_stage_once() {
+        let ring = htd_trace::RingBuffer::new(4096);
+        let mut opts =
+            answer_options(&Options::default(), AnswerMode::Enumerate, u64::MAX).unwrap();
+        opts.search = opts
+            .search
+            .with_tracer(Tracer::new(Box::new(std::sync::Arc::clone(&ring))));
+        let cq = "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .";
+        let ans = answer_local("q.cq", cq, &opts).unwrap();
+        assert_eq!(ans.count, Some(2));
+        let records = ring.records();
+        htd_trace::validate_stream(&records).unwrap();
+        for stage in ["answer.parse", "answer.decompose", "answer.evaluate"] {
+            let (mut enters, mut exits) = (0, 0);
+            for r in &records {
+                match r.event {
+                    htd_trace::Event::SpanEnter { span, .. } if span == stage => enters += 1,
+                    htd_trace::Event::SpanExit { span, .. } if span == stage => exits += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!((enters, exits), (1, 1), "{stage}");
+        }
     }
 
     #[test]

@@ -215,7 +215,7 @@ fn resource_exhaustion_is_exit_six() {
 #[test]
 fn trace_flag_writes_a_schema_valid_event_stream() {
     use htd_core::json::Json;
-    use htd_trace::KNOWN_KINDS;
+    use htd_trace::{KNOWN_KINDS, SCHEMA_VERSION};
 
     let gr = htd_hypergraph::io::write_pace_gr(&htd_hypergraph::gen::queen_graph(5));
     let file = write_temp("trace.gr", &gr);
@@ -246,7 +246,7 @@ fn trace_flag_writes_a_schema_valid_event_stream() {
         .to_string();
     assert!(!winner.is_empty());
 
-    // the side-channel file is a schema-v2 stream: versioned, contiguous,
+    // the side-channel file is a versioned stream: contiguous,
     // time-ordered, every kind known, improvements attributed to a worker
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     let mut last_t = 0u64;
@@ -254,7 +254,11 @@ fn trace_flag_writes_a_schema_valid_event_stream() {
     let mut lines = 0u64;
     for line in text.lines() {
         let rec = Json::parse(line).unwrap_or_else(|e| panic!("bad jsonl line {line}: {e:?}"));
-        assert_eq!(rec.get("v").and_then(|v| v.as_u64()), Some(2), "{line}");
+        assert_eq!(
+            rec.get("v").and_then(|v| v.as_u64()),
+            Some(u64::from(SCHEMA_VERSION)),
+            "{line}"
+        );
         assert_eq!(
             rec.get("seq").and_then(|v| v.as_u64()),
             Some(lines),

@@ -1,8 +1,9 @@
 //! The workspace-wide error type.
 //!
-//! One small enum instead of per-crate `Result<_, String>`: the CLI maps
-//! every variant to a nonzero exit code and a one-line message, and
-//! library callers can match on the kind.
+//! One small enum instead of per-crate `Result<_, String>`: every
+//! variant has one nonzero code ([`HtdError::code`]), the CLI's exit code
+//! and the service's wire `code`, and library callers can match on the
+//! kind.
 
 use std::fmt;
 
@@ -24,6 +25,33 @@ pub enum HtdError {
     /// anytime result truncated mid-run, which still returns an
     /// `Outcome` marked degraded.
     ResourceExhausted(String),
+}
+
+impl HtdError {
+    /// The variant's code: 2 parse, 3 invalid, 4 unsupported, 5 I/O,
+    /// 6 resource exhausted. The CLI exits with it and the service sends
+    /// it as an error response's `code`.
+    pub fn code(&self) -> i32 {
+        match self {
+            HtdError::Parse(_) => 2,
+            HtdError::Invalid(_) => 3,
+            HtdError::Unsupported(_) => 4,
+            HtdError::Io(_) => 5,
+            HtdError::ResourceExhausted(_) => 6,
+        }
+    }
+
+    /// The variant whose [`HtdError::code`] is `code`, carrying
+    /// `message`; a code no variant has is [`HtdError::Io`].
+    pub fn from_code(code: i64, message: String) -> HtdError {
+        match code {
+            2 => HtdError::Parse(message),
+            3 => HtdError::Invalid(message),
+            4 => HtdError::Unsupported(message),
+            6 => HtdError::ResourceExhausted(message),
+            _ => HtdError::Io(message),
+        }
+    }
 }
 
 impl fmt::Display for HtdError {
@@ -63,5 +91,21 @@ mod tests {
             HtdError::ResourceExhausted("needs 2 GiB".into()).to_string(),
             "resource exhausted: needs 2 GiB"
         );
+    }
+
+    #[test]
+    fn codes_round_trip_every_variant() {
+        let m = || "m".to_string();
+        for (e, code) in [
+            (HtdError::Parse(m()), 2),
+            (HtdError::Invalid(m()), 3),
+            (HtdError::Unsupported(m()), 4),
+            (HtdError::Io(m()), 5),
+            (HtdError::ResourceExhausted(m()), 6),
+        ] {
+            assert_eq!(e.code(), code);
+            assert_eq!(HtdError::from_code(i64::from(code), m()), e);
+        }
+        assert_eq!(HtdError::from_code(0, m()), HtdError::Io(m()));
     }
 }

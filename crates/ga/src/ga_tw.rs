@@ -1,7 +1,7 @@
 //! GA-tw: genetic algorithm for treewidth upper bounds (thesis Fig. 6.1).
 
 use htd_core::ordering::{EliminationOrdering, TwEvaluator};
-use htd_hypergraph::{Graph, Hypergraph};
+use htd_hypergraph::Graph;
 use rand::Rng;
 
 use crate::engine::{self, GaParams, GaResult};
@@ -39,12 +39,6 @@ pub fn ga_tw<R: Rng>(g: &Graph, params: &GaParams, rng: &mut R) -> GaTwResult {
         width: inner.best,
         inner,
     }
-}
-
-/// GA-tw on a hypergraph, via its primal graph (Lemma 1: the tree
-/// decompositions coincide).
-pub fn ga_tw_hypergraph<R: Rng>(h: &Hypergraph, params: &GaParams, rng: &mut R) -> GaTwResult {
-    ga_tw(&h.primal_graph(), params, rng)
 }
 
 #[cfg(test)]
@@ -91,15 +85,6 @@ mod tests {
             let mut ev = TwEvaluator::new(&g);
             assert_eq!(ev.width(r.ordering.as_slice()), r.width);
         }
-    }
-
-    #[test]
-    fn hypergraph_wrapper_matches_primal() {
-        let h = gen::adder(3);
-        let p = quick_params();
-        let a = ga_tw_hypergraph(&h, &p, &mut StdRng::seed_from_u64(3));
-        let b = ga_tw(&h.primal_graph(), &p, &mut StdRng::seed_from_u64(3));
-        assert_eq!(a.width, b.width);
     }
 
     #[test]

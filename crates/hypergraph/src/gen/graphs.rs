@@ -154,41 +154,6 @@ pub fn random_k_colorable(n: u32, k: u32, m: usize, seed: u64) -> Graph {
     g
 }
 
-/// A random geometric graph: `n` points in the unit square, an edge when
-/// the Euclidean distance is at most `radius` — the regime of the DIMACS
-/// `miles` instances (road distances between cities).
-pub fn random_geometric(n: u32, radius: f64, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pts: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let r2 = radius * radius;
-    let mut g = Graph::new(n);
-    for u in 0..n as usize {
-        for v in u + 1..n as usize {
-            let dx = pts[u].0 - pts[v].0;
-            let dy = pts[u].1 - pts[v].1;
-            if dx * dx + dy * dy <= r2 {
-                g.add_edge(u as u32, v as u32);
-            }
-        }
-    }
-    g
-}
-
-/// A graph with a planted clique of size `k` inside `G(n, p)` background
-/// noise — useful for lower-bound stress tests (treewidth ≥ k-1).
-pub fn planted_clique(n: u32, k: u32, p: f64, seed: u64) -> Graph {
-    assert!(k <= n);
-    let mut g = random_gnp(n, p, seed);
-    for u in 0..k {
-        for v in u + 1..k {
-            g.add_edge(u, v);
-        }
-    }
-    g
-}
-
 /// The `d`-dimensional hypercube graph `Q_d` (`2^d` vertices; treewidth
 /// grows as `Θ(2^d / √d)`).
 pub fn hypercube(d: u32) -> Graph {
@@ -202,65 +167,6 @@ pub fn hypercube(d: u32) -> Graph {
                 g.add_edge(v, u);
             }
         }
-    }
-    g
-}
-
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `m` existing vertices chosen proportionally to degree. The scale-free
-/// regime of social/web graphs.
-pub fn barabasi_albert(n: u32, m: u32, seed: u64) -> Graph {
-    assert!(m >= 1 && n > m);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = complete_graph(m + 1);
-    let mut g_full = Graph::new(n);
-    for (u, v) in g.edges() {
-        g_full.add_edge(u, v);
-    }
-    g = g_full;
-    // endpoint pool: each vertex appears once per incident edge
-    let mut pool: Vec<u32> = Vec::new();
-    for u in 0..=m {
-        for v in 0..=m {
-            if u != v {
-                pool.push(u);
-            }
-        }
-    }
-    for v in m + 1..n {
-        let mut targets = Vec::new();
-        let mut guard = 0;
-        while (targets.len() as u32) < m && guard < 10_000 {
-            let t = pool[rng.gen_range(0..pool.len())];
-            if t != v && !targets.contains(&t) {
-                targets.push(t);
-            }
-            guard += 1;
-        }
-        for &t in &targets {
-            g.add_edge(v, t);
-            pool.push(v);
-            pool.push(t);
-        }
-    }
-    g
-}
-
-/// A random graph with maximum degree at most `max_deg`: edges are drawn
-/// uniformly but rejected when either endpoint is saturated. Bounded-degree
-/// graphs have treewidth `O(n)` but behave very differently from `G(n,p)`
-/// under elimination heuristics.
-pub fn random_bounded_degree(n: u32, max_deg: u32, m: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    let mut guard = 0usize;
-    while g.num_edges() < m && guard < 200 * m + 10_000 {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u != v && g.degree(u) < max_deg && g.degree(v) < max_deg {
-            g.add_edge(u, v);
-        }
-        guard += 1;
     }
     g
 }
@@ -428,42 +334,5 @@ mod tests {
             assert_eq!(g.degree(v), 3);
         }
         assert_eq!(hypercube(0).num_edges(), 0);
-    }
-
-    #[test]
-    fn barabasi_albert_sizes_and_hubs() {
-        let g = barabasi_albert(60, 2, 5);
-        assert_eq!(g.num_vertices(), 60);
-        // each of the 57 late vertices adds 2 edges on top of K3's 3
-        assert_eq!(g.num_edges(), 3 + 57 * 2);
-        // preferential attachment produces a hub denser than the median
-        let mut degs: Vec<u32> = (0..60).map(|v| g.degree(v)).collect();
-        degs.sort_unstable();
-        assert!(degs[59] >= 2 * degs[30], "no hub emerged: {degs:?}");
-    }
-
-    #[test]
-    fn bounded_degree_respects_cap() {
-        let g = random_bounded_degree(40, 4, 70, 9);
-        assert!(g.num_edges() <= 80); // 40*4/2
-        for v in 0..40 {
-            assert!(g.degree(v) <= 4);
-        }
-    }
-
-    #[test]
-    fn planted_clique_contains_clique() {
-        let g = planted_clique(30, 6, 0.1, 2);
-        for u in 0..6 {
-            for v in u + 1..6 {
-                assert!(g.has_edge(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn geometric_graph_radius_zero_and_one() {
-        assert_eq!(random_geometric(20, 0.0, 1).num_edges(), 0);
-        assert_eq!(random_geometric(20, 1.5, 1).num_edges(), 190);
     }
 }

@@ -34,8 +34,5 @@ pub mod shape;
 
 pub use htd_resilience::MemoryBudget;
 pub use parse::{parse_query, FileAccess, Query};
-pub use pipeline::{
-    answer, check_query_size, Answer, AnswerMode, AnswerOptions, AnswerStats,
-    ANSWER_LATENCY_BUCKETS_MS,
-};
+pub use pipeline::{answer, check_query_size, Answer, AnswerMode, AnswerOptions, AnswerStats};
 pub use shape::ShapeCache;

@@ -26,12 +26,12 @@
 //!    charged against the memory budget tuple by tuple, so even
 //!    enumeration degrades to a refusal instead of an over-budget answer.
 //!
-//! Every stage emits an [`Event::QueryStage`] trace event (the semijoin
-//! and extraction passes are fused inside `htd-csp`, so both events
-//! carry the same elapsed time but their own tuple counts), and the
-//! process-global registry accumulates `htd_answers_total`,
-//! `htd_answer_tuples_scanned_total`, `htd_answer_refusals_total` and
-//! the `htd_answer_latency_ms` histogram for `/metrics`.
+//! Decomposition runs under the `answer.decompose` span and evaluation
+//! under `answer.evaluate`; with the search config's tracer on, both
+//! write `span_enter`/`span_exit` events into its stream (the caller
+//! times parsing under `answer.parse`). The process-global registry
+//! accumulates `htd_answers_total`, `htd_answer_tuples_scanned_total`
+//! and `htd_answer_refusals_total` for `/metrics`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,19 +44,11 @@ use htd_hypergraph::io::{self, MAX_EDGE_SET_BYTES, MAX_VERTICES};
 use htd_hypergraph::{canonical_form, Hypergraph};
 use htd_resilience::{quarantined, MemoryBudget};
 use htd_search::{solve, Problem, SearchConfig};
-use htd_trace::Event;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::parse::Query;
 use crate::shape::ShapeCache;
-
-/// Buckets of the `htd_answer_latency_ms` histogram (milliseconds).
-/// Public so the service can pre-register the series at startup and
-/// `/metrics` exposes it (at zero) before the first answer.
-pub const ANSWER_LATENCY_BUCKETS_MS: &[f64] = &[
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
-];
 
 /// How many answers the caller wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +90,7 @@ pub struct AnswerOptions {
     /// Maximum answers returned in [`AnswerMode::Enumerate`].
     pub limit: u64,
     /// Decomposition search configuration (engines, budgets, tracer —
-    /// the tracer also receives the pipeline's stage events).
+    /// the tracer also receives the pipeline's `answer.*` span events).
     pub search: SearchConfig,
     /// Memory budget for the evaluation; `None` never refuses.
     pub memory_budget: Option<Arc<MemoryBudget>>,
@@ -108,9 +100,6 @@ pub struct AnswerOptions {
     /// with an error at the deadline (a partial count would be wrong);
     /// enumeration returns what it has, marked truncated.
     pub deadline: Option<Instant>,
-    /// Time the caller spent parsing the query, reported in the
-    /// `parse` stage trace event.
-    pub parse_us: u64,
 }
 
 impl Default for AnswerOptions {
@@ -122,7 +111,6 @@ impl Default for AnswerOptions {
             memory_budget: None,
             shape_cache: None,
             deadline: None,
-            parse_us: 0,
         }
     }
 }
@@ -498,20 +486,6 @@ pub fn check_query_size(q: &Query) -> Result<(), HtdError> {
 /// for a refusal with a size estimate, never a wrong answer.
 pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
     let reg = htd_trace::registry();
-    let tracer = Arc::clone(&opts.search.tracer);
-    let started = Instant::now();
-    let input_tuples: u64 = q
-        .csp
-        .constraints
-        .iter()
-        .map(|c| c.tuples.len() as u64)
-        .sum();
-    tracer.emit_with(|| Event::QueryStage {
-        stage: "parse",
-        tuples: input_tuples,
-        elapsed_us: opts.parse_us,
-    });
-
     check_query_size(q)?;
     let h = q.csp.hypergraph();
     let canon = canonical_form(&h);
@@ -531,8 +505,6 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
             Vec::new()
         };
         reg.counter("htd_answers_total").inc();
-        reg.histogram("htd_answer_latency_ms", ANSWER_LATENCY_BUCKETS_MS)
-            .observe(started.elapsed().as_secs_f64() * 1e3);
         return Ok(Answer {
             head: q.head_names(),
             mode: opts.mode,
@@ -545,7 +517,7 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
     }
 
     let t_decompose = Instant::now();
-    let sp_decompose = htd_trace::span!("answer.decompose", &tracer);
+    let sp_decompose = htd_trace::span!("answer.decompose", &opts.search.tracer);
     let cached = opts
         .shape_cache
         .as_ref()
@@ -566,11 +538,6 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
     stats.decompose_us = t_decompose.elapsed().as_micros() as u64;
     stats.width = td.width();
     stats.nodes = td.num_nodes() as u64;
-    tracer.emit_with(|| Event::QueryStage {
-        stage: "decompose",
-        tuples: 0,
-        elapsed_us: stats.decompose_us,
-    });
 
     // refuse rather than materialize over budget (joins only shrink, so
     // the estimate is an upper bound — see yannakakis::estimate)
@@ -592,28 +559,22 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
     }
 
     let t_eval = Instant::now();
-    let sp_eval = htd_trace::span!("answer.evaluate", &tracer);
+    let sp_eval = htd_trace::span!("answer.evaluate", &opts.search.tracer);
     let eval = quarantined(|| eval_query(q, &td, &placed, opts))
         .map_err(|m| HtdError::Io(format!("query evaluation panicked: {m}")))??;
     drop(sp_eval);
     stats.eval_us = t_eval.elapsed().as_micros() as u64;
+    let input_tuples: u64 = q
+        .csp
+        .constraints
+        .iter()
+        .map(|c| c.tuples.len() as u64)
+        .sum();
     stats.tuples_scanned = input_tuples + eval.walked;
-    tracer.emit_with(|| Event::QueryStage {
-        stage: "semijoin",
-        tuples: input_tuples,
-        elapsed_us: stats.eval_us,
-    });
-    tracer.emit_with(|| Event::QueryStage {
-        stage: "enumerate",
-        tuples: eval.walked,
-        elapsed_us: stats.eval_us,
-    });
 
     reg.counter("htd_answers_total").inc();
     reg.counter("htd_answer_tuples_scanned_total")
         .add(stats.tuples_scanned);
-    reg.histogram("htd_answer_latency_ms", ANSWER_LATENCY_BUCKETS_MS)
-        .observe(started.elapsed().as_secs_f64() * 1e3);
 
     Ok(Answer {
         head: q.head_names(),
@@ -839,25 +800,5 @@ mod tests {
         let ans = answer(&q(PATH), &opts(AnswerMode::Enumerate)).unwrap();
         let back = Answer::from_json(&ans.to_json()).unwrap();
         assert_eq!(ans, back);
-    }
-
-    #[test]
-    fn stage_events_are_emitted() {
-        let ring = htd_trace::RingBuffer::new(64);
-        let tracer = htd_trace::Tracer::new(Box::new(Arc::clone(&ring)));
-        let mut o = opts(AnswerMode::Enumerate);
-        o.search = o.search.with_tracer(tracer);
-        answer(&q(PATH), &o).unwrap();
-        let records = ring.records();
-        let stages: Vec<String> = records
-            .iter()
-            .filter_map(|r| match &r.event {
-                Event::QueryStage { stage, .. } => Some(stage.to_string()),
-                _ => None,
-            })
-            .collect();
-        for want in ["parse", "decompose", "semijoin", "enumerate"] {
-            assert!(stages.contains(&want.to_string()), "missing {want}");
-        }
     }
 }

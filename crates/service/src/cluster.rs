@@ -1,8 +1,8 @@
 //! htd-cluster: the fault-tolerant multi-node layer of `htd serve`.
 //!
-//! N peers share one [`Ring`] (same membership, vnodes and seed on every
-//! node — placement is a pure function of configuration, there is no
-//! placement state to replicate) over the canonical fingerprints the
+//! N peers share one [`Ring`] (same membership, `VNODES` and `RING_SEED`
+//! on every node — placement is a pure function of configuration, there
+//! is no placement state to replicate) over the canonical fingerprints the
 //! cache and certificate store already key by. Each request is owned by
 //! the first `R` distinct nodes clockwise from its fingerprint; a node
 //! receiving a request it does not own forwards it to an owner over the
@@ -13,7 +13,7 @@
 //!
 //! A single *agent* thread per node probes every peer with a `ping` over
 //! a timeout-bounded connection. Consecutive failures walk the peer
-//! through `Alive → Suspect → Down` (`suspect_after` / `down_after`),
+//! through `Alive → Suspect → Down` (`SUSPECT_AFTER` / `DOWN_AFTER`),
 //! a success snaps it back to `Alive`, and probes of `Down` peers back
 //! off to a multiple of the probe interval. A `pong` carrying
 //! `draining: true` (or a 503 `/healthz`, which reports the same flag)
@@ -63,6 +63,14 @@ const DELIVERIES_PER_TICK: usize = 32;
 const REDELIVERY_BACKOFF: Duration = Duration::from_millis(1000);
 /// Probe-interval multiplier for peers already marked `Down`.
 const DOWN_PROBE_BACKOFF: u32 = 4;
+/// Virtual nodes per member on the ring.
+const VNODES: usize = 64;
+/// Ring placement seed, `"htd_clus"`.
+const RING_SEED: u64 = 0x6874_645f_636c_7573;
+/// Consecutive probe failures before `Alive → Suspect`.
+const SUSPECT_AFTER: u32 = 2;
+/// Consecutive probe failures before `Suspect → Down`.
+const DOWN_AFTER: u32 = 4;
 
 /// One peer: stable id + dial address.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,7 +82,7 @@ pub struct PeerSpec {
 }
 
 /// Cluster configuration of one node. Every peer must agree on
-/// `replication`, `vnodes` and `seed` or the rings diverge.
+/// `replication` or the rings diverge.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// This node's stable id.
@@ -83,35 +91,22 @@ pub struct ClusterConfig {
     pub peers: Vec<PeerSpec>,
     /// Owners per key (primary + R-1 replicas), clamped to cluster size.
     pub replication: usize,
-    /// Virtual nodes per member on the ring.
-    pub vnodes: usize,
-    /// Ring placement seed.
-    pub seed: u64,
     /// Pause between health probes of one peer.
     pub probe_interval_ms: u64,
     /// Connect + read timeout of one probe or forwarded certificate.
     pub probe_timeout_ms: u64,
-    /// Consecutive probe failures before `Alive → Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive probe failures before `Suspect → Down`.
-    pub down_after: u32,
 }
 
 impl ClusterConfig {
     /// Production defaults for a node named `node_id` with the given
-    /// peer list: R=2, 64 vnodes, 250 ms probes with a 500 ms timeout,
-    /// suspect after 2 misses and down after 4.
+    /// peer list: R=2, 250 ms probes with a 500 ms timeout.
     pub fn new(node_id: impl Into<String>, peers: Vec<PeerSpec>) -> ClusterConfig {
         ClusterConfig {
             node_id: node_id.into(),
             peers,
             replication: 2,
-            vnodes: 64,
-            seed: 0x6874_645f_636c_7573, // "htd_clus"
             probe_interval_ms: 250,
             probe_timeout_ms: 500,
-            suspect_after: 2,
-            down_after: 4,
         }
     }
 }
@@ -121,10 +116,10 @@ impl ClusterConfig {
 pub enum PeerState {
     /// Probes answer; forward and replicate freely.
     Alive,
-    /// `suspect_after` consecutive probe misses: still a forward target
+    /// `SUSPECT_AFTER` consecutive probe misses: still a forward target
     /// of last resort, no longer preferred.
     Suspect,
-    /// `down_after` consecutive misses: excluded until a probe succeeds.
+    /// `DOWN_AFTER` consecutive misses: excluded until a probe succeeds.
     Down,
     /// The peer reported a graceful drain (leave-intent): excluded from
     /// forwarding, but not a failure — it is finishing its own work.
@@ -183,11 +178,11 @@ pub struct Cluster {
 impl Cluster {
     /// Builds the node's cluster view. Peers start `Alive` (optimistic:
     /// forwarding works from the first request; the detector demotes
-    /// unreachable peers within `suspect_after` probe intervals).
+    /// unreachable peers within `SUSPECT_AFTER` probe intervals).
     pub fn new(cfg: ClusterConfig, metrics: Arc<Metrics>, log: bool) -> Cluster {
         let mut members: Vec<String> = cfg.peers.iter().map(|p| p.id.clone()).collect();
         members.push(cfg.node_id.clone());
-        let ring = Ring::new(members, cfg.vnodes, cfg.seed);
+        let ring = Ring::new(members, VNODES, RING_SEED);
         let now = Instant::now();
         let peers: HashMap<String, PeerStatus> = cfg
             .peers
@@ -427,9 +422,9 @@ impl Cluster {
                     .cluster_probe_failures
                     .fetch_add(1, Ordering::Relaxed);
                 p.failures = p.failures.saturating_add(1);
-                if p.failures >= self.cfg.down_after {
+                if p.failures >= DOWN_AFTER {
                     p.state = PeerState::Down;
-                } else if p.failures >= self.cfg.suspect_after {
+                } else if p.failures >= SUSPECT_AFTER {
                     p.state = PeerState::Suspect;
                 }
                 // back off on peers already declared down so a long
@@ -652,13 +647,13 @@ mod tests {
         let initial = c.forward_candidates(key);
         let first = initial[0].0.clone();
         let now = Instant::now();
-        for _ in 0..c.cfg.suspect_after {
+        for _ in 0..SUSPECT_AFTER {
             c.note_probe(&first, Err(()), now);
         }
         let after = c.forward_candidates(key);
         assert_eq!(after.len(), 2);
         assert_eq!(after.last().unwrap().0, first, "suspect sorts last");
-        for _ in 0..c.cfg.down_after {
+        for _ in 0..DOWN_AFTER {
             c.note_probe(&first, Err(()), now);
         }
         assert_eq!(c.forward_candidates(key).len(), 1, "down is skipped");

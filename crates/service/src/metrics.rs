@@ -16,7 +16,7 @@ use htd_trace::HistogramMetric;
 
 use crate::protocol::Status;
 
-/// Upper bounds (ms) of the solve-latency histogram buckets; the last
+/// Upper bounds (ms) of the request-latency histogram buckets; the last
 /// bucket is +Inf.
 pub const LATENCY_BUCKETS_MS: [f64; 14] = [
     0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
@@ -66,13 +66,11 @@ pub struct Metrics {
     pub queue_depth: AtomicI64,
     /// Solves currently running on workers.
     pub inflight: AtomicI64,
-    /// Wall-clock latency of cold solves (worker time), ms.
-    pub solve_latency: HistogramMetric,
     /// End-to-end service latency of `ok` responses (incl. cache hits), ms.
     pub request_latency: HistogramMetric,
     /// Time a job spent waiting in the work queue, seconds.
     pub queue_wait: HistogramMetric,
-    /// Time a job spent actually solving on a worker, seconds. Together
+    /// Time a solve or an answer spent on a worker, seconds. Together
     /// with [`Metrics::queue_wait`] this splits end-to-end latency into
     /// its queueing and compute parts.
     pub solve_time: HistogramMetric,
@@ -138,7 +136,6 @@ impl Metrics {
             cache_misses: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
             inflight: AtomicI64::new(0),
-            solve_latency: HistogramMetric::new(&LATENCY_BUCKETS_MS),
             request_latency: HistogramMetric::new(&LATENCY_BUCKETS_MS),
             queue_wait: HistogramMetric::new(&SECONDS_BUCKETS),
             solve_time: HistogramMetric::new(&SECONDS_BUCKETS),
@@ -374,11 +371,6 @@ impl Metrics {
 
         for (hist, name, help) in [
             (
-                &self.solve_latency,
-                "htd_solve_latency_ms",
-                "Cold solve latency (worker wall clock), ms.",
-            ),
-            (
                 &self.request_latency,
                 "htd_request_latency_ms",
                 "End-to-end request latency of ok responses, ms.",
@@ -420,6 +412,8 @@ impl Metrics {
     }
 
     /// The JSON snapshot behind the `stats` command and `/healthz`.
+    /// `solve_p50_ms`/`solve_p95_ms` are quantiles of
+    /// [`Metrics::solve_time`], the worker time of solves and answers.
     pub fn snapshot_json(&self, cache_entries: u64, cache_bytes: u64, draining: bool) -> Json {
         let ld = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
         Json::Obj(vec![
@@ -445,11 +439,11 @@ impl Metrics {
             ),
             (
                 "solve_p50_ms".into(),
-                Json::Num(self.solve_latency.quantile(0.5)),
+                Json::Num(self.solve_time.quantile(0.5) * 1e3),
             ),
             (
                 "solve_p95_ms".into(),
-                Json::Num(self.solve_latency.quantile(0.95)),
+                Json::Num(self.solve_time.quantile(0.95) * 1e3),
             ),
             (
                 "queue_p95_ms".into(),
@@ -499,6 +493,8 @@ mod tests {
         let snap = m.snapshot_json(0, 0, false);
         let q = snap.get("queue_p95_ms").unwrap().as_f64().unwrap();
         assert!(q > 0.5 && q <= 1.0, "{q}");
+        let p50 = snap.get("solve_p50_ms").unwrap().as_f64().unwrap();
+        assert!(p50 > 250.0 && p50 <= 500.0, "{p50}");
     }
 
     #[test]
@@ -524,14 +520,14 @@ mod tests {
         let m = Metrics::new();
         m.solve_requests.fetch_add(3, Ordering::Relaxed);
         m.cache_hits.fetch_add(2, Ordering::Relaxed);
-        m.solve_latency.observe(7.0);
+        m.request_latency.observe(7.0);
         m.record_served(4, true);
         m.record_served(100, false);
         let text = m.render_prometheus(5, 1024, false);
         assert!(text.contains("htd_requests_total{cmd=\"solve\"} 3"));
         assert!(text.contains("htd_cache_hits_total 2"));
-        assert!(text.contains("htd_solve_latency_ms_bucket{le=\"10\"} 1"));
-        assert!(text.contains("htd_solve_latency_ms_count 1"));
+        assert!(text.contains("htd_request_latency_ms_bucket{le=\"10\"} 1"));
+        assert!(text.contains("htd_request_latency_ms_count 1"));
         assert!(text.contains("htd_width_served_total{width=\"4\"} 1"));
         assert!(text.contains("htd_width_served_total{width=\"32+\"} 1"));
         assert!(text.contains("htd_cache_entries 5"));

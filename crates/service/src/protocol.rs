@@ -616,16 +616,9 @@ impl Response {
 
     /// An error response carrying the CLI-style code for `e`.
     pub fn from_error(id: Option<String>, e: &HtdError) -> Response {
-        let code = match e {
-            HtdError::Parse(_) => 2,
-            HtdError::Invalid(_) => 3,
-            HtdError::Unsupported(_) => 4,
-            HtdError::Io(_) => 5,
-            HtdError::ResourceExhausted(_) => 6,
-        };
         let mut r = Response::new(id, Status::Error);
         r.error = Some(e.to_string());
-        r.code = Some(code);
+        r.code = Some(e.code().into());
         r
     }
 

@@ -273,9 +273,6 @@ struct AnswerWork {
     mode: AnswerMode,
     limit: Option<u64>,
     use_shape_cache: bool,
-    /// Microseconds admission spent parsing the query,
-    /// forwarded into the pipeline's `parse` stage event.
-    parse_us: u64,
 }
 
 impl Work {
@@ -648,10 +645,6 @@ impl Server {
         reg.counter("htd_answer_shape_cache_misses_total");
         reg.counter("htd_answer_tuples_scanned_total");
         reg.counter("htd_answer_refusals_total");
-        reg.histogram(
-            "htd_answer_latency_ms",
-            htd_query::ANSWER_LATENCY_BUCKETS_MS,
-        );
         // the service keeps span aggregation on for the whole process:
         // per-stage spans feed the htd_span_seconds{span=...} histograms
         // on /metrics at bounded (counter-batch-like) cost
@@ -762,8 +755,8 @@ impl Server {
             m.cache_misses.load(Ordering::Relaxed),
             m.timeout_responses.load(Ordering::Relaxed),
             m.rejected_responses.load(Ordering::Relaxed),
-            m.solve_latency.quantile(0.5),
-            m.solve_latency.quantile(0.95),
+            m.solve_time.quantile(0.5) * 1e3,
+            m.solve_time.quantile(0.95) * 1e3,
         ));
     }
 
@@ -1077,7 +1070,6 @@ impl Run<'_> {
 
         let mut r = match result {
             Ok(mut outcome) => {
-                inner.metrics.solve_latency.observe(solve_ms);
                 if portfolio {
                     inner.record_engine_outcomes(&outcome.per_engine);
                 }
@@ -1197,7 +1189,6 @@ impl Run<'_> {
                     .checked_sub(DEADLINE_SLACK)
                     .unwrap_or(job.deadline),
             ),
-            parse_us: w.parse_us,
         };
 
         let eval_start = Instant::now();
@@ -1548,7 +1539,6 @@ fn admit_answer(
         Ok(q) => q,
         Err(e) => return parse_error(inner, id, "answer", &e, received),
     };
-    let parse_us = received.elapsed().as_micros() as u64;
     let (mode, limit, use_shape_cache) = (a.mode, a.limit, a.use_cache);
     enqueue(
         inner,
@@ -1562,7 +1552,6 @@ fn admit_answer(
                 mode,
                 limit,
                 use_shape_cache,
-                parse_us,
             })
         },
     )
@@ -1673,8 +1662,8 @@ fn enqueue(
         let mut r = Response::new(id, Status::Rejected);
         r.error = Some("work queue full".into());
         if hint {
-            // half the median solve so retries spread out, floor 10ms
-            let p50 = inner.metrics.solve_latency.quantile(0.5);
+            // half the median worker time so retries spread out, floor 10ms
+            let p50 = inner.metrics.solve_time.quantile(0.5) * 1e3;
             r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
         }
         r.fingerprint = fingerprint;

@@ -62,7 +62,8 @@
 //! deployment mistake the server refuses at startup, never a latent
 //! corruption.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -104,6 +105,9 @@ pub struct StoreRecord {
     pub outcome: Outcome,
 }
 
+/// A record's identity in the log: objective name and canonical bytes.
+type Key = (&'static str, Vec<u8>);
+
 /// What happened while opening a log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -122,7 +126,7 @@ pub struct CertStore {
     file: Mutex<File>,
     /// Canonical keys already present, so repeated solves of the same
     /// instance do not grow the log without bound.
-    keys: Mutex<HashSet<(String, Vec<u8>)>>,
+    keys: Mutex<HashSet<Key>>,
     stats: StoreStats,
     appended: AtomicU64,
     bytes: AtomicU64,
@@ -146,33 +150,8 @@ impl CertStore {
         file.read_to_end(&mut raw)?;
 
         let _sp = htd_trace::span!("store.load");
-        let mut records = Vec::new();
-        let mut stats = StoreStats::default();
-        let mut pos = 0usize;
-        let mut keep = 0usize; // log survives up to here
-        while pos < raw.len() {
-            let Some((payload, next)) = read_frame(&raw, pos, &mut stats) else {
-                break; // truncated tail or unrecoverable framing
-            };
-            match decode_record(payload) {
-                Some(rec) => {
-                    let key = (rec.objective.to_string(), rec.canonical.clone());
-                    records.push(rec);
-                    stats.loaded += 1;
-                    // duplicate keys keep the *last* verified record
-                    records.dedup_by(|b, a| {
-                        a.objective == b.objective && a.canonical == b.canonical && {
-                            std::mem::swap(a, b);
-                            true
-                        }
-                    });
-                    let _ = key;
-                }
-                None => stats.rejected += 1,
-            }
-            pos = next;
-            keep = next;
-        }
+        let log = scan(&raw);
+        let (stats, keep) = (log.stats, log.keep);
         if keep < raw.len() {
             // drop the unreadable tail so the next append starts clean
             file.set_len(keep as u64)?;
@@ -184,20 +163,16 @@ impl CertStore {
         reg.counter("htd_store_truncated_total")
             .add(stats.truncated);
         reg.gauge("htd_store_bytes").set(keep as i64);
-        let keys = records
-            .iter()
-            .map(|r| (r.objective.to_string(), r.canonical.clone()))
-            .collect();
         Ok((
             CertStore {
                 path,
                 file: Mutex::new(file),
-                keys: Mutex::new(keys),
+                keys: Mutex::new(log.keys.into_keys().collect()),
                 stats,
                 appended: AtomicU64::new(0),
                 bytes: AtomicU64::new(keep as u64),
             },
-            records,
+            log.records,
         ))
     }
 
@@ -237,20 +212,7 @@ impl CertStore {
             file.seek(SeekFrom::End(0))?;
         }
         let _sp = htd_trace::span!("store.replay");
-        let mut records: Vec<StoreRecord> = Vec::new();
-        let mut stats = StoreStats::default();
-        let mut pos = 0usize;
-        while pos < raw.len() {
-            let Some((payload, next)) = read_frame(&raw, pos, &mut stats) else {
-                break;
-            };
-            if let Some(rec) = decode_record(payload) {
-                records.retain(|r| r.objective != rec.objective || r.canonical != rec.canonical);
-                records.push(rec);
-            }
-            pos = next;
-        }
-        Ok(records)
+        Ok(scan(&raw).records)
     }
 
     /// Appends one record unless its key is already stored. Only
@@ -264,17 +226,12 @@ impl CertStore {
         }
         {
             let mut keys = self.keys.lock();
-            if !keys.insert((rec.objective.to_string(), rec.canonical.clone())) {
+            if !keys.insert((rec.objective, rec.canonical.clone())) {
                 return Ok(false); // already stored
             }
         }
         let _sp = htd_trace::span!("store.append");
-        let payload = encode_payload(rec);
-        let mut frame = Vec::with_capacity(16 + payload.len());
-        frame.extend_from_slice(&MAGIC.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = encode_frame(rec);
         let mut file = self.file.lock();
         // one write_all per record: a crash can truncate the tail record
         // but never interleave two
@@ -352,6 +309,51 @@ fn lock_exclusive(_file: &File, _path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// What one scan of the log recovered.
+struct Scan {
+    /// The last verified record of each key, in order of first appearance.
+    records: Vec<StoreRecord>,
+    /// Each key's index in `records`.
+    keys: HashMap<Key, usize>,
+    stats: StoreStats,
+    /// Length of the log's trustworthy prefix: whole frames only.
+    keep: usize,
+}
+
+/// Reads and re-verifies every frame of `raw` in one pass. A later
+/// verified record of a key replaces the earlier one in place.
+fn scan(raw: &[u8]) -> Scan {
+    let mut records: Vec<StoreRecord> = Vec::new();
+    let mut keys: HashMap<Key, usize> = HashMap::new();
+    let mut stats = StoreStats::default();
+    let mut pos = 0usize;
+    while pos < raw.len() {
+        let Some((payload, next)) = read_frame(raw, pos, &mut stats) else {
+            break; // truncated tail or unrecoverable framing
+        };
+        match decode_record(payload) {
+            Some(rec) => {
+                stats.loaded += 1;
+                match keys.entry((rec.objective, rec.canonical.clone())) {
+                    Entry::Occupied(slot) => records[*slot.get()] = rec,
+                    Entry::Vacant(slot) => {
+                        slot.insert(records.len());
+                        records.push(rec);
+                    }
+                }
+            }
+            None => stats.rejected += 1,
+        }
+        pos = next;
+    }
+    Scan {
+        records,
+        keys,
+        stats,
+        keep: pos,
+    }
+}
+
 /// Pulls one framed payload out of `raw` at `pos`. Returns the payload
 /// slice and the next record offset, or `None` when the scan must stop
 /// (truncated tail, unrecoverable framing), updating `stats`.
@@ -387,8 +389,10 @@ fn read_frame<'a>(raw: &'a [u8], pos: usize, stats: &mut StoreStats) -> Option<(
     Some((payload, end))
 }
 
-fn encode_payload(rec: &StoreRecord) -> Vec<u8> {
-    Json::Obj(vec![
+/// One log record: header (magic, payload length, checksum), then the
+/// payload.
+fn encode_frame(rec: &StoreRecord) -> Vec<u8> {
+    let payload = Json::Obj(vec![
         ("v".into(), Json::Num(RECORD_VERSION as f64)),
         ("objective".into(), Json::Str(rec.objective.into())),
         ("format".into(), Json::Str(rec.format.name().into())),
@@ -405,7 +409,13 @@ fn encode_payload(rec: &StoreRecord) -> Vec<u8> {
         ("outcome".into(), rec.outcome.to_json()),
     ])
     .to_string()
-    .into_bytes()
+    .into_bytes();
+    let mut frame = Vec::with_capacity(16 + payload.len());
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 /// Decodes and **re-verifies** one payload: parse → rebuild the problem
@@ -554,6 +564,32 @@ mod tests {
         let c = solved_record(5);
         assert!(store.append(&c).unwrap());
         assert_eq!(store.replay().unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_and_replay_keep_the_last_record_of_each_key() {
+        let dir = std::env::temp_dir().join(format!("htd-store-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (solved_record(3), solved_record(4));
+        let mut a2 = a.clone();
+        a2.effort_ms = 99;
+        // append refuses a stored key, so write the log frame by frame
+        let log: Vec<u8> = [&a, &b, &a2].into_iter().flat_map(encode_frame).collect();
+        std::fs::write(dir.join("store.log"), log).unwrap();
+        let summary = |rs: &[StoreRecord]| {
+            rs.iter()
+                .map(|r| (r.fingerprint, r.effort_ms))
+                .collect::<Vec<_>>()
+        };
+        let want = vec![(a.fingerprint, 99), (b.fingerprint, 25)];
+        let (store, loaded) = CertStore::open(&dir).unwrap();
+        assert_eq!(summary(&loaded), want);
+        assert_eq!(store.stats().loaded, 3);
+        assert_eq!(summary(&store.replay().unwrap()), want);
+        // both keys count as stored
+        assert!(!store.append(&a).unwrap() && !store.append(&b).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

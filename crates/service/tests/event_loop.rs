@@ -423,3 +423,75 @@ fn fifty_pipelining_connections_get_each_response_exactly_once() {
     server.wait();
     assert!(faults.is_empty(), "{} faults: {faults:?}", faults.len());
 }
+
+/// Cache misses pipelined on several connections: unlike warm hits,
+/// which the event loop answers at admission, every one comes back from
+/// a worker as a completion the loop must hand to its connection. Each
+/// of the 120 distinct cold instances is answered exactly once, `ok` and
+/// uncached; a lost completion would surface as a `timeout` 2 s past its
+/// deadline.
+#[test]
+fn pipelined_cold_misses_are_each_answered_once_by_a_worker() {
+    let (connections, per_connection, deadline_ms) = (4, 30, 10_000);
+    let (server, addr) = start(ServeOptions {
+        threads: 4,
+        queue_capacity: 1024,
+        ..loop_opts()
+    });
+    let per_conn: Vec<(Vec<String>, Vec<Response>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .map(|ci| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.set_read_timeout(Some(Duration::from_secs(15)));
+                    let mut sent = Vec::new();
+                    for k in 0..per_connection {
+                        let seed = (ci * per_connection + k) as u64;
+                        let text = io::write_pace_gr(&gen::random_ktree(14, 3, seed));
+                        let (req, id) = client.solve_request(
+                            Objective::Treewidth,
+                            InstanceFormat::Auto,
+                            &text,
+                            Some(deadline_ms),
+                        );
+                        client.send(&req).unwrap();
+                        sent.push(id);
+                    }
+                    let received = (0..per_connection)
+                        .map(|_| {
+                            client
+                                .recv()
+                                .unwrap_or_else(|e| panic!("connection {ci}: {e}"))
+                        })
+                        .collect();
+                    (sent, received)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut fingerprints = std::collections::HashSet::new();
+    for (ci, (mut sent, received)) in per_conn.into_iter().enumerate() {
+        let mut answered: Vec<String> = Vec::new();
+        for r in received {
+            assert_eq!(r.status, Status::Ok, "connection {ci}: {:?}", r.error);
+            assert!(!r.cached, "connection {ci}: {:?} was a cache hit", r.id);
+            fingerprints.insert(r.fingerprint.clone().expect("a solve names its instance"));
+            answered.push(r.id.expect("a pipelined response carries its id"));
+        }
+        sent.sort();
+        answered.sort();
+        assert_eq!(
+            answered, sent,
+            "connection {ci}: ids not answered exactly once"
+        );
+    }
+    assert_eq!(
+        fingerprints.len(),
+        connections * per_connection,
+        "the instances must be distinct, so every request is a miss"
+    );
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.wait();
+}

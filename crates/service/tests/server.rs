@@ -351,7 +351,7 @@ fn healthz_and_metrics_respond_and_errors_carry_codes() {
         "htd_requests_total{cmd=\"solve\"}",
         "htd_responses_total{status=\"ok\"}",
         "htd_cache_misses_total",
-        "htd_solve_latency_ms_p50",
+        "htd_solve_seconds_p50",
         "htd_width_served_total",
         "htd_queue_depth",
         // queueing vs compute latency split
@@ -376,6 +376,24 @@ fn healthz_and_metrics_respond_and_errors_carry_codes() {
         metrics.contains("htd_solver_wins{engine="),
         "missing per-engine wins in:\n{metrics}"
     );
+
+    // an answer is timed once on the worker, by its span and by
+    // htd_solve_seconds; no per-kind latency family times it again
+    let r = client
+        .answer("Q(x) :- R(x, y).\nR: 1 2 .", AnswerMode::Count, None, None)
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    let (_, metrics) = http_get(&addr, "/metrics");
+    for series in [
+        "htd_solve_seconds_count 2",
+        "htd_span_seconds_bucket{span=\"service.answer\",",
+    ] {
+        assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
+    }
+    for kind in ["solve", "answer"] {
+        let gone = format!("htd_{kind}_latency_ms");
+        assert!(!metrics.contains(&gone), "{gone} in:\n{metrics}");
+    }
 
     client.shutdown().unwrap();
     server.wait();

@@ -13,8 +13,9 @@
 
 /// Version stamped into every JSONL record as `"v"`. Schema history:
 /// v1 = solver/worker/query events; v2 adds the `span_enter`/`span_exit`
-/// pair from the span layer ([`crate::span`](mod@crate::span)).
-pub const SCHEMA_VERSION: u32 = 2;
+/// pair from the span layer ([`crate::span`](mod@crate::span)); v3 drops
+/// the query-stage event: the traced `answer.*` spans time those stages.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Every `kind` the current schema can emit, in no particular order.
 pub const KNOWN_KINDS: &[&str] = &[
@@ -30,7 +31,6 @@ pub const KNOWN_KINDS: &[&str] = &[
     "restart_triggered",
     "engines_skipped",
     "solve_finished",
-    "query_stage",
     "span_enter",
     "span_exit",
 ];
@@ -97,14 +97,6 @@ pub enum Event {
         winner: Option<&'static str>,
         expanded: u64,
     },
-    /// One stage of the query-answering pipeline completed
-    /// (`"parse"`, `"decompose"`, `"semijoin"`, `"enumerate"`), with the
-    /// tuples it processed and its wall-clock duration.
-    QueryStage {
-        stage: &'static str,
-        tuples: u64,
-        elapsed_us: u64,
-    },
     /// A profiling span opened on some thread (`depth` = how many spans
     /// already enclose it there; 0 for a root).
     SpanEnter {
@@ -138,7 +130,6 @@ impl Event {
             Event::RestartTriggered { .. } => "restart_triggered",
             Event::EnginesSkipped { .. } => "engines_skipped",
             Event::SolveFinished { .. } => "solve_finished",
-            Event::QueryStage { .. } => "query_stage",
             Event::SpanEnter { .. } => "span_enter",
             Event::SpanExit { .. } => "span_exit",
         }
@@ -284,16 +275,6 @@ impl Record {
                 }
                 let _ = write!(s, ",\"expanded\":{expanded}");
             }
-            Event::QueryStage {
-                stage,
-                tuples,
-                elapsed_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"stage\":\"{stage}\",\"tuples\":{tuples},\"elapsed_us\":{elapsed_us}"
-                );
-            }
             Event::SpanEnter {
                 span,
                 worker,
@@ -436,7 +417,7 @@ mod tests {
         );
         assert_eq!(
             r.to_json_line(),
-            "{\"v\":2,\"seq\":3,\"t_us\":1500,\"kind\":\"incumbent_improved\",\"worker\":\"astar\",\"width\":4}"
+            "{\"v\":3,\"seq\":3,\"t_us\":1500,\"kind\":\"incumbent_improved\",\"worker\":\"astar\",\"width\":4}"
         );
     }
 
@@ -521,11 +502,6 @@ mod tests {
                 winner: Some("x"),
                 expanded: 10,
             },
-            Event::QueryStage {
-                stage: "semijoin",
-                tuples: 42,
-                elapsed_us: 17,
-            },
             Event::SpanEnter {
                 span: "astar.expand",
                 worker: "astar",
@@ -556,7 +532,7 @@ mod tests {
         );
         assert_eq!(
             r.to_json_line(),
-            "{\"v\":2,\"seq\":0,\"t_us\":0,\"kind\":\"worker_panicked\",\
+            "{\"v\":3,\"seq\":0,\"t_us\":0,\"kind\":\"worker_panicked\",\
              \"worker\":\"astar\",\"message\":\"index 3 \\\"out\\\\of\\\" range\\n\"}"
         );
         // a panicked worker counts as ended
@@ -701,7 +677,7 @@ mod tests {
         );
         assert_eq!(
             enter.to_json_line(),
-            "{\"v\":2,\"seq\":0,\"t_us\":10,\"kind\":\"span_enter\",\
+            "{\"v\":3,\"seq\":0,\"t_us\":10,\"kind\":\"span_enter\",\
              \"span\":\"balsep.level\",\"worker\":\"balsep\",\"depth\":0}"
         );
         // interleaved same-worker spans balance as a multiset

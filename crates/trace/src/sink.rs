@@ -138,8 +138,8 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"v\":2,\"seq\":0,"));
-        assert!(lines[1].starts_with("{\"v\":2,\"seq\":1,"));
+        assert!(lines[0].starts_with("{\"v\":3,\"seq\":0,"));
+        assert!(lines[1].starts_with("{\"v\":3,\"seq\":1,"));
         assert!(text.ends_with('\n'), "stream must end with a newline");
         // every line is a self-contained object
         for l in lines {

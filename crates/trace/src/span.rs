@@ -17,7 +17,7 @@
 //!   the service do this) — aggregation only, no event traffic;
 //! - per-site, by passing an enabled [`Tracer`] to coarse spans —
 //!   those additionally emit `span_enter`/`span_exit` events into the
-//!   schema-v2 JSONL stream. Hot per-node spans never take a tracer;
+//!   JSONL stream. Hot per-node spans never take a tracer;
 //!   the event stream stays phase-grained while the aggregate sees
 //!   everything.
 //!
