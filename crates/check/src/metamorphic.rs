@@ -1,15 +1,16 @@
 //! Metamorphic fuzzing: seeded instance generators over the thesis
 //! benchmark families plus width-preserving / width-monotone transforms.
 //!
-//! Each transform comes with a *provable* relation between the width of
-//! the original and the transformed instance; the harness solves both to
-//! optimality and reports a [`Condition::Metamorphic`] violation when the
-//! relation breaks. The relations used (and the ones deliberately **not**
-//! used) are:
+//! Each transform comes with a *provable* relation between the original
+//! and the transformed instance: their widths, which the harness solves
+//! both to optimality for, or their canonical cache keys. A broken relation
+//! is a [`Condition::Metamorphic`] violation. The relations used (and the
+//! ones deliberately **not** used) are:
 //!
 //! | transform                | relation        | applies to |
 //! |--------------------------|-----------------|------------|
 //! | vertex relabeling        | width equal     | tw, ghw    |
+//! | vertex relabeling        | canonical bytes equal whenever both searches complete | tw (the binary-edge key hypergraph the service builds), ghw |
 //! | isolated-vertex padding  | tw equal        | tw only — an isolated vertex has no covering edge, so ghw instances would be rejected |
 //! | duplicate-edge padding   | ghw equal       | ghw — duplicates add covering material identical to what exists |
 //! | subset-edge padding      | ghw equal       | ghw — a `⊆`-dominated edge never helps nor hurts an optimal cover |
@@ -19,7 +20,7 @@
 //! Everything is seeded (`Date`-free) from a [`SplitMix64`] stream, so a
 //! failing `(family index, seed)` pair replays deterministically.
 
-use htd_hypergraph::{gen, io, Graph, Hypergraph};
+use htd_hypergraph::{canonical_form, gen, io, Graph, Hypergraph};
 use htd_search::{solve, Engine, Outcome, Problem};
 
 use crate::diff::DiffConfig;
@@ -248,9 +249,26 @@ fn exact_ghw(h: &Hypergraph, cfg: &DiffConfig) -> Option<u32> {
     exact_width(&Problem::ghw(h.clone()), cfg)
 }
 
-/// Runs every applicable metamorphic invariant on `case`. Instances the
-/// budget cannot solve to optimality are skipped silently (the report
-/// stays valid); any relation that *can* be established and fails is a
+/// Reports a violation when relabeling changed the canonical bytes of a
+/// cache key although both searches completed.
+fn expect_same_key(report: &mut CheckReport, h: &Hypergraph, relabeled: &Hypergraph) {
+    let (a, b) = (canonical_form(h), canonical_form(relabeled));
+    if a.complete && b.complete && a.bytes != b.bytes {
+        report.push(
+            Condition::Metamorphic,
+            format!(
+                "vertex relabeling changed the canonical key: {} → {}",
+                a.hex(),
+                b.hex()
+            ),
+        );
+    }
+}
+
+/// Runs every applicable metamorphic invariant on `case`. The canonical
+/// key is compared on every case; the width relations skip instances the
+/// budget cannot solve to optimality silently (the report stays valid).
+/// Any relation that *can* be established and fails is a
 /// [`Condition::Metamorphic`] violation.
 pub fn run_metamorphic_case(case: &Case, seed: u64, cfg: &DiffConfig) -> CheckReport {
     let mut rng = SplitMix64(seed ^ 0xa076_1d64_78bd_642f);
@@ -266,15 +284,20 @@ pub fn run_metamorphic_case(case: &Case, seed: u64, cfg: &DiffConfig) -> CheckRe
         }
     };
     if let Some(g) = &case.graph {
+        let relabeled = relabel_graph(g, &permutation(g.num_vertices(), &mut rng));
+        expect_same_key(
+            &mut report,
+            &Hypergraph::from_graph(g),
+            &Hypergraph::from_graph(&relabeled),
+        );
         let Some(tw) = exact_tw(g, cfg) else {
             return report;
         };
-        let perm = permutation(g.num_vertices(), &mut rng);
         expect_eq(
             &mut report,
             "vertex relabeling",
             tw,
-            exact_tw(&relabel_graph(g, &perm), cfg),
+            exact_tw(&relabeled, cfg),
         );
         expect_eq(
             &mut report,
@@ -306,15 +329,16 @@ pub fn run_metamorphic_case(case: &Case, seed: u64, cfg: &DiffConfig) -> CheckRe
         }
     }
     if let Some(h) = &case.hypergraph {
+        let relabeled = relabel_hypergraph(h, &permutation(h.num_vertices(), &mut rng));
+        expect_same_key(&mut report, h, &relabeled);
         let Some(ghw) = exact_ghw(h, cfg) else {
             return report;
         };
-        let perm = permutation(h.num_vertices(), &mut rng);
         expect_eq(
             &mut report,
             "vertex relabeling",
             ghw,
-            exact_ghw(&relabel_hypergraph(h, &perm), cfg),
+            exact_ghw(&relabeled, cfg),
         );
         if h.num_edges() > 0 {
             let idx = rng.below(h.num_edges() as u64) as usize;
@@ -387,6 +411,28 @@ mod tests {
         assert_eq!(padded.num_edges(), h.num_edges() + 1);
         let last = padded.edge(padded.num_edges() - 1);
         assert!(!last.is_empty() && last.len() <= h.edge(0).len());
+    }
+
+    #[test]
+    fn a_key_change_is_detected() {
+        // C6 and two triangles are not isomorphic: their keys must differ
+        let c6 = Hypergraph::from_graph(&gen::cycle_graph(6));
+        let two_c3 = Hypergraph::new(
+            6,
+            vec![
+                vec![0, 1],
+                vec![1, 2],
+                vec![2, 0],
+                vec![3, 4],
+                vec![4, 5],
+                vec![5, 3],
+            ],
+        );
+        let mut report = CheckReport::new("keys");
+        expect_same_key(&mut report, &c6, &c6);
+        assert!(report.is_valid(), "{report}");
+        expect_same_key(&mut report, &c6, &two_c3);
+        assert!(!report.is_valid());
     }
 
     #[test]

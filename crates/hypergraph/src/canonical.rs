@@ -20,7 +20,7 @@
 //! iterated equitable color refinement over the vertex/edge incidence
 //! structure, branching on the smallest non-singleton color class,
 //! pruning branches whose refined partition invariant is not minimal, and
-//! taking the lexicographically smallest leaf serialization. Two
+//! taking the lexicographically smallest leaf serialization. Three
 //! mitigations keep it practical:
 //!
 //! * **true-twin pruning** — vertices with identical incident-edge sets
@@ -31,7 +31,28 @@
 //!   found so far is returned with `complete = false`. The result is then
 //!   still a *sound* cache key (it faithfully encodes the structure), it
 //!   merely may differ between relabelings, costing cache hits, never
-//!   correctness.
+//!   correctness;
+//! * **automorphism pruning**, as in nauty and Traces (McKay & Piperno,
+//!   *Practical graph isomorphism, II*, 2014) — a leaf whose
+//!   serialization equals the first or the least leaf's (compared in
+//!   full, never by fingerprint) yields an automorphism, the map between
+//!   the two labelings, which is recorded. The search then returns to the
+//!   node where the two leaves' paths part. At every node, a child that a
+//!   recorded automorphism fixing the node's path maps onto a sibling
+//!   already refined is neither refined nor explored. This makes
+//!   vertex-transitive shapes without twins (cycles, circulants,
+//!   hypercubes, the Petersen graph) cheap: C₁₀(1, 3) takes 32
+//!   refinements instead of 412.
+//!
+//! Automorphism pruning only removes work: orbit-mates have equal
+//! invariants and isomorphic subtrees, so the minimum-invariant choice and
+//! the least leaf are unchanged, and the search refines a subset of the
+//! nodes the unpruned search refines, in the same order. So for every
+//! input whose unpruned search completes within the budget, `bytes` and
+//! `fingerprint` are byte for byte what that search returns, and
+//! `complete` can only go from false to true. Service cache keys,
+//! certificate-store records and cluster ring placement depend on these
+//! bytes; `tests/canonical_pins.rs` pins them.
 //!
 //! Names are deliberately ignored: the canonical form is of the unlabeled
 //! hypergraph.
@@ -73,7 +94,10 @@ pub fn canonical_form_budgeted(h: &Hypergraph, budget: u64) -> CanonicalForm {
     let mut s = Search::new(h, budget);
     let colors = s.refine(initial_colors(h));
     s.dfs(colors);
-    let bytes = s.best.expect("at least the leftmost leaf is explored");
+    let bytes = s
+        .best
+        .expect("at least the leftmost leaf is explored")
+        .bytes;
     let fingerprint = fnv1a(&bytes);
     CanonicalForm {
         bytes,
@@ -116,40 +140,60 @@ fn initial_colors(h: &Hypergraph) -> Vec<u32> {
     vec![0; h.num_vertices() as usize]
 }
 
-fn distinct(colors: &[u32]) -> usize {
-    let mut seen: Vec<bool> = vec![false; colors.len()];
-    let mut k = 0;
-    for &c in colors {
-        if !seen[c as usize] {
-            seen[c as usize] = true;
-            k += 1;
-        }
-    }
-    k
+/// A leaf of the search: a discrete coloring and its serialization.
+#[derive(Clone)]
+struct Leaf {
+    bytes: Vec<u8>,
+    /// `labeling[v]` is the canonical position of vertex `v`.
+    labeling: Vec<u32>,
+    /// The vertices individualized on the way from the root.
+    path: Vec<Vertex>,
 }
 
 struct Search<'a> {
     h: &'a Hypergraph,
-    /// Per vertex, its sorted incident-edge list doubles as the true-twin
-    /// key: identical lists ⇒ swapping the two vertices is an automorphism.
     budget: u64,
     refines: u64,
-    best: Option<Vec<u8>>,
     complete: bool,
+    /// The vertices individualized from the root to the current node.
+    path: Vec<Vertex>,
+    /// The first leaf found.
+    first: Option<Leaf>,
+    /// The least leaf found so far.
+    best: Option<Leaf>,
+    /// Automorphisms found at leaves, each as a vertex map `v ↦ γ[v]`.
+    automorphisms: Vec<Vec<Vertex>>,
     /// Signature of each vertex's class after the last refine (used for
     /// the partition invariant).
     vsig: Vec<u64>,
+    // Buffers `refine` and `partition_invariant` reuse across rounds.
+    edge_sigs: Vec<u64>,
+    member_colors: Vec<u32>,
+    incident_sigs: Vec<u64>,
+    keys: Vec<(u32, u64)>,
+    class_size: Vec<u64>,
+    class_sig: Vec<u64>,
 }
 
 impl<'a> Search<'a> {
     fn new(h: &'a Hypergraph, budget: u64) -> Self {
+        let n = h.num_vertices() as usize;
         Search {
             h,
             budget,
             refines: 0,
-            best: None,
             complete: true,
-            vsig: vec![0; h.num_vertices() as usize],
+            path: Vec::new(),
+            first: None,
+            best: None,
+            automorphisms: Vec::new(),
+            vsig: vec![0; n],
+            edge_sigs: Vec::with_capacity(h.num_edges() as usize),
+            member_colors: Vec::new(),
+            incident_sigs: Vec::new(),
+            keys: Vec::with_capacity(n),
+            class_size: vec![0; n],
+            class_sig: vec![0; n],
         }
     }
 
@@ -161,49 +205,50 @@ impl<'a> Search<'a> {
     fn refine(&mut self, mut colors: Vec<u32>) -> Vec<u32> {
         self.refines += 1;
         let h = self.h;
-        let n = h.num_vertices() as usize;
+        let n = colors.len();
         if n == 0 {
             return colors;
         }
-        let mut k = distinct(&colors);
+        let mut k = self.distinct(&colors);
         loop {
             // edge signatures from member colors
-            let edge_sigs: Vec<u64> = h
-                .edges()
-                .iter()
-                .map(|e| {
-                    let mut cs: Vec<u32> = e.iter().map(|v| colors[v as usize]).collect();
-                    cs.sort_unstable();
-                    let mut s = mix(FNV_OFFSET, cs.len() as u64);
-                    for c in cs {
-                        s = mix(s, c as u64);
-                    }
-                    s
-                })
-                .collect();
+            self.edge_sigs.clear();
+            for e in h.edges() {
+                self.member_colors.clear();
+                self.member_colors
+                    .extend(e.iter().map(|v| colors[v as usize]));
+                self.member_colors.sort_unstable();
+                let mut s = mix(FNV_OFFSET, self.member_colors.len() as u64);
+                for &c in &self.member_colors {
+                    s = mix(s, c as u64);
+                }
+                self.edge_sigs.push(s);
+            }
             // vertex signatures from incident edge signatures
             for (v, &cv) in colors.iter().enumerate() {
-                let mut es: Vec<u64> = h
-                    .incident_edges(v as Vertex)
-                    .iter()
-                    .map(|&e| edge_sigs[e as usize])
-                    .collect();
-                es.sort_unstable();
+                self.incident_sigs.clear();
+                self.incident_sigs.extend(
+                    h.incident_edges(v as Vertex)
+                        .iter()
+                        .map(|&e| self.edge_sigs[e as usize]),
+                );
+                self.incident_sigs.sort_unstable();
                 let mut s = mix(0x5ca1ab1e, cv as u64);
-                for e in es {
+                for &e in &self.incident_sigs {
                     s = mix(s, e);
                 }
                 self.vsig[v] = s;
             }
             // new ranks: lexicographic on (old rank, signature)
-            let mut keys: Vec<(u32, u64)> = (0..n).map(|v| (colors[v], self.vsig[v])).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            for (v, c) in colors.iter_mut().enumerate() {
-                let key = (*c, self.vsig[v]);
-                *c = keys.binary_search(&key).unwrap() as u32;
+            self.keys.clear();
+            self.keys
+                .extend(colors.iter().zip(&self.vsig).map(|(&c, &s)| (c, s)));
+            self.keys.sort_unstable();
+            self.keys.dedup();
+            for (c, &s) in colors.iter_mut().zip(&self.vsig) {
+                *c = self.keys.binary_search(&(*c, s)).unwrap() as u32;
             }
-            let k2 = keys.len();
+            let k2 = self.keys.len();
             if k2 == k {
                 return colors;
             }
@@ -211,42 +256,48 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// The number of classes of `colors`, whose ranks are `0..n`.
+    fn distinct(&mut self, colors: &[u32]) -> usize {
+        self.class_size.fill(0);
+        let mut k = 0;
+        for &c in colors {
+            if self.class_size[c as usize] == 0 {
+                self.class_size[c as usize] = 1;
+                k += 1;
+            }
+        }
+        k
+    }
+
     /// Label-invariant hash of a refined ordered partition: the sequence
     /// of (rank, class size, class signature) in rank order.
-    fn partition_invariant(&self, colors: &[u32]) -> u64 {
-        let n = colors.len();
-        let mut size = vec![0u64; n];
-        let mut sig = vec![0u64; n];
+    fn partition_invariant(&mut self, colors: &[u32]) -> u64 {
+        self.class_size.fill(0);
         let mut ranks = 0u32;
         for (v, &cv) in colors.iter().enumerate() {
             let c = cv as usize;
-            size[c] += 1;
-            sig[c] = self.vsig[v]; // equal within a class by construction
+            self.class_size[c] += 1;
+            self.class_sig[c] = self.vsig[v]; // equal within a class by construction
             ranks = ranks.max(cv + 1);
         }
         let mut inv = FNV_OFFSET;
         for c in 0..ranks as usize {
             inv = mix(inv, c as u64);
-            inv = mix(inv, size[c]);
-            inv = mix(inv, sig[c]);
+            inv = mix(inv, self.class_size[c]);
+            inv = mix(inv, self.class_sig[c]);
         }
         inv
     }
 
-    fn dfs(&mut self, colors: Vec<u32>) {
+    /// Explores the node that `self.path` reaches, whose refined coloring
+    /// is `colors`. Returns `Some(level)` when a leaf below it proved the
+    /// rest of the subtree automorphic to one already explored: the search
+    /// then resumes at the ancestor at depth `level`.
+    fn dfs(&mut self, colors: Vec<u32>) -> Option<usize> {
         let n = colors.len();
-        let k = distinct(&colors);
-        if k == n {
+        if self.distinct(&colors) == n {
             // discrete: rank IS the canonical position
-            let ser = serialize(self.h, &colors);
-            let improved = match &self.best {
-                Some(b) => ser < *b,
-                None => true,
-            };
-            if improved {
-                self.best = Some(ser);
-            }
-            return;
+            return self.leaf(colors);
         }
         // target cell: smallest non-singleton class, lowest rank on ties
         let mut count = vec![0u32; n];
@@ -260,43 +311,115 @@ impl<'a> Search<'a> {
         let cell: Vec<Vertex> = (0..n as u32)
             .filter(|&v| colors[v as usize] == cell_rank)
             .collect();
+        let mut orbits = Orbits::new(cell);
         // transposition pruning: if swapping two cell members is an
         // automorphism (true twins, clique members, star leaves, …), the
         // two branches yield identical leaf sets — keep one representative
-        let mut reps: Vec<Vertex> = Vec::with_capacity(cell.len());
-        for &v in &cell {
-            if !reps
+        let mut reps: Vec<Vertex> = Vec::with_capacity(orbits.cell.len());
+        for i in 0..orbits.cell.len() {
+            let v = orbits.cell[i];
+            match reps
                 .iter()
-                .any(|&r| self.transposition_is_automorphism(r, v))
+                .find(|&&r| self.transposition_is_automorphism(r, v))
             {
-                reps.push(v);
+                Some(&r) => orbits.union(r, v),
+                None => reps.push(v),
             }
         }
-        let cell = reps;
+        // orbit pruning: a representative that a recorded automorphism
+        // fixing the path maps onto a refined sibling is neither refined
+        // nor explored; orbit-mates have equal invariants and isomorphic
+        // subtrees
+        orbits.absorb(&self.automorphisms, &self.path);
         // individualize each representative, refine, keep min-invariant
-        let mut children: Vec<(u64, Vec<u32>)> = Vec::with_capacity(cell.len());
-        for &v in &cell {
-            if self.refines >= self.budget && self.best.is_some() {
-                self.complete = false;
-                break;
-            }
-            let child = self.refine(individualize(&colors, cell_rank, v));
-            children.push((self.partition_invariant(&child), child));
-        }
-        let min_inv = match children.iter().map(|(i, _)| *i).min() {
-            Some(m) => m,
-            None => return,
-        };
-        for (inv, child) in children {
-            if inv != min_inv {
+        let mut children: Vec<(u64, Vertex, Vec<u32>)> = Vec::with_capacity(reps.len());
+        for &v in &reps {
+            if orbits.marked(v, REFINED) {
                 continue;
             }
             if self.refines >= self.budget && self.best.is_some() {
                 self.complete = false;
-                return;
+                break;
             }
-            self.dfs(child);
+            orbits.mark(v, REFINED);
+            let child = self.refine(individualize(&colors, cell_rank, v));
+            children.push((self.partition_invariant(&child), v, child));
         }
+        let min_inv = children.iter().map(|c| c.0).min()?;
+        let depth = self.path.len();
+        for (inv, v, child) in children {
+            if inv != min_inv {
+                continue;
+            }
+            orbits.absorb(&self.automorphisms, &self.path);
+            if orbits.marked(v, EXPLORED) {
+                continue;
+            }
+            if self.refines >= self.budget && self.best.is_some() {
+                self.complete = false;
+                return None;
+            }
+            orbits.mark(v, EXPLORED);
+            self.path.push(v);
+            let resume = self.dfs(child);
+            self.path.pop();
+            if resume.is_some_and(|level| level < depth) {
+                return resume;
+            }
+        }
+        None
+    }
+
+    /// Records the discrete coloring `labeling` as a leaf. A leaf that
+    /// serializes like the first or the least leaf is their image under
+    /// the automorphism between the two labelings, which maps the older
+    /// leaf's path onto this one's: it is recorded, and the search returns
+    /// to the node where the two paths part, whose child on the older path
+    /// is explored and isomorphic to the one being abandoned.
+    fn leaf(&mut self, labeling: Vec<u32>) -> Option<usize> {
+        let bytes = serialize(self.h, &labeling);
+        let (Some(first), Some(best)) = (&self.first, &self.best) else {
+            let leaf = Leaf {
+                bytes,
+                labeling,
+                path: self.path.clone(),
+            };
+            self.best = Some(leaf.clone());
+            self.first = Some(leaf);
+            return None;
+        };
+        let twin = if bytes == first.bytes {
+            first
+        } else if bytes == best.bytes {
+            best
+        } else {
+            if bytes < best.bytes {
+                self.best = Some(Leaf {
+                    bytes,
+                    labeling,
+                    path: self.path.clone(),
+                });
+            }
+            return None;
+        };
+        // γ = π_leaf⁻¹ ∘ π_twin: γ[v] takes in this leaf the canonical
+        // position v takes in the twin, so γ maps the twin's path onto this
+        // leaf's path
+        let mut at = vec![0; labeling.len()];
+        for (v, &p) in labeling.iter().enumerate() {
+            at[p as usize] = v as Vertex;
+        }
+        let gamma: Vec<Vertex> = twin.labeling.iter().map(|&p| at[p as usize]).collect();
+        let level = twin
+            .path
+            .iter()
+            .zip(&self.path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        if gamma.iter().enumerate().any(|(v, &w)| v as Vertex != w) {
+            self.automorphisms.push(gamma);
+        }
+        Some(level)
     }
 }
 
@@ -331,6 +454,77 @@ impl Search<'_> {
         // (u v) maps {edges ∋ u, ∌ v} onto {edges ∋ v, ∌ u}; equality of
         // the two multisets is exactly the automorphism condition
         one_sided(u, v, true) == one_sided(v, u, false)
+    }
+}
+
+/// Orbit flag: the orbit holds a child that was refined.
+const REFINED: u8 = 1;
+/// Orbit flag: the orbit holds a child that was explored.
+const EXPLORED: u8 = 2;
+
+/// The orbits of one node's target cell under the twin transpositions and
+/// the recorded automorphisms that fix the node's path pointwise (those
+/// map the cell onto itself), as a union-find over the sorted cell.
+struct Orbits {
+    cell: Vec<Vertex>,
+    parent: Vec<u32>,
+    /// [`REFINED`]/[`EXPLORED`] bits, kept at each orbit's root.
+    flags: Vec<u8>,
+    /// How many recorded automorphisms were absorbed already.
+    seen: usize,
+}
+
+impl Orbits {
+    fn new(cell: Vec<Vertex>) -> Self {
+        let k = cell.len();
+        Orbits {
+            cell,
+            parent: (0..k as u32).collect(),
+            flags: vec![0; k],
+            seen: 0,
+        }
+    }
+
+    fn root(&mut self, v: Vertex) -> usize {
+        let mut i = self.cell.binary_search(&v).expect("a cell member");
+        while self.parent[i] as usize != i {
+            let up = self.parent[self.parent[i] as usize];
+            self.parent[i] = up;
+            i = up as usize;
+        }
+        i
+    }
+
+    fn union(&mut self, u: Vertex, v: Vertex) {
+        let (a, b) = (self.root(u), self.root(v));
+        if a != b {
+            self.parent[b] = a as u32;
+            self.flags[a] |= self.flags[b];
+        }
+    }
+
+    fn mark(&mut self, v: Vertex, flag: u8) {
+        let r = self.root(v);
+        self.flags[r] |= flag;
+    }
+
+    fn marked(&mut self, v: Vertex, flag: u8) -> bool {
+        let r = self.root(v);
+        self.flags[r] & flag != 0
+    }
+
+    /// Merges the orbits of the automorphisms recorded since the last call
+    /// that fix every vertex of `path`.
+    fn absorb(&mut self, automorphisms: &[Vec<Vertex>], path: &[Vertex]) {
+        for gamma in &automorphisms[self.seen..] {
+            if path.iter().all(|&p| gamma[p as usize] == p) {
+                for i in 0..self.cell.len() {
+                    let v = self.cell[i];
+                    self.union(v, gamma[v as usize]);
+                }
+            }
+        }
+        self.seen = automorphisms.len();
     }
 }
 
@@ -478,6 +672,58 @@ mod tests {
         assert!(f.complete);
         let r = relabel(&h, 99);
         assert_eq!(canonical_form_budgeted(&r, 500).bytes, f.bytes);
+    }
+
+    /// C_n(1, s) as a binary-edge hypergraph.
+    fn circulant(n: u32, s: u32) -> Hypergraph {
+        let edges = (0..n).flat_map(|i| [vec![i, (i + 1) % n], vec![i, (i + s) % n]]);
+        Hypergraph::new(n, edges.collect())
+    }
+
+    fn petersen() -> Hypergraph {
+        let edges = (0..5).flat_map(|i| {
+            [
+                vec![i, (i + 1) % 5],
+                vec![i, i + 5],
+                vec![5 + i, 5 + (i + 2) % 5],
+            ]
+        });
+        Hypergraph::new(10, edges.collect())
+    }
+
+    // Vertex-transitive graphs without twins: only automorphism pruning
+    // keeps the search from visiting every automorphic leaf. Without it
+    // they need 412, 6594 and 222 refinements.
+
+    #[test]
+    fn circulant_completes_within_100_refinements() {
+        assert!(canonical_form_budgeted(&circulant(10, 3), 100).complete);
+    }
+
+    #[test]
+    fn hypercube_completes_within_200_refinements() {
+        let h = Hypergraph::from_graph(&gen::hypercube(5));
+        assert!(canonical_form_budgeted(&h, 200).complete);
+    }
+
+    #[test]
+    fn petersen_completes_within_100_refinements() {
+        assert!(canonical_form_budgeted(&petersen(), 100).complete);
+    }
+
+    #[test]
+    fn bridge_25_completes_and_is_canonical() {
+        // without automorphism pruning it is still incomplete at 32768
+        let h = gen::bridge(25);
+        let f = canonical_form(&h);
+        assert!(f.complete);
+        for seed in 0..3 {
+            assert_eq!(
+                canonical_form(&relabel(&h, seed)).bytes,
+                f.bytes,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -123,6 +123,7 @@ fn truncation_at_random_kill_points_never_serves_corrupt_entries() {
         assert_eq!(again.stats().truncated, 0);
         assert_eq!(recovered_again.len(), whole_records_before_cut);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// After a truncating crash the next append must produce a clean log —
@@ -165,6 +166,8 @@ fn append_after_crash_recovery_produces_clean_log() {
         }
     );
     assert_eq!(recovered.len(), 2);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn http_metrics(addr: &str) -> String {
