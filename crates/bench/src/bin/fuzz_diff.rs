@@ -106,7 +106,6 @@ fn diff_config(smoke: bool, seed: u64) -> DiffConfig {
         time_limit: Some(Duration::from_millis(if smoke { 2_000 } else { 10_000 })),
         seed,
         portfolio_arm: !smoke,
-        dp_limit: 13,
         memory_budget: None,
     }
 }

@@ -19,6 +19,10 @@ use htd_search::{dp_treewidth, solve, Engine, Objective, Outcome, Problem, Searc
 use crate::oracle::{check_ghd, check_graph_td};
 use crate::report::{CheckReport, Condition};
 
+/// The Held–Karp DP arm runs for treewidth when the graph has at most this
+/// many vertices (the DP is `O(2ⁿ·n)`).
+const DP_LIMIT: u32 = 13;
+
 /// Budgets and arms of a differential run.
 #[derive(Clone, Debug)]
 pub struct DiffConfig {
@@ -31,9 +35,6 @@ pub struct DiffConfig {
     /// Also run a 2-thread anytime-portfolio arm (heuristics + searches
     /// against one incumbent) and cross-check it.
     pub portfolio_arm: bool,
-    /// Run the Held–Karp DP arm for treewidth when the graph has at most
-    /// this many vertices (the DP is `O(2ⁿ·n)`).
-    pub dp_limit: u32,
     /// Optional per-arm memory budget in bytes (docs/robustness.md). A
     /// starved arm degrades to its best-known bounds; the harness then
     /// treats its claims as bracketing-only, never as a truth anchor.
@@ -47,7 +48,6 @@ impl Default for DiffConfig {
             time_limit: None,
             seed: 1,
             portfolio_arm: true,
-            dp_limit: 13,
             memory_budget: None,
         }
     }
@@ -363,7 +363,7 @@ pub fn diff_tw(g: &Graph, cfg: &DiffConfig) -> CheckReport {
     let problem = Problem::treewidth(g.clone());
     let mut claims = Vec::new();
     run_engine_arms(&mut report, &mut claims, &problem, cfg);
-    if g.num_vertices() <= cfg.dp_limit && g.num_vertices() > 0 {
+    if g.num_vertices() <= DP_LIMIT && g.num_vertices() > 0 {
         let w = dp_treewidth(g);
         claims.push(Claim {
             name: "dp_tw",

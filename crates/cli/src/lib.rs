@@ -34,12 +34,14 @@
 //! structured JSONL event stream — schema v3 of `htd_trace`, documented in
 //! `docs/observability.md`). `--help` after a subcommand prints its usage.
 //!
-//! Instance files are read by their content: a `p tw` (PACE) or `p edge` /
-//! `p col` (DIMACS) header picks the graph parser whatever the extension.
-//! Headerless text goes by extension: `.gr`, `.col` and `.dimacs` to their
-//! graph parser, `.hg` to the strict HyperBench atom-list parser, anything
-//! else to the lenient (equivalent) plain hyperedge parser. `-` reads
-//! stdin.
+//! Instance files go through `htd_hypergraph::io::read`, the reader the
+//! service uses too. The content decides first: a `p tw` (PACE) or
+//! `p edge` / `p col` (DIMACS) header picks the graph parser whatever the
+//! extension. Headerless text goes by extension: `.gr`, `.col` and
+//! `.dimacs` to their graph parser, anything else to the HyperBench
+//! atom-list parser. `-` reads stdin. A repeated header in a `.gr`, `.col`
+//! or `.csp` file, and an atom list with no atoms, are parse errors
+//! whatever the file name, stdin included.
 //!
 //! Errors never panic: every failure is an [`HtdError`], and the binary
 //! maps the variant to a distinct nonzero exit code (parse → 2,
@@ -55,69 +57,20 @@ use htd_check::Certificate;
 use htd_core::bucket::{td_of_hypergraph, vertex_elimination};
 use htd_core::ordering::EliminationOrdering;
 use htd_core::{dot, pace, CoverStrategy, HtdError, Json};
-use htd_hypergraph::{gen, io, Graph, Hypergraph};
+use htd_hypergraph::gen;
+use htd_hypergraph::io::{self, Instance};
 use htd_query::{parse_query, Answer, AnswerMode, AnswerOptions, FileAccess, Query};
 use htd_resilience::MemoryBudget;
 use htd_search::{dp_treewidth_budgeted, solve, Engine, Objective, Outcome, Problem, SearchConfig};
-use htd_service::{Client, InstanceFormat, ServeOptions, Status};
+use htd_service::{Client, ServeOptions, Status};
 use htd_trace::{JsonlSink, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A parsed instance: graphs become hypergraphs of binary edges, keeping
-/// the original graph when available.
-pub enum Instance {
-    /// A simple graph (from a PACE or DIMACS file).
-    Graph(Graph),
-    /// A hypergraph (from the hyperedge format).
-    Hypergraph(Hypergraph),
-}
-
-impl Instance {
-    /// The instance as a hypergraph (graphs become binary hyperedges).
-    pub fn hypergraph(&self) -> Hypergraph {
-        match self {
-            Instance::Graph(g) => Hypergraph::from_graph(g),
-            Instance::Hypergraph(h) => h.clone(),
-        }
-    }
-
-    /// The instance's primal graph.
-    pub fn graph(&self) -> Graph {
-        match self {
-            Instance::Graph(g) => g.clone(),
-            Instance::Hypergraph(h) => h.primal_graph(),
-        }
-    }
-}
-
-/// The format of instance `text` named `name`, as [`parse_instance`]
-/// describes: the content's header first, then the extension.
-fn instance_format(name: &str, text: &str) -> io::Format {
-    match io::sniff_format(text) {
-        io::Format::Hyperedges if name.ends_with(".gr") => io::Format::PaceGr,
-        io::Format::Hyperedges if name.ends_with(".col") || name.ends_with(".dimacs") => {
-            io::Format::Dimacs
-        }
-        sniffed => sniffed,
-    }
-}
-
-/// Parses instance `text`. A graph header (`p tw`, `p edge`, `p col`)
-/// picks the graph parser whatever `name`'s extension says; headerless
-/// text goes by extension: `.gr`, `.col` and `.dimacs` to their graph
-/// parser, `.hg` to the strict HyperBench parser, anything else to the
-/// lenient hyperedge parser.
+/// Parses instance `text` named `name` with [`io::read`], in the format
+/// [`io::Format::of`] reads from the content and the name.
 pub fn parse_instance(name: &str, text: &str) -> Result<Instance, HtdError> {
-    let parsed = match instance_format(name, text) {
-        io::Format::PaceGr => io::parse_pace_gr(text).map(Instance::Graph),
-        io::Format::Dimacs => io::parse_dimacs(text).map(Instance::Graph),
-        io::Format::Hyperedges if name.ends_with(".hg") => {
-            io::parse_hg(text).map(Instance::Hypergraph)
-        }
-        io::Format::Hyperedges => io::parse_hyperedges(text).map(Instance::Hypergraph),
-    };
-    parsed.map_err(|e| HtdError::Parse(e.to_string()))
+    io::read(io::Format::of(name, text), text).map_err(|e| HtdError::Parse(e.to_string()))
 }
 
 /// Output format of the width subcommands.
@@ -285,7 +238,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, HtdError> {
                 })?;
                 o.engines = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--exact" => o.fast = false, // historical default, kept as a no-op
             "--quiet" | "-q" => o.quiet = true,
             "--budget" => o.budget = numeric(&mut it, "--budget")?,
             "--time" => {
@@ -615,12 +567,13 @@ pub fn cmd_check(text: &str, o: &Options) -> Result<String, HtdError> {
 /// Builds the [`AnswerOptions`] shared by `htd solve` and `htd answer`:
 /// `--engines`, `--trace`, `--threads`, `--time`, `--seed` flow through
 /// [`Options::search_config`]; `--memory-mb` becomes a refusal budget on
-/// the evaluation. When the user asked for no instrumentation and no
-/// explicit lineup, the decomposition search is pinned to the heuristic
-/// engine so the default path stays a single min-fill pass.
+/// the evaluation. Without `--threads N > 1`, `--engines` or `--fast`
+/// the decomposition search is pinned to the heuristic engine, so the
+/// default path stays a single min-fill pass; `--trace` observes that
+/// same lineup and never changes it.
 fn answer_options(o: &Options, mode: AnswerMode, limit: u64) -> Result<AnswerOptions, HtdError> {
     let mut search = o.search_config()?;
-    if o.trace.is_none() && o.threads <= 1 && o.engines.is_none() && !o.fast {
+    if o.threads <= 1 && o.engines.is_none() && !o.fast {
         search = search.with_engines(vec![Engine::Heuristic]);
     }
     Ok(AnswerOptions {
@@ -819,7 +772,7 @@ pub fn cmd_gen(name: &str) -> Result<String, HtdError> {
         return Ok(io::write_dimacs(&g));
     }
     if let Some(h) = gen::named_hypergraph(name) {
-        return Ok(io::write_hyperedges(&h));
+        return Ok(io::write_hg(&h));
     }
     Err(HtdError::Unsupported(format!(
         "unknown instance name {name}"
@@ -913,12 +866,14 @@ pub fn cmd_query(file: &str, text: &str, o: &Options) -> Result<String, HtdError
             )))
         }
     };
-    let format: InstanceFormat = instance_format(file, text).into();
+    // a file the server would refuse fails here, reachable server or not
+    let format = io::Format::of(file, text);
+    io::read(format, text).map_err(|e| HtdError::Parse(e.to_string()))?;
     let deadline_ms = o.time_limit.map(|t| (t.as_millis() as u64).max(1));
     let mut client = Client::connect(addr).map_err(|e| HtdError::Io(format!("{addr}: {e}")))?;
     // backpressure rejections retry with jittered exponential backoff
     // seeded from --seed, honoring the server's retry_after_ms hint
-    let r = client.solve_with_retry(objective, format, text, deadline_ms, 4, o.seed)?;
+    let r = client.solve_with_retry(objective, format.into(), text, deadline_ms, 4, o.seed)?;
     match r.status {
         Status::Ok => {
             let outcome = r
@@ -1011,11 +966,12 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
         "solve" => Some("usage: htd solve <file.csp|-> [--count] [--all N] [--seed N] [--threads N] [--engines NAME[,NAME...]] [--memory-mb N] [--trace FILE]\n\
             Solves a CSP through a tree decomposition (join-tree clustering),\n\
             routed through the same answering pipeline as `htd answer` with\n\
-            the trivial head keeping every variable. With --trace,\n\
-            --threads N > 1 or --engines the clustering ordering comes from\n\
-            the instrumented anytime portfolio and FILE receives the\n\
-            solver's JSONL event stream; --memory-mb refuses (exit 6) when\n\
-            the join-tree materialization estimate exceeds the budget."),
+            the trivial head keeping every variable. With --threads N > 1\n\
+            or --engines the clustering ordering comes from the anytime\n\
+            portfolio, otherwise from one min-fill pass; --trace FILE\n\
+            receives the solver's JSONL event stream of that same lineup;\n\
+            --memory-mb refuses (exit 6) when the join-tree\n\
+            materialization estimate exceeds the budget."),
         "answer" => Some("usage: htd answer <file.cq|-> [--mode bool|count|enum] [--count] [--limit N] [--time MS] [--memory-mb N] [--engines NAME[,NAME...]] [--threads N] [--trace FILE] [--addr HOST:PORT] [--format human|json] [--quiet]\n\
             Answers a conjunctive query: a Datalog-style rule\n\
             `Q(x,y) :- R(x,z), S(z,y).` followed by its relations (inline\n\
@@ -1235,6 +1191,7 @@ pub fn exit_code(e: &HtdError) -> i32 {
 mod tests {
     use super::*;
     use htd_core::Json;
+    use htd_hypergraph::Hypergraph;
 
     fn graph_text() -> &'static str {
         "p tw 4 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -1493,7 +1450,7 @@ mod tests {
         assert!(out.starts_with("p edge 25"));
         let out = cmd_gen("adder_3").unwrap();
         assert!(out.contains("xor1_1"));
-        assert!(htd_hypergraph::io::parse_hyperedges(&out).is_ok());
+        assert!(io::parse_hg(&out).is_ok());
         assert!(cmd_gen("nope").is_err());
     }
 

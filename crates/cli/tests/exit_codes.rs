@@ -33,15 +33,30 @@ fn success_is_exit_zero() {
 fn parse_error_is_exit_two() {
     let names: Vec<String> = (0..=16_384).map(|v| format!("v{v}")).collect();
     let wide_hg = format!("e1({}).\n", names.join(","));
-    // an .hg file without atoms (what `htd gen nosuchname > x.hg` leaves
-    // behind) is no instance, not one of width 0; an instance over the
-    // 16384-vertex cap is refused before anything is allocated for it,
-    // also as a certificate's instance; a number too wide for its 32-bit
-    // field is refused, not truncated
+    // an atom list without atoms (what `htd gen nosuchname > x` leaves
+    // behind) is no instance, not one of width 0, whatever the file is
+    // called; a second header would restart a graph or a CSP and drop what
+    // came before it; an instance over the 16384-vertex cap is refused
+    // before anything is allocated for it, also as a CSP or a
+    // certificate's instance; a number too wide for its 32-bit field is
+    // refused, not truncated
     for (name, text, cmd) in [
         ("bad.gr", "p tw not-a-number\n", "tw"),
         ("empty.hg", "", "ghw"),
         ("comments.hg", "% only a comment\n\n", "ghw"),
+        ("empty.txt", "", "tw"),
+        ("comments.hyper", "% only a comment\n\n", "ghw"),
+        (
+            "two_headers.col",
+            "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\np edge 2 1\ne 1 2\n",
+            "tw",
+        ),
+        (
+            "two_headers.csp",
+            "csp 2 2\ncon a 0 : 0 ;\ncon b 0 : 1 ;\ncsp 2 2\n",
+            "solve",
+        ),
+        ("huge.csp", "csp 16385 2\n", "solve"),
         ("huge.gr", "p tw 4294967295 0\n", "info"),
         ("huge.col", "p edge 4294967295 0\n", "tw"),
         ("wide.hg", wide_hg.as_str(), "ghw"),
@@ -80,9 +95,9 @@ fn gen_output_is_read_by_its_content_whatever_the_extension() {
     let _ = std::fs::remove_file(file);
 }
 
-/// Every file-reading subcommand on an empty file, on its own format cut
-/// at a line boundary, and on another subcommand's format: each exits
-/// with its documented code and never panics (101).
+/// Every file-reading subcommand on an empty file, on an empty stdin, on
+/// its own format cut at a line boundary, and on another subcommand's
+/// format: each exits with its documented code and never panics (101).
 #[test]
 fn bad_inputs_exit_with_their_documented_codes() {
     let graph = ("g.gr", "p tw 4 4\n1 2\n2 3\n3 4\n4 1\n");
@@ -131,6 +146,9 @@ fn bad_inputs_exit_with_their_documented_codes() {
             assert_eq!(out.status.code(), Some(code), "{cmd} on {label}: {out:?}");
             let _ = std::fs::remove_file(file);
         }
+        // `output()` gives the child an empty stdin
+        let out = htd(&[cmd, "-"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd} on empty stdin: {out:?}");
     }
 }
 
@@ -283,6 +301,39 @@ fn trace_flag_writes_a_schema_valid_event_stream() {
     assert!(lines >= 2, "stream must at least bracket the solve");
     assert!(improvements >= 1, "no incumbent_improved event in stream");
 
+    let _ = std::fs::remove_file(file);
+    let _ = std::fs::remove_file(trace);
+}
+
+/// `--trace` observes the lineup a local answer runs and never changes
+/// it: without `--threads`, `--engines` or `--fast` that is one
+/// heuristic worker, traced or not.
+#[test]
+fn a_traced_local_answer_runs_the_untraced_lineup() {
+    use htd_core::json::Json;
+    let file = write_temp(
+        "traced.cq",
+        "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .\n",
+    );
+    let trace = std::env::temp_dir().join(format!(
+        "htd-exit-{}-answer-trace.jsonl",
+        std::process::id()
+    ));
+    let out = htd(&[
+        "answer",
+        file.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let started: Vec<String> = text
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .filter(|rec| rec.get("kind").and_then(Json::as_str) == Some("worker_started"))
+        .filter_map(|rec| rec.get("worker").and_then(Json::as_str).map(str::to_string))
+        .collect();
+    assert_eq!(started, ["heuristic"], "{text}");
     let _ = std::fs::remove_file(file);
     let _ = std::fs::remove_file(trace);
 }

@@ -9,7 +9,7 @@
 use htd_hypergraph::{EdgeId, Graph, Hypergraph, VertexSet};
 
 use crate::ghd::GeneralizedHypertreeDecomposition;
-use crate::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator};
+use crate::ordering::{CoverStrategy, EliminationOrdering};
 use crate::tree_decomposition::TreeDecomposition;
 
 /// Vertex elimination on a simple graph: eliminates vertices in order,
@@ -94,10 +94,9 @@ pub fn cover_decomposition(
     td: &TreeDecomposition,
     strategy: CoverStrategy,
 ) -> Option<GeneralizedHypertreeDecomposition> {
-    let mut ev = GhwEvaluator::new(h, strategy);
     let mut lambda: Vec<Vec<EdgeId>> = Vec::with_capacity(td.num_nodes());
     for p in 0..td.num_nodes() {
-        lambda.push(cover_bag_edges(h, &mut ev, td.bag(p))?);
+        lambda.push(cover_bag_edges(h, strategy, td.bag(p))?);
     }
     Some(GeneralizedHypertreeDecomposition::new(td.clone(), lambda))
 }
@@ -127,9 +126,12 @@ pub fn ghd_via_elimination(
 }
 
 /// Covers one bag and returns the chosen edge ids (not just the count).
-fn cover_bag_edges(h: &Hypergraph, ev: &mut GhwEvaluator, bag: &VertexSet) -> Option<Vec<EdgeId>> {
-    // GhwEvaluator yields sizes; for the labels we re-run a greedy/exact
-    // cover over the candidate edges here. Candidates: edges touching bag.
+fn cover_bag_edges(
+    h: &Hypergraph,
+    strategy: CoverStrategy,
+    bag: &VertexSet,
+) -> Option<Vec<EdgeId>> {
+    // candidates: the edges touching the bag
     let mut cands: Vec<EdgeId> = Vec::new();
     let mut seen = vec![false; h.num_edges() as usize];
     for v in bag.iter() {
@@ -141,7 +143,7 @@ fn cover_bag_edges(h: &Hypergraph, ev: &mut GhwEvaluator, bag: &VertexSet) -> Op
         }
     }
     let cand_scopes: Vec<VertexSet> = cands.iter().map(|&e| h.edge(e).clone()).collect();
-    let chosen = match ev.strategy() {
+    let chosen = match strategy {
         CoverStrategy::Greedy => htd_setcover::greedy_cover(bag, &cand_scopes)?,
         CoverStrategy::Exact => match htd_setcover::ExactCover::new(&cand_scopes).cover(bag) {
             htd_setcover::exact::CoverResult::Optimal(c)
@@ -171,6 +173,7 @@ pub fn td_of_hypergraph(h: &Hypergraph, order: &EliminationOrdering) -> TreeDeco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::GhwEvaluator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -263,16 +263,6 @@ impl GhwEvaluator {
         ev
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> CoverStrategy {
-        self.strategy
-    }
-
-    /// The shared cover cache, if one was attached.
-    pub fn cache(&self) -> Option<&Arc<CoverCache>> {
-        self.cache.as_ref()
-    }
-
     /// The width of `order`: `max` over produced bags of the bag's cover
     /// size. With [`CoverStrategy::Exact`] this is `width(σ, H)` of
     /// Definition 17, whose minimum over all orderings is exactly

@@ -9,9 +9,12 @@
 //! ```
 //!
 //! `con <name> <vars…> : <tuple> ; <tuple> ; …` — each tuple lists one
-//! value per scope variable.
+//! value per scope variable. The `csp` header comes once and declares at
+//! most [`MAX_VERTICES`] variables, the instance readers' vertex cap.
 
 use std::fmt::Write as _;
+
+use htd_hypergraph::io::MAX_VERTICES;
 
 use crate::model::{Constraint, Csp};
 
@@ -53,6 +56,11 @@ pub fn parse_csp(text: &str) -> Result<Csp, CspParseError> {
         let mut it = line.split_whitespace();
         match it.next() {
             Some("csp") => {
+                // a second header would restart the CSP and drop every
+                // constraint before it
+                if csp.is_some() {
+                    return Err(CspParseError::BadLine(line.into()));
+                }
                 let n: u32 = it
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -61,6 +69,12 @@ pub fn parse_csp(text: &str) -> Result<Csp, CspParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(CspParseError::MissingHeader)?;
+                // refused before a name is allocated per variable
+                if n > MAX_VERTICES {
+                    return Err(CspParseError::OutOfRange(format!(
+                        "{n} variables, more than the {MAX_VERTICES} accepted"
+                    )));
+                }
                 csp = Some(Csp::uniform(n, d));
             }
             Some("dom") => {
@@ -223,6 +237,29 @@ mod tests {
             parse_csp("csp 2 2\nwat\n"),
             Err(CspParseError::BadLine(_))
         ));
+    }
+
+    #[test]
+    fn a_second_header_is_refused() {
+        // it would restart the CSP and drop the two contradicting
+        // constraints, leaving 4 solutions of an unsatisfiable CSP
+        let text = "csp 2 2\ncon a 0 : 0 ;\ncon b 0 : 1 ;\ncsp 2 2\n";
+        assert_eq!(
+            parse_csp(text).unwrap_err(),
+            CspParseError::BadLine("csp 2 2".into())
+        );
+    }
+
+    #[test]
+    fn too_many_variables_are_refused_before_allocating() {
+        let over = MAX_VERTICES + 1;
+        for n in [over, 100_000] {
+            let err = parse_csp(&format!("csp {n} 2\n")).unwrap_err();
+            assert!(matches!(err, CspParseError::OutOfRange(_)), "{err:?}");
+            assert!(err.to_string().contains(&n.to_string()), "{err}");
+        }
+        let at_cap = parse_csp(&format!("csp {MAX_VERTICES} 2\n")).unwrap();
+        assert_eq!(at_cap.num_vars(), MAX_VERTICES);
     }
 
     #[test]

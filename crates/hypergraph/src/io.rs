@@ -1,16 +1,18 @@
 //! Instance parsers and writers.
 //!
-//! Two formats cover the literature the reproduced experiments draw on:
+//! Three formats cover the literature the reproduced experiments draw on:
 //!
 //! * **DIMACS graph coloring** (`.col`): `p edge n m` header, `e u v` lines,
 //!   1-based vertices — the format of the Second DIMACS challenge instances
 //!   used in chapters 5–6 of the thesis.
-//! * **Hyperedge format** used by the CSP hypergraph library and the
-//!   `detkdecomp`/HyperBench tools: a list of atoms
-//!   `name(v1,v2,...),` terminated by `.`, `%`-comments. [`parse_hg`]
-//!   is the strict HyperBench `.hg` entry point on top of it (unique edge
-//!   names, non-empty scopes), so the public corpus can be ingested
-//!   directly by the CLI and the decomposition service.
+//! * **PACE** (`.gr`): `p tw n m` header and exactly `m` bare `u v` lines.
+//! * **HyperBench atom lists** (`.hg`), also used by the CSP hypergraph
+//!   library and `detkdecomp`: atoms `name(v1,v2,...),` terminated by `.`,
+//!   `%`-comments.
+//!
+//! [`read`] is the one way from instance text to an [`Instance`]: the CLI
+//! and the decomposition service both call it, with the [`Format`] that
+//! [`Format::of`] reads from the content and the file name.
 
 use std::fmt::Write as _;
 
@@ -47,7 +49,8 @@ pub fn check_size(vertices: u64, edges: u64) -> Result<(), ParseError> {
 /// Errors produced by the parsers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The DIMACS `p edge n m` header is missing or malformed.
+    /// The `p tw n m` (PACE) or `p edge n m` (DIMACS) header is missing
+    /// or malformed.
     MissingHeader,
     /// A line could not be interpreted.
     BadLine(String),
@@ -82,7 +85,7 @@ pub enum ParseError {
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseError::MissingHeader => write!(f, "missing or malformed 'p edge n m' header"),
+            ParseError::MissingHeader => write!(f, "missing or malformed 'p tw|edge n m' header"),
             ParseError::BadLine(l) => write!(f, "unparseable line: {l:?}"),
             ParseError::VertexOutOfRange(v) => write!(f, "vertex out of range: {v}"),
             ParseError::NoAtoms => write!(f, "no atoms: the input is empty or only comments"),
@@ -111,67 +114,137 @@ pub enum Format {
     PaceGr,
     /// DIMACS graph colouring: a `p edge n m` or `p col n m` header.
     Dimacs,
-    /// The hyperedge (atom list) format: no header.
+    /// The HyperBench atom list: no header.
     Hyperedges,
 }
 
-/// Reads the format from the content. The first line that is neither
-/// blank nor a `c` or `%` comment decides: a `p tw` header means PACE, a
-/// `p edge` or `p col` header DIMACS, and anything else hyperedges.
-pub fn sniff_format(text: &str) -> Format {
-    let first = text
-        .lines()
-        .map(str::trim)
-        .find(|t| !(t.is_empty() || t.starts_with('%') || t.starts_with('c')));
-    match first {
-        Some(t) if t.starts_with("p tw") => Format::PaceGr,
-        Some(t) if t.starts_with("p edge") || t.starts_with("p col") => Format::Dimacs,
-        _ => Format::Hyperedges,
+impl Format {
+    /// The format of instance `text` named `name` (empty when the text
+    /// has no name). The content decides first: the first line that is
+    /// neither blank nor a `c` or `%` comment is a `p tw` header for PACE,
+    /// a `p edge` or `p col` header for DIMACS, whatever the name says.
+    /// Headerless text goes by extension: `.gr` to PACE and `.col` or
+    /// `.dimacs` to DIMACS, which then report the missing header; anything
+    /// else, stdin (`-`) included, is an atom list.
+    pub fn of(name: &str, text: &str) -> Format {
+        let first = text
+            .lines()
+            .map(str::trim)
+            .find(|t| !(t.is_empty() || t.starts_with('%') || t.starts_with('c')));
+        match first {
+            Some(t) if t.starts_with("p tw") => Format::PaceGr,
+            Some(t) if t.starts_with("p edge") || t.starts_with("p col") => Format::Dimacs,
+            _ if name.ends_with(".gr") => Format::PaceGr,
+            _ if name.ends_with(".col") || name.ends_with(".dimacs") => Format::Dimacs,
+            _ => Format::Hyperedges,
+        }
+    }
+}
+
+/// An instance read by [`read`]: a graph format keeps its graph, an atom
+/// list is a hypergraph.
+#[derive(Debug)]
+pub enum Instance {
+    /// A simple graph (from a PACE or DIMACS file).
+    Graph(Graph),
+    /// A hypergraph (from an atom list).
+    Hypergraph(Hypergraph),
+}
+
+impl Instance {
+    /// The instance as a hypergraph (graphs become binary hyperedges).
+    pub fn hypergraph(&self) -> Hypergraph {
+        match self {
+            Instance::Graph(g) => Hypergraph::from_graph(g),
+            Instance::Hypergraph(h) => h.clone(),
+        }
+    }
+
+    /// The instance's primal graph.
+    pub fn graph(&self) -> Graph {
+        match self {
+            Instance::Graph(g) => g.clone(),
+            Instance::Hypergraph(h) => h.primal_graph(),
+        }
+    }
+}
+
+/// Reads instance `text` in `format`: [`parse_pace_gr`], [`parse_dimacs`]
+/// or [`parse_hg`].
+pub fn read(format: Format, text: &str) -> Result<Instance, ParseError> {
+    match format {
+        Format::PaceGr => parse_pace_gr(text).map(Instance::Graph),
+        Format::Dimacs => parse_dimacs(text).map(Instance::Graph),
+        Format::Hyperedges => parse_hg(text).map(Instance::Hypergraph),
     }
 }
 
 /// Parses a DIMACS graph-coloring instance.
 ///
-/// Accepts `c` comment lines, a `p edge n m` (or `p col n m`) header and
+/// Accepts `c` comment lines, one `p edge n m` (or `p col n m`) header and
 /// `e u v` edge lines with 1-based endpoints. The declared edge count is not
 /// enforced (many published instances get it wrong).
 pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
-    let mut graph: Option<Graph> = None;
-    for line in text.lines() {
-        let line = line.trim();
+    parse_graph(text, false)
+}
+
+/// Parses a PACE-challenge graph (`.gr`): one `p tw n m` header and bare
+/// `u v` edge lines, 1-based, `c` comments. The file must hold exactly `m`
+/// edge lines, so a file cut at a line boundary is an error, not a
+/// smaller graph.
+pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
+    parse_graph(text, true)
+}
+
+/// The graph loop of both dialects, which differ in two things: DIMACS
+/// edge lines start with `e`, and a `pace` file must hold exactly the `m`
+/// edge lines its header declares. A second header is refused in both,
+/// since it would restart the graph and drop every edge before it.
+fn parse_graph(text: &str, pace: bool) -> Result<Graph, ParseError> {
+    let mut graph: Option<(Graph, Option<usize>)> = None;
+    let mut found = 0usize;
+    for line in text.lines().map(str::trim) {
         if line.is_empty() || line.starts_with('c') {
             continue;
         }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("p") => {
-                let _format = it.next().ok_or(ParseError::MissingHeader)?;
-                let n = header_vertices(it.next())?;
-                graph = Some(Graph::new(n));
+        let bad = || ParseError::BadLine(line.to_string());
+        let mut it = line.split_whitespace().peekable();
+        if it.next_if_eq(&"p").is_some() {
+            if graph.is_some() {
+                return Err(bad());
             }
-            Some("e") => {
-                let g = graph.as_mut().ok_or(ParseError::MissingHeader)?;
-                let u: u32 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| ParseError::BadLine(line.to_string()))?;
-                let v: u32 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| ParseError::BadLine(line.to_string()))?;
-                let n = g.num_vertices();
-                if u == 0 || v == 0 || u > n || v > n {
-                    return Err(ParseError::VertexOutOfRange(format!("{u} or {v}")));
-                }
-                g.add_edge(u - 1, v - 1);
+            it.next().ok_or(ParseError::MissingHeader)?;
+            let n = header_vertices(it.next())?;
+            let m = it.next().and_then(|s| s.parse().ok());
+            if pace && m.is_none() {
+                return Err(ParseError::MissingHeader);
             }
-            Some(_) => return Err(ParseError::BadLine(line.to_string())),
-            None => {}
+            graph = Some((Graph::new(n), m));
+            continue;
+        }
+        if !pace && it.next() != Some("e") {
+            return Err(bad());
+        }
+        let (g, _) = graph.as_mut().ok_or(ParseError::MissingHeader)?;
+        let mut endpoint = || it.next().and_then(|s| s.parse().ok()).ok_or_else(bad);
+        let (u, v): (u32, u32) = (endpoint()?, endpoint()?);
+        let n = g.num_vertices();
+        if u == 0 || v == 0 || u > n || v > n {
+            return Err(ParseError::VertexOutOfRange(format!("{u} or {v}")));
+        }
+        g.add_edge(u - 1, v - 1);
+        found += 1;
+    }
+    let (g, declared) = graph.ok_or(ParseError::MissingHeader)?;
+    match declared {
+        Some(declared) if pace && declared != found => {
+            Err(ParseError::EdgeCount { declared, found })
+        }
+        _ => {
+            check_size(u64::from(g.num_vertices()), g.num_edges() as u64)?;
+            Ok(g)
         }
     }
-    let g = graph.ok_or(ParseError::MissingHeader)?;
-    check_size(u64::from(g.num_vertices()), g.num_edges() as u64)?;
-    Ok(g)
 }
 
 /// The `n` of a `p … n m` header, refused above [`MAX_VERTICES`] before
@@ -194,60 +267,6 @@ pub fn write_dimacs(g: &Graph) -> String {
     out
 }
 
-/// Parses a PACE-challenge graph (`.gr`): `p tw n m` header and bare
-/// `u v` edge lines, 1-based, `c` comments. The file must hold exactly `m`
-/// edge lines, so a file cut at a line boundary is an error, not a
-/// smaller graph.
-pub fn parse_pace_gr(text: &str) -> Result<Graph, ParseError> {
-    let mut graph: Option<(Graph, usize)> = None;
-    let mut found = 0usize;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("p ") {
-            // a second header would restart the graph but not the count
-            if graph.is_some() {
-                return Err(ParseError::BadLine(line.to_string()));
-            }
-            let mut it = rest.split_whitespace();
-            let _tw = it.next().ok_or(ParseError::MissingHeader)?;
-            let n = header_vertices(it.next())?;
-            let m: usize = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(ParseError::MissingHeader)?;
-            graph = Some((Graph::new(n), m));
-            continue;
-        }
-        let (g, _) = graph.as_mut().ok_or(ParseError::MissingHeader)?;
-        let mut it = line.split_whitespace();
-        let u: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseError::BadLine(line.to_string()))?;
-        let v: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseError::BadLine(line.to_string()))?;
-        let n = g.num_vertices();
-        if u == 0 || v == 0 || u > n || v > n {
-            return Err(ParseError::VertexOutOfRange(format!("{u} or {v}")));
-        }
-        g.add_edge(u - 1, v - 1);
-        found += 1;
-    }
-    match graph {
-        None => Err(ParseError::MissingHeader),
-        Some((_, declared)) if declared != found => Err(ParseError::EdgeCount { declared, found }),
-        Some((g, _)) => {
-            check_size(u64::from(g.num_vertices()), g.num_edges() as u64)?;
-            Ok(g)
-        }
-    }
-}
-
 /// Writes a graph in PACE `.gr` format.
 pub fn write_pace_gr(g: &Graph) -> String {
     let mut out = String::new();
@@ -258,7 +277,7 @@ pub fn write_pace_gr(g: &Graph) -> String {
     out
 }
 
-/// Parses the hyperedge (atom list) format:
+/// Parses a HyperBench `.hg` hypergraph: an atom list
 ///
 /// ```text
 /// % comment
@@ -267,8 +286,20 @@ pub fn write_pace_gr(g: &Graph) -> String {
 /// e3(d, a).
 /// ```
 ///
-/// Vertex names are interned in order of first appearance.
-pub fn parse_hyperedges(text: &str) -> Result<Hypergraph, ParseError> {
+/// with one or more atoms per line, `,`-separated, an optional final `.`
+/// and `%` comments, as the public HyperBench corpus (Fischl et al.,
+/// arXiv:1811.08181) ships them. Vertex names are interned in order of
+/// first appearance. The corpus's contract holds:
+///
+/// * every atom must have a **non-empty scope** (a relation with no
+///   attributes has no place in a hypergraph);
+/// * **edge names must be unique** — duplicates almost always mean two
+///   instance files were concatenated, and silently merging them would
+///   corrupt every downstream width;
+/// * there must be **at least one atom** — an empty or comment-only file
+///   (say, what a failed `htd gen` redirect leaves behind) is not an
+///   instance, and solving it would report a width of 0.
+pub fn parse_hg(text: &str) -> Result<Hypergraph, ParseError> {
     // Strip comments, then split the stream into `name(args)` atoms.
     let mut cleaned = String::with_capacity(text.len());
     for line in text.lines() {
@@ -324,56 +355,25 @@ pub fn parse_hyperedges(text: &str) -> Result<Hypergraph, ParseError> {
             .collect();
         check_size(names.len() as u64, edges.len() as u64)?;
     }
-    Ok(Hypergraph::from_named_edges(&edges))
-}
-
-/// Parses a HyperBench `.hg` hypergraph.
-///
-/// The public HyperBench corpus (Fischl et al., arXiv:1811.08181) ships
-/// hypergraphs as atom lists in exactly the `name(v1,v2,...)` shape of
-/// [`parse_hyperedges`], one or more atoms per line, `,`-separated with an
-/// optional final `.`, `%` comments. This entry point adds the corpus's
-/// stricter contract on top of the tolerant generic parser:
-///
-/// * every atom must have a **non-empty scope** (a relation with no
-///   attributes has no place in a hypergraph);
-/// * **edge names must be unique** — duplicates almost always mean two
-///   instance files were concatenated, and silently merging them would
-///   corrupt every downstream width;
-/// * there must be **at least one atom** — an empty or comment-only file
-///   (say, what a failed `htd gen` redirect leaves behind) is not an
-///   instance, and solving it would report a width of 0.
-pub fn parse_hg(text: &str) -> Result<Hypergraph, ParseError> {
-    let h = parse_hyperedges(text)?;
-    if h.num_edges() == 0 {
+    if edges.is_empty() {
         return Err(ParseError::NoAtoms);
     }
     let mut seen = std::collections::HashSet::new();
-    for e in 0..h.num_edges() {
-        if h.edge(e).is_empty() {
+    for (name, scope) in &edges {
+        if scope.is_empty() {
             return Err(ParseError::BadLine(format!(
-                "edge '{}' has an empty scope",
-                h.edge_name(e)
+                "edge '{name}' has an empty scope"
             )));
         }
-        if !seen.insert(h.edge_name(e).to_string()) {
-            return Err(ParseError::BadLine(format!(
-                "duplicate edge name '{}'",
-                h.edge_name(e)
-            )));
+        if !seen.insert(name.as_str()) {
+            return Err(ParseError::BadLine(format!("duplicate edge name '{name}'")));
         }
     }
-    Ok(h)
+    Ok(Hypergraph::from_named_edges(&edges))
 }
 
-/// Writes a hypergraph in HyperBench `.hg` form (alias of
-/// [`write_hyperedges`]; the formats coincide on output).
+/// Writes a hypergraph as a HyperBench `.hg` atom list.
 pub fn write_hg(h: &Hypergraph) -> String {
-    write_hyperedges(h)
-}
-
-/// Writes a hypergraph in the hyperedge (atom list) format.
-pub fn write_hyperedges(h: &Hypergraph) -> String {
     let mut out = String::new();
     let m = h.num_edges();
     for e in 0..m {
@@ -501,6 +501,21 @@ mod tests {
     }
 
     #[test]
+    fn dimacs_refuses_a_second_header() {
+        // a second header would restart the graph, drop the triangle
+        // before it and read the instance as one edge, width 1
+        let text = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\np edge 2 1\ne 1 2\n";
+        assert_eq!(
+            parse_dimacs(text).unwrap_err(),
+            ParseError::BadLine("p edge 2 1".into())
+        );
+        assert_eq!(
+            parse_dimacs("p col 3 1\ne 1 2\np col 3 1\n").unwrap_err(),
+            ParseError::BadLine("p col 3 1".into())
+        );
+    }
+
+    #[test]
     fn pace_gr_roundtrip() {
         let text = "c comment\np tw 4 3\n1 2\n2 3\n3 4\n";
         let g = parse_pace_gr(text).unwrap();
@@ -543,27 +558,31 @@ mod tests {
     }
 
     #[test]
-    fn sniff_format_reads_the_first_header() {
-        for (text, want) in [
-            ("c comment\np tw 2 1\n1 2\n", Format::PaceGr),
-            ("p edge 2 1\ne 1 2\n", Format::Dimacs),
-            ("\n% note\np col 2 0\n", Format::Dimacs),
-            ("e1(a,b),\ne2(b,c).\n", Format::Hyperedges),
-            ("", Format::Hyperedges),
+    fn format_reads_the_header_then_the_extension() {
+        for (name, text, want) in [
+            ("x.hg", "c comment\np tw 2 1\n1 2\n", Format::PaceGr),
+            ("-", "p edge 2 1\ne 1 2\n", Format::Dimacs),
+            ("x.gr", "\n% note\np col 2 0\n", Format::Dimacs),
+            ("x.gr", "e1(a,b),\ne2(b,c).\n", Format::PaceGr),
+            ("x.col", "", Format::Dimacs),
+            ("x.dimacs", "1 2\n", Format::Dimacs),
+            ("x.hg", "e1(a,b),\ne2(b,c).\n", Format::Hyperedges),
+            ("x.txt", "", Format::Hyperedges),
+            ("-", "", Format::Hyperedges),
         ] {
-            assert_eq!(sniff_format(text), want, "{text:?}");
+            assert_eq!(Format::of(name, text), want, "{name} {text:?}");
         }
     }
 
     #[test]
     fn hyperedges_roundtrip() {
         let text = "% library instance\nf1(a,b,c),\nf2(c,d),\nf3(d,a).\n";
-        let h = parse_hyperedges(text).unwrap();
+        let h = parse_hg(text).unwrap();
         assert_eq!(h.num_vertices(), 4);
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.edge_name(0), "f1");
         assert_eq!(h.vertex_name(3), "d");
-        let again = parse_hyperedges(&write_hyperedges(&h)).unwrap();
+        let again = parse_hg(&write_hg(&h)).unwrap();
         assert_eq!(again.num_vertices(), 4);
         assert_eq!(again.num_edges(), 3);
         assert_eq!(again.edge(1).len(), 2);
@@ -572,7 +591,7 @@ mod tests {
     #[test]
     fn hyperedges_multiline_atom() {
         let text = "long_name(x1,\n  x2, x3),\nother(x3, x4).";
-        let h = parse_hyperedges(text).unwrap();
+        let h = parse_hg(text).unwrap();
         assert_eq!(h.num_edges(), 2);
         assert_eq!(h.edge(0).len(), 3);
         assert_eq!(h.edge_name(0), "long_name");
@@ -580,8 +599,8 @@ mod tests {
 
     #[test]
     fn hyperedges_bad_input() {
-        assert!(parse_hyperedges("no parens here").is_err());
-        assert!(parse_hyperedges("(a,b).").is_err()); // missing name
+        assert!(parse_hg("no parens here").is_err());
+        assert!(parse_hg("(a,b).").is_err()); // missing name
     }
 
     #[test]
@@ -602,6 +621,37 @@ mod tests {
             assert_eq!(again.edge_name(e), h.edge_name(e));
             assert_eq!(again.edge(e).to_vec(), h.edge(e).to_vec());
         }
+    }
+
+    #[test]
+    fn every_named_hypergraph_round_trips_through_the_strict_parser() {
+        // what `htd gen` writes for a hypergraph, every command reads back
+        let scopes = |h: &Hypergraph| -> Vec<(String, Vec<String>)> {
+            (0..h.num_edges())
+                .map(|e| {
+                    let mut scope: Vec<String> =
+                        h.edge(e).iter().map(|v| h.vertex_name(v).into()).collect();
+                    scope.sort();
+                    (h.edge_name(e).into(), scope)
+                })
+                .collect()
+        };
+        let families = ["adder_", "bridge_", "grid2d_", "grid3d_", "clique_"];
+        let names = families
+            .iter()
+            .flat_map(|f| (1..=6).map(move |k| format!("{f}{k}")))
+            .chain(["b06", "b08", "b09", "b10", "c499", "c880"].map(String::from));
+        let mut read = 0;
+        for name in names {
+            let Some(h) = crate::gen::named_hypergraph(&name) else {
+                continue;
+            };
+            // an atom list names only the vertices of some atom
+            let back = parse_hg(&write_hg(&h)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(scopes(&back), scopes(&h), "{name}");
+            read += 1;
+        }
+        assert_eq!(read, 33);
     }
 
     #[test]
@@ -629,8 +679,5 @@ mod tests {
         for text in ["", "\n \n", "% only a comment\n", "%% a\n  % b\n", "."] {
             assert_eq!(parse_hg(text).err(), Some(ParseError::NoAtoms), "{text:?}");
         }
-        // ... while the generic hyperedge parser stays tolerant
-        let h = parse_hyperedges("% only a comment\n").unwrap();
-        assert_eq!(h.num_edges(), 0);
     }
 }

@@ -12,9 +12,9 @@
 //! * [`elim::EliminationGraph`] — a mutable view of a graph supporting
 //!   `eliminate(v)` / `undo()` in amortized O(fill) time, the workhorse of
 //!   branch-and-bound and A* searches over elimination orderings.
-//! * [`io`] and [`gen`] — parsers/writers for the DIMACS graph-coloring
-//!   format and the hyperedge format used by the GHD benchmark libraries,
-//!   plus deterministic generators for every instance family used in the
+//! * [`io`] and [`gen`] — the one instance reader ([`io::read`]) and the
+//!   writers for the DIMACS, PACE and HyperBench atom-list formats, plus
+//!   deterministic generators for every instance family used in the
 //!   reproduced experiments.
 
 #![warn(missing_docs)]

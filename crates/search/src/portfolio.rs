@@ -855,13 +855,7 @@ pub(crate) fn run_heuristic(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let ghw_ev = || {
         let h = problem.hypergraph().expect("validated");
-        GhwEvaluator::with_cache(
-            h,
-            CoverStrategy::Exact,
-            cfg.cover_cache
-                .clone()
-                .unwrap_or_else(|| Arc::new(CoverCache::new())),
-        )
+        GhwEvaluator::with_cache(h, CoverStrategy::Exact, cfg.exact_cover_cache())
     };
     let offer = |ordering: &EliminationOrdering,
                  tw_width: u32,

@@ -411,7 +411,7 @@ impl Metrics {
         o
     }
 
-    /// The JSON snapshot behind the `stats` command and `/healthz`.
+    /// The JSON snapshot behind the `stats` command.
     /// `solve_p50_ms`/`solve_p95_ms` are quantiles of
     /// [`Metrics::solve_time`], the worker time of solves and answers.
     pub fn snapshot_json(&self, cache_entries: u64, cache_bytes: u64, draining: bool) -> Json {

@@ -746,22 +746,16 @@ impl KeyedInstance {
         objective: Objective,
     ) -> Result<KeyedInstance, HtdError> {
         let format = match format {
-            InstanceFormat::Auto => io::sniff_format(text).into(),
-            f => f,
+            InstanceFormat::Auto => io::Format::of("", text),
+            InstanceFormat::PaceGr => io::Format::PaceGr,
+            InstanceFormat::Dimacs => io::Format::Dimacs,
+            InstanceFormat::Hg => io::Format::Hyperedges,
         };
-        let parse_error = |e: io::ParseError| HtdError::Parse(e.to_string());
+        let instance = io::read(format, text).map_err(|e| HtdError::Parse(e.to_string()))?;
         // a graph's binary-edge view is its own primal key
-        let (hypergraph, is_graph) = match format {
-            InstanceFormat::PaceGr => (
-                Hypergraph::from_graph(&io::parse_pace_gr(text).map_err(parse_error)?),
-                true,
-            ),
-            InstanceFormat::Dimacs => (
-                Hypergraph::from_graph(&io::parse_dimacs(text).map_err(parse_error)?),
-                true,
-            ),
-            InstanceFormat::Hg => (io::parse_hg(text).map_err(parse_error)?, false),
-            InstanceFormat::Auto => unreachable!("resolved above"),
+        let (hypergraph, is_graph) = match instance {
+            io::Instance::Graph(g) => (Hypergraph::from_graph(&g), true),
+            io::Instance::Hypergraph(h) => (h, false),
         };
         objective.check_instance(&hypergraph)?;
         // the key has one vertex set per primal edge, which one wide atom

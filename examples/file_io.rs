@@ -34,17 +34,14 @@ fn main() {
     td2.validate_graph(&g).unwrap();
     println!("(round-trip width: {})", td2.width());
 
-    // hyperedge format
+    // HyperBench atom list (.hg)
     let h = gen::adder(2);
-    let hg = io::write_hyperedges(&h);
-    println!("\n--- adder_2 in hyperedge format, first lines ---");
+    let hg = io::write_hg(&h);
+    println!("\n--- adder_2 as a HyperBench atom list (.hg), first lines ---");
     for l in hg.lines().take(4) {
         println!("{l}");
     }
-    assert_eq!(
-        io::parse_hyperedges(&hg).unwrap().num_edges(),
-        h.num_edges()
-    );
+    assert_eq!(io::parse_hg(&hg).unwrap().num_edges(), h.num_edges());
 
     // CSP text format
     let csp = builders::n_queens(4);

@@ -31,7 +31,6 @@ fn config() -> DiffConfig {
         time_limit: Some(Duration::from_secs(5)),
         seed: 1,
         portfolio_arm: false,
-        dp_limit: 13,
         memory_budget: None,
     }
 }
