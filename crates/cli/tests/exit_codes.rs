@@ -30,6 +30,26 @@ fn success_is_exit_zero() {
 }
 
 #[test]
+fn an_instance_without_vertices_decomposes_at_width_zero() {
+    let file = write_temp("no_vertices.gr", "p tw 0 0\n");
+    let path = file.to_str().unwrap();
+    for format in ["td", "dot", "cert"] {
+        let out = htd(&["decompose", path, "--format", format]);
+        assert_eq!(out.status.code(), Some(0), "{format}: {out:?}");
+    }
+    let cert = htd(&["decompose", path, "--format", "cert"]);
+    let cert_file = write_temp("no_vertices.cert", &String::from_utf8_lossy(&cert.stdout));
+    let out = htd(&["check", cert_file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = htd(&["info", path]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let info = String::from_utf8_lossy(&out.stdout);
+    assert!(info.contains("ghw:        ≥ 0 "), "{info}");
+    let _ = std::fs::remove_file(file);
+    let _ = std::fs::remove_file(cert_file);
+}
+
+#[test]
 fn parse_error_is_exit_two() {
     let names: Vec<String> = (0..=16_384).map(|v| format!("v{v}")).collect();
     let wide_hg = format!("e1({}).\n", names.join(","));

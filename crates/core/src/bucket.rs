@@ -1,15 +1,18 @@
 //! Bucket elimination and vertex elimination (thesis Fig. 2.10 / 2.12).
 //!
 //! Both algorithms turn an elimination ordering into a tree decomposition
-//! with identical labels; vertex elimination works on the primal graph,
-//! bucket elimination directly on the hyperedges. We implement both (the
-//! equivalence is a test) and a covering step that lifts the result to a
-//! generalized hypertree decomposition (§2.5.2).
+//! with identical labels; vertex elimination works on the primal graph
+//! (through the evaluators' one elimination loop), bucket elimination
+//! directly on the hyperedges, and stays as the reference the tests
+//! compare against. A covering step through [`BagCover`] lifts the result
+//! to a generalized hypertree decomposition (§2.5.2). A graph with no
+//! vertices gets the one-node decomposition of width 0.
 
 use htd_hypergraph::{EdgeId, Graph, Hypergraph, VertexSet};
+use htd_setcover::BagCover;
 
 use crate::ghd::GeneralizedHypertreeDecomposition;
-use crate::ordering::{CoverStrategy, EliminationOrdering};
+use crate::ordering::{eliminate, rows_of, CoverStrategy, EliminationOrdering};
 use crate::tree_decomposition::TreeDecomposition;
 
 /// Vertex elimination on a simple graph: eliminates vertices in order,
@@ -22,32 +25,25 @@ use crate::tree_decomposition::TreeDecomposition;
 pub fn vertex_elimination(g: &Graph, order: &EliminationOrdering) -> TreeDecomposition {
     let n = g.num_vertices();
     assert_eq!(order.len() as u32, n, "ordering must cover all vertices");
+    if n == 0 {
+        return TreeDecomposition::trivial(0);
+    }
     let pos = order.positions();
-    // scratch adjacency
-    let mut rows: Vec<VertexSet> = (0..n).map(|v| g.neighbors(v).clone()).collect();
+    let mut rows = rows_of(g);
     let mut bags: Vec<VertexSet> = Vec::with_capacity(n as usize);
     let mut parent: Vec<Option<usize>> = vec![None; n as usize];
     for (i, &v) in order.as_slice().iter().enumerate() {
-        let nb = rows[v as usize].clone();
-        // bag
-        let mut bag = nb.clone();
-        bag.insert(v);
-        bags.push(bag);
         // parent: earliest-eliminated remaining neighbor, i.e. the neighbor
         // with the smallest position (> i since eliminated neighbors were
         // already removed from the row)
-        if let Some(j) = nb.iter().map(|u| pos[u as usize]).min() {
+        if let Some(j) = rows[v as usize].iter().map(|u| pos[u as usize]).min() {
             parent[i] = Some(j as usize);
         } else if (i as u32) + 1 < n {
             parent[i] = Some(i + 1);
         }
-        // eliminate v
-        for u in nb.iter() {
-            let row = &mut rows[u as usize];
-            row.union_with(&nb);
-            row.remove(u);
-            row.remove(v);
-        }
+        let mut bag = VertexSet::default();
+        eliminate(&mut rows, v, &mut bag);
+        bags.push(bag);
     }
     TreeDecomposition::new(bags, parent).expect("vertex elimination builds a tree")
 }
@@ -59,6 +55,9 @@ pub fn vertex_elimination(g: &Graph, order: &EliminationOrdering) -> TreeDecompo
 pub fn bucket_elimination(h: &Hypergraph, order: &EliminationOrdering) -> TreeDecomposition {
     let n = h.num_vertices();
     assert_eq!(order.len() as u32, n);
+    if n == 0 {
+        return TreeDecomposition::trivial(0);
+    }
     let pos = order.positions();
     let mut bags: Vec<VertexSet> = (0..n).map(|_| VertexSet::new(n)).collect();
     // fill buckets: each edge to its earliest-eliminated member's bucket
@@ -94,9 +93,10 @@ pub fn cover_decomposition(
     td: &TreeDecomposition,
     strategy: CoverStrategy,
 ) -> Option<GeneralizedHypertreeDecomposition> {
+    let mut cover = BagCover::new(h);
     let mut lambda: Vec<Vec<EdgeId>> = Vec::with_capacity(td.num_nodes());
     for p in 0..td.num_nodes() {
-        lambda.push(cover_bag_edges(h, strategy, td.bag(p))?);
+        lambda.push(cover.cover(td.bag(p), strategy)?.to_vec());
     }
     Some(GeneralizedHypertreeDecomposition::new(td.clone(), lambda))
 }
@@ -123,45 +123,6 @@ pub fn ghd_via_elimination(
 ) -> Option<GeneralizedHypertreeDecomposition> {
     let td = bucket_elimination(h, order);
     cover_decomposition(h, &td, strategy)
-}
-
-/// Covers one bag and returns the chosen edge ids (not just the count).
-fn cover_bag_edges(
-    h: &Hypergraph,
-    strategy: CoverStrategy,
-    bag: &VertexSet,
-) -> Option<Vec<EdgeId>> {
-    // candidates: the edges touching the bag
-    let mut cands: Vec<EdgeId> = Vec::new();
-    let mut seen = vec![false; h.num_edges() as usize];
-    for v in bag.iter() {
-        for &e in h.incident_edges(v) {
-            if !seen[e as usize] {
-                seen[e as usize] = true;
-                cands.push(e);
-            }
-        }
-    }
-    let cand_scopes: Vec<VertexSet> = cands.iter().map(|&e| h.edge(e).clone()).collect();
-    let chosen = match strategy {
-        CoverStrategy::Greedy => htd_setcover::greedy_cover(bag, &cand_scopes)?,
-        CoverStrategy::Exact => match htd_setcover::ExactCover::new(&cand_scopes).cover(bag) {
-            htd_setcover::exact::CoverResult::Optimal(c)
-            | htd_setcover::exact::CoverResult::Truncated(c) => c,
-            htd_setcover::exact::CoverResult::Uncoverable => return None,
-        },
-        CoverStrategy::ExactBudget(b) => {
-            match htd_setcover::ExactCover::new(&cand_scopes)
-                .with_node_budget(b)
-                .cover(bag)
-            {
-                htd_setcover::exact::CoverResult::Optimal(c)
-                | htd_setcover::exact::CoverResult::Truncated(c) => c,
-                htd_setcover::exact::CoverResult::Uncoverable => return None,
-            }
-        }
-    };
-    Some(chosen.into_iter().map(|i| cands[i as usize]).collect())
 }
 
 /// Convenience: tree decomposition of a hypergraph from an ordering via
@@ -224,6 +185,19 @@ mod tests {
             let td = vertex_elimination(&g, &order);
             td.validate(&h)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+
+    #[test]
+    fn no_vertices_give_one_node_of_width_zero() {
+        let order = EliminationOrdering::identity(0);
+        for td in [
+            vertex_elimination(&Graph::new(0), &order),
+            bucket_elimination(&Hypergraph::new(0, vec![]), &order),
+        ] {
+            assert_eq!(td.num_nodes(), 1);
+            assert_eq!(td.width(), 0);
+            assert!(td.bag(0).is_empty());
         }
     }
 

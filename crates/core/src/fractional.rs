@@ -12,31 +12,25 @@
 //! exactly how the fractional width is normally approximated in practice.
 
 use htd_hypergraph::{Hypergraph, Vertex, VertexSet};
-use htd_setcover::fractional_cover;
+use htd_setcover::BagCover;
+
+use crate::ordering::Scratch;
 
 /// Fractional-cover width evaluator for orderings, mirroring
 /// [`GhwEvaluator`](crate::GhwEvaluator) with LP covers.
-pub struct FhwEvaluator {
-    rows: Vec<VertexSet>,
-    base: Vec<VertexSet>,
-    edges: Vec<VertexSet>,
-    incident: Vec<Vec<u32>>,
+pub struct FhwEvaluator<'h> {
+    scratch: Scratch,
+    cover: BagCover<'h>,
+    bag: VertexSet,
 }
 
-impl FhwEvaluator {
+impl<'h> FhwEvaluator<'h> {
     /// Creates an evaluator for `h`.
-    pub fn new(h: &Hypergraph) -> Self {
-        let g = h.primal_graph();
-        let base: Vec<VertexSet> = (0..h.num_vertices())
-            .map(|v| g.neighbors(v).clone())
-            .collect();
+    pub fn new(h: &'h Hypergraph) -> Self {
         FhwEvaluator {
-            rows: base.clone(),
-            base,
-            edges: h.edges().to_vec(),
-            incident: (0..h.num_vertices())
-                .map(|v| h.incident_edges(v).to_vec())
-                .collect(),
+            scratch: Scratch::new(&h.primal_graph()),
+            cover: BagCover::new(h),
+            bag: VertexSet::new(h.num_vertices()),
         }
     }
 
@@ -44,31 +38,11 @@ impl FhwEvaluator {
     /// number over the bags the ordering produces. `None` when a vertex
     /// lies in no hyperedge.
     pub fn width(&mut self, order: &[Vertex]) -> Option<f64> {
-        self.rows.clone_from_slice(&self.base);
+        self.scratch.reset();
         let mut width = 0.0f64;
-        let n = self.base.len() as u32;
-        let mut bag = VertexSet::new(n);
         for &v in order {
-            bag.clone_from(&self.rows[v as usize]);
-            for u in bag.iter() {
-                let row = &mut self.rows[u as usize];
-                row.union_with(&bag);
-                row.remove(u);
-                row.remove(v);
-            }
-            bag.insert(v);
-            // candidates: edges touching the bag
-            let mut seen = vec![false; self.edges.len()];
-            let mut cands: Vec<VertexSet> = Vec::new();
-            for w in bag.iter() {
-                for &e in &self.incident[w as usize] {
-                    if !seen[e as usize] {
-                        seen[e as usize] = true;
-                        cands.push(self.edges[e as usize].clone());
-                    }
-                }
-            }
-            let f = fractional_cover(&bag, &cands)?;
+            self.scratch.eliminate(v, &mut self.bag);
+            let f = self.cover.fractional(&self.bag)?;
             if f > width {
                 width = f;
             }

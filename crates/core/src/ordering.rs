@@ -8,14 +8,18 @@
 //! [`TwEvaluator`] computes the treewidth-style width of an ordering
 //! (Fig. 6.2) and [`GhwEvaluator`] the generalized-hypertree width-style
 //! width (Fig. 7.1), i.e. the maximum set-cover size over the bags the
-//! ordering produces. Both own their scratch space: evaluating millions of
-//! orderings (the GA fitness loop) performs no per-call allocation beyond
-//! the first.
+//! ordering produces. The evaluators, the fractional evaluator and
+//! [`vertex_elimination`](crate::bucket::vertex_elimination) all run the
+//! one elimination loop here, and every bag cover goes through
+//! [`htd_setcover::BagCover`]. Both evaluators own their scratch space:
+//! evaluating millions of orderings (the GA fitness loop) allocates
+//! nothing once warm, apart from exact covers and cache inserts.
 
 use std::sync::Arc;
 
-use htd_hypergraph::{EdgeId, Graph, Hypergraph, Vertex, VertexSet};
-use htd_setcover::{CoverCache, ExactCover};
+use htd_hypergraph::{Graph, Hypergraph, Vertex, VertexSet};
+pub use htd_setcover::CoverStrategy;
+use htd_setcover::{BagCover, CoverCache};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -97,39 +101,53 @@ impl std::ops::Index<usize> for EliminationOrdering {
 /// Scratch adjacency shared by the evaluators: a copy-on-evaluate image of
 /// the base graph's rows.
 #[derive(Clone, Debug)]
-struct Scratch {
+pub(crate) struct Scratch {
     base: Vec<VertexSet>,
     rows: Vec<VertexSet>,
 }
 
 impl Scratch {
-    fn new(g: &Graph) -> Self {
-        let base: Vec<VertexSet> = (0..g.num_vertices())
-            .map(|v| g.neighbors(v).clone())
-            .collect();
+    pub(crate) fn new(g: &Graph) -> Self {
+        let base = rows_of(g);
         let rows = base.clone();
         Scratch { base, rows }
     }
 
+    /// Restores the base rows in place: `copy_from` reuses each row's
+    /// blocks, where `VertexSet`'s derived `clone_from` allocates anew.
     #[inline]
-    fn reset(&mut self) {
-        self.rows.clone_from_slice(&self.base);
+    pub(crate) fn reset(&mut self) {
+        for (row, base) in self.rows.iter_mut().zip(&self.base) {
+            row.copy_from(base);
+        }
     }
 
-    /// Eliminates `v` in the scratch rows, returning its bag `{v} ∪ N(v)`
-    /// by writing it into `bag`. Rows of dead vertices are left stale and
-    /// must not be read again.
     #[inline]
-    fn eliminate(&mut self, v: Vertex, bag: &mut VertexSet) {
-        bag.clone_from(&self.rows[v as usize]);
-        for u in bag.iter() {
-            let row = &mut self.rows[u as usize];
-            row.union_with(bag);
-            row.remove(u);
-            row.remove(v);
-        }
-        bag.insert(v);
+    pub(crate) fn eliminate(&mut self, v: Vertex, bag: &mut VertexSet) {
+        eliminate(&mut self.rows, v, bag);
     }
+}
+
+/// The adjacency rows of `g`, one neighbourhood per vertex.
+pub(crate) fn rows_of(g: &Graph) -> Vec<VertexSet> {
+    (0..g.num_vertices())
+        .map(|v| g.neighbors(v).clone())
+        .collect()
+}
+
+/// The one elimination loop: eliminates `v` in the adjacency `rows`,
+/// returning its bag `{v} ∪ N(v)` by writing it into `bag`. Rows of dead
+/// vertices are left stale and must not be read again.
+#[inline]
+pub(crate) fn eliminate(rows: &mut [VertexSet], v: Vertex, bag: &mut VertexSet) {
+    bag.copy_from(&rows[v as usize]);
+    for u in bag.iter() {
+        let row = &mut rows[u as usize];
+        row.union_with(bag);
+        row.remove(u);
+        row.remove(v);
+    }
+    bag.insert(v);
 }
 
 /// Width evaluator for simple graphs: the width of the tree decomposition
@@ -179,32 +197,6 @@ impl TwEvaluator {
         }
         width
     }
-
-    /// All bags the ordering produces (no early exit). `bags[i]` is the bag
-    /// created when eliminating `order[i]`.
-    pub fn bags(&mut self, order: &[Vertex]) -> Vec<VertexSet> {
-        self.scratch.reset();
-        let mut out = Vec::with_capacity(order.len());
-        for &v in order {
-            let mut bag = VertexSet::new(self.scratch.rows.len() as u32);
-            self.scratch.eliminate(v, &mut bag);
-            out.push(bag);
-        }
-        out
-    }
-}
-
-/// How [`GhwEvaluator`] covers bags with hyperedges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoverStrategy {
-    /// Greedy set cover (fast; an upper bound on the optimal cover).
-    Greedy,
-    /// Exact branch-and-bound set cover (the width of the ordering in the
-    /// sense of Definition 17; needed for exactness proofs).
-    Exact,
-    /// Exact with a per-bag node budget; falls back to the best cover
-    /// found, so results remain upper bounds.
-    ExactBudget(u64),
 }
 
 /// Width evaluator for hypergraphs: the maximum cover size over the bags
@@ -218,37 +210,24 @@ pub enum CoverStrategy {
 /// let mut ev = GhwEvaluator::new(&h, CoverStrategy::Exact);
 /// assert_eq!(ev.width(&[5, 4, 3, 2, 1, 0]), Some(2));
 /// ```
-pub struct GhwEvaluator {
+pub struct GhwEvaluator<'h> {
     scratch: Scratch,
-    edges: Vec<VertexSet>,
-    incident: Vec<Vec<EdgeId>>,
+    cover: BagCover<'h>,
     strategy: CoverStrategy,
     bag: VertexSet,
-    // candidate-edge dedup
-    stamp: Vec<u32>,
-    cur_stamp: u32,
-    cands: Vec<EdgeId>,
-    uncovered: VertexSet,
     /// Optional shared bag → cover-size memo. Must be dedicated to this
     /// hypergraph *and* this strategy (greedy and exact sizes differ).
     cache: Option<Arc<CoverCache>>,
 }
 
-impl GhwEvaluator {
+impl<'h> GhwEvaluator<'h> {
     /// Creates an evaluator for `h` with the given covering strategy.
-    pub fn new(h: &Hypergraph, strategy: CoverStrategy) -> Self {
-        let g = h.primal_graph();
-        let n = h.num_vertices();
+    pub fn new(h: &'h Hypergraph, strategy: CoverStrategy) -> Self {
         GhwEvaluator {
-            scratch: Scratch::new(&g),
-            edges: h.edges().to_vec(),
-            incident: (0..n).map(|v| h.incident_edges(v).to_vec()).collect(),
+            scratch: Scratch::new(&h.primal_graph()),
+            cover: BagCover::new(h),
             strategy,
-            bag: VertexSet::new(n),
-            stamp: vec![0; h.num_edges() as usize],
-            cur_stamp: 0,
-            cands: Vec::new(),
-            uncovered: VertexSet::new(n),
+            bag: VertexSet::new(h.num_vertices()),
             cache: None,
         }
     }
@@ -257,7 +236,7 @@ impl GhwEvaluator {
     /// Evaluators in different threads holding the same cache share covers;
     /// distinct orderings of the same hypergraph produce overwhelmingly
     /// overlapping bag sets, so sharing typically removes most cover work.
-    pub fn with_cache(h: &Hypergraph, strategy: CoverStrategy, cache: Arc<CoverCache>) -> Self {
+    pub fn with_cache(h: &'h Hypergraph, strategy: CoverStrategy, cache: Arc<CoverCache>) -> Self {
         let mut ev = Self::new(h, strategy);
         ev.cache = Some(cache);
         ev
@@ -280,7 +259,7 @@ impl GhwEvaluator {
             if deg < width {
                 continue;
             }
-            let bag = std::mem::replace(&mut self.bag, VertexSet::new(0));
+            let bag = std::mem::take(&mut self.bag);
             let cover = self.cover_bag(&bag);
             self.bag = bag;
             width = width.max(cover?);
@@ -290,68 +269,12 @@ impl GhwEvaluator {
 
     /// Covers a single bag using the configured strategy.
     pub fn cover_bag(&mut self, bag: &VertexSet) -> Option<u32> {
-        if let Some(cache) = &self.cache {
-            if let Some(cached) = cache.get(bag.blocks()) {
-                return cached;
-            }
+        let (cover, strategy) = (&mut self.cover, self.strategy);
+        let mut size = || cover.cover(bag, strategy).map(|c| c.len() as u32);
+        match &self.cache {
+            Some(cache) => cache.get_or_insert_with(bag.blocks(), size),
+            None => size(),
         }
-        let size = self.cover_bag_uncached(bag);
-        if let Some(cache) = &self.cache {
-            cache.insert(bag.blocks(), size);
-        }
-        size
-    }
-
-    fn cover_bag_uncached(&mut self, bag: &VertexSet) -> Option<u32> {
-        // collect candidate edges: all edges touching the bag
-        self.cur_stamp += 1;
-        self.cands.clear();
-        for v in bag.iter() {
-            for &e in &self.incident[v as usize] {
-                if self.stamp[e as usize] != self.cur_stamp {
-                    self.stamp[e as usize] = self.cur_stamp;
-                    self.cands.push(e);
-                }
-            }
-        }
-        match self.strategy {
-            CoverStrategy::Greedy => self.greedy_over_candidates(bag),
-            CoverStrategy::Exact => self.exact_over_candidates(bag, u64::MAX),
-            CoverStrategy::ExactBudget(b) => self.exact_over_candidates(bag, b),
-        }
-    }
-
-    fn greedy_over_candidates(&mut self, bag: &VertexSet) -> Option<u32> {
-        self.uncovered.clone_from(bag);
-        let mut count = 0u32;
-        while !self.uncovered.is_empty() {
-            let mut best_gain = 0;
-            let mut best = EdgeId::MAX;
-            for &e in &self.cands {
-                let gain = self.edges[e as usize].intersection_len(&self.uncovered);
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = e;
-                }
-            }
-            if best_gain == 0 {
-                return None;
-            }
-            self.uncovered.difference_with(&self.edges[best as usize]);
-            count += 1;
-        }
-        Some(count)
-    }
-
-    fn exact_over_candidates(&mut self, bag: &VertexSet, budget: u64) -> Option<u32> {
-        let cand_edges: Vec<VertexSet> = self
-            .cands
-            .iter()
-            .map(|&e| self.edges[e as usize].clone())
-            .collect();
-        ExactCover::new(&cand_edges)
-            .with_node_budget(budget)
-            .cover_size(bag)
     }
 }
 
@@ -482,9 +405,7 @@ mod tests {
             let o = EliminationOrdering::random(12, &mut rng);
             let mut ev = TwEvaluator::new(&g);
             let w = ev.width(o.as_slice());
-            let bags = ev.bags(o.as_slice());
-            let max_bag = bags.iter().map(|b| b.len()).max().unwrap();
-            assert_eq!(w, max_bag - 1);
+            assert_eq!(w, crate::bucket::vertex_elimination(&g, &o).width());
         }
     }
 

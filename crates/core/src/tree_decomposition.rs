@@ -158,9 +158,10 @@ impl TreeDecomposition {
             .collect()
     }
 
-    /// The width: `max |bag| − 1`.
+    /// The width: `max |bag| − 1`, and 0 when every bag is empty.
     pub fn width(&self) -> u32 {
-        self.bags.iter().map(|b| b.len()).max().unwrap_or(1) - 1
+        let widest = self.bags.iter().map(|b| b.len()).max().unwrap_or(0);
+        widest.saturating_sub(1)
     }
 
     /// Nodes in a top-down order (every node after its parent).

@@ -2,9 +2,12 @@
 //! (thesis §7.1).
 //!
 //! Same engine as GA-tw; fitness is the greedy-cover width of the ordering
-//! (Fig. 7.1 with the greedy set cover of Fig. 7.2). Uncoverable orderings
-//! cannot occur when every vertex lies in some hyperedge, which the entry
-//! point checks once.
+//! (Fig. 7.1 with the greedy set cover of Fig. 7.2), computed by a greedy
+//! [`GhwEvaluator`], which covers each bag through the one bag cover,
+//! `htd_setcover::BagCover`. Fitness is always greedy: an exact cover
+//! costs a set-cover search per bag, and the exact searches prove widths
+//! instead. Uncoverable orderings cannot occur when every vertex lies in
+//! some hyperedge, which the entry point checks once.
 
 use std::sync::Arc;
 
@@ -29,39 +32,31 @@ pub struct GaGhwResult {
 /// Runs GA-ghw. Returns `None` when some vertex lies in no hyperedge
 /// (no GHD exists).
 pub fn ga_ghw<R: Rng>(h: &Hypergraph, params: &GaParams, rng: &mut R) -> Option<GaGhwResult> {
-    ga_ghw_with_strategy(h, params, CoverStrategy::Greedy, rng)
-}
-
-/// GA-ghw with an explicit covering strategy — the exact strategy makes
-/// fitness equal `width(σ, H)` of Definition 17, at a set-cover cost per
-/// bag (used by the ablation benches).
-pub fn ga_ghw_with_strategy<R: Rng>(
-    h: &Hypergraph,
-    params: &GaParams,
-    strategy: CoverStrategy,
-    rng: &mut R,
-) -> Option<GaGhwResult> {
-    ga_ghw_run(h, params, GhwEvaluator::new(h, strategy), rng)
+    ga_ghw_run(h, params, GhwEvaluator::new(h, CoverStrategy::Greedy), rng)
 }
 
 /// GA-ghw whose fitness evaluation memoizes bag covers in a shared
 /// [`CoverCache`] — the portfolio hands every GA worker the same cache, so
-/// covers computed by one worker (or by the exact searches) are reused by
-/// all. The cache must be dedicated to `h` and `strategy`.
+/// covers computed by one worker (or by balanced separators) are reused by
+/// all. The cache must be dedicated to `h` and to greedy covers.
 pub fn ga_ghw_cached<R: Rng>(
     h: &Hypergraph,
     params: &GaParams,
-    strategy: CoverStrategy,
     cache: Arc<CoverCache>,
     rng: &mut R,
 ) -> Option<GaGhwResult> {
-    ga_ghw_run(h, params, GhwEvaluator::with_cache(h, strategy, cache), rng)
+    ga_ghw_run(
+        h,
+        params,
+        GhwEvaluator::with_cache(h, CoverStrategy::Greedy, cache),
+        rng,
+    )
 }
 
 fn ga_ghw_run<R: Rng>(
     h: &Hypergraph,
     params: &GaParams,
-    mut ev: GhwEvaluator,
+    mut ev: GhwEvaluator<'_>,
     rng: &mut R,
 ) -> Option<GaGhwResult> {
     if !h.covers_all_vertices() {
@@ -134,19 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_strategy_never_worse_than_greedy() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let h = gen::random_uniform(8, 10, 3, 42);
-        if !h.covers_all_vertices() {
-            return;
-        }
-        let p = quick_params();
-        let g = ga_ghw_with_strategy(&h, &p, CoverStrategy::Greedy, &mut rng).unwrap();
-        let e = ga_ghw_with_strategy(&h, &p, CoverStrategy::Exact, &mut rng).unwrap();
-        assert!(e.width <= g.width + 1, "exact should be competitive");
-    }
-
-    #[test]
     fn uncoverable_returns_none() {
         let h = Hypergraph::new(3, vec![vec![0, 1]]);
         assert!(ga_ghw(&h, &quick_params(), &mut StdRng::seed_from_u64(4)).is_none());
@@ -157,17 +139,9 @@ mod tests {
         let h = gen::adder(4);
         let p = quick_params();
         let cache = Arc::new(CoverCache::new());
-        let plain =
-            ga_ghw_with_strategy(&h, &p, CoverStrategy::Greedy, &mut StdRng::seed_from_u64(7))
-                .unwrap();
-        let cached = ga_ghw_cached(
-            &h,
-            &p,
-            CoverStrategy::Greedy,
-            Arc::clone(&cache),
-            &mut StdRng::seed_from_u64(7),
-        )
-        .unwrap();
+        let plain = ga_ghw(&h, &p, &mut StdRng::seed_from_u64(7)).unwrap();
+        let cached =
+            ga_ghw_cached(&h, &p, Arc::clone(&cache), &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(cached.width, plain.width);
         assert_eq!(cached.ordering, plain.ordering);
         assert!(!cache.is_empty(), "fitness loop should populate the cache");

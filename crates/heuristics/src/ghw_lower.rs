@@ -19,8 +19,12 @@ use rand::Rng;
 
 use crate::lower::combined_lower_bound;
 
-/// The `tw-ksc-width` style bound: `⌈(tw_lb + 1) / rank⌉`.
+/// The `tw-ksc-width` style bound: `⌈(tw_lb + 1) / rank⌉`, and 0 for a
+/// hypergraph with no vertices (whose rank is 0).
 pub fn tw_ksc_width<R: Rng>(h: &Hypergraph, rng: &mut R) -> u32 {
+    if h.num_vertices() == 0 {
+        return 0;
+    }
     let g = h.primal_graph();
     let tw_lb = combined_lower_bound(&g, rng);
     let k = h.rank();
@@ -135,5 +139,8 @@ mod tests {
     fn empty_hypergraph_bound_zero() {
         let h = htd_hypergraph::Hypergraph::new(0, vec![]);
         assert_eq!(clique_cover_bound(&h), 0);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(tw_ksc_width(&h, &mut rng), 0);
+        assert_eq!(ghw_lower_bound(&h, &mut rng), 0);
     }
 }

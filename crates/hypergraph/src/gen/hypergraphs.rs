@@ -205,6 +205,9 @@ pub fn clique_hypergraph(k: u32) -> Hypergraph {
 ///
 /// Vertices: `num_inputs + num_gates`; hyperedges: `num_gates + extra`
 /// output-tap edges, letting callers match the published (V, H) counts.
+/// An input that no gate or tap reads joins the scope of the gate with its
+/// index (modulo `num_gates`), without a random draw, so every vertex lies
+/// in some hyperedge.
 pub fn random_circuit(
     num_inputs: u32,
     num_gates: u32,
@@ -213,7 +216,7 @@ pub fn random_circuit(
     window: u32,
     seed: u64,
 ) -> Hypergraph {
-    assert!(num_inputs >= 1 && max_fanin >= 1);
+    assert!(num_inputs >= 1 && num_gates >= 1 && max_fanin >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let n = num_inputs + num_gates;
     let mut edges: Vec<Vec<u32>> = Vec::new();
@@ -240,6 +243,15 @@ pub fn random_circuit(
         } else {
             edges.push(vec![u]);
         }
+    }
+    let mut read = vec![false; num_inputs as usize];
+    for &v in edges.iter().flatten() {
+        if v < num_inputs {
+            read[v as usize] = true;
+        }
+    }
+    for i in (0..num_inputs).filter(|&i| !read[i as usize]) {
+        edges[(i % num_gates) as usize].push(i);
     }
     Hypergraph::new(n, edges)
 }

@@ -276,6 +276,24 @@ mod tests {
     }
 
     #[test]
+    fn circuits_keep_their_published_counts_and_cover_every_vertex() {
+        for (name, v, e) in [
+            ("b06", 48, 50),
+            ("b08", 170, 179),
+            ("b09", 168, 169),
+            ("b10", 189, 200),
+            ("c499", 202, 243),
+            ("c880", 383, 443),
+        ] {
+            let h = named_hypergraph(name).unwrap();
+            assert_eq!((h.num_vertices(), h.num_edges()), (v, e), "{name}");
+            assert!(h.covers_all_vertices(), "{name}");
+            let back = crate::io::parse_hg(&crate::io::write_hg(&h)).unwrap();
+            assert_eq!(back.num_vertices(), v, "{name}");
+        }
+    }
+
+    #[test]
     fn suites_generate() {
         assert!(graph_suite().len() >= 10);
         assert!(hypergraph_suite().len() >= 10);

@@ -262,8 +262,8 @@ const PINNED: [(&str, Pin); 189] = [
     ("b06", Key(0x629ad5f7ad3f56ec)),
     ("b08", Key(0x19cc54df4989c055)),
     ("b09", Key(0x64a75fc8cf55e055)),
-    ("b10", Key(0xe09e9b66bbf848de)),
-    ("c499", Key(0xe92e9100f8199095)),
+    ("b10", Key(0x2af5c760a5bf70a5)),
+    ("c499", Key(0x53ef5a9051500342)),
     ("answer shape path6", Key(0x014334e83a5a3965)),
     ("answer shape star6", Key(0xf3f27bfb1fc04105)),
     ("answer shape cycle7", Key(0xe31beb8233793fd7)),

@@ -1,5 +1,6 @@
-//! The per-node kernels of the exact searches allocate nothing once their
-//! scratch buffers are warm.
+//! The per-node kernels of the exact searches, and the greedy ordering
+//! evaluation of GA-ghw's fitness, allocate nothing once their scratch
+//! buffers are warm.
 //!
 //! This crate's unit-test binary runs on a counting global allocator. The
 //! count is per thread, so tests running in parallel do not see each
@@ -9,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use htd_core::{CoverStrategy, GhwEvaluator};
 use htd_heuristics::lower::{minor_min_width_alive, MinorScratch};
 use htd_hypergraph::{gen, EliminationGraph, Vertex};
 use rand::rngs::StdRng;
@@ -144,4 +146,15 @@ fn ghw_kernels_do_not_allocate() {
         eg.eliminate(v);
     }
     measure_kernels_do_not_allocate(Ghw::new(&h, &SearchConfig::default()), &eg);
+}
+
+#[test]
+fn warm_greedy_ghw_evaluation_does_not_allocate() {
+    let h = gen::grid2d(12);
+    let order: Vec<Vertex> = (0..h.num_vertices()).rev().collect();
+    let mut ev = GhwEvaluator::new(&h, CoverStrategy::Greedy);
+    let n = allocations_after_warm_up(|| {
+        assert!(black_box(ev.width(&order)).is_some());
+    });
+    assert_eq!(n, 0);
 }

@@ -18,8 +18,7 @@ use htd_heuristics::lower::{minor_min_width_alive, MinorScratch};
 use htd_heuristics::reduce;
 use htd_heuristics::upper::{min_degree, min_fill};
 use htd_hypergraph::{EliminationGraph, Graph, Hypergraph, Vertex, VertexSet};
-use htd_setcover::exact::{CoverResult, ExactCover};
-use htd_setcover::CoverCache;
+use htd_setcover::{BagCover, CoverCache};
 use rand::rngs::StdRng;
 
 use crate::config::{SearchConfig, SearchOutcome, SearchStats};
@@ -131,11 +130,9 @@ pub(crate) struct Ghw<'a> {
     /// bag (bitset blocks) → exact minimum cover size
     cache: Arc<CoverCache>,
     mmw: MinorScratch,
-    bag: VertexSet,
-    /// greedy cover state: candidate edge ids, their marks, what is left
-    cands: Vec<u32>,
-    stamp: Vec<bool>,
-    uncovered: VertexSet,
+    cover: BagCover<'a>,
+    /// the bag `bag_cost` costs, or what `cover_greedy` has left to cover
+    set: VertexSet,
 }
 
 impl<'a> Ghw<'a> {
@@ -145,47 +142,35 @@ impl<'a> Ghw<'a> {
             rank: h.rank(),
             cache: cfg.exact_cover_cache(),
             mmw: MinorScratch::default(),
-            bag: VertexSet::default(),
-            cands: Vec::new(),
-            stamp: vec![false; h.num_edges() as usize],
-            uncovered: VertexSet::default(),
+            cover: BagCover::new(h),
+            set: VertexSet::default(),
         }
     }
 
-    /// Greedy cover of `bag`: only an upper bound is needed where it is
-    /// used, and an exact cover would be exponential in the set size.
-    fn cover_greedy(&mut self, bag: &VertexSet) -> Option<u32> {
-        if bag.is_empty() {
+    /// Greedy cover of `target`: only an upper bound is needed where it is
+    /// used, and an exact cover would be exponential in the set size. It
+    /// takes the *last* candidate of largest gain, as `max_by_key` picks;
+    /// [`BagCover`]'s greedy takes the first, and switching changes what
+    /// BB and A* compute.
+    fn cover_greedy(&mut self, target: &VertexSet) -> Option<u32> {
+        if target.is_empty() {
             return Some(0);
         }
-        self.cands.clear();
-        for v in bag.iter() {
-            for &e in self.h.incident_edges(v) {
-                if !self.stamp[e as usize] {
-                    self.stamp[e as usize] = true;
-                    self.cands.push(e);
-                }
-            }
-        }
-        for &e in &self.cands {
-            self.stamp[e as usize] = false;
-        }
-        self.uncovered.copy_from(bag);
+        let cands = self.cover.candidates(target);
+        let uncovered = &mut self.set;
+        uncovered.copy_from(target);
         let edges = self.h.edges();
         let mut count = 0u32;
-        while !self.uncovered.is_empty() {
-            // the last candidate of largest gain, as `max_by_key` picks
-            let best = self
-                .cands
+        while !uncovered.is_empty() {
+            let best = cands
                 .iter()
-                .map(|&e| edges[e as usize].intersection_len(&self.uncovered))
+                .map(|&e| edges[e as usize].intersection_len(uncovered))
                 .enumerate()
                 .max_by_key(|&(_, gain)| gain)?;
             if best.1 == 0 {
                 return None;
             }
-            self.uncovered
-                .difference_with(&edges[self.cands[best.0] as usize]);
+            uncovered.difference_with(&edges[cands[best.0] as usize]);
             count += 1;
         }
         Some(count)
@@ -212,24 +197,13 @@ impl Measure for Ghw<'_> {
     }
 
     fn bag_cost(&mut self, eg: &EliminationGraph, v: Vertex) -> Option<u32> {
-        self.bag.copy_from(eg.neighbors(v));
-        self.bag.insert(v);
-        let (h, bag) = (self.h, &self.bag);
+        self.set.copy_from(eg.neighbors(v));
+        self.set.insert(v);
+        let (cover, bag) = (&mut self.cover, &self.set);
         self.cache.get_or_insert_with(bag.blocks(), || {
-            let mut cands: Vec<VertexSet> = Vec::new();
-            let mut stamp = vec![false; h.edges().len()];
-            for v in bag.iter() {
-                for &e in h.incident_edges(v) {
-                    if !stamp[e as usize] {
-                        stamp[e as usize] = true;
-                        cands.push(h.edge(e).clone());
-                    }
-                }
-            }
-            match ExactCover::new(&cands).cover(bag) {
-                CoverResult::Optimal(c) | CoverResult::Truncated(c) => Some(c.len() as u32),
-                CoverResult::Uncoverable => None,
-            }
+            cover
+                .cover(bag, CoverStrategy::Exact)
+                .map(|c| c.len() as u32)
         })
     }
 

@@ -975,13 +975,9 @@ pub(crate) fn run_genetic(
             _ => {
                 let h = problem.hypergraph().expect("validated");
                 // greedy covers: still sound upper bounds, far cheaper
-                if let Some(r) = htd_ga::ga_ghw_cached(
-                    h,
-                    &params,
-                    CoverStrategy::Greedy,
-                    Arc::clone(greedy_cache),
-                    &mut rng,
-                ) {
+                if let Some(r) =
+                    htd_ga::ga_ghw_cached(h, &params, Arc::clone(greedy_cache), &mut rng)
+                {
                     report.offer(inc, &cfg.tracer, r.width, r.ordering.as_slice());
                     report.stats.generated += r.inner.evaluations;
                 }

@@ -6,9 +6,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use htd_hypergraph::canonical::canonical_form;
 use htd_hypergraph::{gen, io};
-use htd_search::Objective;
-use htd_service::{AnswerMode, Client, InstanceFormat, ServeOptions, Server, Status};
+use htd_search::{solve, Objective, SearchConfig};
+use htd_service::{
+    parse_problem, AnswerMode, CertPush, Client, InstanceFormat, ServeOptions, Server, Status,
+};
 
 mod common;
 
@@ -178,6 +181,59 @@ fn verify_responses_oracle_checks_before_caching() {
         "oracle failure counter must exist at zero:\n{metrics}"
     );
 
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+/// An instance without vertices is solved, verified and pushed at width 0
+/// without costing the only worker: after two verified solves and a
+/// `put_cert` of it, the same worker still answers `queen5_5`.
+#[test]
+fn instances_without_vertices_keep_the_only_worker() {
+    let (server, addr) = start(ServeOptions {
+        threads: 1,
+        verify_responses: true,
+        ..quiet_opts()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(30)));
+    let empty = "p tw 0 0\n";
+    for _ in 0..2 {
+        let r = client
+            .solve(
+                Objective::Treewidth,
+                InstanceFormat::Auto,
+                empty,
+                Some(5_000),
+            )
+            .unwrap();
+        assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+        assert_eq!(r.outcome.unwrap().exact_width(), Some(0));
+    }
+    let (problem, key) =
+        parse_problem(InstanceFormat::PaceGr, empty, Objective::Treewidth).unwrap();
+    let r = client
+        .put_cert(CertPush {
+            objective: Objective::Treewidth,
+            format: InstanceFormat::PaceGr,
+            instance: empty.into(),
+            fingerprint_hex: canonical_form(&key).hex(),
+            effort_ms: 5,
+            outcome: solve(&problem, &SearchConfig::default()).unwrap(),
+            from: Some("peer".into()),
+        })
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    let queen = io::write_pace_gr(&gen::queen_graph(5));
+    let r = client
+        .solve(
+            Objective::Treewidth,
+            InstanceFormat::Auto,
+            &queen,
+            Some(10_000),
+        )
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
     client.shutdown().unwrap();
     server.wait();
 }

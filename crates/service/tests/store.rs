@@ -284,6 +284,42 @@ fn tampered_byte_is_rejected_on_reopen_and_request_recomputes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An instance without vertices is stored at width 0, and a restart onto
+/// the store re-verifies its record and answers from it.
+#[test]
+fn an_instance_without_vertices_is_served_from_the_store_after_a_restart() {
+    let dir = tmp_dir("novertices");
+    let serve = || {
+        let server = Server::start(ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            threads: 1,
+            default_deadline_ms: 10_000,
+            log: false,
+            store_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(&server.addr().to_string()).unwrap();
+        let r = client
+            .solve(
+                Objective::Treewidth,
+                InstanceFormat::Auto,
+                "p tw 0 0\n",
+                Some(10_000),
+            )
+            .unwrap();
+        client.shutdown().unwrap();
+        server.wait();
+        r
+    };
+    let first = serve();
+    assert_eq!(first.status, Status::Ok, "{:?}", first.error);
+    let again = serve();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(again.status, Status::Ok, "{:?}", again.error);
+    assert!(again.cached, "the restart must answer from the store");
+}
+
 /// Round trip over the seeded corpus: distinct instances must have
 /// distinct fingerprints (collision-free), and a reopen must return
 /// exactly the appended set with byte-identical canonical keys.
