@@ -19,12 +19,14 @@ pub struct JoinTree {
     pub tree: TreeDecomposition,
 }
 
-/// `true` iff `h` is α-acyclic (has a join tree).
+/// `true` iff `h` is α-acyclic: it has a join tree, or no edges (GYO
+/// reduces it to nothing).
 pub fn is_acyclic(h: &Hypergraph) -> bool {
-    join_tree(h).is_some()
+    h.num_edges() == 0 || join_tree(h).is_some()
 }
 
-/// Computes a join tree of `h`, or `None` if `h` is cyclic.
+/// Computes a join tree of `h`, or `None` if `h` is cyclic or has no
+/// edges (a tree needs a node).
 ///
 /// The join tree is a tree over the hyperedges (one node per edge, bag =
 /// scope) satisfying the connectedness condition; equivalently, a width-1
@@ -116,6 +118,15 @@ mod tests {
         let jt = join_tree(&h).expect("acyclic");
         jt.tree.validate(&h).unwrap();
         assert!(is_acyclic(&h));
+    }
+
+    #[test]
+    fn edgeless_hypergraphs_are_acyclic_without_a_join_tree() {
+        for n in [0, 3] {
+            let h = Hypergraph::new(n, vec![]);
+            assert!(is_acyclic(&h));
+            assert!(join_tree(&h).is_none());
+        }
     }
 
     #[test]

@@ -106,14 +106,11 @@ impl Json {
     /// Parses a JSON document (the whole string must be one value plus
     /// optional surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, HtdError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(HtdError::Parse(format!(
                 "trailing characters at byte {}",
                 p.pos
@@ -179,13 +176,17 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -195,7 +196,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), HtdError> {
@@ -211,7 +212,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, HtdError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -255,7 +256,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| HtdError::Parse("non-utf8 number".into()))?;
         if let Ok(x) = text.parse::<u64>() {
             if x > EXACT_F64 {
@@ -290,7 +291,7 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| HtdError::Parse("short \\u escape".into()))?;
                             let code = u32::from_str_radix(
@@ -311,12 +312,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| HtdError::Parse("non-utf8 string".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // the run up to the next '"' or '\\': both are ASCII, so
+                    // no UTF-8 sequence holds them and the run is a `str`
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -445,6 +447,22 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // copying a string once per character used to re-validate the rest
+        // of the document, so parsing grew with the square of its length
+        let long = "é".repeat(1 << 18);
+        let doc = format!("{{\"pad\":\"{long}\\n{long}\",\"k\":1}}");
+        let t = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        assert!(t.elapsed().as_secs_f64() < 1.0, "{:?}", t.elapsed());
+        assert_eq!(
+            v.get("pad").and_then(Json::as_str),
+            Some(&*format!("{long}\n{long}"))
+        );
+        assert_eq!(v.get("k").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -215,6 +215,9 @@ pub struct GhwEvaluator<'h> {
     cover: BagCover<'h>,
     strategy: CoverStrategy,
     bag: VertexSet,
+    /// `false` iff some vertex is in no hyperedge: every ordering puts it
+    /// in a bag no edge covers.
+    coverable: bool,
     /// Optional shared bag → cover-size memo. Must be dedicated to this
     /// hypergraph *and* this strategy (greedy and exact sizes differ).
     cache: Option<Arc<CoverCache>>,
@@ -228,6 +231,7 @@ impl<'h> GhwEvaluator<'h> {
             cover: BagCover::new(h),
             strategy,
             bag: VertexSet::new(h.num_vertices()),
+            coverable: h.covers_all_vertices(),
             cache: None,
         }
     }
@@ -249,6 +253,9 @@ impl<'h> GhwEvaluator<'h> {
     ///
     /// Returns `None` if some vertex is in no hyperedge (uncoverable bag).
     pub fn width(&mut self, order: &[Vertex]) -> Option<u32> {
+        if !self.coverable {
+            return None;
+        }
         self.scratch.reset();
         let mut width = 0u32;
         for &v in order {
@@ -449,6 +456,14 @@ mod tests {
         let h = Hypergraph::new(3, vec![vec![0, 1]]);
         let mut ev = GhwEvaluator::new(&h, CoverStrategy::Greedy);
         assert_eq!(ev.width(&[2, 0, 1]), None);
+        // an isolated vertex eliminated last sits in a bag smaller than the
+        // width so far, which a width-only check would skip covering
+        let h = Hypergraph::new(4, vec![vec![0, 1, 2]]);
+        for strategy in [CoverStrategy::Greedy, CoverStrategy::Exact] {
+            let mut ev = GhwEvaluator::new(&h, strategy);
+            assert_eq!(ev.width(&[3, 0, 1, 2]), None);
+            assert_eq!(ev.width(&[0, 1, 2, 3]), None);
+        }
     }
 
     #[test]

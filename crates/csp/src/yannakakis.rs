@@ -32,7 +32,7 @@ use htd_core::{GeneralizedHypertreeDecomposition, TreeDecomposition};
 use htd_hypergraph::VertexSet;
 
 use crate::model::{Csp, Value, VarId};
-use crate::relation::Relation;
+use crate::relation::{key_at, Index, Relation};
 
 /// Places every constraint of `csp` at the first node of `td` whose bag
 /// contains its scope; `placed[p]` lists the constraints of node `p`.
@@ -104,12 +104,19 @@ impl<'a> NodeRelations<'a> {
             .iter()
             .enumerate()
             .map(|(p, here)| {
-                let mut rel = Relation::unit();
-                for &ci in here {
-                    let c = &csp.constraints[ci];
-                    rel = rel.join(&Relation::new(c.scope.clone(), c.tuples.clone()));
-                }
                 let bag: Vec<VarId> = tree.bag(p).to_vec();
+                let mut placed = here.iter().map(|&ci| {
+                    let c = &csp.constraints[ci];
+                    Relation::new(c.scope.clone(), &c.tuples)
+                });
+                let Some(mut rel) = placed.next() else {
+                    // nothing placed: the bag's domain product, already
+                    // distinct and in bag order
+                    return Relation::full(&bag, &csp.domain_sizes);
+                };
+                for r in placed {
+                    rel = rel.join(&r);
+                }
                 let missing: Vec<VarId> = bag
                     .iter()
                     .copied()
@@ -187,50 +194,27 @@ impl<'a> NodeRelations<'a> {
     /// between two solutions polynomial.
     pub fn for_each(&self, mut visit: impl FnMut(&[Value]) -> bool) -> u64 {
         let _sp = htd_trace::span!("yannakakis.enumerate");
-        let mut assignment = vec![0; self.csp.num_vars() as usize];
-        let mut visited = 0;
-        self.walk(0, &mut assignment, &mut visited, &mut visit);
-        visited
-    }
-
-    /// Extends `a` at `depth`: depths below `order.len()` choose a node's
-    /// tuple, the next ones a free variable's value. Every depth overwrites
-    /// the same variables, so nothing is undone on the way back. Returns
-    /// `false` once `visit` has asked to stop.
-    fn walk(
-        &self,
-        depth: usize,
-        a: &mut [Value],
-        visited: &mut u64,
-        visit: &mut impl FnMut(&[Value]) -> bool,
-    ) -> bool {
-        if let Some(&p) = self.order.get(depth) {
-            let rel = &self.rels[p];
-            for t in &rel.tuples {
-                if self.bound[p]
-                    .iter()
-                    .any(|&i| a[rel.vars[i] as usize] != t[i])
-                {
-                    continue;
-                }
-                for (&v, &x) in rel.vars.iter().zip(t) {
-                    a[v as usize] = x;
-                }
-                if !self.walk(depth + 1, a, visited, visit) {
-                    return false;
-                }
-            }
-            true
-        } else if let Some(&v) = self.free.get(depth - self.order.len()) {
-            (0..self.csp.domain_sizes[v as usize]).all(|x| {
-                a[v as usize] = x;
-                self.walk(depth + 1, a, visited, visit)
-            })
-        } else {
-            debug_assert!(self.csp.is_solution(a));
-            *visited += 1;
-            visit(a)
-        }
+        // each node's rows grouped by the values of its bound columns
+        let keys: Vec<Vec<Value>> = self
+            .order
+            .iter()
+            .map(|&p| self.rels[p].keys(&self.bound[p]))
+            .collect();
+        let index: Vec<Index> = self
+            .order
+            .iter()
+            .zip(&keys)
+            .map(|(&p, keys)| Index::new(keys, self.bound[p].len(), self.rels[p].len()))
+            .collect();
+        let mut walk = Walk {
+            rels: self,
+            index: &index,
+            a: vec![0; self.csp.num_vars() as usize],
+            key: Vec::new(),
+            visited: 0,
+        };
+        walk.extend(0, &mut visit);
+        walk.visited
     }
 
     /// The first solution of the walk after [`reduce`](Self::reduce) (the
@@ -255,25 +239,36 @@ impl<'a> NodeRelations<'a> {
     /// exactly when the true count does not fit.
     pub fn count(&self) -> Option<u64> {
         let mut weights: Vec<Vec<u128>> = self.rels.iter().map(|r| vec![1; r.len()]).collect();
+        let mut key = Vec::new();
         for &p in self.order.iter().rev() {
             let Some(q) = self.tree.parent(p) else {
                 continue;
             };
             let (parent, child) = (&self.rels[q], &self.rels[p]);
-            let shared: Vec<(usize, usize)> = (0..parent.vars.len())
+            let (mine, theirs): (Vec<usize>, Vec<usize>) = (0..parent.vars.len())
                 .filter_map(|i| child.col(parent.vars[i]).map(|j| (i, j)))
-                .collect();
-            // message: shared values -> summed child weight
-            let mut msg: HashMap<Vec<Value>, u128> = HashMap::new();
-            for (t, &w) in child.tuples.iter().zip(&weights[p]) {
-                let sum = msg
-                    .entry(shared.iter().map(|&(_, j)| t[j]).collect())
-                    .or_insert(0);
+                .unzip();
+            if mine.is_empty() {
+                // one message: every parent tuple extends by the whole child
+                let total = weights[p].iter().fold(0, |s: u128, &w| s.saturating_add(w));
+                for w in &mut weights[q] {
+                    *w = w.saturating_mul(total);
+                }
+                continue;
+            }
+            // message: shared values -> summed child weight; a tuple of
+            // weight 0 adds nothing and keeps nothing, so neither side
+            // hashes one
+            let keys = child.keys(&theirs);
+            let mut msg: HashMap<&[Value], u128> = HashMap::with_capacity(child.len());
+            for (i, &w) in weights[p].iter().enumerate().filter(|&(_, &w)| w > 0) {
+                let sum = msg.entry(key_at(&keys, theirs.len(), i)).or_insert(0);
                 *sum = sum.saturating_add(w);
             }
-            for (t, w) in parent.tuples.iter().zip(&mut weights[q]) {
-                let key: Vec<Value> = shared.iter().map(|&(i, _)| t[i]).collect();
-                *w = w.saturating_mul(msg.get(&key).copied().unwrap_or(0));
+            for (t, w) in parent.rows().zip(&mut weights[q]).filter(|(_, w)| **w > 0) {
+                key.clear();
+                key.extend(mine.iter().map(|&i| t[i]));
+                *w = w.saturating_mul(msg.get(&key[..]).copied().unwrap_or(0));
             }
         }
         let in_tree = weights[self.tree.root()]
@@ -283,6 +278,54 @@ impl<'a> NodeRelations<'a> {
             n.saturating_mul(u128::from(self.csp.domain_sizes[v as usize]))
         });
         u64::try_from(total).ok()
+    }
+}
+
+/// The state of one top-down walk.
+struct Walk<'w, 'a> {
+    rels: &'w NodeRelations<'a>,
+    /// `index[d]`: the rows of node `order[d]` by their bound columns.
+    index: &'w [Index<'w>],
+    /// The assignment so far.
+    a: Vec<Value>,
+    /// Scratch for the bound values a node is probed with.
+    key: Vec<Value>,
+    visited: u64,
+}
+
+impl Walk<'_, '_> {
+    /// Extends the assignment at `depth`: depths below `order.len()`
+    /// choose a node's tuple among those that agree with the bound
+    /// columns, in relation order; the next ones a free variable's value.
+    /// Every depth overwrites the same variables, so nothing is undone on
+    /// the way back. Returns `false` once `visit` has asked to stop.
+    fn extend(&mut self, depth: usize, visit: &mut impl FnMut(&[Value]) -> bool) -> bool {
+        let nr = self.rels;
+        if let Some(&p) = nr.order.get(depth) {
+            let rel = &nr.rels[p];
+            self.key.clear();
+            let a = &self.a;
+            self.key
+                .extend(nr.bound[p].iter().map(|&i| a[rel.vars[i] as usize]));
+            for m in self.index[depth].rows(&self.key) {
+                for (&v, &x) in rel.vars.iter().zip(rel.row(m)) {
+                    self.a[v as usize] = x;
+                }
+                if !self.extend(depth + 1, visit) {
+                    return false;
+                }
+            }
+            true
+        } else if let Some(&v) = nr.free.get(depth - nr.order.len()) {
+            (0..nr.csp.domain_sizes[v as usize]).all(|x| {
+                self.a[v as usize] = x;
+                self.extend(depth + 1, visit)
+            })
+        } else {
+            debug_assert!(nr.csp.is_solution(&self.a));
+            self.visited += 1;
+            visit(&self.a)
+        }
     }
 }
 

@@ -47,7 +47,8 @@
 //! constant) act as global guards: if the guard fails the query is
 //! trivially false.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 use htd_core::{HtdError, Json};
@@ -131,11 +132,13 @@ impl Query {
 // Tokenizer
 // ---------------------------------------------------------------------
 
+/// A token; names, numbers and strings borrow the input, and only a
+/// string holding an escaped quote owns its text.
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(String),
-    Str(String),
+enum Tok<'t> {
+    Ident(&'t str),
+    Num(&'t str),
+    Str(Cow<'t, str>),
     LParen,
     RParen,
     Comma,
@@ -146,7 +149,7 @@ enum Tok {
     At,
 }
 
-impl Tok {
+impl Tok<'_> {
     fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier '{s}'"),
@@ -168,101 +171,131 @@ fn parse_err(msg: impl Into<String>) -> HtdError {
     HtdError::Parse(msg.into())
 }
 
-fn tokenize(text: &str) -> Result<Vec<Tok>, HtdError> {
-    let chars: Vec<char> = text.chars().collect();
+/// Splits `text` into tokens, walking bytes: every byte the grammar
+/// reacts to is ASCII, and a byte of a multi-byte UTF-8 sequence is never
+/// ASCII, so only a non-ASCII character is decoded (to test it for
+/// whitespace and letters).
+fn tokenize(text: &str) -> Result<Vec<Tok<'_>>, HtdError> {
+    let bytes = text.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            _ if c.is_whitespace() => i += 1,
-            '%' | '#' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                toks.push(Tok::LParen);
+    while let Some(&b) = bytes.get(i) {
+        let punct = match b {
+            b'(' => Some(Tok::LParen),
+            b')' => Some(Tok::RParen),
+            b',' => Some(Tok::Comma),
+            b';' => Some(Tok::Semi),
+            b'.' => Some(Tok::Dot),
+            b'@' => Some(Tok::At),
+            b':' if bytes.get(i + 1) == Some(&b'-') => {
                 i += 1;
+                Some(Tok::ColonDash)
             }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
+            b':' => Some(Tok::Colon),
+            _ => None,
+        };
+        if let Some(tok) = punct {
+            toks.push(tok);
+            i += 1;
+            continue;
+        }
+        match b {
+            b' ' | b'\t'..=b'\r' => i += 1,
+            b'%' | b'#' => {
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
             }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            ';' => {
-                toks.push(Tok::Semi);
-                i += 1;
-            }
-            '.' => {
-                toks.push(Tok::Dot);
-                i += 1;
-            }
-            '@' => {
-                toks.push(Tok::At);
-                i += 1;
-            }
-            ':' => {
-                if chars.get(i + 1) == Some(&'-') {
-                    toks.push(Tok::ColonDash);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Colon);
-                    i += 1;
-                }
-            }
-            '"' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        None => return Err(parse_err("unterminated string literal")),
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some('\\') if chars.get(i + 1) == Some(&'"') => {
-                            s.push('"');
-                            i += 2;
-                        }
-                        Some(&ch) => {
-                            s.push(ch);
-                            i += 1;
-                        }
-                    }
-                }
+            b'"' => {
+                let (s, end) = string(text, i + 1)?;
                 toks.push(Tok::Str(s));
+                i = end;
             }
-            '-' | '0'..='9' => {
+            b'-' | b'0'..=b'9' => {
                 let start = i;
-                if c == '-' {
+                if b == b'-' {
                     i += 1;
-                    if !chars.get(i).is_some_and(|ch| ch.is_ascii_digit()) {
+                    if !bytes.get(i).is_some_and(u8::is_ascii_digit) {
                         return Err(parse_err("'-' must start a number"));
                     }
                 }
-                while chars.get(i).is_some_and(|ch| ch.is_ascii_digit()) {
+                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
                     i += 1;
                 }
-                toks.push(Tok::Num(chars[start..i].iter().collect()));
+                toks.push(Tok::Num(&text[start..i]));
             }
-            _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while chars
-                    .get(i)
-                    .is_some_and(|ch| ch.is_alphanumeric() || *ch == '_')
-                {
-                    i += 1;
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
+                let end = ident_end(text, i + 1);
+                toks.push(Tok::Ident(&text[i..end]));
+                i = end;
+            }
+            0x80..=0xff => {
+                let c = text[i..].chars().next().expect("i is a char boundary");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                } else if c.is_alphabetic() {
+                    let end = ident_end(text, i + c.len_utf8());
+                    toks.push(Tok::Ident(&text[i..end]));
+                    i = end;
+                } else {
+                    return Err(parse_err(format!("unexpected character '{c}'")));
                 }
-                toks.push(Tok::Ident(chars[start..i].iter().collect()));
             }
-            other => return Err(parse_err(format!("unexpected character '{other}'"))),
+            _ => return Err(parse_err(format!("unexpected character '{}'", b as char))),
         }
     }
     Ok(toks)
+}
+
+/// The end of the identifier whose remaining characters start at `i`:
+/// letters, digits and `_`.
+fn ident_end(text: &str, mut i: usize) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            i += 1;
+        } else if b >= 0x80 {
+            match text[i..].chars().next() {
+                Some(c) if c.is_alphanumeric() => i += c.len_utf8(),
+                _ => break,
+            }
+        } else {
+            break;
+        }
+    }
+    i
+}
+
+/// The string literal whose text starts at `start` (after its opening
+/// quote), and the position after its closing quote. `\"` is the one
+/// escape; the text is copied only when it holds one.
+fn string(text: &str, start: usize) -> Result<(Cow<'_, str>, usize), HtdError> {
+    let bytes = text.as_bytes();
+    let mut owned: Option<String> = None;
+    let (mut run, mut i) = (start, start);
+    loop {
+        match bytes.get(i) {
+            None => return Err(parse_err("unterminated string literal")),
+            Some(b'"') => break,
+            Some(b'\\') if bytes.get(i + 1) == Some(&b'"') => {
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(&text[run..i]);
+                s.push('"');
+                i += 2;
+                run = i;
+            }
+            Some(_) => i += 1,
+        }
+    }
+    let s = match owned {
+        None => Cow::Borrowed(&text[start..i]),
+        Some(mut s) => {
+            s.push_str(&text[run..i]);
+            Cow::Owned(s)
+        }
+    };
+    Ok((s, i + 1))
 }
 
 // ---------------------------------------------------------------------
@@ -270,35 +303,66 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, HtdError> {
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
-enum Term {
-    Var(String),
-    Const(String),
+enum Term<'t> {
+    Var(&'t str),
+    Const(Cow<'t, str>),
 }
 
 #[derive(Clone, Debug)]
-struct Atom {
-    relation: String,
-    terms: Vec<Term>,
+struct Atom<'t> {
+    relation: &'t str,
+    terms: Vec<Term<'t>>,
 }
 
 #[derive(Clone, Debug)]
-struct Rule {
-    name: String,
-    head: Vec<String>,
-    body: Vec<Atom>,
+struct Rule<'t> {
+    name: &'t str,
+    head: Vec<&'t str>,
+    body: Vec<Atom<'t>>,
 }
 
-struct Parser {
-    toks: Vec<Tok>,
+/// A relation's rows as read, values not yet interned: one buffer of
+/// values, and where each row ends in it.
+#[derive(Default)]
+struct Rows<'t> {
+    values: Vec<Cow<'t, str>>,
+    ends: Vec<usize>,
+}
+
+impl<'t> Rows<'t> {
+    fn push(&mut self, v: Cow<'t, str>) {
+        self.values.push(v);
+    }
+
+    /// `true` iff no value was pushed since the last row ended.
+    fn row_is_empty(&self) -> bool {
+        self.ends.last().copied().unwrap_or(0) == self.values.len()
+    }
+
+    /// Ends the row of the values pushed since the last one.
+    fn end_row(&mut self) {
+        self.ends.push(self.values.len());
+    }
+
+    /// The number of values of each row, in order.
+    fn arities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ends
+            .iter()
+            .scan(0, |start, &end| Some(end - std::mem::replace(start, end)))
+    }
+}
+
+struct Parser<'t> {
+    toks: Vec<Tok<'t>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
+impl<'t> Parser<'t> {
+    fn peek(&self) -> Option<&Tok<'t>> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<Tok, HtdError> {
+    fn next(&mut self) -> Result<Tok<'t>, HtdError> {
         let t = self
             .toks
             .get(self.pos)
@@ -321,7 +385,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, HtdError> {
+    fn ident(&mut self, what: &str) -> Result<&'t str, HtdError> {
         match self.next()? {
             Tok::Ident(s) => Ok(s),
             other => Err(parse_err(format!(
@@ -332,7 +396,7 @@ impl Parser {
     }
 
     /// `Name(term, ...)`, with `Name` already consumed.
-    fn atom_tail(&mut self, relation: String, allow_consts: bool) -> Result<Atom, HtdError> {
+    fn atom_tail(&mut self, relation: &'t str, allow_consts: bool) -> Result<Atom<'t>, HtdError> {
         self.expect(Tok::LParen)?;
         let mut terms = Vec::new();
         if self.peek() == Some(&Tok::RParen) {
@@ -342,7 +406,7 @@ impl Parser {
         loop {
             match self.next()? {
                 Tok::Ident(v) => terms.push(Term::Var(v)),
-                Tok::Num(n) if allow_consts => terms.push(Term::Const(n)),
+                Tok::Num(n) if allow_consts => terms.push(Term::Const(Cow::Borrowed(n))),
                 Tok::Str(s) if allow_consts => terms.push(Term::Const(s)),
                 other if allow_consts => {
                     return Err(parse_err(format!(
@@ -372,8 +436,8 @@ impl Parser {
     }
 
     /// `Head(vars) :- Atom, Atom, ... .` with the head name consumed.
-    fn rule_tail(&mut self, name: String) -> Result<Rule, HtdError> {
-        let head_atom = self.atom_tail(name.clone(), false)?;
+    fn rule_tail(&mut self, name: &'t str) -> Result<Rule<'t>, HtdError> {
+        let head_atom = self.atom_tail(name, false)?;
         let head = head_atom
             .terms
             .into_iter()
@@ -409,25 +473,23 @@ impl Parser {
     }
 
     /// `Name: v v ; v v .` with name and `:` consumed.
-    fn relation_tail(&mut self) -> Result<Vec<Vec<String>>, HtdError> {
-        let mut tuples = Vec::new();
-        let mut current: Vec<String> = Vec::new();
+    fn relation_tail(&mut self) -> Result<Rows<'t>, HtdError> {
+        let mut rows = Rows::default();
         loop {
             match self.next()? {
-                Tok::Ident(v) => current.push(v),
-                Tok::Num(v) => current.push(v),
-                Tok::Str(v) => current.push(v),
+                Tok::Ident(v) | Tok::Num(v) => rows.push(Cow::Borrowed(v)),
+                Tok::Str(v) => rows.push(v),
                 Tok::Semi => {
-                    if current.is_empty() {
+                    if rows.row_is_empty() {
                         return Err(parse_err("empty tuple before ';'"));
                     }
-                    tuples.push(std::mem::take(&mut current));
+                    rows.end_row();
                 }
                 Tok::Dot => {
-                    if !current.is_empty() {
-                        tuples.push(current);
+                    if !rows.row_is_empty() {
+                        rows.end_row();
                     }
-                    return Ok(tuples);
+                    return Ok(rows);
                 }
                 other => {
                     return Err(parse_err(format!(
@@ -442,21 +504,21 @@ impl Parser {
 
 /// Reads a whitespace-separated tuples file (one tuple per line,
 /// `%`/`#` comments).
-fn parse_tuples_file(text: &str) -> Vec<Vec<String>> {
-    text.lines()
-        .map(|l| {
-            l.split(['%', '#'])
-                .next()
-                .unwrap_or("")
-                .split_whitespace()
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        })
-        .filter(|t| !t.is_empty())
-        .collect()
+fn parse_tuples_file(text: &str) -> Rows<'static> {
+    let mut rows = Rows::default();
+    for line in text.lines() {
+        let data = line.split(['%', '#']).next().unwrap_or("");
+        for v in data.split_whitespace() {
+            rows.push(Cow::Owned(v.to_string()));
+        }
+        if !rows.row_is_empty() {
+            rows.end_row();
+        }
+    }
+    rows
 }
 
-fn load_relation_file(path: &str, files: &FileAccess) -> Result<Vec<Vec<String>>, HtdError> {
+fn load_relation_file(path: &str, files: &FileAccess) -> Result<Rows<'static>, HtdError> {
     let base = match files {
         FileAccess::Deny => {
             return Err(HtdError::Unsupported(
@@ -480,20 +542,21 @@ fn load_relation_file(path: &str, files: &FileAccess) -> Result<Vec<Vec<String>>
 // Compilation into a CSP
 // ---------------------------------------------------------------------
 
+/// Domain values in order of first sighting; the index borrows the
+/// parsed text, so only a new value is copied (into `values`).
 #[derive(Default)]
-struct Interner {
+struct Interner<'r> {
     values: Vec<String>,
-    index: HashMap<String, Value>,
+    index: HashMap<&'r str, Value>,
 }
 
-impl Interner {
-    fn intern(&mut self, s: &str) -> Value {
-        if let Some(&v) = self.index.get(s) {
-            return v;
+impl<'r> Interner<'r> {
+    fn intern(&mut self, s: &'r str) -> Value {
+        let next = self.values.len() as Value;
+        let v = *self.index.entry(s).or_insert(next);
+        if v == next {
+            self.values.push(s.to_string());
         }
-        let v = self.values.len() as Value;
-        self.values.push(s.to_string());
-        self.index.insert(s.to_string(), v);
         v
     }
 }
@@ -502,56 +565,56 @@ fn invalid(msg: impl Into<String>) -> HtdError {
     HtdError::Invalid(msg.into())
 }
 
-fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Query, HtdError> {
+/// What one position of an atom asks of a tuple.
+enum Check {
+    /// Equal this constant.
+    Const(Value),
+    /// Equal the value at this earlier position (a repeated variable).
+    SameAs(usize),
+    /// Nothing: the first occurrence of a variable.
+    Free,
+}
+
+fn compile(rule: &Rule, relations: &HashMap<&str, Rows>) -> Result<Query, HtdError> {
     let mut interner = Interner::default();
-    let mut interned: HashMap<String, Vec<Vec<Value>>> = HashMap::new();
-    let mut var_ids: HashMap<String, VarId> = HashMap::new();
+    // each relation's interned rows, row-major, interned at its first atom
+    let mut interned: HashMap<&str, Vec<Value>> = HashMap::new();
+    let mut var_ids: HashMap<&str, VarId> = HashMap::new();
     let mut var_names: Vec<String> = Vec::new();
     let mut constraints: Vec<Constraint> = Vec::new();
     let mut trivially_false = false;
 
     for (ai, atom) in rule.body.iter().enumerate() {
         let data = relations
-            .get(&atom.relation)
+            .get(atom.relation)
             .ok_or_else(|| invalid(format!("unknown relation '{}'", atom.relation)))?;
-        if let Some(t) = data.iter().find(|t| t.len() != atom.terms.len()) {
+        let arity = atom.terms.len();
+        if let Some(len) = data.arities().find(|&len| len != arity) {
             return Err(invalid(format!(
-                "relation '{}' has a tuple of arity {} but the atom uses arity {}",
+                "relation '{}' has a tuple of arity {len} but the atom uses arity {arity}",
                 atom.relation,
-                t.len(),
-                atom.terms.len()
             )));
         }
-        let tuples = interned
-            .entry(atom.relation.clone())
-            .or_insert_with(|| {
-                data.iter()
-                    .map(|t| t.iter().map(|v| interner.intern(v)).collect())
-                    .collect()
-            })
-            .clone();
+        let tuples: &[Value] = interned
+            .entry(atom.relation)
+            .or_insert_with(|| data.values.iter().map(|v| interner.intern(v)).collect());
 
         // selection plan: for each position, either the constant it must
         // equal, or the position of the variable's first occurrence.
         let mut first_pos: HashMap<&str, usize> = HashMap::new();
         let mut keep: Vec<usize> = Vec::new(); // first-occurrence var positions
         let mut scope: Vec<VarId> = Vec::new();
-        enum Check {
-            Const(Value),
-            SameAs(usize),
-            Free,
-        }
         let mut checks: Vec<Check> = Vec::new();
         for (p, term) in atom.terms.iter().enumerate() {
             match term {
                 Term::Const(c) => checks.push(Check::Const(interner.intern(c))),
-                Term::Var(v) => match first_pos.get(v.as_str()) {
+                &Term::Var(v) => match first_pos.get(v) {
                     Some(&fp) => checks.push(Check::SameAs(fp)),
                     None => {
                         first_pos.insert(v, p);
                         keep.push(p);
-                        let id = *var_ids.entry(v.clone()).or_insert_with(|| {
-                            var_names.push(v.clone());
+                        let id = *var_ids.entry(v).or_insert_with(|| {
+                            var_names.push(v.to_string());
                             (var_names.len() - 1) as VarId
                         });
                         scope.push(id);
@@ -561,9 +624,10 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
             }
         }
 
-        let mut projected: Vec<Vec<Value>> = Vec::new();
-        let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-        'tuple: for t in &tuples {
+        // the kept columns of every row that passes the checks, gathered
+        let mut projected: Vec<Value> = Vec::new();
+        let mut passed = 0;
+        'tuple: for t in tuples.chunks_exact(arity) {
             for (p, check) in checks.iter().enumerate() {
                 match check {
                     Check::Const(c) if t[p] != *c => continue 'tuple,
@@ -571,24 +635,28 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
                     _ => {}
                 }
             }
-            let proj: Vec<Value> = keep.iter().map(|&p| t[p]).collect();
-            // set semantics: duplicates would inflate counts downstream
-            if seen.insert(proj.clone()) {
-                projected.push(proj);
-            }
+            projected.extend(keep.iter().map(|&p| t[p]));
+            passed += 1;
         }
 
         if scope.is_empty() {
             // all-constant atom: a guard, not a constraint
-            if projected.is_empty() {
+            if passed == 0 {
                 trivially_false = true;
             }
             continue;
         }
+        // set semantics: duplicates would inflate counts downstream
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(passed);
+        let rows: Vec<Vec<Value>> = projected
+            .chunks_exact(keep.len())
+            .filter(|&t| seen.insert(t))
+            .map(<[Value]>::to_vec)
+            .collect();
         constraints.push(Constraint::new(
             format!("{}@{ai}", atom.relation),
             scope,
-            projected,
+            rows,
         ));
     }
 
@@ -596,7 +664,7 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
         rule.head
             .iter()
             .map(|v| {
-                var_ids.get(v.as_str()).copied().ok_or_else(|| {
+                var_ids.get(v).copied().ok_or_else(|| {
                     invalid(format!("head variable '{v}' does not appear in the body"))
                 })
             })
@@ -614,7 +682,7 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
     }
 
     Ok(Query {
-        name: rule.name,
+        name: rule.name.to_string(),
         head,
         csp,
         values: Some(interner.values),
@@ -626,10 +694,10 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
 // Entry points
 // ---------------------------------------------------------------------
 
-fn parse_program(
-    text: &str,
+fn parse_program<'t>(
+    text: &'t str,
     files: &FileAccess,
-    extra_relations: HashMap<String, Vec<Vec<String>>>,
+    extra_relations: HashMap<&'t str, Rows<'t>>,
 ) -> Result<Query, HtdError> {
     let mut parser = Parser {
         toks: tokenize(text)?,
@@ -648,8 +716,8 @@ fn parse_program(
                 rule = Some(parser.rule_tail(name)?);
             }
             Tok::Colon => {
-                let tuples = parser.relation_tail()?;
-                if relations.insert(name.clone(), tuples).is_some() {
+                let rows = parser.relation_tail()?;
+                if relations.insert(name, rows).is_some() {
                     return Err(parse_err(format!("relation '{name}' defined twice")));
                 }
             }
@@ -664,8 +732,8 @@ fn parse_program(
                     }
                 };
                 parser.expect(Tok::Dot)?;
-                let tuples = load_relation_file(&path, files)?;
-                if relations.insert(name.clone(), tuples).is_some() {
+                let rows = load_relation_file(&path, files)?;
+                if relations.insert(name, rows).is_some() {
                     return Err(parse_err(format!("relation '{name}' defined twice")));
                 }
             }
@@ -678,21 +746,21 @@ fn parse_program(
         }
     }
     let rule = rule.ok_or_else(|| parse_err("no query rule found (expected `Q(...) :- ...`)"))?;
-    compile(rule, relations)
+    compile(&rule, &relations)
 }
 
-fn json_literal(v: &Json) -> Result<String, HtdError> {
+fn json_literal(v: &Json) -> Result<Cow<'_, str>, HtdError> {
     match v {
-        Json::Str(s) => Ok(s.clone()),
+        Json::Str(s) => Ok(Cow::Borrowed(s)),
         Json::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
-                Ok(format!("{}", *n as i64))
+                Ok(Cow::Owned(format!("{}", *n as i64)))
             } else {
-                Ok(n.to_string())
+                Ok(Cow::Owned(n.to_string()))
             }
         }
-        Json::U64(n) => Ok(n.to_string()),
-        Json::Bool(b) => Ok(b.to_string()),
+        Json::U64(n) => Ok(Cow::Owned(n.to_string())),
+        Json::Bool(b) => Ok(Cow::Owned(b.to_string())),
         other => Err(invalid(format!(
             "relation values must be numbers or strings, found {other}"
         ))),
@@ -704,22 +772,21 @@ fn parse_json_query(text: &str, files: &FileAccess) -> Result<Query, HtdError> {
     let query_text = json
         .get("query")
         .and_then(Json::as_str)
-        .ok_or_else(|| parse_err("JSON query needs a string 'query' field"))?
-        .to_string();
-    let mut relations: HashMap<String, Vec<Vec<String>>> = HashMap::new();
+        .ok_or_else(|| parse_err("JSON query needs a string 'query' field"))?;
+    let mut relations: HashMap<&str, Rows> = HashMap::new();
     if let Some(Json::Obj(entries)) = json.get("relations") {
         for (name, rel) in entries {
-            let rows = match rel {
-                Json::Arr(rows) => rows,
+            let tuples = match rel {
+                Json::Arr(tuples) => tuples,
                 _ => {
                     return Err(invalid(format!(
                         "relation '{name}' must be an array of tuples"
                     )))
                 }
             };
-            let mut tuples = Vec::with_capacity(rows.len());
-            for row in rows {
-                let vals = match row {
+            let mut rows = Rows::default();
+            for tuple in tuples {
+                let vals = match tuple {
                     Json::Arr(vals) => vals,
                     _ => {
                         return Err(invalid(format!(
@@ -727,12 +794,15 @@ fn parse_json_query(text: &str, files: &FileAccess) -> Result<Query, HtdError> {
                         )))
                     }
                 };
-                tuples.push(vals.iter().map(json_literal).collect::<Result<_, _>>()?);
+                for v in vals {
+                    rows.push(json_literal(v)?);
+                }
+                rows.end_row();
             }
-            relations.insert(name.clone(), tuples);
+            relations.insert(name.as_str(), rows);
         }
     }
-    parse_program(&query_text, files, relations)
+    parse_program(query_text, files, relations)
 }
 
 /// Parses a conjunctive query in the text or JSON format (sniffed by the

@@ -386,6 +386,8 @@ fn eval_query(
             let mut distinct: u64 = 0;
             let mut stop: Option<Stop> = None;
             let mut visits: u64 = 0;
+            // the projection of the solution at hand; copied only when new
+            let mut proj: Vec<Value> = Vec::with_capacity(head.len());
             let visit = |a: &[Value]| {
                 visits += 1;
                 if visits % 1024 == 0 {
@@ -396,9 +398,10 @@ fn eval_query(
                         }
                     }
                 }
-                let proj: Vec<Value> = head.iter().map(|&v| a[v as usize]).collect();
+                proj.clear();
+                proj.extend(head.iter().map(|&v| a[v as usize]));
                 if dedup {
-                    if seen.contains(&proj) {
+                    if seen.contains(&proj[..]) {
                         return true;
                     }
                     if let Some(b) = guard.budget {
@@ -412,7 +415,7 @@ fn eval_query(
                 }
                 distinct += 1;
                 if enumerate {
-                    tuples.push(proj);
+                    tuples.push(proj.clone());
                     if distinct >= opts.limit {
                         stop = Some(Stop::Limit);
                         return false;

@@ -114,6 +114,36 @@ fn slow_loris_partial_frames_do_not_block_other_connections() {
     server.wait();
 }
 
+/// The loop parses every request line itself, so parsing must stay
+/// linear in the line's length: a 1 MB `solve` (a two-vertex graph padded
+/// by one comment line) must not hold a ping on another connection.
+#[test]
+fn a_megabyte_request_does_not_stall_other_connections() {
+    let (server, addr) = start(loop_opts());
+    let instance = format!("c {}\np tw 2 1\n1 2\n", "x".repeat(1 << 20));
+    let line = solve_line("big", Objective::Treewidth, &instance, 10_000);
+    let big_addr = addr.clone();
+    let big = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(&big_addr).unwrap();
+        stream.write_all(line.as_bytes()).unwrap();
+        read_response(&mut BufReader::new(stream))
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let mut client = Client::connect(&addr).unwrap();
+    let t = Instant::now();
+    client.ping().unwrap();
+    let waited = t.elapsed();
+    assert!(
+        waited < Duration::from_millis(200),
+        "a ping waited {waited:?} behind a 1 MB request"
+    );
+    let r = big.join().unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    assert_eq!(r.outcome.map(|o| o.upper), Some(1));
+    client.shutdown().unwrap();
+    server.wait();
+}
+
 /// Connections that die mid-frame must be reaped without poisoning the
 /// loop: the server keeps answering afterwards.
 #[test]

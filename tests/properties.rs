@@ -247,7 +247,7 @@ proptest! {
         let s = a.semijoin(&b);
         prop_assert!(s.len() <= a.len());
         let ss = s.semijoin(&b);
-        prop_assert_eq!(s.tuples.len(), ss.tuples.len());
+        prop_assert_eq!(s.len(), ss.len());
         // projection to own schema only deduplicates
         let p = a.project(&[0, 1]);
         prop_assert!(p.len() <= a.len());
