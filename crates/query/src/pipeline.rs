@@ -29,9 +29,9 @@
 //! Decomposition runs under the `answer.decompose` span and evaluation
 //! under `answer.evaluate`; with the search config's tracer on, both
 //! write `span_enter`/`span_exit` events into its stream (the caller
-//! times parsing under `answer.parse`). The process-global registry
-//! accumulates `htd_answers_total`, `htd_answer_tuples_scanned_total`
-//! and `htd_answer_refusals_total` for `/metrics`.
+//! times parsing under `answer.parse`). The pipeline counts nothing
+//! itself: a server counts answers, tuples scanned and refusals from the
+//! results it returns.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -430,15 +430,10 @@ fn eval_query(
             };
             drop(guard);
             match stop {
-                Some(Stop::Memory(found)) => {
-                    htd_trace::registry()
-                        .counter("htd_answer_refusals_total")
-                        .inc();
-                    Err(HtdError::ResourceExhausted(format!(
-                        "answer deduplication blew the memory budget after {found} distinct \
-                         answers ({walked} solutions walked); re-run with a larger budget"
-                    )))
-                }
+                Some(Stop::Memory(found)) => Err(HtdError::ResourceExhausted(format!(
+                    "answer deduplication blew the memory budget after {found} distinct \
+                     answers ({walked} solutions walked); re-run with a larger budget"
+                ))),
                 Some(Stop::Deadline) if !enumerate => Err(HtdError::Io(format!(
                     "deadline expired during counting after {walked} solutions; \
                      a partial count would be wrong"
@@ -466,16 +461,12 @@ fn eval_query(
 /// for it: decomposing builds the query hypergraph, one vertex set of
 /// ⌈n/64⌉ words per atom, and its primal graph, n² bits for n variables.
 /// A query over the instance parsers' caps ([`io::check_size`]) is
-/// [`HtdError::ResourceExhausted`], counted in `htd_answer_refusals_total`.
-/// [`answer`] checks it first.
+/// [`HtdError::ResourceExhausted`]. [`answer`] checks it first.
 pub fn check_query_size(q: &Query) -> Result<(), HtdError> {
     let (vars, atoms) = (q.csp.num_vars(), q.csp.constraints.len());
     if io::check_size(vars.into(), atoms as u64).is_ok() {
         return Ok(());
     }
-    htd_trace::registry()
-        .counter("htd_answer_refusals_total")
-        .inc();
     Err(HtdError::ResourceExhausted(format!(
         "refusing decomposition: the query has {vars} variables and {atoms} atoms, more than \
          a decomposition may have ({MAX_VERTICES} variables, {MAX_EDGE_SET_BYTES} bytes of \
@@ -488,7 +479,6 @@ pub fn check_query_size(q: &Query) -> Result<(), HtdError> {
 /// structured [`HtdError`]s — notably [`HtdError::ResourceExhausted`]
 /// for a refusal with a size estimate, never a wrong answer.
 pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
-    let reg = htd_trace::registry();
     check_query_size(q)?;
     let h = q.csp.hypergraph();
     let canon = canonical_form(&h);
@@ -507,7 +497,6 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
         } else {
             Vec::new()
         };
-        reg.counter("htd_answers_total").inc();
         return Ok(Answer {
             head: q.head_names(),
             mode: opts.mode,
@@ -550,7 +539,6 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
         let per_tuple = 4 * (u128::from(td.width()) + 1) + 24;
         let est_bytes = est.saturating_mul(per_tuple);
         if est_bytes > u128::from(u64::MAX) || !budget.would_fit(est_bytes as u64) {
-            reg.counter("htd_answer_refusals_total").inc();
             return Err(HtdError::ResourceExhausted(format!(
                 "refusing evaluation: join-tree materialization may reach {est} tuples \
                  (~{} MiB) against a {} MiB budget; decompose with a smaller width or \
@@ -574,10 +562,6 @@ pub fn answer(q: &Query, opts: &AnswerOptions) -> Result<Answer, HtdError> {
         .map(|c| c.tuples.len() as u64)
         .sum();
     stats.tuples_scanned = input_tuples + eval.walked;
-
-    reg.counter("htd_answers_total").inc();
-    reg.counter("htd_answer_tuples_scanned_total")
-        .add(stats.tuples_scanned);
 
     Ok(Answer {
         head: q.head_names(),

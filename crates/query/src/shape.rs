@@ -16,9 +16,9 @@
 //! isomorphic shape the replayed ordering can in principle be wider,
 //! but never *invalid* — correctness of answers is unaffected.
 //!
-//! Hits and misses tick the process-global metric registry
-//! (`htd_answer_shape_cache_{hits,misses}_total`), which the service
-//! `/metrics` endpoint scrapes.
+//! The cache counts its own hits and misses ([`ShapeCache::counts`]);
+//! a server that owns one reads them when `/metrics` is scraped
+//! (`htd_answer_shape_cache_{hits,misses}_total`).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -50,23 +50,17 @@ impl ShapeCache {
     }
 
     /// Looks up the ordering cached for `canonical_bytes`, counting the
-    /// hit or miss both internally and in the global metric registry.
+    /// hit or miss.
     pub fn lookup(&self, canonical_bytes: &[u8]) -> Option<EliminationOrdering> {
         let mut inner = self.inner.lock().unwrap();
         match inner.map.get(canonical_bytes) {
             Some(order) => {
                 let order = order.clone();
                 inner.hits += 1;
-                htd_trace::registry()
-                    .counter("htd_answer_shape_cache_hits_total")
-                    .inc();
                 Some(EliminationOrdering::new_unchecked(order))
             }
             None => {
                 inner.misses += 1;
-                htd_trace::registry()
-                    .counter("htd_answer_shape_cache_misses_total")
-                    .inc();
                 None
             }
         }

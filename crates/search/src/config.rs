@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use htd_core::ordering::EliminationOrdering;
 use htd_resilience::{InjectedFaults, MemoryBudget};
 use htd_setcover::CoverCache;
-use htd_trace::{metrics::Counter, registry, Event, Tracer};
+use htd_trace::{Event, Tracer};
 
 use crate::incumbent::Incumbent;
 use crate::registry::Engine;
@@ -212,8 +212,8 @@ impl SearchOutcome {
     }
 }
 
-/// Expansions are reported to the metric registry and trace stream in
-/// batches of this size, so the per-tick overhead is a local increment.
+/// Expansions are reported to the trace stream in batches of this size,
+/// so the per-tick overhead is a local increment.
 const EXPANSION_BATCH: u64 = 4096;
 
 /// Internal deadline/budget tracker.
@@ -222,10 +222,10 @@ const EXPANSION_BATCH: u64 = 4096;
 /// every tick checks its flag, so a worker stops within one node expansion
 /// of another worker's exact proof (or the portfolio's deadline).
 ///
-/// And the expansion reporter: every [`EXPANSION_BATCH`] ticks it adds the
-/// batch to the global expansion counters and (when tracing) emits one
-/// `NodeExpanded` event; `Drop` flushes the remainder, so totals are exact
-/// however the search exits.
+/// And the expansion reporter: every [`EXPANSION_BATCH`] ticks it emits
+/// one `NodeExpanded` event (when tracing); `Drop` flushes the remainder,
+/// so the stream's totals are exact however the search exits. The search
+/// itself reads the total from `expanded` into its stats.
 #[derive(Debug)]
 pub(crate) struct Budget {
     start: Instant,
@@ -238,8 +238,6 @@ pub(crate) struct Budget {
     flushed: u64,
     label: &'static str,
     tracer: Arc<Tracer>,
-    total_counter: &'static Counter,
-    engine_counter: &'static Counter,
 }
 
 impl Budget {
@@ -256,9 +254,6 @@ impl Budget {
             flushed: 0,
             label,
             tracer: Arc::clone(&cfg.tracer),
-            // Resolved once here; each flush is then two relaxed adds.
-            total_counter: registry().counter("htd_solver_expansions_total"),
-            engine_counter: registry().labeled_counter("htd_solver_expansions", "engine", label),
         }
     }
 
@@ -315,15 +310,18 @@ impl Budget {
         }
     }
 
-    /// Counts the budget abort once per engine, however often the
-    /// exceeded latch is observed afterwards.
+    /// Counts the budget abort on the run's incumbent once per budget,
+    /// however often the exceeded latch is observed afterwards; the
+    /// outcome of the solve reports the total.
     #[cold]
     fn report_mem_abort(&mut self) {
         if self.mem_abort_reported {
             return;
         }
         self.mem_abort_reported = true;
-        registry().counter("htd_mem_budget_aborts_total").add(1);
+        if let Some(inc) = &self.cancel {
+            inc.count_mem_abort();
+        }
     }
 
     #[cold]
@@ -333,8 +331,6 @@ impl Budget {
             return;
         }
         self.flushed = self.expanded;
-        self.total_counter.add(batch);
-        self.engine_counter.add(batch);
         let label = self.label;
         self.tracer.emit_with(|| Event::NodeExpanded {
             worker: label,

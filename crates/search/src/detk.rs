@@ -40,7 +40,7 @@ use htd_setcover::cache::FxHasher;
 /// assert!(det_k_decomp(&c, 2).is_some());
 /// ```
 pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomposition> {
-    match det_k_decomp_until(h, k, &|| false) {
+    match det_k_decomp_until(h, k, &|| false, &mut DetkEffort::default()) {
         DetK::Found(hd) => Some(hd),
         DetK::Refuted | DetK::Stopped => None,
     }
@@ -50,6 +50,18 @@ pub fn det_k_decomp(h: &Hypergraph, k: u32) -> Option<GeneralizedHypertreeDecomp
 /// condition: often enough to stop within a millisecond or so, rarely
 /// enough that the check costs nothing.
 const STOP_CHECK_PERIOD: u32 = 4096;
+
+/// What det-k searched: its effort counters, summed over every width a
+/// run tried. An `hw` solve reports them in its `Outcome`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DetkEffort {
+    /// `decompose` calls — the paper's primary cost measure for DetKDecomp.
+    pub subproblems: u64,
+    /// Separators split and recursed on (`try_separator` calls).
+    pub separators_tried: u64,
+    /// Failed-(comp, conn) memo hits.
+    pub memo_hits: u64,
+}
 
 /// How a det-k run that may be stopped ended.
 pub(crate) enum DetK {
@@ -62,8 +74,14 @@ pub(crate) enum DetK {
 }
 
 /// [`det_k_decomp`] that calls `stop` every [`STOP_CHECK_PERIOD`]
-/// partial separators and gives up once it returns `true`.
-pub(crate) fn det_k_decomp_until(h: &Hypergraph, k: u32, stop: &dyn Fn() -> bool) -> DetK {
+/// partial separators and gives up once it returns `true`. Adds the
+/// run's search effort to `effort`.
+pub(crate) fn det_k_decomp_until(
+    h: &Hypergraph,
+    k: u32,
+    stop: &dyn Fn() -> bool,
+    effort: &mut DetkEffort,
+) -> DetK {
     if h.num_vertices() == 0 || h.num_edges() == 0 {
         // degenerate: a single empty node decomposes the empty hypergraph
         if h.num_vertices() == 0 && h.num_edges() == 0 {
@@ -83,22 +101,13 @@ pub(crate) fn det_k_decomp_until(h: &Hypergraph, k: u32, stop: &dyn Fn() -> bool
         failed: HashSet::default(),
         key: Vec::new(),
         nodes: Vec::new(),
-        subproblems: 0,
-        memo_hits: 0,
-        separators_tried: 0,
+        effort,
         stop,
         until_check: STOP_CHECK_PERIOD,
         stopped: false,
     };
     let all = VertexSet::full(m);
     let root = ctx.decompose(&all, &VertexSet::new(h.num_vertices()), &VertexSet::new(m));
-    // counted locally during the recursion, published once per call
-    let reg = htd_trace::registry();
-    reg.counter("htd_detk_subproblems_total")
-        .add(ctx.subproblems);
-    reg.counter("htd_detk_memo_hits_total").add(ctx.memo_hits);
-    reg.counter("htd_detk_separators_tried_total")
-        .add(ctx.separators_tried);
     let root = match root {
         _ if ctx.stopped => return DetK::Stopped,
         None => return DetK::Refuted,
@@ -132,7 +141,7 @@ pub fn hypertree_width(
     h: &Hypergraph,
     lb: u32,
 ) -> Option<(u32, GeneralizedHypertreeDecomposition)> {
-    match hypertree_width_until(h, lb, &|| false) {
+    match hypertree_width_until(h, lb, &|| false, &mut DetkEffort::default()) {
         Width::Exact(k, hd) => Some((k, hd)),
         Width::Stopped { .. } | Width::Undecomposable => None,
     }
@@ -150,14 +159,19 @@ pub(crate) enum Width {
 
 /// [`hypertree_width`] that gives up once `stop` returns `true`, checked
 /// before each width and every [`STOP_CHECK_PERIOD`] partial separators
-/// within one.
-pub(crate) fn hypertree_width_until(h: &Hypergraph, lb: u32, stop: &dyn Fn() -> bool) -> Width {
+/// within one. Adds the effort of every width it tries to `effort`.
+pub(crate) fn hypertree_width_until(
+    h: &Hypergraph,
+    lb: u32,
+    stop: &dyn Fn() -> bool,
+    effort: &mut DetkEffort,
+) -> Width {
     let mut k = lb.max(1);
     loop {
         if stop() {
             return Width::Stopped { lower: k };
         }
-        match det_k_decomp_until(h, k, stop) {
+        match det_k_decomp_until(h, k, stop, effort) {
             DetK::Found(hd) => return Width::Exact(k, hd),
             DetK::Stopped => return Width::Stopped { lower: k },
             DetK::Refuted => {}
@@ -184,12 +198,8 @@ struct Ctx<'a> {
     /// scratch for building a memo key
     key: Vec<u64>,
     nodes: Vec<BuiltNode>,
-    /// `decompose` calls — the paper's primary cost measure for DetKDecomp.
-    subproblems: u64,
-    /// failed-(comp, conn) memo hits.
-    memo_hits: u64,
-    /// separators split and recursed on (`try_separator` calls).
-    separators_tried: u64,
+    /// the caller's effort counters, counted into during the recursion
+    effort: &'a mut DetkEffort,
     /// asked every [`STOP_CHECK_PERIOD`] partial separators
     stop: &'a dyn Fn() -> bool,
     /// partial separators left until `stop` is asked again
@@ -236,7 +246,7 @@ impl Ctx<'_> {
         conn: &VertexSet,
         old_sep: &VertexSet,
     ) -> Option<NodeId> {
-        self.subproblems += 1;
+        self.effort.subproblems += 1;
         // base case: the whole component fits into one node
         if comp.len() <= self.k {
             let chi = {
@@ -255,7 +265,7 @@ impl Ctx<'_> {
         }
         self.fill_key(comp, conn);
         if self.failed.contains(self.key.as_slice()) {
-            self.memo_hits += 1;
+            self.effort.memo_hits += 1;
             return None;
         }
         // candidate separator edges: edges of the component plus parent
@@ -341,7 +351,7 @@ impl Ctx<'_> {
         lambda: &[EdgeId],
         lam_vars: &VertexSet,
     ) -> Option<NodeId> {
-        self.separators_tried += 1;
+        self.effort.separators_tried += 1;
         let (comp, conn) = (sub.comp, sub.conn);
         // χ = var(λ) ∩ (var(comp) ∪ conn)
         let mut chi = lam_vars.clone();
@@ -500,6 +510,19 @@ mod tests {
         let h = Hypergraph::new(2, vec![vec![0, 1]]);
         assert!(det_k_decomp(&h, 0).is_none());
         assert_eq!(hw_of(&h), 1);
+    }
+
+    /// Pins det-k's search on a fixed instance: a change to the separator
+    /// enumeration must not change how many separators it tries or how
+    /// many subproblems it decomposes, only how fast.
+    #[test]
+    fn bridge10_k2_effort_is_pinned() {
+        let h = gen::named_hypergraph("bridge_10").expect("suite hypergraph");
+        let mut effort = DetkEffort::default();
+        let refuted = det_k_decomp_until(&h, 2, &|| false, &mut effort);
+        assert!(matches!(refuted, DetK::Refuted), "hw(bridge_10) = 3");
+        assert_eq!(effort.separators_tried, 12056);
+        assert_eq!(effort.subproblems, 12057);
     }
 
     #[test]

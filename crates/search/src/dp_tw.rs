@@ -48,7 +48,6 @@ pub fn dp_treewidth(g: &Graph) -> u32 {
     // layer-by-layer over subset sizes; opt maps subset -> width
     let mut layer: HashMap<u32, u32> = HashMap::new();
     layer.insert(0, 0);
-    let mut states: u64 = 1;
     for _size in 0..n {
         let mut next: HashMap<u32, u32> = HashMap::new();
         for (&s, &w) in &layer {
@@ -73,11 +72,7 @@ pub fn dp_treewidth(g: &Graph) -> u32 {
             }
         }
         layer = next;
-        states += layer.len() as u64;
     }
-    htd_trace::registry()
-        .counter("htd_dp_tw_states_total")
-        .add(states);
     layer[&full]
 }
 

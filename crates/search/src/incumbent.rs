@@ -46,6 +46,8 @@ pub struct Incumbent {
     first_upper_us: AtomicU64,
     /// Microseconds from `created` to the latest accepted upper bound.
     best_upper_us: AtomicU64,
+    /// Engine searches of this run that the memory governor stopped.
+    mem_aborts: AtomicU64,
 }
 
 impl Default for Incumbent {
@@ -77,6 +79,7 @@ impl Incumbent {
             created: Instant::now(),
             first_upper_us: AtomicU64::new(NEVER),
             best_upper_us: AtomicU64::new(NEVER),
+            mem_aborts: AtomicU64::new(0),
         }
     }
 
@@ -242,6 +245,16 @@ impl Incumbent {
             NEVER => None,
             us => Some(Duration::from_micros(us)),
         }
+    }
+
+    /// Counts one engine search that the memory governor stopped.
+    pub(crate) fn count_mem_abort(&self) {
+        self.mem_aborts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Engine searches of this run that the memory governor stopped.
+    pub(crate) fn mem_aborts(&self) -> u64 {
+        self.mem_aborts.load(Ordering::Relaxed)
     }
 }
 

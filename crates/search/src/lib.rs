@@ -44,7 +44,7 @@ use htd_hypergraph::{Graph, Hypergraph};
 use measure::{Ghw, Treewidth};
 
 pub use config::{SearchConfig, SearchOutcome, SearchStats};
-pub use detk::{det_k_decomp, hypertree_width};
+pub use detk::{det_k_decomp, hypertree_width, DetkEffort};
 pub use dp_tw::{dp_treewidth, dp_treewidth_budgeted};
 pub use incumbent::Incumbent;
 pub use portfolio::{solve, EngineReport, Objective, Outcome, Problem};

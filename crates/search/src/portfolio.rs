@@ -30,12 +30,12 @@ use htd_ga::engine::GaParams;
 use htd_ga::sa::SaParams;
 use htd_hypergraph::{Graph, Hypergraph, Vertex};
 use htd_setcover::CoverCache;
-use htd_trace::{registry, Event, Tracer};
+use htd_trace::{Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SearchConfig, SearchOutcome, SearchStats};
-use crate::detk::Width;
+use crate::detk::{DetkEffort, Width};
 use crate::incumbent::Incumbent;
 use crate::registry::{engine_list, Engine};
 
@@ -228,6 +228,17 @@ pub struct Outcome {
     /// was not a silent truncation, it is recorded here and in the trace
     /// stream.
     pub skipped_engines: Vec<Engine>,
+    /// `true` when the solve's time limit stopped it: a portfolio whose
+    /// deadline passed with workers still searching, or an `hw` search
+    /// that stopped there. A solve cancelled first (an exact proof, a
+    /// caller's cancel) was not stopped by its deadline. Not on the wire.
+    pub deadline_stopped: bool,
+    /// Engine searches the memory governor stopped, each counted once by
+    /// its search budget. Not on the wire.
+    pub mem_budget_aborts: u64,
+    /// det-k's search effort over every width an `hw` solve tried; zero
+    /// for the other objectives. Not on the wire.
+    pub detk: DetkEffort,
 }
 
 impl Outcome {
@@ -408,6 +419,9 @@ impl Outcome {
                         .collect()
                 })
                 .unwrap_or_default(),
+            deadline_stopped: false,
+            mem_budget_aborts: 0,
+            detk: DetkEffort::default(),
         })
     }
 }
@@ -508,11 +522,6 @@ pub fn solve(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError>
         _ => solve_portfolio(problem, cfg),
     }?;
     outcome.elapsed = start.elapsed();
-    if let Some(w) = outcome.winner {
-        registry()
-            .labeled_counter("htd_solver_wins", "engine", w.name())
-            .inc();
-    }
     cfg.tracer.emit_with(|| Event::SolveFinished {
         lower: outcome.lower,
         upper: (outcome.upper != u32::MAX).then_some(outcome.upper),
@@ -550,9 +559,6 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
     }
     let (engines, skipped) = pick_engines(cfg);
     if !skipped.is_empty() {
-        registry()
-            .counter("htd_engines_skipped_total")
-            .add(skipped.len() as u64);
         cfg.tracer.emit_with(|| Event::EnginesSkipped {
             engines: skipped
                 .iter()
@@ -577,7 +583,7 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
 
     let start = Instant::now();
     let (cover_h0, cover_m0) = (exact_cache.hits(), exact_cache.misses());
-    let reports: Vec<EngineReport> = crossbeam::thread::scope(|scope| {
+    let (reports, deadline_stopped) = crossbeam::thread::scope(|scope| {
         // every worker holds a sender and never sends: the channel
         // disconnects the moment the last worker returns, which is what
         // the caller's timed wait below listens for
@@ -613,7 +619,6 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
                     });
                     let elapsed = wstart.elapsed();
                     let mut report = quarantined.unwrap_or_else(|message| {
-                        registry().counter("htd_worker_panics_total").inc();
                         cfg_i.tracer.emit_with(|| Event::WorkerPanicked {
                             worker: who,
                             message,
@@ -655,23 +660,18 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
             })
             .collect();
         drop(running);
-        if let Some(limit) = cfg.time_limit {
-            await_workers_or_cancel(&all_returned, start + limit, &inc);
-        }
+        let deadline_stopped = cfg
+            .time_limit
+            .is_some_and(|limit| await_workers_or_cancel(&all_returned, start + limit, &inc));
         // The quarantine above means worker threads never unwind, but a
         // join failure still must not take down the portfolio: a lost
         // slot degrades to a panicked report.
-        let reports = engines
+        let reports: Vec<EngineReport> = engines
             .iter()
             .zip(handles)
-            .map(|(&engine, h)| {
-                h.join().unwrap_or_else(|_| {
-                    registry().counter("htd_worker_panics_total").inc();
-                    panicked_report(engine)
-                })
-            })
+            .map(|(&engine, h)| h.join().unwrap_or_else(|_| panicked_report(engine)))
             .collect();
-        reports
+        (reports, deadline_stopped)
     })
     // every worker is joined above, so the scope itself never fails
     .unwrap_or_default();
@@ -688,11 +688,6 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
     let cover_cache_hits = exact_cache.hits().saturating_sub(cover_h0);
     let cover_cache_misses = exact_cache.misses().saturating_sub(cover_m0);
     if cover_cache_hits + cover_cache_misses > 0 {
-        let reg = registry();
-        reg.counter("htd_cover_cache_hits_total")
-            .add(cover_cache_hits);
-        reg.counter("htd_cover_cache_misses_total")
-            .add(cover_cache_misses);
         cfg.tracer.emit_with(|| Event::CacheStats {
             cache: "cover_exact",
             hits: cover_cache_hits,
@@ -717,6 +712,9 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
         cover_cache_misses,
         degraded,
         skipped_engines: skipped,
+        deadline_stopped,
+        mem_budget_aborts: inc.mem_aborts(),
+        detk: DetkEffort::default(),
     })
 }
 
@@ -725,22 +723,24 @@ fn solve_portfolio(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, Htd
 /// returned (`all_returned` disconnects) or `deadline` passes, and in the
 /// latter case cancels the incumbent, so engines that only poll the
 /// cancel flag at coarse boundaries (GA batches, lower-bound rounds) stop
-/// too. A run already cancelled by then (an exact proof, or a caller's
-/// own cancel) is not counted as a deadline cancellation.
-fn await_workers_or_cancel(all_returned: &Receiver<()>, deadline: Instant, inc: &Incumbent) {
+/// too. Returns `true` iff the deadline stopped the run: a run already
+/// cancelled by then (an exact proof, or a caller's own cancel) was not.
+fn await_workers_or_cancel(
+    all_returned: &Receiver<()>,
+    deadline: Instant,
+    inc: &Incumbent,
+) -> bool {
     loop {
         let now = Instant::now();
         if now >= deadline {
-            if !inc.is_cancelled() {
-                inc.cancel();
-                registry()
-                    .counter("htd_solver_deadline_cancellations_total")
-                    .inc();
+            if inc.is_cancelled() {
+                return false;
             }
-            return;
+            inc.cancel();
+            return true;
         }
         match all_returned.recv_timeout(deadline - now) {
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return false,
             Ok(()) | Err(RecvTimeoutError::Timeout) => {}
         }
     }
@@ -803,6 +803,9 @@ fn zero_budget_outcome(problem: &Problem, cfg: &SearchConfig) -> Outcome {
         cover_cache_misses: 0,
         degraded: false,
         skipped_engines: Vec::new(),
+        deadline_stopped: false,
+        mem_budget_aborts: 0,
+        detk: DetkEffort::default(),
     }
 }
 
@@ -1041,16 +1044,10 @@ fn solve_hw(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> 
     } else {
         htd_heuristics::ghw_lower_bound(h, &mut rng).max(1)
     };
-    let (lower, upper, exact) = match crate::detk::hypertree_width_until(h, lb, &stop) {
+    let mut detk = DetkEffort::default();
+    let (lower, upper, exact) = match crate::detk::hypertree_width_until(h, lb, &stop, &mut detk) {
         Width::Exact(width, _hd) => (width, width, true),
-        Width::Stopped { lower } => {
-            if !inc.is_cancelled() {
-                registry()
-                    .counter("htd_solver_deadline_cancellations_total")
-                    .inc();
-            }
-            (lower, u32::MAX, false)
-        }
+        Width::Stopped { lower } => (lower, u32::MAX, false),
         Width::Undecomposable => {
             return Err(HtdError::Invalid(
                 "no hypertree decomposition exists".into(),
@@ -1074,6 +1071,11 @@ fn solve_hw(problem: &Problem, cfg: &SearchConfig) -> Result<Outcome, HtdError> 
         cover_cache_misses: 0,
         degraded: false,
         skipped_engines: Vec::new(),
+        // a stopped det-k search was stopped by the deadline unless the
+        // caller cancelled it first
+        deadline_stopped: !exact && !inc.is_cancelled(),
+        mem_budget_aborts: 0,
+        detk,
     })
 }
 
@@ -1123,6 +1125,9 @@ mod tests {
         let out = solve(&Problem::hw(c), &SearchConfig::default()).unwrap();
         assert_eq!(out.exact_width(), Some(2));
         assert!(out.witness.is_none());
+        assert!(!out.deadline_stopped);
+        // det-k refuted width 1 and then decomposed at width 2
+        assert!(out.detk.subproblems >= 2, "{:?}", out.detk);
     }
 
     #[test]
@@ -1261,6 +1266,7 @@ mod tests {
             .with_memory_budget(2_000);
         let out = solve(&Problem::treewidth(g.clone()), &cfg).unwrap();
         assert!(out.degraded, "tiny budget must mark the outcome degraded");
+        assert!(out.mem_budget_aborts >= 1, "A*'s budget counts its abort");
         assert!(out.lower <= out.upper);
         let clean = solve(&Problem::treewidth(g), &SearchConfig::default()).unwrap();
         assert!(out.lower <= clean.upper && out.upper >= clean.upper);
@@ -1268,6 +1274,7 @@ mod tests {
         let doc = out.to_json().to_string();
         let back = Outcome::from_json(&Json::parse(&doc).unwrap()).unwrap();
         assert!(back.degraded);
+        assert_eq!(back.mem_budget_aborts, 0, "the count stays off the wire");
         // a generous budget does not degrade
         let roomy = solve(
             &Problem::treewidth(gen::cycle_graph(8)),
@@ -1275,6 +1282,7 @@ mod tests {
         )
         .unwrap();
         assert!(!roomy.degraded);
+        assert_eq!(roomy.mem_budget_aborts, 0);
         assert!(roomy.exact);
     }
 

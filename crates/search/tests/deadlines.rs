@@ -1,9 +1,9 @@
 //! Deadlines of single solves: the portfolio and det-k stop at their
-//! time limit, and each solve the deadline stopped is counted once in
-//! `htd_solver_deadline_cancellations_total`.
+//! time limit, and the `Outcome` of each solve the deadline stopped says
+//! so once (`deadline_stopped`, which a server counts in
+//! `htd_solver_deadline_cancellations_total`).
 //!
-//! The counter is process-global, so these tests live in a binary of
-//! their own and run one at a time: a delta read here is the solve's own.
+//! The tests time their solves, so they run one at a time.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -17,12 +17,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn deadline_cancellations() -> u64 {
-    htd_trace::registry()
-        .counter("htd_solver_deadline_cancellations_total")
-        .get()
-}
-
 #[test]
 fn portfolio_stops_at_its_deadline_and_counts_it_once() {
     let _serial = serial();
@@ -32,7 +26,6 @@ fn portfolio_stops_at_its_deadline_and_counts_it_once() {
         .with_threads(2)
         .with_max_nodes(u64::MAX)
         .with_time_limit(Duration::from_millis(50));
-    let before = deadline_cancellations();
     let started = Instant::now();
     let out = solve(&problem, &cfg).unwrap();
     let elapsed = started.elapsed();
@@ -42,7 +35,7 @@ fn portfolio_stops_at_its_deadline_and_counts_it_once() {
     );
     assert!(!out.exact);
     assert!(out.lower <= out.upper);
-    assert_eq!(deadline_cancellations() - before, 1);
+    assert!(out.deadline_stopped);
 }
 
 #[test]
@@ -51,7 +44,6 @@ fn hw_solve_stops_at_its_deadline() {
     // an exact hw of grid2d_10 takes seconds
     let h = gen::named_hypergraph("grid2d_10").expect("suite hypergraph");
     let cfg = SearchConfig::default().with_time_limit(Duration::from_millis(100));
-    let before = deadline_cancellations();
     let started = Instant::now();
     let out = solve(&Problem::hw(h.clone()), &cfg).unwrap();
     let elapsed = started.elapsed();
@@ -62,7 +54,7 @@ fn hw_solve_stops_at_its_deadline() {
     assert!(!out.exact, "a stopped det-k proves nothing");
     assert_eq!(out.upper, u32::MAX, "a stopped det-k has no decomposition");
     assert!(out.per_engine.iter().all(|r| !r.exact));
-    assert_eq!(deadline_cancellations() - before, 1);
+    assert!(out.deadline_stopped);
     // every width below the lower bound was refuted before the deadline
     assert!(out.lower >= 1);
     assert!(det_k_decomp(&h, out.lower - 1).is_none());
@@ -77,7 +69,6 @@ fn hw_solve_stops_when_its_incumbent_is_cancelled() {
         shared: Some(Arc::clone(&inc)),
         ..SearchConfig::default()
     };
-    let before = deadline_cancellations();
     let canceller = {
         let inc = Arc::clone(&inc);
         std::thread::spawn(move || {
@@ -95,9 +86,5 @@ fn hw_solve_stops_when_its_incumbent_is_cancelled() {
     );
     assert!(!out.exact);
     assert_eq!(out.upper, u32::MAX);
-    assert_eq!(
-        deadline_cancellations(),
-        before,
-        "a caller's cancel is not a deadline"
-    );
+    assert!(!out.deadline_stopped, "a caller's cancel is not a deadline");
 }

@@ -12,7 +12,9 @@
 //! whose own budget would not have bought a better answer — i.e. requests
 //! whose deadline is at most the effort already spent producing the entry.
 //! An exact entry is never replaced by an inexact one; merging two inexact
-//! entries keeps the tighter bounds.
+//! entries keeps the tighter bounds. An exact claim above a cached upper
+//! bound is refused: the cached witness refutes it, and the refusal is
+//! counted as a contradiction.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,8 +129,7 @@ pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_budget: usize,
     entries: AtomicU64,
-    bytes: AtomicU64,
-    evictions: AtomicU64,
+    contradictions: AtomicU64,
 }
 
 impl ResultCache {
@@ -138,8 +139,7 @@ impl ResultCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_budget: (capacity_bytes / SHARDS).max(ENTRY_OVERHEAD),
             entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            contradictions: AtomicU64::new(0),
         }
     }
 
@@ -176,8 +176,11 @@ impl ResultCache {
         hit
     }
 
-    /// Admits an outcome. Exact entries always win over inexact ones; two
-    /// inexact entries merge keeping the tighter bounds and larger effort.
+    /// Admits an outcome. Exact entries win over inexact ones; two inexact
+    /// entries merge keeping the tighter bounds and larger effort. An
+    /// exact claim above the cached upper bound is refused and counted as
+    /// a contradiction: the cached entry's witness achieves a smaller
+    /// width, so the claim cannot be exact.
     pub fn admit(
         &self,
         fingerprint: u64,
@@ -194,7 +197,10 @@ impl ResultCache {
         let merged = match shard.map.get(&key) {
             Some(existing) => {
                 let old = &existing.entry;
-                if old.outcome.exact && !outcome.exact {
+                if outcome.exact && old.outcome.upper < outcome.upper {
+                    self.contradictions.fetch_add(1, Ordering::Relaxed);
+                    None
+                } else if old.outcome.exact && !outcome.exact {
                     // never downgrade an exact answer
                     None
                 } else if !old.outcome.exact && !outcome.exact {
@@ -235,21 +241,7 @@ impl ResultCache {
         shard.touch(&key);
         let budget = self.per_shard_budget;
         let evicted = shard.evict_to(budget);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.entries.fetch_sub(evicted, Ordering::Relaxed);
-        }
-        let bytes = shard.bytes;
-        drop(shard);
-        // the global byte gauge is advisory; recompute cheaply per admit
-        let _ = bytes;
-        self.bytes.store(
-            self.shards
-                .iter()
-                .map(|s| s.lock().bytes as u64)
-                .sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        self.entries.fetch_sub(evicted, Ordering::Relaxed);
     }
 
     /// Number of live entries.
@@ -257,14 +249,15 @@ impl ResultCache {
         self.entries.load(Ordering::Relaxed)
     }
 
-    /// Approximate resident bytes.
+    /// Approximate resident bytes, summed over the shards when asked:
+    /// only [`ResultCache::admit`] changes them.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().bytes as u64).sum()
     }
 
-    /// Total LRU evictions since start.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+    /// Exact claims refused because a cached upper bound refutes them.
+    pub(crate) fn contradictions(&self) -> u64 {
+        self.contradictions.load(Ordering::Relaxed)
     }
 }
 
@@ -291,6 +284,9 @@ mod tests {
             cover_cache_misses: 0,
             degraded: false,
             skipped_engines: Vec::new(),
+            deadline_stopped: false,
+            mem_budget_aborts: 0,
+            detk: Default::default(),
         }
     }
 
@@ -329,6 +325,28 @@ mod tests {
     }
 
     #[test]
+    fn a_larger_exact_claim_is_a_contradiction_not_a_replacement() {
+        let c = ResultCache::new(1 << 20);
+        c.admit(1, b"g", "tw", &outcome(4, 4, true), 10);
+        c.admit(1, b"g", "tw", &outcome(8, 8, true), 10);
+        let e = c.lookup(1, b"g", "tw", false, None).unwrap();
+        assert_eq!((e.outcome.lower, e.outcome.upper), (4, 4));
+        assert_eq!(c.contradictions(), 1);
+        // an inexact entry's witness refutes a larger exact claim too
+        c.admit(2, b"h", "tw", &outcome(2, 5, false), 10);
+        c.admit(2, b"h", "tw", &outcome(6, 6, true), 10);
+        let e = c.lookup(2, b"h", "tw", true, Some(10)).unwrap();
+        assert_eq!((e.outcome.lower, e.outcome.upper), (2, 5));
+        assert_eq!(c.contradictions(), 2);
+        // an exact claim at or below the cached upper bound is admitted
+        c.admit(1, b"g", "tw", &outcome(3, 3, true), 10);
+        let e = c.lookup(1, b"g", "tw", false, None).unwrap();
+        assert_eq!(e.outcome.upper, 3);
+        assert_eq!(c.contradictions(), 2);
+        assert_eq!(c.entries(), 2);
+    }
+
+    #[test]
     fn lru_evicts_cold_entries_under_pressure() {
         // tiny cache: per-shard budget fits ~2 entries
         let entry_cost = Entry::new(outcome(1, 1, true), 1).cost("tw\0three".len());
@@ -339,7 +357,6 @@ mod tests {
         // touch "one" so "two" is the LRU victim
         assert!(c.lookup(3, b"one", "tw", false, None).is_some());
         c.admit(3, b"three", "tw", &outcome(1, 1, true), 1);
-        assert!(c.evictions() >= 1);
         assert!(c.lookup(3, b"one", "tw", false, None).is_some());
         assert!(c.lookup(3, b"two", "tw", false, None).is_none());
         assert!(c.entries() <= 2);

@@ -684,6 +684,9 @@ mod tests {
                 cover_cache_misses: 0,
                 degraded: false,
                 skipped_engines: Vec::new(),
+                deadline_stopped: false,
+                mem_budget_aborts: 0,
+                detk: Default::default(),
             },
             from: Some("self".into()),
         };

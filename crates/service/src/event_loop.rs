@@ -210,7 +210,7 @@ mod imp {
         });
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut pending: HashMap<(u64, u64), Pending> = HashMap::new();
-        let reg = htd_trace::registry();
+        let metrics = &inner.metrics;
 
         loop {
             if inner.shutdown.load(Ordering::SeqCst) {
@@ -268,7 +268,7 @@ mod imp {
                 }
                 return Err(err);
             }
-            reg.counter("htd_eventloop_wakeups_total").inc();
+            metrics.loop_wakeups.fetch_add(1, Ordering::Relaxed);
 
             // self-pipe: swallow the wakeup bytes (completions are
             // delivered below regardless, so a missed byte is harmless)
@@ -343,7 +343,7 @@ mod imp {
             // every violation (the counter staying 0 is the proof)
             for c in conns.values_mut() {
                 if !c.closing && c.read_buf.contains(&b'\n') {
-                    reg.counter("htd_eventloop_salvaged_frames_total").inc();
+                    metrics.loop_salvaged.fetch_add(1, Ordering::Relaxed);
                     process_frames(inner, c, &completions, &mut pending);
                 }
             }
@@ -362,8 +362,9 @@ mod imp {
                 // destination; forget them so late completions drop
                 pending.retain(|(cid, _), _| *cid != id);
             }
-            reg.gauge("htd_eventloop_connections")
-                .set(conns.len() as i64);
+            metrics
+                .loop_connections
+                .store(conns.len() as i64, Ordering::Relaxed);
         }
     }
 
@@ -449,9 +450,7 @@ mod imp {
                             received,
                         } => {
                             if c.inflight > 0 {
-                                htd_trace::registry()
-                                    .counter("htd_pipelined_requests_total")
-                                    .inc();
+                                inner.metrics.pipelined.fetch_add(1, Ordering::Relaxed);
                             }
                             c.inflight += 1;
                             pending.insert(
@@ -558,8 +557,6 @@ mod imp {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        htd_trace::registry()
-            .gauge("htd_eventloop_connections")
-            .set(0);
+        inner.metrics.loop_connections.store(0, Ordering::Relaxed);
     }
 }

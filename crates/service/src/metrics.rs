@@ -1,20 +1,29 @@
-//! Service observability: lock-free counters, latency/width histograms,
-//! and the Prometheus text rendering behind `GET /metrics`.
+//! Service observability: each node's lock-free counters, latency/width
+//! histograms, and the one Prometheus writer behind `GET /metrics`.
 //!
-//! Everything is plain atomics so the hot path (one solve) costs a handful
-//! of relaxed increments. The latency histograms are
-//! [`htd_trace::HistogramMetric`]s owned by this server instance (not the
-//! process-global registry, so in-process cluster nodes keep their own);
-//! quantiles (p50/p95) are interpolated from their buckets at scrape time,
-//! never maintained online.
+//! A node owns every metric it renders, so in-process cluster nodes keep
+//! their own. Everything is plain atomics so the hot path (one solve)
+//! costs a handful of relaxed increments. Solver counts come from the
+//! [`Outcome`] each of the node's solves returns, folded in once per
+//! solve; the parts of a node that count for themselves (the result
+//! cache, the store, the breakers, the shape cache) are read at scrape
+//! time. The one process-wide family is
+//! `htd_span_seconds`, which the span collector writes. The latency
+//! histograms are [`htd_trace::HistogramMetric`]s; quantiles (p50/p95)
+//! are interpolated from their buckets at scrape time, never maintained
+//! online.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
-use htd_core::Json;
+use htd_core::{HtdError, Json};
+use htd_query::Answer;
+use htd_search::{Engine, Outcome};
 use htd_trace::HistogramMetric;
 
 use crate::protocol::Status;
+use crate::store::StoreStats;
 
 /// Upper bounds (ms) of the request-latency histogram buckets; the last
 /// bucket is +Inf.
@@ -108,6 +117,79 @@ pub struct Metrics {
     pub cluster_peers_down: AtomicI64,
     /// Peers that announced a graceful drain (leave-intent).
     pub cluster_peers_leaving: AtomicI64,
+    /// Solver: node expansions of this node's solves per engine, in
+    /// [`Engine::ALL`] order.
+    pub(crate) expansions: [AtomicU64; Engine::ALL.len()],
+    /// Solver: solves whose final upper bound came from each engine, in
+    /// [`Engine::ALL`] order.
+    pub(crate) wins: [AtomicU64; Engine::ALL.len()],
+    /// Solver: lineup engines that got no worker slot.
+    pub(crate) engines_skipped: AtomicU64,
+    /// Solver: exact set-cover cache hits during ghw solves.
+    pub(crate) cover_cache_hits: AtomicU64,
+    /// Solver: exact set-cover cache misses during ghw solves.
+    pub(crate) cover_cache_misses: AtomicU64,
+    /// Solver: solves their time limit stopped.
+    pub(crate) deadline_stops: AtomicU64,
+    /// Solver: engine searches the memory governor stopped.
+    pub(crate) mem_budget_aborts: AtomicU64,
+    /// Solver: det-k subproblems decomposed by `hw` solves.
+    pub(crate) detk_subproblems: AtomicU64,
+    /// Solver: det-k separators tried by `hw` solves.
+    pub(crate) detk_separators: AtomicU64,
+    /// Solver: det-k failure-memo hits of `hw` solves.
+    pub(crate) detk_memo_hits: AtomicU64,
+    /// Panics quarantined: a portfolio engine's, or a whole solve's or
+    /// answer's.
+    pub(crate) worker_panics: AtomicU64,
+    /// Solves answered with degraded bounds (memory governor, or an
+    /// engine that panicked).
+    pub(crate) degraded: AtomicU64,
+    /// Solved outcomes the `--verify` oracle rejected.
+    pub(crate) oracle_failures: AtomicU64,
+    /// Answers: pipeline runs that produced an answer.
+    pub(crate) answers: AtomicU64,
+    /// Answers: tuples scanned by semijoin and enumeration passes.
+    pub(crate) answer_tuples: AtomicU64,
+    /// Answers: queries refused as too large or over the memory budget.
+    pub(crate) answer_refusals: AtomicU64,
+    /// Event loop: open connections.
+    pub(crate) loop_connections: AtomicI64,
+    /// Event loop: returns from `poll(2)`.
+    pub(crate) loop_wakeups: AtomicU64,
+    /// Event loop: buffered frames processed without a readiness event.
+    pub(crate) loop_salvaged: AtomicU64,
+    /// Event loop: requests queued while their connection had another in
+    /// flight.
+    pub(crate) pipelined: AtomicU64,
+}
+
+/// What `/metrics` reads at scrape time from the parts of a node that
+/// count for themselves.
+#[derive(Debug, Default)]
+pub(crate) struct NodeReadings {
+    pub(crate) cache_entries: u64,
+    pub(crate) cache_bytes: u64,
+    /// Exact claims the result cache refused because a cached witness
+    /// refutes them.
+    pub(crate) cache_contradictions: u64,
+    pub(crate) draining: bool,
+    /// Engines whose circuit breaker is not closed.
+    pub(crate) engines_quarantined: u64,
+    pub(crate) shape_hits: u64,
+    pub(crate) shape_misses: u64,
+    /// Load statistics of the store, zero without one.
+    pub(crate) store: StoreStats,
+    pub(crate) store_appends: u64,
+    pub(crate) store_bytes: u64,
+}
+
+/// The index of `engine` in [`Engine::ALL`].
+fn slot(engine: Engine) -> usize {
+    Engine::ALL
+        .iter()
+        .position(|&e| e == engine)
+        .expect("every engine is in Engine::ALL")
 }
 
 impl Default for Metrics {
@@ -156,6 +238,26 @@ impl Metrics {
             cluster_peers_suspect: AtomicI64::new(0),
             cluster_peers_down: AtomicI64::new(0),
             cluster_peers_leaving: AtomicI64::new(0),
+            expansions: Engine::ALL.map(|_| AtomicU64::new(0)),
+            wins: Engine::ALL.map(|_| AtomicU64::new(0)),
+            engines_skipped: AtomicU64::new(0),
+            cover_cache_hits: AtomicU64::new(0),
+            cover_cache_misses: AtomicU64::new(0),
+            deadline_stops: AtomicU64::new(0),
+            mem_budget_aborts: AtomicU64::new(0),
+            detk_subproblems: AtomicU64::new(0),
+            detk_separators: AtomicU64::new(0),
+            detk_memo_hits: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            degraded: AtomicU64::new(0),
+            oracle_failures: AtomicU64::new(0),
+            answers: AtomicU64::new(0),
+            answer_tuples: AtomicU64::new(0),
+            answer_refusals: AtomicU64::new(0),
+            loop_connections: AtomicI64::new(0),
+            loop_wakeups: AtomicU64::new(0),
+            loop_salvaged: AtomicU64::new(0),
+            pipelined: AtomicU64::new(0),
         }
     }
 
@@ -190,14 +292,52 @@ impl Metrics {
         }
     }
 
-    /// The Prometheus text exposition (version 0.0.4) for `GET /metrics`.
-    pub fn render_prometheus(
-        &self,
-        cache_entries: u64,
-        cache_bytes: u64,
-        draining: bool,
-    ) -> String {
-        use std::fmt::Write as _;
+    /// Folds one of this node's solves into the solver families: each
+    /// engine's expansions and panics, the winner, the skipped engines,
+    /// the cover-cache traffic, a deadline stop, the governor's aborts
+    /// and det-k's effort. Called once per solve the node ran.
+    pub(crate) fn fold(&self, outcome: &Outcome) {
+        let add = |counter: &AtomicU64, n: u64| {
+            counter.fetch_add(n, Ordering::Relaxed);
+        };
+        for report in &outcome.per_engine {
+            add(&self.expansions[slot(report.engine)], report.stats.expanded);
+            add(&self.worker_panics, u64::from(report.panicked));
+        }
+        if let Some(winner) = outcome.winner {
+            add(&self.wins[slot(winner)], 1);
+        }
+        add(&self.engines_skipped, outcome.skipped_engines.len() as u64);
+        add(&self.cover_cache_hits, outcome.cover_cache_hits);
+        add(&self.cover_cache_misses, outcome.cover_cache_misses);
+        add(&self.deadline_stops, u64::from(outcome.deadline_stopped));
+        add(&self.mem_budget_aborts, outcome.mem_budget_aborts);
+        add(&self.detk_subproblems, outcome.detk.subproblems);
+        add(&self.detk_separators, outcome.detk.separators_tried);
+        add(&self.detk_memo_hits, outcome.detk.memo_hits);
+    }
+
+    /// Counts what one run of the answer pipeline returned: an answer and
+    /// the tuples it scanned, or a refusal (a query over the memory
+    /// budget is refused with [`HtdError::ResourceExhausted`], never
+    /// answered wrongly).
+    pub(crate) fn count_answer(&self, result: &Result<Answer, HtdError>) {
+        match result {
+            Ok(answer) => {
+                self.answers.fetch_add(1, Ordering::Relaxed);
+                self.answer_tuples
+                    .fetch_add(answer.stats.tuples_scanned, Ordering::Relaxed);
+            }
+            Err(HtdError::ResourceExhausted(_)) => {
+                self.answer_refusals.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// The Prometheus text exposition (version 0.0.4) for `GET /metrics`:
+    /// every family this node renders, from the first scrape on.
+    pub(crate) fn render_prometheus(&self, node: &NodeReadings) -> String {
         let mut o = String::with_capacity(4096);
         let c = |o: &mut String, name: &str, help: &str, v: u64| {
             let _ = writeln!(o, "# HELP {name} {help}");
@@ -250,13 +390,19 @@ impl Metrics {
             &mut o,
             "htd_cache_entries",
             "Entries in the result cache.",
-            cache_entries as f64,
+            node.cache_entries as f64,
         );
         g(
             &mut o,
             "htd_cache_bytes",
             "Approximate result-cache size.",
-            cache_bytes as f64,
+            node.cache_bytes as f64,
+        );
+        c(
+            &mut o,
+            "htd_cache_contradictions_total",
+            "Exact claims the result cache refused because a cached witness refutes them.",
+            node.cache_contradictions,
         );
         g(
             &mut o,
@@ -274,7 +420,7 @@ impl Metrics {
             &mut o,
             "htd_draining",
             "1 while a graceful shutdown drains in-flight work.",
-            if draining { 1.0 } else { 0.0 },
+            if node.draining { 1.0 } else { 0.0 },
         );
         g(
             &mut o,
@@ -408,6 +554,71 @@ impl Metrics {
                 }
             }
         }
+
+        // folded from the outcomes of this node's solves, counted by its
+        // workers and event loop, or read from the parts that count
+        // for themselves
+        let (hits, misses) = (ld(&self.cover_cache_hits), ld(&self.cover_cache_misses));
+        g(
+            &mut o,
+            "htd_cover_cache_hit_ratio",
+            "Hit fraction of the exact cover cache.",
+            hits as f64 / (hits + misses).max(1) as f64,
+        );
+        let expansions = self.expansions.iter().map(ld).sum();
+        let counters = [
+            ("htd_solver_expansions_total", expansions),
+            ("htd_cover_cache_hits_total", hits),
+            ("htd_cover_cache_misses_total", misses),
+            (
+                "htd_solver_deadline_cancellations_total",
+                ld(&self.deadline_stops),
+            ),
+            ("htd_engines_skipped_total", ld(&self.engines_skipped)),
+            ("htd_detk_subproblems_total", ld(&self.detk_subproblems)),
+            ("htd_detk_separators_tried_total", ld(&self.detk_separators)),
+            ("htd_detk_memo_hits_total", ld(&self.detk_memo_hits)),
+            ("htd_worker_panics_total", ld(&self.worker_panics)),
+            ("htd_mem_budget_aborts_total", ld(&self.mem_budget_aborts)),
+            ("htd_degraded_responses_total", ld(&self.degraded)),
+            ("htd_oracle_failures_total", ld(&self.oracle_failures)),
+            ("htd_answers_total", ld(&self.answers)),
+            ("htd_answer_tuples_scanned_total", ld(&self.answer_tuples)),
+            ("htd_answer_refusals_total", ld(&self.answer_refusals)),
+            ("htd_answer_shape_cache_hits_total", node.shape_hits),
+            ("htd_answer_shape_cache_misses_total", node.shape_misses),
+            ("htd_eventloop_wakeups_total", ld(&self.loop_wakeups)),
+            (
+                "htd_eventloop_salvaged_frames_total",
+                ld(&self.loop_salvaged),
+            ),
+            ("htd_pipelined_requests_total", ld(&self.pipelined)),
+            ("htd_store_loaded_total", node.store.loaded),
+            ("htd_store_rejects_total", node.store.rejected),
+            ("htd_store_truncated_total", node.store.truncated),
+            ("htd_store_appends_total", node.store_appends),
+        ];
+        for (name, v) in counters {
+            let _ = writeln!(o, "# TYPE {name} counter\n{name} {v}");
+        }
+        for (name, per_engine) in [
+            ("htd_solver_expansions", &self.expansions),
+            ("htd_solver_wins", &self.wins),
+        ] {
+            let _ = writeln!(o, "# TYPE {name} counter");
+            for (engine, v) in Engine::ALL.iter().zip(per_engine) {
+                let _ = writeln!(o, "{name}{{engine=\"{}\"}} {}", engine.name(), ld(v));
+            }
+        }
+        let connections = self.loop_connections.load(Ordering::Relaxed);
+        for (name, v) in [
+            ("htd_engine_quarantined", node.engines_quarantined as i64),
+            ("htd_eventloop_connections", connections),
+            ("htd_store_bytes", node.store_bytes as i64),
+        ] {
+            let _ = writeln!(o, "# TYPE {name} gauge\n{name} {v}");
+        }
+        htd_trace::span::render_prometheus(&mut o);
         o
     }
 
@@ -485,7 +696,7 @@ mod tests {
         let m = Metrics::new();
         m.queue_wait.observe(0.0007); // bucket (0.0005, 0.001]
         m.solve_time.observe(0.3); // bucket (0.25, 0.5]
-        let text = m.render_prometheus(0, 0, false);
+        let text = m.render_prometheus(&NodeReadings::default());
         assert!(text.contains("htd_queue_seconds_bucket{le=\"0.001\"} 1"));
         assert!(text.contains("htd_queue_seconds_count 1"));
         assert!(text.contains("htd_solve_seconds_bucket{le=\"0.5\"} 1"));
@@ -504,7 +715,7 @@ mod tests {
         m.cluster_cert_rejects.fetch_add(1, Ordering::Relaxed);
         m.cluster_peers_down.store(2, Ordering::Relaxed);
         m.cluster_ring_nodes.store(3, Ordering::Relaxed);
-        let text = m.render_prometheus(0, 0, false);
+        let text = m.render_prometheus(&NodeReadings::default());
         assert!(text.contains("htd_cluster_forwards_total 3"));
         assert!(text.contains("htd_cluster_cert_rejects_total 1"));
         assert!(text.contains("htd_cluster_peers{state=\"down\"} 2"));
@@ -523,7 +734,11 @@ mod tests {
         m.request_latency.observe(7.0);
         m.record_served(4, true);
         m.record_served(100, false);
-        let text = m.render_prometheus(5, 1024, false);
+        let text = m.render_prometheus(&NodeReadings {
+            cache_entries: 5,
+            cache_bytes: 1024,
+            ..NodeReadings::default()
+        });
         assert!(text.contains("htd_requests_total{cmd=\"solve\"} 3"));
         assert!(text.contains("htd_cache_hits_total 2"));
         assert!(text.contains("htd_request_latency_ms_bucket{le=\"10\"} 1"));
@@ -535,5 +750,49 @@ mod tests {
         let snap = m.snapshot_json(5, 1024, true);
         assert_eq!(snap.get("cache_hits").unwrap().as_u64(), Some(2));
         assert_eq!(snap.get("draining").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn folded_outcomes_render_per_engine_and_in_total() {
+        use htd_search::{EngineReport, SearchStats};
+        let report = |engine, expanded, panicked| EngineReport {
+            engine,
+            lower: 0,
+            upper: u32::MAX,
+            exact: false,
+            panicked,
+            stats: SearchStats {
+                expanded,
+                ..SearchStats::default()
+            },
+        };
+        let doc = r#"{"objective":"tw","lower":3,"upper":3,"exact":true,"nodes":0,"elapsed_ms":1}"#;
+        let mut o = Outcome::from_json(&Json::parse(doc).unwrap()).unwrap();
+        o.per_engine = vec![
+            report(Engine::BranchBound, 40, false),
+            report(Engine::AStar, 2, true),
+        ];
+        o.winner = Some(Engine::BranchBound);
+        o.skipped_engines = vec![Engine::Genetic];
+        o.deadline_stopped = true;
+        o.detk.separators_tried = 9;
+        let m = Metrics::new();
+        m.fold(&o);
+        m.fold(&o);
+        let text = m.render_prometheus(&NodeReadings::default());
+        for line in [
+            "htd_solver_expansions_total 84",
+            "htd_solver_expansions{engine=\"branch_bound\"} 80",
+            "htd_solver_expansions{engine=\"astar\"} 4",
+            "htd_solver_expansions{engine=\"genetic\"} 0",
+            "htd_solver_wins{engine=\"branch_bound\"} 2",
+            "htd_solver_wins{engine=\"astar\"} 0",
+            "htd_worker_panics_total 2",
+            "htd_engines_skipped_total 2",
+            "htd_solver_deadline_cancellations_total 2",
+            "htd_detk_separators_tried_total 18",
+        ] {
+            assert!(text.contains(line), "missing {line} in:\n{text}");
+        }
     }
 }

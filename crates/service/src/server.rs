@@ -75,7 +75,7 @@ use parking_lot::Mutex;
 
 use crate::cache::ResultCache;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, NodeReadings};
 use crate::protocol::{
     AnswerRequest, CertPush, Command, InstanceFormat, KeyedInstance, Request, Response,
     SolveRequest, Status,
@@ -441,9 +441,7 @@ impl Inner {
         }
     }
 
-    /// Records per-engine panic attribution into the breakers and
-    /// refreshes the `htd_engine_quarantined` gauge (benched engines:
-    /// breakers not currently closed).
+    /// Records per-engine panic attribution into the breakers.
     fn record_engine_outcomes(&self, reports: &[htd_search::EngineReport]) {
         for (engine, b) in &self.breakers {
             match reports.iter().find(|r| r.engine == *engine) {
@@ -459,18 +457,30 @@ impl Inner {
                 }
             }
         }
-        self.refresh_quarantine_gauge();
     }
 
-    fn refresh_quarantine_gauge(&self) {
-        let open = self
-            .breakers
-            .iter()
-            .filter(|(_, b)| b.state() != htd_resilience::BreakerState::Closed)
-            .count();
-        htd_trace::registry()
-            .gauge("htd_engine_quarantined")
-            .set(open as i64);
+    /// What `/metrics` reads from the parts of this node that count for
+    /// themselves: the result cache, the breakers (an engine is benched
+    /// while its breaker is not closed), the shape cache and the store.
+    fn readings(&self) -> NodeReadings {
+        let (shape_hits, shape_misses) = self.shapes.counts();
+        let store = self.store.as_ref();
+        NodeReadings {
+            cache_entries: self.cache.entries(),
+            cache_bytes: self.cache.bytes(),
+            cache_contradictions: self.cache.contradictions(),
+            draining: self.draining(),
+            engines_quarantined: self
+                .breakers
+                .iter()
+                .filter(|(_, b)| b.state() != htd_resilience::BreakerState::Closed)
+                .count() as u64,
+            shape_hits,
+            shape_misses,
+            store: store.map(CertStore::stats).unwrap_or_default(),
+            store_appends: store.map_or(0, CertStore::appended),
+            store_bytes: store.map_or(0, CertStore::bytes),
+        }
     }
 
     pub(crate) fn log(&self, line: std::fmt::Arguments<'_>) {
@@ -617,34 +627,6 @@ impl Server {
                 store.bytes(),
             ));
         }
-        // pre-register the solver-level series so `/metrics` exposes them
-        // (at zero) before the first solve instead of popping in later
-        let reg = htd_trace::registry();
-        reg.counter("htd_solver_expansions_total");
-        reg.counter("htd_cover_cache_hits_total");
-        reg.counter("htd_cover_cache_misses_total");
-        reg.counter("htd_solver_deadline_cancellations_total");
-        reg.counter("htd_oracle_failures_total");
-        reg.counter("htd_worker_panics_total");
-        reg.counter("htd_mem_budget_aborts_total");
-        reg.counter("htd_degraded_responses_total");
-        reg.gauge("htd_engine_quarantined");
-        // certificate-store + event-loop series (zero when those
-        // subsystems are off, so dashboards see a stable schema)
-        reg.counter("htd_store_loaded_total");
-        reg.counter("htd_store_rejects_total");
-        reg.counter("htd_store_truncated_total");
-        reg.counter("htd_store_appends_total");
-        reg.gauge("htd_store_bytes");
-        reg.gauge("htd_eventloop_connections");
-        reg.counter("htd_eventloop_wakeups_total");
-        reg.counter("htd_pipelined_requests_total");
-        // ... and the answer-pipeline series of htd-query
-        reg.counter("htd_answers_total");
-        reg.counter("htd_answer_shape_cache_hits_total");
-        reg.counter("htd_answer_shape_cache_misses_total");
-        reg.counter("htd_answer_tuples_scanned_total");
-        reg.counter("htd_answer_refusals_total");
         // the service keeps span aggregation on for the whole process:
         // per-stage spans feed the htd_span_seconds{span=...} histograms
         // on /metrics at bounded (counter-batch-like) cost
@@ -1043,9 +1025,7 @@ impl Run<'_> {
         // quarantined into a structured internal error instead of taking
         // the worker thread (and with it the whole pool) down
         let result = quarantined(|| solve(&w.problem, &cfg)).unwrap_or_else(|message| {
-            htd_trace::registry()
-                .counter("htd_worker_panics_total")
-                .inc();
+            inner.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             // the panic escaped per-engine attribution; charge the whole
             // lineup so a persistently crashing path still gets benched
             if portfolio {
@@ -1055,7 +1035,6 @@ impl Run<'_> {
                         _ => b.record_failure(),
                     }
                 }
-                inner.refresh_quarantine_gauge();
             }
             Err(HtdError::Io(format!(
                 "solver panicked (quarantined): {message}"
@@ -1070,15 +1049,14 @@ impl Run<'_> {
 
         let mut r = match result {
             Ok(mut outcome) => {
+                inner.metrics.fold(&outcome);
                 if portfolio {
                     inner.record_engine_outcomes(&outcome.per_engine);
                 }
                 let survived_panic = outcome.per_engine.iter().any(|e| e.panicked);
                 let degraded = outcome.degraded || survived_panic;
                 if degraded {
-                    htd_trace::registry()
-                        .counter("htd_degraded_responses_total")
-                        .inc();
+                    inner.metrics.degraded.fetch_add(1, Ordering::Relaxed);
                 }
                 // degraded results carry weaker bounds than a healthy solve
                 // of the same instance would; never let them shadow a
@@ -1088,9 +1066,10 @@ impl Run<'_> {
                     let report = htd_check::verify_outcome(&w.problem, &outcome);
                     if !report.is_valid() {
                         cacheable = false;
-                        htd_trace::registry()
-                            .counter("htd_oracle_failures_total")
-                            .inc();
+                        inner
+                            .metrics
+                            .oracle_failures
+                            .fetch_add(1, Ordering::Relaxed);
                         inner.log(format_args!(
                             "req={} obj={} fp={} ORACLE VIOLATION (response served, not cached): {}",
                             job.id.as_deref().unwrap_or("-"),
@@ -1195,9 +1174,7 @@ impl Run<'_> {
         // the pipeline quarantines its evaluation pass; this outer
         // quarantine additionally covers the decomposition search
         let result = quarantined(|| htd_query::answer(&w.query, &opts)).unwrap_or_else(|message| {
-            htd_trace::registry()
-                .counter("htd_worker_panics_total")
-                .inc();
+            inner.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             Err(HtdError::Io(format!(
                 "answer pipeline panicked (quarantined): {message}"
             )))
@@ -1205,6 +1182,7 @@ impl Run<'_> {
         let eval_elapsed = eval_start.elapsed();
         inner.metrics.solve_time.observe(eval_elapsed.as_secs_f64());
 
+        inner.metrics.count_answer(&result);
         let mut r = match result {
             Ok(ans) => {
                 let mut r = Response::new(job.id.clone(), Status::Ok);
@@ -1534,11 +1512,17 @@ fn admit_answer(
         .fetch_add(1, Ordering::Relaxed);
     // the service never reads relation files on behalf of a remote peer;
     // an oversized query is refused before routing builds its hypergraph
-    let parsed = parse_query(&a.query, &FileAccess::Deny);
-    let query = match parsed.and_then(|q| check_query_size(&q).map(|()| q)) {
+    let query = match parse_query(&a.query, &FileAccess::Deny) {
         Ok(q) => q,
         Err(e) => return parse_error(inner, id, "answer", &e, received),
     };
+    if let Err(e) = check_query_size(&query) {
+        inner
+            .metrics
+            .answer_refusals
+            .fetch_add(1, Ordering::Relaxed);
+        return parse_error(inner, id, "answer", &e, received);
+    }
     let (mode, limit, use_shape_cache) = (a.mode, a.limit, a.use_cache);
     enqueue(
         inner,
@@ -1737,30 +1721,11 @@ pub(crate) fn http_response_bytes(inner: &Inner, request_line: &str) -> Vec<u8> 
             };
             (status, "application/json", body)
         }
-        "/metrics" => {
-            let mut body = inner.metrics.render_prometheus(
-                inner.cache.entries(),
-                inner.cache.bytes(),
-                inner.draining(),
-            );
-            // solver-level series (expansions, per-engine wins, cover-cache
-            // traffic) live in the process-wide htd-trace registry
-            let reg = htd_trace::registry();
-            let hits = reg.counter_value("htd_cover_cache_hits_total").unwrap_or(0);
-            let misses = reg
-                .counter_value("htd_cover_cache_misses_total")
-                .unwrap_or(0);
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                body,
-                "# HELP htd_cover_cache_hit_ratio Hit fraction of the exact cover cache.\n\
-                 # TYPE htd_cover_cache_hit_ratio gauge\n\
-                 htd_cover_cache_hit_ratio {}",
-                hits as f64 / (hits + misses).max(1) as f64
-            );
-            reg.render_prometheus(&mut body);
-            ("200 OK", "text/plain; version=0.0.4", body)
-        }
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4",
+            inner.metrics.render_prometheus(&inner.readings()),
+        ),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
     let mut out = format!(

@@ -41,8 +41,9 @@
 //!   unparseable payload, a fingerprint that does not match the
 //!   re-derived canonical form, or an outcome the **oracle rejects**
 //!   ([`htd_check::verify_store_entry`]) is *tampered or stale*: the
-//!   record is dropped, `htd_store_rejects_total` is incremented, and
-//!   the scan continues at the next record (the framing tells us where
+//!   record is dropped, counted in [`StoreStats::rejected`] (which
+//!   `/metrics` renders as `htd_store_rejects_total`), and the scan
+//!   continues at the next record (the framing tells us where
 //!   it starts).
 //! * A corrupt **magic** means the framing itself can no longer be
 //!   trusted; the remainder of the log is abandoned (counted as one
@@ -157,12 +158,6 @@ impl CertStore {
             file.set_len(keep as u64)?;
             file.seek(SeekFrom::End(0))?;
         }
-        let reg = htd_trace::registry();
-        reg.counter("htd_store_loaded_total").add(stats.loaded);
-        reg.counter("htd_store_rejects_total").add(stats.rejected);
-        reg.counter("htd_store_truncated_total")
-            .add(stats.truncated);
-        reg.gauge("htd_store_bytes").set(keep as i64);
         Ok((
             CertStore {
                 path,
@@ -239,11 +234,7 @@ impl CertStore {
         file.flush()?;
         drop(file);
         self.appended.fetch_add(1, Ordering::Relaxed);
-        let bytes =
-            self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed) + frame.len() as u64;
-        let reg = htd_trace::registry();
-        reg.counter("htd_store_appends_total").inc();
-        reg.gauge("htd_store_bytes").set(bytes as i64);
+        self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         Ok(true)
     }
 }

@@ -6,9 +6,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use htd_core::ordering::{EliminationOrdering, TwEvaluator};
 use htd_hypergraph::canonical::canonical_form;
 use htd_hypergraph::{gen, io};
-use htd_search::{solve, Objective, SearchConfig};
+use htd_search::{solve, Engine, Objective, SearchConfig};
 use htd_service::{
     parse_problem, AnswerMode, CertPush, Client, InstanceFormat, ServeOptions, Server, Status,
 };
@@ -1018,4 +1019,319 @@ fn mixed_warm_and_cold_load_keeps_the_latency_bars() {
     for (path, status) in &probes {
         assert!(status.starts_with("HTTP/1.1 200"), "{path}: {status}");
     }
+}
+
+/// A `put_cert` claiming a larger exact width than the node holds does
+/// not replace the node's answer: the cached witness achieves a smaller
+/// width, so the claim cannot be exact. The node keeps serving its own
+/// answer and counts the contradiction.
+#[test]
+fn a_larger_exact_claim_does_not_replace_a_smaller_verified_width() {
+    let (server, addr) = start(quiet_opts());
+    let mut client = Client::connect(&addr).unwrap();
+    let grid = io::write_pace_gr(&gen::grid_graph(4, 4));
+    let cold = client
+        .solve(
+            Objective::Treewidth,
+            InstanceFormat::Auto,
+            &grid,
+            Some(5_000),
+        )
+        .unwrap();
+    let mut claim = cold.outcome.expect("solved");
+    assert_eq!(claim.exact_width(), Some(4));
+
+    // even vertices first: a genuine witness of width 8, claimed exact
+    let (problem, key) =
+        parse_problem(InstanceFormat::PaceGr, &grid, Objective::Treewidth).unwrap();
+    let order: Vec<u32> = (0..16)
+        .filter(|v| v % 2 == 0)
+        .chain((0..16).filter(|v| v % 2 == 1))
+        .collect();
+    let width = TwEvaluator::new(problem.graph()).width(&order);
+    assert_eq!(width, 8);
+    claim.lower = width;
+    claim.upper = width;
+    claim.witness = Some(EliminationOrdering::new_unchecked(order));
+    let r = client
+        .put_cert(CertPush {
+            objective: Objective::Treewidth,
+            format: InstanceFormat::PaceGr,
+            instance: grid.clone(),
+            fingerprint_hex: canonical_form(&key).hex(),
+            effort_ms: 5,
+            outcome: claim,
+            from: Some("peer".into()),
+        })
+        .unwrap();
+    // the witness itself checks out; only the exactness claim is false
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+
+    let warm = client
+        .solve(
+            Objective::Treewidth,
+            InstanceFormat::Auto,
+            &grid,
+            Some(5_000),
+        )
+        .unwrap();
+    assert!(warm.cached);
+    let o = warm.outcome.unwrap();
+    assert_eq!((o.lower, o.upper, o.exact), (4, 4, true));
+    let (_, metrics) = http_get(&addr, "/metrics");
+    assert_eq!(sample(&metrics, "htd_cache_contradictions_total"), 1);
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+/// The value of the sample named `key` (name and labels) in a scrape.
+fn sample(metrics: &str, key: &str) -> u64 {
+    metrics
+        .lines()
+        .find(|l| sample_key(l) == key)
+        .and_then(|l| l[key.len()..].trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sample {key} in:\n{metrics}"))
+}
+
+/// The samples of a labeled family, one per label set.
+fn labeled_samples<'m>(metrics: &'m str, family: &str) -> Vec<(&'m str, u64)> {
+    let prefix = format!("{family}{{");
+    metrics
+        .lines()
+        .filter(|l| l.starts_with(&prefix))
+        .map(|l| {
+            let key = sample_key(l);
+            (key, l[key.len()..].trim().parse().unwrap())
+        })
+        .collect()
+}
+
+/// Two nodes in one process each report only their own work: after five
+/// solves on a node with a store, the other node's request, store and
+/// solver series all read zero.
+#[test]
+fn each_node_reports_only_its_own_work() {
+    let dir = std::env::temp_dir().join(format!("htd-server-own-work-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, addr_a) = start(ServeOptions {
+        store_dir: Some(dir.clone()),
+        ..quiet_opts()
+    });
+    let (b, addr_b) = start(quiet_opts());
+    let mut client = Client::connect(&addr_a).unwrap();
+    for (objective, text) in common::corpus().into_iter().take(5) {
+        let r = client
+            .solve(objective, InstanceFormat::Auto, &text, Some(10_000))
+            .unwrap();
+        assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    }
+
+    let (_, on_a) = http_get(&addr_a, "/metrics");
+    assert_eq!(sample(&on_a, "htd_requests_total{cmd=\"solve\"}"), 5);
+    assert_eq!(sample(&on_a, "htd_store_appends_total"), 5);
+    assert!(sample(&on_a, "htd_store_bytes") > 0);
+    let wins: u64 = labeled_samples(&on_a, "htd_solver_wins")
+        .iter()
+        .map(|s| s.1)
+        .sum();
+    assert_eq!(wins, 5, "{on_a}");
+
+    let (_, on_b) = http_get(&addr_b, "/metrics");
+    for key in [
+        "htd_requests_total{cmd=\"solve\"}",
+        "htd_store_appends_total",
+        "htd_store_bytes",
+        "htd_solver_expansions_total",
+    ] {
+        assert_eq!(sample(&on_b, key), 0, "{key} on the idle node:\n{on_b}");
+    }
+    for family in ["htd_solver_wins", "htd_solver_expansions"] {
+        let series = labeled_samples(&on_b, family);
+        assert_eq!(series.len(), Engine::ALL.len(), "{family}:\n{on_b}");
+        for (key, v) in series {
+            assert_eq!(v, 0, "{key} on the idle node:\n{on_b}");
+        }
+    }
+    for server in [a, b] {
+        server.request_shutdown();
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The solver series fold each solve's outcome in once: after cold
+/// solves on one node, the expansion total is the sum of the responses'
+/// `nodes`, and so is the sum of the per-engine series.
+#[test]
+fn solver_series_sum_the_outcomes_of_the_nodes_solves() {
+    let (server, addr) = start(quiet_opts());
+    let mut client = Client::connect(&addr).unwrap();
+    let (mut nodes, mut winners) = (0, 0);
+    for (objective, text) in common::corpus() {
+        let (mut req, _) =
+            client.solve_request(objective, InstanceFormat::Auto, &text, Some(10_000));
+        if let htd_service::Command::Solve(s) = &mut req.cmd {
+            s.threads = Some(3);
+        }
+        let r = client.request(&req).unwrap();
+        assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+        assert!(!r.cached);
+        let o = r.outcome.unwrap();
+        nodes += o.nodes;
+        winners += u64::from(o.winner.is_some());
+    }
+    assert!(nodes > 0);
+    let (_, metrics) = http_get(&addr, "/metrics");
+    assert_eq!(sample(&metrics, "htd_solver_expansions_total"), nodes);
+    let per_engine: u64 = labeled_samples(&metrics, "htd_solver_expansions")
+        .iter()
+        .map(|s| s.1)
+        .sum();
+    assert_eq!(per_engine, nodes, "{metrics}");
+    let wins: u64 = labeled_samples(&metrics, "htd_solver_wins")
+        .iter()
+        .map(|s| s.1)
+        .sum();
+    assert_eq!(wins, winners, "{metrics}");
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+/// A node counts its answers from the pipeline's results and an
+/// oversized query at admission; an answer's own decomposition solve
+/// stays out of the solver series.
+#[test]
+fn answers_and_refusals_are_counted_by_the_node() {
+    let (server, addr) = start(quiet_opts());
+    let mut client = Client::connect(&addr).unwrap();
+    let cart = "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .";
+    let r = client.answer(cart, AnswerMode::Count, None, None).unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    let chain: Vec<String> = (0..16_384)
+        .map(|i| format!("R(v{i}, v{})", i + 1))
+        .collect();
+    let wide = format!("Q() :- {}.\nR: 1 2 .", chain.join(", "));
+    let r = client.answer(&wide, AnswerMode::Count, None, None).unwrap();
+    assert_eq!(r.code, Some(6), "{r:?}");
+    let (_, metrics) = http_get(&addr, "/metrics");
+    for (key, want) in [
+        ("htd_answers_total", 1),
+        ("htd_answer_refusals_total", 1),
+        ("htd_answer_shape_cache_misses_total", 1),
+        ("htd_solver_expansions_total", 0),
+    ] {
+        assert_eq!(sample(&metrics, key), want, "{key}:\n{metrics}");
+    }
+    assert!(sample(&metrics, "htd_answer_tuples_scanned_total") > 0);
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+/// Every family docs/observability.md names.
+const FAMILIES: &[&str] = &[
+    "htd_requests_total",
+    "htd_responses_total",
+    "htd_cache_hits_total",
+    "htd_cache_misses_total",
+    "htd_cache_entries",
+    "htd_cache_bytes",
+    "htd_cache_contradictions_total",
+    "htd_queue_depth",
+    "htd_inflight",
+    "htd_draining",
+    "htd_uptime_ms",
+    "htd_exact_served_total",
+    "htd_inexact_served_total",
+    "htd_cluster_forwards_total",
+    "htd_cluster_failovers_total",
+    "htd_cluster_local_fallbacks_total",
+    "htd_cluster_replications_total",
+    "htd_cluster_handoffs_queued_total",
+    "htd_cluster_handoffs_delivered_total",
+    "htd_cluster_certs_accepted_total",
+    "htd_cluster_cert_rejects_total",
+    "htd_cluster_probe_failures_total",
+    "htd_cluster_ring_size",
+    "htd_cluster_peers",
+    "htd_request_latency_ms",
+    "htd_queue_seconds",
+    "htd_solve_seconds",
+    "htd_width_served_total",
+    "htd_cover_cache_hit_ratio",
+    "htd_solver_expansions_total",
+    "htd_cover_cache_hits_total",
+    "htd_cover_cache_misses_total",
+    "htd_solver_deadline_cancellations_total",
+    "htd_engines_skipped_total",
+    "htd_detk_subproblems_total",
+    "htd_detk_separators_tried_total",
+    "htd_detk_memo_hits_total",
+    "htd_worker_panics_total",
+    "htd_mem_budget_aborts_total",
+    "htd_degraded_responses_total",
+    "htd_oracle_failures_total",
+    "htd_solver_expansions",
+    "htd_solver_wins",
+    "htd_engine_quarantined",
+    "htd_answers_total",
+    "htd_answer_tuples_scanned_total",
+    "htd_answer_refusals_total",
+    "htd_answer_shape_cache_hits_total",
+    "htd_answer_shape_cache_misses_total",
+    "htd_eventloop_wakeups_total",
+    "htd_eventloop_salvaged_frames_total",
+    "htd_pipelined_requests_total",
+    "htd_store_loaded_total",
+    "htd_store_rejects_total",
+    "htd_store_truncated_total",
+    "htd_store_appends_total",
+    "htd_eventloop_connections",
+    "htd_store_bytes",
+    "htd_span_seconds",
+];
+
+/// A fresh node renders its whole schema from the first scrape: every
+/// family has its `# TYPE` line, and the series that used to appear only
+/// on first use are there at zero.
+#[test]
+fn a_fresh_node_renders_its_whole_schema_at_zero() {
+    let (server, addr) = start(quiet_opts());
+    let (_, metrics) = http_get(&addr, "/metrics");
+    let types: Vec<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|t| t.split_whitespace().next())
+        .collect();
+    for family in FAMILIES {
+        assert!(
+            types.contains(family),
+            "missing family {family} in:\n{metrics}"
+        );
+    }
+    assert_eq!(types.len(), FAMILIES.len(), "{types:?}");
+    for key in [
+        "htd_eventloop_salvaged_frames_total",
+        "htd_engines_skipped_total",
+        "htd_detk_subproblems_total",
+        "htd_detk_separators_tried_total",
+        "htd_detk_memo_hits_total",
+        "htd_cache_contradictions_total",
+    ] {
+        assert_eq!(sample(&metrics, key), 0, "{key}");
+    }
+    for family in ["htd_solver_expansions", "htd_solver_wins"] {
+        let series = labeled_samples(&metrics, family);
+        let engines: Vec<String> = Engine::ALL
+            .iter()
+            .map(|e| format!("{family}{{engine=\"{}\"}}", e.name()))
+            .collect();
+        assert_eq!(
+            series.iter().map(|s| s.0).collect::<Vec<_>>(),
+            engines,
+            "{metrics}"
+        );
+        assert!(series.iter().all(|s| s.1 == 0), "{metrics}");
+    }
+    server.request_shutdown();
+    server.wait();
 }

@@ -1,11 +1,12 @@
 //! `htd-trace`: zero-dependency solver instrumentation.
 //!
-//! Three layers, from always-on to opt-in:
+//! Its layers, from always-on to opt-in:
 //!
-//! - **Metrics** ([`metrics`]): named atomic counters/gauges/histograms
-//!   in a process-global [`registry`]. Handles are `&'static`; updates
-//!   are single relaxed atomic ops, so hot paths keep them on even in
-//!   production. Rendered as Prometheus text for `/metrics`.
+//! - **Histograms** ([`metrics`]): [`HistogramMetric`], a fixed-bucket
+//!   histogram of relaxed atomics with interpolated quantiles and
+//!   Prometheus rendering. A counter is a plain atomic owned by the code
+//!   that counts it (a server's typed metrics, a solve's outcome), and
+//!   whoever owns it renders it.
 //! - **Events** ([`event`]): a typed stream of solver happenings —
 //!   incumbent improvements, bound tightenings, worker lifecycle,
 //!   batched node expansions — stamped with contiguous sequence numbers
@@ -16,8 +17,10 @@
 //! - **Spans** ([`span`](mod@span)): hierarchical RAII profiling regions
 //!   (`span!("astar.expand")`) aggregating per-path wall/CPU/self time
 //!   and call counts, exported as a profile snapshot, folded stacks
-//!   for flamegraphs, per-span histograms, and (for coarse spans fed a
-//!   tracer) `span_enter`/`span_exit` events.
+//!   for flamegraphs, the process-wide `htd_span_seconds` histograms
+//!   (the collector owns one per span name and writes the family
+//!   itself), and (for coarse spans fed a tracer)
+//!   `span_enter`/`span_exit` events.
 //!
 //! The [`Tracer`] ties events to a sink. Everything defaults to
 //! [`Tracer::disabled`], whose emit path is a single branch — solver
@@ -37,7 +40,7 @@ pub mod span;
 pub mod tracer;
 
 pub use event::{validate_stream, Event, Record, KNOWN_KINDS, SCHEMA_VERSION};
-pub use metrics::{registry, Counter, Gauge, HistogramMetric, Registry};
+pub use metrics::HistogramMetric;
 pub use sink::{JsonlSink, NullSink, RingBuffer, Sink};
 pub use span::{set_spans_enabled, set_worker, spans_enabled, SpanGuard, SpanStat};
 pub use tracer::Tracer;

@@ -1,62 +1,12 @@
-//! The global metric registry: named atomic counters, gauges and
-//! histograms, rendered as Prometheus text.
+//! A fixed-bucket atomic histogram and its Prometheus rendering.
 //!
-//! Handles are resolved once (at worker/session setup, never per node
-//! expansion) and are `&'static`: after resolution an update is a single
-//! relaxed atomic op, safe to call from any thread with no further
-//! registry involvement. The registry itself is process-global so every
-//! layer — engines, caches, the service — contributes to one scrape.
+//! Counters and gauges are plain atomics owned by the code that measures
+//! them. The histogram is shared because its bucketing, quantiles and
+//! text rendering are the same wherever it is used: a server's latency
+//! series and the span collector's `htd_span_seconds` family.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-bucket histogram with atomic counts.
 ///
@@ -183,152 +133,9 @@ impl HistogramMetric {
     }
 }
 
-enum Slot {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static HistogramMetric),
-}
-
-/// A named collection of metrics. One process-global instance exists
-/// behind [`registry`]; private registries are constructible for tests.
-#[derive(Default)]
-pub struct Registry {
-    slots: Mutex<BTreeMap<String, Slot>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry {
-            slots: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The counter named `name`, created on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Box::leak(Box::default())))
-        {
-            Slot::Counter(c) => c,
-            _ => panic!("metric '{name}' is not a counter"),
-        }
-    }
-
-    /// The counter `name{label="value"}`, created on first use.
-    pub fn labeled_counter(&self, name: &str, label: &str, value: &str) -> &'static Counter {
-        self.counter(&format!("{name}{{{label}=\"{value}\"}}"))
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Box::leak(Box::default())))
-        {
-            Slot::Gauge(g) => g,
-            _ => panic!("metric '{name}' is not a gauge"),
-        }
-    }
-
-    /// The histogram named `name`, created on first use with `bounds`
-    /// (later calls may pass any bounds; the first registration wins).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> &'static HistogramMetric {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Histogram(Box::leak(Box::new(HistogramMetric::new(bounds)))))
-        {
-            Slot::Histogram(h) => h,
-            _ => panic!("metric '{name}' is not a histogram"),
-        }
-    }
-
-    /// Value of a counter if it exists (exact key, including any label).
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.slots.lock().unwrap().get(name) {
-            Some(Slot::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// Renders every metric in Prometheus text exposition format,
-    /// sorted by name so scrapes are deterministic.
-    pub fn render_prometheus(&self, out: &mut String) {
-        let slots = self.slots.lock().unwrap();
-        let mut last_base = String::new();
-        for (name, slot) in slots.iter() {
-            let base = name.split('{').next().unwrap_or(name);
-            if base != last_base {
-                let kind = match slot {
-                    Slot::Counter(_) => "counter",
-                    Slot::Gauge(_) => "gauge",
-                    Slot::Histogram(_) => "histogram",
-                };
-                let _ = writeln!(out, "# TYPE {base} {kind}");
-                last_base = base.to_string();
-            }
-            match slot {
-                Slot::Counter(c) => {
-                    let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Slot::Gauge(g) => {
-                    let _ = writeln!(out, "{name} {}", g.get());
-                }
-                Slot::Histogram(h) => h.render_prometheus(name, out),
-            }
-        }
-    }
-}
-
-/// The process-global registry.
-pub fn registry() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges_accumulate() {
-        let r = Registry::new();
-        let c = r.counter("ops_total");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(r.counter_value("ops_total"), Some(5));
-        // same name returns the same handle
-        r.counter("ops_total").inc();
-        assert_eq!(c.get(), 6);
-        let g = r.gauge("depth");
-        g.set(3);
-        g.add(-1);
-        assert_eq!(g.get(), 2);
-    }
-
-    #[test]
-    fn labeled_counters_are_distinct_series() {
-        let r = Registry::new();
-        r.labeled_counter("wins_total", "engine", "astar").add(2);
-        r.labeled_counter("wins_total", "engine", "genetic").inc();
-        assert_eq!(r.counter_value("wins_total{engine=\"astar\"}"), Some(2));
-        assert_eq!(r.counter_value("wins_total{engine=\"genetic\"}"), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn type_mismatch_panics() {
-        let r = Registry::new();
-        r.gauge("x");
-        r.counter("x");
-    }
 
     #[test]
     fn histogram_percentiles_interpolate() {
@@ -409,34 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_rendering_is_sorted_and_typed() {
-        let r = Registry::new();
-        r.counter("b_total").add(2);
-        r.gauge("a_gauge").set(7);
-        let h = r.histogram("c_hist", &[0.5, 1.0]);
-        h.observe(0.7);
-        let mut out = String::new();
-        r.render_prometheus(&mut out);
-        let a = out.find("a_gauge 7").expect("gauge rendered");
-        let b = out.find("b_total 2").expect("counter rendered");
-        let c = out.find("c_hist_bucket{le=\"0.5\"} 0").expect("bucket 0");
-        assert!(a < b && b < c, "sorted output:\n{out}");
-        assert!(out.contains("# TYPE b_total counter"));
-        assert!(out.contains("c_hist_bucket{le=\"1\"} 1"));
-        assert!(out.contains("c_hist_bucket{le=\"+Inf\"} 1"));
-        assert!(out.contains("c_hist_count 1"));
-    }
-
-    #[test]
     fn labeled_histogram_renders_well_formed_series() {
-        // a labeled registration must merge its labels with `le` on the
-        // bucket series, not append `_bucket` after the closing brace
-        let r = Registry::new();
-        let h = r.histogram("d_hist{span=\"x\"}", &[0.5]);
+        // a labeled name must merge its labels with `le` on the bucket
+        // series, not append `_bucket` after the closing brace
+        let h = HistogramMetric::new(&[0.5]);
         h.observe(0.1);
         let mut out = String::new();
-        r.render_prometheus(&mut out);
-        assert!(out.contains("# TYPE d_hist histogram"), "{out}");
+        h.render_prometheus("d_hist{span=\"x\"}", &mut out);
         assert!(
             out.contains("d_hist_bucket{span=\"x\",le=\"0.5\"} 1"),
             "{out}"

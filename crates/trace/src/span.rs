@@ -21,20 +21,21 @@
 //!   the event stream stays phase-grained while the aggregate sees
 //!   everything.
 //!
-//! Exports: [`snapshot`] for the `profile` JSON block and `/metrics`
-//! feeding (each span also owns an `htd_span_seconds{span="..."}`
-//! histogram), [`folded`] for flamegraph tools
+//! Exports: [`snapshot`] for the `profile` JSON block, [`render_prometheus`]
+//! for `/metrics` (the collector owns one `htd_span_seconds{span="..."}`
+//! histogram per span name), [`folded`] for flamegraph tools
 //! (`worker;parent;child self_us` lines), [`reset`] between runs.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::event::Event;
-use crate::metrics::{registry, HistogramMetric};
+use crate::metrics::HistogramMetric;
 use crate::tracer::Tracer;
 
 /// Bucket bounds (seconds) for the per-span `htd_span_seconds`
@@ -62,7 +63,7 @@ struct NodeAgg {
     wall_us: AtomicU64,
     cpu_us: AtomicU64,
     self_us: AtomicU64,
-    hist: &'static HistogramMetric,
+    hist: Arc<HistogramMetric>,
 }
 
 struct NodeInfo {
@@ -78,6 +79,10 @@ struct Inner {
     nodes: Vec<NodeInfo>,
     /// (parent id + 1, or 0 for roots; worker; name) → node id.
     index: HashMap<(u32, &'static str, &'static str), u32>,
+    /// The `htd_span_seconds` histogram of each span name, shared by
+    /// every node of that name. [`reset`] keeps them: the family counts
+    /// for the life of the process, like any Prometheus counter.
+    hists: BTreeMap<&'static str, Arc<HistogramMetric>>,
 }
 
 /// The process-global span collector: interns (worker, call-path)
@@ -110,9 +115,11 @@ impl SpanCollector {
         if let Some(&id) = inner.index.get(&(parent_key, worker, name)) {
             return (id, Arc::clone(&inner.nodes[id as usize].agg));
         }
-        let hist = registry().histogram(
-            &format!("htd_span_seconds{{span=\"{name}\"}}"),
-            SPAN_SECONDS_BUCKETS,
+        let hist = Arc::clone(
+            inner
+                .hists
+                .entry(name)
+                .or_insert_with(|| Arc::new(HistogramMetric::new(SPAN_SECONDS_BUCKETS))),
         );
         let id = inner.nodes.len() as u32;
         let agg = Arc::new(NodeAgg {
@@ -176,6 +183,21 @@ pub fn reset() {
     inner.nodes.clear();
     inner.index.clear();
     collector().epoch.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Writes the `htd_span_seconds` histogram family in Prometheus text
+/// format: one series per span name, sorted. The family's header is
+/// written even before any span has closed, so every scrape shows it.
+pub fn render_prometheus(out: &mut String) {
+    let _ = writeln!(
+        out,
+        "# HELP htd_span_seconds Wall time of each span, seconds.\n\
+         # TYPE htd_span_seconds histogram"
+    );
+    let inner = collector().inner.lock().unwrap_or_else(|p| p.into_inner());
+    for (name, hist) in &inner.hists {
+        hist.render_prometheus(&format!("htd_span_seconds{{span=\"{name}\"}}"), out);
+    }
 }
 
 /// Renders the aggregate as folded stacks — one
