@@ -33,8 +33,6 @@ pub mod ghd;
 pub mod join_tree;
 pub mod json;
 pub mod leaf_normal_form;
-pub mod mis;
-pub mod nice;
 pub mod ordering;
 pub mod pace;
 pub mod tree_decomposition;

@@ -100,14 +100,6 @@ impl Graph {
         })
     }
 
-    /// `true` iff the vertices of `s` are pairwise adjacent.
-    pub fn is_clique(&self, s: &VertexSet) -> bool {
-        s.iter().all(|v| {
-            // every other member of s must be a neighbor of v
-            s.difference(&self.adj[v as usize]).to_vec() == [v]
-        })
-    }
-
     /// The subgraph induced by `keep`, with vertices renumbered to
     /// `0..keep.len()`. Returns the graph and the old-id-per-new-id map.
     pub fn induced_subgraph(&self, keep: &VertexSet) -> (Graph, Vec<Vertex>) {
@@ -218,18 +210,6 @@ mod tests {
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.edges().collect::<Vec<_>>(), vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn clique_detection() {
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]);
-        let tri = VertexSet::from_iter_with_capacity(4, [0, 1, 2]);
-        assert!(g.is_clique(&tri));
-        let not = VertexSet::from_iter_with_capacity(4, [0, 1, 3]);
-        assert!(!g.is_clique(&not));
-        // singleton and empty sets are cliques
-        assert!(g.is_clique(&VertexSet::from_iter_with_capacity(4, [3])));
-        assert!(g.is_clique(&VertexSet::new(4)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hypergraphs and their derived structures (primal graph, dual graph).
+//! Hypergraphs and their primal graphs.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -178,33 +178,9 @@ impl Hypergraph {
         g
     }
 
-    /// The dual graph: one vertex per hyperedge, an edge between two
-    /// hyperedges iff they share a vertex (Definition 4 of the thesis).
-    pub fn dual_graph(&self) -> Graph {
-        let m = self.edges.len() as u32;
-        let mut g = Graph::new(m);
-        for e in 0..self.edges.len() {
-            for f in e + 1..self.edges.len() {
-                if !self.edges[e].is_disjoint(&self.edges[f]) {
-                    g.add_edge(e as u32, f as u32);
-                }
-            }
-        }
-        g
-    }
-
     /// `true` iff every vertex appears in at least one hyperedge.
     pub fn covers_all_vertices(&self) -> bool {
         self.incident.iter().all(|l| !l.is_empty())
-    }
-
-    /// The set of vertices appearing in at least one edge.
-    pub fn covered_vertices(&self) -> VertexSet {
-        let mut s = VertexSet::new(self.num_vertices);
-        for e in &self.edges {
-            s.union_with(e);
-        }
-        s
     }
 
     /// Connected components of the whole vertex set. Two vertices are
@@ -256,44 +232,6 @@ impl Hypergraph {
         }
         comps
     }
-
-    /// The sub-hypergraph induced by `keep`, with vertices renumbered to
-    /// `0..keep.len()`: every hyperedge is intersected with `keep`, empty
-    /// intersections are dropped, and exact duplicate scopes collapse
-    /// (they are indistinguishable for covering). Returns the
-    /// sub-hypergraph and the old-id-per-new-id map, mirroring
-    /// [`Graph::induced_subgraph`].
-    pub fn induced_sub_hypergraph(&self, keep: &VertexSet) -> (Hypergraph, Vec<Vertex>) {
-        let old_ids: Vec<Vertex> = keep.to_vec();
-        let mut new_id = vec![u32::MAX; self.num_vertices as usize];
-        for (i, &v) in old_ids.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
-        let mut lists: Vec<Vec<Vertex>> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
-        let mut seen_scopes: HashMap<Vec<Vertex>, ()> = HashMap::new();
-        for (e, scope) in self.edges.iter().enumerate() {
-            let restricted: Vec<Vertex> = scope
-                .intersection(keep)
-                .iter()
-                .map(|v| new_id[v as usize])
-                .collect();
-            if restricted.is_empty() || seen_scopes.insert(restricted.clone(), ()).is_some() {
-                continue;
-            }
-            lists.push(restricted);
-            names.push(self.edge_name(e as EdgeId).into_owned());
-        }
-        let mut h = Hypergraph::new(old_ids.len() as u32, lists);
-        h.vertex_names = Some(
-            old_ids
-                .iter()
-                .map(|&v| self.vertex_name(v).into_owned())
-                .collect(),
-        );
-        h.edge_names = Some(names);
-        (h, old_ids)
-    }
 }
 
 #[cfg(test)]
@@ -332,15 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn dual_graph_matches_definition() {
-        let h = thesis_example();
-        let d = h.dual_graph();
-        assert_eq!(d.num_vertices(), 3);
-        // edges 0 and 1 share x1; 0 and 2 share x3; 1 and 2 share x5
-        assert_eq!(d.num_edges(), 3);
-    }
-
-    #[test]
     fn named_edges_intern_vertices() {
         let h = Hypergraph::from_named_edges(&[
             ("a".into(), vec!["x".into(), "y".into()]),
@@ -367,6 +296,5 @@ mod tests {
     fn isolated_vertex_not_covered() {
         let h = Hypergraph::new(3, vec![vec![0, 1]]);
         assert!(!h.covers_all_vertices());
-        assert_eq!(h.covered_vertices().to_vec(), vec![0, 1]);
     }
 }

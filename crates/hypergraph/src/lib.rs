@@ -7,8 +7,8 @@
 //!   hot loops in the workspace (vertex elimination, set covering, bound
 //!   computation) are word-parallel operations on these sets.
 //! * [`graph::Graph`] and [`hypergraph::Hypergraph`] — immutable instance
-//!   descriptions, with the classical derived structures: the primal
-//!   (Gaifman) graph and the dual graph of a hypergraph.
+//!   descriptions, with the classical derived structure of a hypergraph:
+//!   its primal (Gaifman) graph.
 //! * [`elim::EliminationGraph`] — a mutable view of a graph supporting
 //!   `eliminate(v)` / `undo()` in amortized O(fill) time, the workhorse of
 //!   branch-and-bound and A* searches over elimination orderings.

@@ -147,43 +147,6 @@ fn full_within_is_plain_components_and_blocks_are_connected() {
     }
 }
 
-/// The induced sub-hypergraph of a component keeps exactly the restricted
-/// edges (deduplicated, empties dropped) and its primal graph is
-/// connected; ids map back through the returned table.
-#[test]
-fn induced_sub_hypergraph_of_a_component_is_connected_and_faithful() {
-    for seed in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0DE ^ seed);
-        let h = disjoint_union(&[random_part(&mut rng), random_part(&mut rng)]);
-        for comp in h.connected_components() {
-            if comp.len() < 2 {
-                continue;
-            }
-            let (sub, ids) = h.induced_sub_hypergraph(&comp);
-            assert_eq!(sub.num_vertices(), comp.len(), "seed {seed}");
-            assert_eq!(ids.len() as u32, comp.len(), "seed {seed}");
-            // every sub-edge, mapped back, is a subset of some original
-            // edge restricted to the component
-            for e in sub.edges() {
-                let back: VertexSet = VertexSet::from_iter_with_capacity(
-                    h.num_vertices(),
-                    e.iter().map(|v| ids[v as usize]),
-                );
-                assert!(
-                    h.edges()
-                        .iter()
-                        .any(|orig| back.to_vec() == orig.intersection(&comp).to_vec()),
-                    "seed {seed}: sub-edge is not a restricted original edge"
-                );
-            }
-            // a component induces a connected sub-hypergraph
-            if sub.num_edges() > 0 {
-                assert_eq!(sub.connected_components().len() as u32, 1, "seed {seed}");
-            }
-        }
-    }
-}
-
 /// Splitting a connected graph on any separator leaves components that
 /// are separator-free: re-adding the separator reconnects everything —
 /// the soundness core of the nested-dissection recursion.

@@ -140,14 +140,6 @@ impl SearchConfig {
         self
     }
 
-    /// Disables every optional pruning rule (for ablations / baselines).
-    pub fn without_pruning(mut self) -> Self {
-        self.use_pr2 = false;
-        self.use_reductions = false;
-        self.use_duplicate_detection = false;
-        self
-    }
-
     /// The exact-cover memo of a ghw run: the shared one if set, else a
     /// fresh private one that charges the run's memory budget (a shared
     /// cache is long-lived and governed by whoever owns it).
@@ -404,12 +396,6 @@ mod tests {
         let mut free = Budget::new(&SearchConfig::default(), Engine::BranchBound);
         assert!(free.charge(u64::MAX));
         assert!(free.tick(), "and never degrade ticks");
-    }
-
-    #[test]
-    fn without_pruning_clears_toggles() {
-        let cfg = SearchConfig::default().without_pruning();
-        assert!(!cfg.use_pr2 && !cfg.use_reductions && !cfg.use_duplicate_detection);
     }
 
     #[test]

@@ -347,7 +347,15 @@ fn exhausted_budgets_still_bracket_the_width() {
 fn pruning_never_costs_bb_expansions_on_queen4() {
     let g = gen::queen_graph(4);
     let full = bb_tw(&g, &SearchConfig::default());
-    let bare = bb_tw(&g, &SearchConfig::default().without_pruning());
+    let bare = bb_tw(
+        &g,
+        &SearchConfig {
+            use_pr2: false,
+            use_reductions: false,
+            use_duplicate_detection: false,
+            ..SearchConfig::default()
+        },
+    );
     assert!(full.exact && bare.exact);
     assert_eq!(full.upper, bare.upper);
     assert!(

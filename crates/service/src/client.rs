@@ -1,5 +1,5 @@
 //! A small blocking client for the newline-JSON protocol, used by
-//! `htd query`, the chaos tools, perfbench and the integration tests.
+//! `htd query`, perfbench and the integration tests.
 //!
 //! Beyond the one-request-one-response helpers, [`Client::send`] /
 //! [`Client::recv`] split the cycle for *pipelined* use: write a batch

@@ -13,16 +13,8 @@ use htd_service::{
     Status,
 };
 
-/// Reserves a loopback port by binding it and letting it go; the servers
-/// rebind it with `SO_REUSEADDR`, which also lets the restart tests
-/// reclaim a killed node's port without waiting out TIME_WAIT.
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port()
-}
+mod common;
+use common::free_port;
 
 fn cluster_config(ids: &[&str], addrs: &[String], me: usize, replication: usize) -> ClusterConfig {
     let peers = ids

@@ -17,18 +17,13 @@ use htd_hypergraph::{gen, io};
 use htd_search::Objective;
 use htd_service::{Client, ClusterConfig, InstanceFormat, PeerSpec, ServeOptions, Server, Status};
 
+mod common;
+use common::free_port;
+
 const DEADLINE_MS: u64 = 10_000;
 const CLIENTS: usize = 4;
 const HITS_PER_CLIENT: usize = 150;
 const ROUNDS: usize = 5;
-
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port()
-}
 
 fn start(addr: String, cluster: Option<ClusterConfig>) -> Server {
     Server::start(ServeOptions {

@@ -20,8 +20,6 @@
 //! a failing test prints its whole transcript, which replaces the pinned
 //! constant.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -33,6 +31,9 @@ use htd_service::{
     parse_problem, AnswerMode, AnswerRequest, CertPush, Client, ClusterConfig, Command,
     InstanceFormat, PeerSpec, Request, Response, ServeOptions, Server, SolveRequest,
 };
+
+mod common;
+use common::{free_port, scrape};
 
 const CART: &str = "Q(x, y) :- R(x, z), S(z, y).\nR: 1 2 ; 3 4 .\nS: 2 5 ; 2 6 .";
 const BAD_QUERY: &str = "Q(x :- R(x).";
@@ -96,7 +97,7 @@ impl Transcript {
     /// then every counter key of `stats`, in that order.
     fn counters(&mut self, phase: &str, addr: &str) {
         self.0.push_str(&format!("[{phase}] metrics:"));
-        for line in http_get(addr, "/metrics").lines() {
+        for line in scrape(addr).lines() {
             let counter = line.starts_with("htd_requests_total{")
                 || line.starts_with("htd_responses_total{")
                 || line.starts_with("htd_cache_hits_total ")
@@ -134,23 +135,6 @@ impl Transcript {
         }
         assert_eq!(self.0, want);
     }
-}
-
-fn http_get(addr: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut body = String::new();
-    let mut in_body = false;
-    for line in BufReader::new(stream).lines() {
-        let line = line.unwrap();
-        if in_body {
-            body.push_str(&line);
-            body.push('\n');
-        } else if line.is_empty() {
-            in_body = true;
-        }
-    }
-    body
 }
 
 fn solve_req(id: &str, instance: &str, deadline_ms: Option<u64>) -> Request {
@@ -345,14 +329,6 @@ fn single_node_request_paths() {
     server.wait();
     let _ = std::fs::remove_dir_all(&store);
     t.check(SINGLE_NODE);
-}
-
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port()
 }
 
 fn node(id: &str, addr: &str, peer: &str, peer_addr: &str) -> Server {

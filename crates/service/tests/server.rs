@@ -15,6 +15,7 @@ use htd_service::{
 };
 
 mod common;
+use common::{http_get, sample, sample_key};
 
 fn start(opts: ServeOptions) -> (Server, String) {
     let server = Server::start(opts).expect("bind loopback");
@@ -33,31 +34,6 @@ fn quiet_opts() -> ServeOptions {
         verify_responses: false,
         ..ServeOptions::default()
     }
-}
-
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status = String::new();
-    reader.read_line(&mut status).unwrap();
-    let mut body = String::new();
-    let mut line = String::new();
-    // skip headers
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).unwrap() == 0 || line.trim().is_empty() {
-            break;
-        }
-    }
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        body.push_str(&line);
-    }
-    (status, body)
 }
 
 #[test]
@@ -571,15 +547,6 @@ fn bad_instances_get_the_same_error_cold_and_warm() {
     server.wait();
 }
 
-/// The name and labels of a sample line: everything before its value.
-fn sample_key(line: &str) -> &str {
-    let end = match line.rfind('}') {
-        Some(close) => close + 1,
-        None => line.find(' ').unwrap_or(line.len()),
-    };
-    &line[..end]
-}
-
 #[test]
 fn metrics_scrape_names_every_series_once() {
     let (server, addr) = start(quiet_opts());
@@ -745,76 +712,6 @@ fn empty_or_non_string_engine_lists_get_code_4() {
         );
         assert!(reply.contains("branch_bound"), "{engines}: {reply}");
     }
-    server.request_shutdown();
-    server.wait();
-}
-
-#[test]
-fn chaos_mode_survives_panics_and_serves_every_request() {
-    let (server, addr) = start(ServeOptions {
-        chaos: Some(htd_service::FaultPlan::chaos(42)),
-        memory_mb: Some(64),
-        ..quiet_opts()
-    });
-    let mut client = Client::connect(&addr).unwrap();
-    let instances: Vec<String> = (0..6)
-        .map(|s| io::write_pace_gr(&gen::random_gnp(14, 0.3, s)))
-        .collect();
-    for i in 0..30u64 {
-        let inst = &instances[(i % 6) as usize];
-        let mut req = htd_service::SolveRequest {
-            objective: Objective::Treewidth,
-            format: InstanceFormat::PaceGr,
-            instance: inst.clone(),
-            deadline_ms: Some(3_000),
-            budget: None,
-            threads: Some(3),
-            engines: None,
-            use_cache: false,
-            forwarded: false,
-        };
-        // mix of objectives to exercise more of the portfolio
-        if i % 5 == 4 {
-            req.objective = Objective::GeneralizedHypertreeWidth;
-        }
-        let r = client
-            .request(&htd_service::Request {
-                id: Some(format!("c{i}")),
-                cmd: htd_service::Command::Solve(req),
-            })
-            .expect("server alive");
-        // every request gets a valid terminal response: a (possibly
-        // degraded) outcome, or an explicit backpressure/timeout/error
-        match r.status {
-            Status::Ok => {
-                let o = r.outcome.expect("ok carries outcome");
-                assert!(o.lower <= o.upper);
-            }
-            Status::Rejected => assert!(r.retry_after_ms.is_some()),
-            Status::Timeout | Status::Error => {}
-            s => panic!("unexpected status {}", s.name()),
-        }
-    }
-    // the injected panics were quarantined and counted
-    let (_, metrics) = http_get(&addr, "/metrics");
-    let panics = metrics
-        .lines()
-        .find(|l| l.starts_with("htd_worker_panics_total"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    assert!(
-        panics > 0,
-        "chaos mode should have injected panics:\n{metrics}"
-    );
-    assert!(
-        metrics.contains("htd_engine_quarantined"),
-        "quarantine gauge exported"
-    );
-    assert!(
-        metrics.contains("htd_degraded_responses_total"),
-        "degraded counter exported"
-    );
     server.request_shutdown();
     server.wait();
 }
@@ -1082,15 +979,6 @@ fn a_larger_exact_claim_does_not_replace_a_smaller_verified_width() {
     assert_eq!(sample(&metrics, "htd_cache_contradictions_total"), 1);
     client.shutdown().unwrap();
     server.wait();
-}
-
-/// The value of the sample named `key` (name and labels) in a scrape.
-fn sample(metrics: &str, key: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| sample_key(l) == key)
-        .and_then(|l| l[key.len()..].trim().parse().ok())
-        .unwrap_or_else(|| panic!("no sample {key} in:\n{metrics}"))
 }
 
 /// The samples of a labeled family, one per label set.

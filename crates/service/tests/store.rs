@@ -7,8 +7,6 @@
 //! must (a) never serve an entry the oracle has not re-proved and
 //! (b) leave the server able to answer every request by recomputing.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 
 use htd_hypergraph::{gen, io};
@@ -16,6 +14,9 @@ use htd_search::{solve, Objective, SearchConfig};
 use htd_service::{
     parse_problem, CertStore, Client, InstanceFormat, ServeOptions, Server, Status, StoreRecord,
 };
+
+mod common;
+use common::{sample, scrape};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("htd-store-test-{tag}-{}", std::process::id()));
@@ -170,30 +171,6 @@ fn append_after_crash_recovery_produces_clean_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn http_metrics(addr: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        text.push_str(&line);
-    }
-    text
-}
-
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(name))
-        .and_then(|rest| rest.trim().parse().ok())
-        .unwrap_or_else(|| panic!("missing {name} in:\n{metrics}"))
-}
-
 /// End-to-end tamper test through a real server: populate the store,
 /// flip one byte in a record payload, reboot. The oracle (or checksum)
 /// must reject the damaged entry, `htd_store_rejects_total` must say
@@ -255,8 +232,8 @@ fn tampered_byte_is_rejected_on_reopen_and_request_recomputes() {
     // the registry is process-global (other tests in this binary also
     // open stores), so assert monotone: the reject counter must be live
     // and nonzero after loading a tampered log
-    let metrics = http_metrics(&addr);
-    let rejects = metric_value(&metrics, "htd_store_rejects_total");
+    let metrics = scrape(&addr);
+    let rejects = sample(&metrics, "htd_store_rejects_total");
     assert!(
         rejects >= 1,
         "tampered record must be counted as rejected:\n{metrics}"

@@ -40,11 +40,6 @@ impl CoverResult {
             CoverResult::Uncoverable => None,
         }
     }
-
-    /// `true` iff optimality was proven.
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, CoverResult::Optimal(_))
-    }
 }
 
 impl<'a> ExactCover<'a> {
@@ -69,22 +64,8 @@ impl<'a> ExactCover<'a> {
         self.cover(target).size()
     }
 
-    /// Decides whether `target` can be covered with at most `k` edges.
-    /// Exact when the node budget is unlimited; with a budget, `false` may
-    /// mean "not proven".
-    pub fn coverable_within(&self, target: &VertexSet, k: u32) -> bool {
-        match self.bounded_search(target, k) {
-            CoverResult::Optimal(c) | CoverResult::Truncated(c) => c.len() as u32 <= k,
-            CoverResult::Uncoverable => false,
-        }
-    }
-
     /// Finds a minimum cover of `target`.
     pub fn cover(&self, target: &VertexSet) -> CoverResult {
-        self.bounded_search(target, u32::MAX)
-    }
-
-    fn bounded_search(&self, target: &VertexSet, want: u32) -> CoverResult {
         // Greedy incumbent gives the initial upper bound (and proves
         // coverability).
         let greedy = match greedy_cover(target, self.edges) {
@@ -98,7 +79,7 @@ impl<'a> ExactCover<'a> {
         let mut nodes = 0u64;
         let mut chosen: Vec<EdgeId> = Vec::new();
         let mut uncovered = target.clone();
-        let exhausted = self.branch(&mut uncovered, &mut chosen, &mut best, &mut nodes, want);
+        let exhausted = self.branch(&mut uncovered, &mut chosen, &mut best, &mut nodes);
         if exhausted {
             CoverResult::Truncated(best)
         } else {
@@ -114,7 +95,6 @@ impl<'a> ExactCover<'a> {
         chosen: &mut Vec<EdgeId>,
         best: &mut Vec<EdgeId>,
         nodes: &mut u64,
-        want: u32,
     ) -> bool {
         *nodes += 1;
         if *nodes > self.node_budget {
@@ -126,9 +106,8 @@ impl<'a> ExactCover<'a> {
             }
             return false;
         }
-        // prune: even one more edge can't beat the incumbent, or caller
-        // only cares about covers of size <= want and we're past it
-        let limit = (best.len() as u32 - 1).min(want);
+        // prune: even one more edge can't beat the incumbent
+        let limit = best.len() as u32 - 1;
         if chosen.len() as u32 >= limit {
             return false;
         }
@@ -170,7 +149,7 @@ impl<'a> ExactCover<'a> {
             let saved = uncovered.clone();
             uncovered.difference_with(&self.edges[e as usize]);
             chosen.push(e);
-            exhausted |= self.branch(uncovered, chosen, best, nodes, want);
+            exhausted |= self.branch(uncovered, chosen, best, nodes);
             chosen.pop();
             *uncovered = saved;
             if exhausted {
@@ -213,7 +192,7 @@ mod tests {
         ];
         let engine = ExactCover::new(&edges);
         let r = engine.cover(&VertexSet::full(8));
-        assert!(r.is_optimal());
+        assert!(matches!(r, CoverResult::Optimal(_)));
         assert_eq!(r.size(), Some(2));
     }
 
@@ -230,15 +209,6 @@ mod tests {
     fn empty_target_is_zero() {
         let edges = vec![vs(4, &[0])];
         assert_eq!(ExactCover::new(&edges).cover_size(&vs(4, &[])), Some(0));
-    }
-
-    #[test]
-    fn coverable_within() {
-        let edges = vec![vs(6, &[0, 1]), vs(6, &[2, 3]), vs(6, &[4, 5])];
-        let e = ExactCover::new(&edges);
-        let t = VertexSet::full(6);
-        assert!(e.coverable_within(&t, 3));
-        assert!(!e.coverable_within(&t, 2));
     }
 
     #[test]

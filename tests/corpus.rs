@@ -88,7 +88,12 @@ fn forced_reduction_instance_agrees_with_pruning_disabled() {
     let with = solve(&Problem::treewidth(g.clone()), &SearchConfig::default()).unwrap();
     let without = solve(
         &Problem::treewidth(g),
-        &SearchConfig::default().without_pruning(),
+        &SearchConfig {
+            use_pr2: false,
+            use_reductions: false,
+            use_duplicate_detection: false,
+            ..SearchConfig::default()
+        },
     )
     .unwrap();
     assert_eq!(with.exact_width(), Some(3));

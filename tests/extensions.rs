@@ -1,10 +1,8 @@
 //! Integration tests for the extension subsystems: subset-DP treewidth,
-//! det-k-decomp, nice decompositions + MIS,
-//! solution counting, local search, and the PACE interchange formats.
+//! det-k-decomp, solution counting, local search, and the PACE
+//! interchange formats.
 
 use htd::core::bucket::vertex_elimination;
-use htd::core::mis::max_independent_set;
-use htd::core::nice::NiceTreeDecomposition;
 use htd::core::ordering::EliminationOrdering;
 use htd::core::pace;
 use htd::csp::{builders, count_solutions_td};
@@ -49,24 +47,6 @@ fn width_hierarchy_on_suite_instances() {
         // every bag of a TD is coverable by at most |bag| edges
         assert!(ghw.upper <= tw + 1, "{name}");
     }
-}
-
-/// Nice decomposition + MIS DP pipeline on instances with known answers.
-#[test]
-fn mis_via_decomposition_pipeline() {
-    // queen4_4 MIS = 4 (four non-attacking queens... on 4x4 exactly 4
-    // mutually non-attacking squares exist? the MIS of the queen graph is
-    // the max number of non-attacking queens: 4 on a 4x4 board)
-    let g = gen::queen_graph(4);
-    let td = vertex_elimination(&g, &EliminationOrdering::identity(16));
-    let nice = NiceTreeDecomposition::from_td(&td, 16);
-    nice.validate_shape().unwrap();
-    assert_eq!(max_independent_set(&g, &nice), 4);
-    // grid 3x5 MIS = 8 (checkerboard)
-    let g = gen::grid_graph(3, 5);
-    let td = vertex_elimination(&g, &EliminationOrdering::identity(15));
-    let nice = NiceTreeDecomposition::from_td(&td, 15);
-    assert_eq!(max_independent_set(&g, &nice), 8);
 }
 
 /// Local search composes with the exact search: the improved ordering's
